@@ -67,6 +67,16 @@ class TestWignerGrid:
         with pytest.raises(GridError):
             gaussian_pure_wigner(64, 64, 1.0, 8.0, SIGMA, h=H)
 
+    @pytest.mark.parametrize("field", ["x0", "dx", "p0", "dp", "h", "mass"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, field, bad):
+        kwargs = dict(
+            values=np.full((4, 4), 1.0 / 16.0), x0=0.0, dx=1.0, p0=0.0, dp=1.0, h=1.0, mass=1.0
+        )
+        kwargs[field] = bad
+        with pytest.raises(GridError):
+            WignerGrid(**kwargs)
+
 
 class TestHigherMoment:
     def test_purity_is_one(self):
@@ -214,6 +224,100 @@ class TestStepControl:
         w0 = pure_state(nx=64, npts=64)
         with pytest.warns(UserWarning, match="rad per step"):
             wigner_evolve(w0, PotentialSpec.quartic(1.0), 0.5, dt=0.5)
+
+    @pytest.mark.parametrize("evolve", [wigner_evolve, wigner_run])
+    def test_aliasing_warning_points_at_caller(self, evolve):
+        w0 = pure_state(nx=64, npts=64)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            evolve(w0, PotentialSpec.quartic(1.0), 0.5, dt=0.5)
+        assert [c.filename for c in caught] == [__file__]
+
+    @pytest.mark.parametrize("evolve", [wigner_evolve, wigner_run])
+    @pytest.mark.parametrize(
+        "t, dt",
+        [
+            (math.nan, 1e-2),
+            (math.nan, None),
+            (math.inf, 1e-2),
+            (-math.inf, None),
+            (0.1, math.nan),
+            (0.1, math.inf),
+            (1.0, 5e-324),  # finite, but t / dt overflows
+        ],
+    )
+    def test_non_finite_time_or_step_rejected(self, evolve, t, dt):
+        w0 = pure_state(nx=32, npts=32)
+        with pytest.raises(DomainError):
+            evolve(w0, PotentialSpec.harmonic(1.0, mass=MASS), t, dt=dt)
+
+
+class TestFusedLoop:
+    """The fused real-FFT loop against an unfused complex K/2 T K/2 composition."""
+
+    @staticmethod
+    def unfused(w0, potential, t, n_steps):
+        from logent.wigner import _apply_kick, _apply_transport, _phase_rates
+
+        kick_rate, transport_rate = _phase_rates(w0, potential)
+        step = t / n_steps
+        kick_half = np.exp(1j * kick_rate * step / 2.0)
+        transport = np.exp(1j * transport_rate * step)
+        values = w0.values
+        for _ in range(n_steps):
+            buf = _apply_kick(values.astype(complex), kick_half)
+            buf = _apply_transport(buf, transport)
+            values = _apply_kick(buf, kick_half).real
+        return values
+
+    @pytest.mark.parametrize("n_steps, sign", [(1, 1.0), (2, 1.0), (7, 1.0), (5, -1.0)])
+    def test_matches_unfused_composition(self, n_steps, sign):
+        w0 = pure_state(nx=64, npts=64, x_center=0.7, p_center=0.3)
+        V = PotentialSpec.quartic(0.05)
+        dt = 2e-3
+        t = sign * n_steps * dt
+        evolved = wigner_evolve(w0, V, t, dt=dt)
+        rec, final = wigner_run(w0, V, t, dt=dt)
+        assert len(rec.times) == n_steps + 1
+        assert rec.times[-1] == pytest.approx(t, abs=1e-15)
+        reference = self.unfused(w0, V, t, n_steps)
+        assert np.max(np.abs(final.values - evolved.values)) < 1e-11
+        assert np.max(np.abs(final.values - reference)) < 1e-11
+        # the dynamics is nontrivial, so the agreement is meaningful
+        assert np.max(np.abs(reference - w0.values)) > 1e-3
+
+    def test_recorded_states_match_unfused_composition(self):
+        w0 = pure_state(nx=64, npts=64, x_center=0.7)
+        V = PotentialSpec.quartic(0.05)
+        rec, _ = wigner_run(w0, V, 6e-3, dt=2e-3)
+        for k in range(1, 4):
+            ref = self.unfused(w0, V, 2e-3 * k, k)
+            info = w0.h * float(np.sum(ref * ref)) * w0.dx * w0.dp
+            m3 = w0.h**2 * float(np.sum(ref**3)) * w0.dx * w0.dp
+            assert rec.information[k] == pytest.approx(info, abs=1e-12)
+            assert rec.moment3[k] == pytest.approx(m3, abs=1e-11)
+            assert rec.min_value[k] == pytest.approx(float(ref.min()), abs=1e-11)
+
+    @pytest.mark.parametrize(
+        "potential",
+        [
+            PotentialSpec.constant(1.3),
+            PotentialSpec.linear(0.7),
+            PotentialSpec.harmonic(1.1, mass=2.0),
+            PotentialSpec.quartic(0.3),
+            PotentialSpec.tabulated(np.linspace(-8.0, 8.0, 41), np.sin(np.linspace(-8.0, 8.0, 41))),
+        ],
+        ids=["constant", "linear", "harmonic", "quartic", "tabulated"],
+    )
+    def test_phase_rates_are_exactly_odd(self, potential):
+        from logent.wigner import _phase_rates
+
+        w0 = pure_state(nx=64, npts=32, x_center=0.4)
+        kick_rate, transport_rate = _phase_rates(w0, potential)
+        flip_p = (-np.arange(w0.npts)) % w0.npts
+        flip_x = (-np.arange(w0.nx)) % w0.nx
+        assert np.array_equal(kick_rate[:, flip_p], -kick_rate)
+        assert np.array_equal(transport_rate[flip_x, :], -transport_rate)
 
 
 class TestDeltaLocalized:
