@@ -1,0 +1,164 @@
+"""Validation, invariants and CSV I/O shared by the line and phase-space grids.
+
+Both grids hold a normalized state sampled on a uniform periodic lattice:
+the quadrature sum(values) * cell is one, the information is
+I = h * sum(values^2) * cell and the entropy is S = 1 - I, where the cell
+is the product of the grid spacings.  Grid files are CSV at a fixed number
+of significant digits, optionally with a JSON sidecar holding the scalars.
+"""
+from __future__ import annotations
+
+import json
+import math
+import warnings
+
+import numpy as np
+
+from .errors import DomainError, GridError, NormalizationError
+
+QUAD_TOL = 1e-9
+ADMISSIBLE_TOL = 1e-9
+WRAP_TOL = 1e-10
+DEFAULT_STEP_ANGLE = 0.1  # max phase advance per step with the default dt
+
+_BLOCK_ROWS = 4096  # CSV rows formatted per write: bounds the text held in memory
+
+
+class Grid:
+    """Checks and invariants of a frozen grid dataclass.
+
+    Subclasses declare the fields (values first, then the scalars in
+    _SCALARS), name the spacings whose product is the cell in _SPACINGS and
+    the fields that must be positive in _POSITIVE, and check the array shape
+    in _check_shape.  Values must be finite, the scalars finite, and the
+    quadrature sum one within QUAD_TOL; the values are stored read-only.
+    """
+
+    _SCALARS: tuple = ()
+    _SPACINGS: tuple = ()
+    _POSITIVE: tuple = ()
+
+    def _check_shape(self, arr: np.ndarray) -> None:
+        raise NotImplementedError
+
+    def __post_init__(self):
+        arr = np.array(self.values, dtype=float)
+        self._check_shape(arr)
+        if not np.all(np.isfinite(arr)):
+            raise GridError("values must be finite")
+        if not all(math.isfinite(getattr(self, name)) for name in self._SCALARS):
+            raise GridError(f"{', '.join(self._SCALARS)} must be finite")
+        if not all(getattr(self, name) > 0.0 for name in self._POSITIVE):
+            raise GridError(f"{', '.join(self._POSITIVE)} must be positive")
+        total = self._integrate(float(arr.sum()))
+        if abs(total - 1.0) > QUAD_TOL:
+            raise NormalizationError(
+                f"quadrature sum is {total:.12g}, expected 1 within {QUAD_TOL:g}"
+            )
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", arr)
+
+    def _integrate(self, s: float) -> float:
+        """A lattice sum times the cell, one spacing at a time."""
+        for name in self._SPACINGS:
+            s *= getattr(self, name)
+        return s
+
+    @property
+    def total(self) -> float:
+        return self._integrate(float(self.values.sum()))
+
+    @property
+    def information(self) -> float:
+        return self._integrate(self.h * float(np.vdot(self.values, self.values)))
+
+    @property
+    def entropy(self) -> float:
+        return 1.0 - self.information
+
+    @property
+    def is_admissible(self) -> bool:
+        return self.information <= 1.0 + ADMISSIBLE_TOL
+
+
+def check_wrap(center: float, lo: float, length: float, sigma: float) -> None:
+    """GridError when a Gaussian centred in [lo, lo + length) keeps more than
+    WRAP_TOL of its peak amplitude at the nearer boundary."""
+    dist = min(abs(center - lo), abs(lo + length - center))
+    if math.exp(-0.5 * (dist / sigma) ** 2) > WRAP_TOL:
+        raise GridError(
+            f"domain length {length:g} too small for sigma {sigma:g}: "
+            "boundary amplitude exceeds 1e-10 of the peak"
+        )
+
+
+def check_step(t: float, dt: float | None = None) -> None:
+    """DomainError unless t is finite and dt, when given, is finite, positive
+    and small enough that |t| / dt is finite."""
+    if not math.isfinite(t):
+        raise DomainError("t must be finite")
+    if dt is None:
+        return
+    if not math.isfinite(dt):
+        raise DomainError("dt must be finite")
+    if dt <= 0.0:
+        raise DomainError("dt must be positive")
+    if not math.isfinite(abs(t) / dt):
+        raise DomainError(f"t = {t:g} needs too many steps of dt = {dt:g}")
+
+
+def write_csv(path, header: str, columns, digits: int, meta: dict | None = None, meta_path=None):
+    """Write equal-length columns as CSV rows at `digits` significant digits.
+
+    A 2-d column contributes one CSV column per array column.  With a meta
+    dict, it is also written as an indented JSON sidecar, by default to
+    <path>.meta.json.
+    """
+    cell = f"%.{digits - 1}e"
+    rows = len(columns[0])
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for start in range(0, rows, _BLOCK_ROWS):
+            block = np.column_stack([c[start : start + _BLOCK_ROWS] for c in columns])
+            row = ",".join([cell] * block.shape[1]) + "\n"
+            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+    if meta is not None:
+        if meta_path is None:
+            meta_path = str(path) + ".meta.json"
+        with open(meta_path, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(meta, fh, indent=2)
+            fh.write("\n")
+
+
+def read_csv(path, kind: str, header: str | None = None, meta: dict | None = None, meta_path=None):
+    """Read a CSV written by write_csv, and its sidecar when meta is given.
+
+    meta maps each required sidecar key to its type.  Returns the header
+    fields, the (rows, columns) data and the typed sidecar values.  A wrong
+    header (when `header` is given), a non-numeric cell, a row of the wrong
+    length and a missing, mistyped or non-JSON sidecar raise GridError; a
+    missing file raises OSError.
+    """
+    values = {}
+    if meta is not None:
+        if meta_path is None:
+            meta_path = str(path) + ".meta.json"
+        with open(meta_path, "r", encoding="utf-8") as fh:
+            try:
+                raw = json.load(fh)
+                values = {key: typ(raw[key]) for key, typ in meta.items()}
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise GridError(f"malformed {kind} sidecar: {exc!r}") from exc
+    with open(path, "r", encoding="utf-8") as fh:
+        fields = fh.readline().strip().split(",")
+        if header is not None and fields != header.split(","):
+            raise GridError(f"not a {kind} CSV")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no data rows
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise GridError(f"malformed {kind} CSV: {exc}") from exc
+    if data.size and data.shape[1] != len(fields):
+        raise GridError(f"{kind} CSV rows have {data.shape[1]} cells, header has {len(fields)}")
+    return fields, data.reshape(-1, len(fields)), values

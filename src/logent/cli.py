@@ -7,18 +7,20 @@ codes: 0 success, 1 inadmissible state, 2 usage or configuration error.
 
 Engine parameters can come from flags or from a flat key = value config
 file with one section per engine ([fd], [continuum], [wigner]); unknown
-keys are rejected.  Flags override config values.
+keys are rejected and values are checked like the flags.  Flags override
+config values.
 """
 from __future__ import annotations
 
 import configparser
+import functools
 import json
 import math
 
 import click
 import numpy as np
 
-from . import densities, dynamics, maxent, vectors, wigner
+from . import _grid, densities, dynamics, maxent, vectors, wigner
 from .errors import DegenerateConstraintError, DomainError, LogentError
 
 CLI_CLASS_TOL = 1e-5  # hand-typed decimals carry ~1e-6 rounding; override with --tol
@@ -50,7 +52,7 @@ def _normalized_vector(entries: np.ndarray) -> vectors.SignedProbVector:
         raise click.UsageError(str(exc))
 
 
-def _load_section(path: str, section: str, known: dict) -> dict:
+def _load_section(path: str, section: str, table: dict) -> dict:
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -59,12 +61,12 @@ def _load_section(path: str, section: str, known: dict) -> dict:
         raise click.UsageError(f"config file lacks a [{section}] section")
     out = {}
     for key, raw in parser.items(section):
-        if key not in known:
+        if key not in table:
             raise click.UsageError(f"unknown key {key!r} in [{section}]")
         try:
-            out[key] = known[key](raw)
-        except ValueError as exc:
-            raise click.UsageError(f"bad value for {key!r}: {exc}")
+            out[key] = click.types.convert_type(table[key][0]).convert(raw, None, None)
+        except click.BadParameter as exc:
+            raise click.UsageError(f"bad value for {key!r} in [{section}]: {exc.message}")
     return out
 
 
@@ -288,91 +290,93 @@ def evolve():
     """Run one of the evolution engines and export its data."""
 
 
-_FD_KEYS = {
-    "generator": str,  # cyclic3 | random
-    "n": int,
-    "seed": int,
-    "rate": float,  # 1/time
-    "p0": str,  # comma-separated entries
-    "t_end": float,  # time
-    "dt": float,  # time
-    "output": str,
+def _engine(section: str, table: dict):
+    """Give an evolve command --config and one --<key> option per key.
+
+    table maps each key to (click type, default[, help]); the key names the
+    config entry and, with "-" for "_", the flag.  The command receives every
+    key, resolved in this order: the default, then the [section] of the
+    config file, then the flag.  Config values pass through the flag's click
+    type, so both are checked alike.
+    """
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def command(config_path, **kwargs):
+            params = {key: spec[1] for key, spec in table.items()}
+            if config_path:
+                params.update(_load_section(config_path, section, table))
+            for key in table:
+                flag = kwargs.pop(key)
+                if flag is not None:
+                    params[key] = flag
+            return fn(**params, **kwargs)
+
+        for key, (ctype, _, *text) in reversed(table.items()):
+            flag = "--" + key.replace("_", "-")
+            help_text = text[0] if text else None
+            command = click.option(flag, key, default=None, type=ctype, help=help_text)(command)
+        config = click.option("--config", "config_path", type=click.Path(exists=True), default=None)
+        return config(command)
+
+    return decorate
+
+
+_FD = {
+    "generator": (click.Choice(["cyclic3", "random"]), "cyclic3"),
+    "n": (int, 3),
+    "seed": (int, 0),
+    "rate": (float, None),  # 1/time; default: sqrt(3)/3 for cyclic3, 1 for random
+    "p0": (str, "1,0,0", "Comma-separated initial state."),
+    "t_end": (float, 10.0),  # time
+    "dt": (float, 0.1),  # time
+    "output": (click.Path(), "fd_trajectory.csv"),
 }
 
 
 @evolve.command("fd")
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--generator", default=None, type=click.Choice(["cyclic3", "random"]))
-@click.option("--n", default=None, type=int)
-@click.option("--seed", default=None, type=int)
-@click.option("--rate", default=None, type=float)
-@click.option("--p0", default=None, help="Comma-separated initial state.")
-@click.option("--t-end", default=None, type=float)
-@click.option("--dt", default=None, type=float)
-@click.option("--output", default=None, type=click.Path())
-def evolve_fd(config_path, generator, n, seed, rate, p0, t_end, dt, output):
+@_engine("fd", _FD)
+def evolve_fd(generator, n, seed, rate, p0, t_end, dt, output):
     """Finite-dimensional rotation run; writes the trajectory CSV."""
-    cfg = _load_section(config_path, "fd", _FD_KEYS) if config_path else {}
-    for key, val in (
-        ("generator", generator),
-        ("n", n),
-        ("seed", seed),
-        ("rate", rate),
-        ("p0", p0),
-        ("t_end", t_end),
-        ("dt", dt),
-        ("output", output),
-    ):
-        if val is not None:
-            cfg[key] = val
-    kind = cfg.get("generator", "cyclic3")
     try:
-        if kind == "cyclic3":
+        if generator == "cyclic3":
             gen = dynamics.cyclic_generator3()
-            if "rate" in cfg:
-                gen = dynamics.GeneratorMatrix(gen.upper, rate=cfg["rate"])
+            if rate is not None:
+                gen = dynamics.GeneratorMatrix(gen.upper, rate=rate)
         else:
-            gen = dynamics.random_generator(
-                cfg.get("n", 3), cfg.get("seed", 0), rate=cfg.get("rate", 1.0)
-            )
-        p0_vec = _normalized_vector(_parse_vector(cfg.get("p0", "1,0,0")))
-        rec = dynamics.trajectory(p0_vec, gen, cfg.get("t_end", 10.0), cfg.get("dt", 0.1))
+            gen = dynamics.random_generator(n, seed, rate=1.0 if rate is None else rate)
+        p0_vec = _normalized_vector(_parse_vector(p0))
+        rec = dynamics.trajectory(p0_vec, gen, t_end, dt)
     except LogentError as exc:
         raise click.UsageError(str(exc))
-    out = cfg.get("output", "fd_trajectory.csv")
-    dynamics.write_trajectory_csv(rec, out)
+    dynamics.write_trajectory_csv(rec, output)
     click.echo(f"samples        = {len(rec.times)}")
     click.echo(f"max |sum-1|    = {_fmt(float(np.max(rec.probability_drift)))}")
     click.echo(f"max |I-I(0)|   = {_fmt(float(np.max(rec.information_drift)))}")
-    click.echo(f"trajectory written to {out}")
+    click.echo(f"trajectory written to {output}")
 
 
-_CONTINUUM_KEYS = {
-    "n": int,
-    "length": float,  # z units
-    "h": float,  # z units
-    "sigma": float,  # z units; default saturating h/(2 sqrt(pi))
-    "center": float,  # z units
-    "omega_family": str,  # constant | linear | harmonic | quartic
-    "coeff": float,  # 1/time (constant, linear per z, etc.)
-    "a": float,  # z units
-    "t_end": float,  # time
-    "samples": int,
-    "output_grid": str,
-    "output_diag": str,
+_OMEGA = {
+    "constant": densities.omega_constant,
+    "linear": densities.omega_linear,
+    "harmonic": densities.omega_harmonic,
+    "quartic": densities.omega_quartic,
 }
 
-
-def _omega_from_config(family: str, coeff: float):
-    builders = {
-        "constant": densities.omega_constant,
-        "linear": densities.omega_linear,
-        "harmonic": densities.omega_harmonic,
-        "quartic": densities.omega_quartic,
-    }
-    if family not in builders:
-        raise click.UsageError(f"unknown omega family {family!r}")
-    return builders[family](coeff)
+_CONTINUUM = {
+    "n": (int, 1024),
+    "length": (float, 8.0),  # z units
+    "h": (float, 1.0),  # z units
+    "sigma": (float, None),  # z units; default: the saturating h/(2 sqrt(pi))
+    "center": (float, 0.0),  # z units
+    "omega_family": (click.Choice(list(_OMEGA)), "harmonic"),
+    "coeff": (float, 1.0),  # 1/time (constant, linear per z, etc.)
+    "a": (float, 0.0),  # z units
+    "t_end": (float, 1.0),  # time
+    "samples": (int, 100),
+    "output_grid": (click.Path(), "continuum_final.csv"),
+    "output_diag": (click.Path(), "continuum_diag.csv"),
+}
 
 
 def _potential_from_omega(family: str, coeff: float, h: float) -> wigner.PotentialSpec:
@@ -387,193 +391,102 @@ def _potential_from_omega(family: str, coeff: float, h: float) -> wigner.Potenti
             raise click.UsageError("cross-check needs a nonnegative harmonic coefficient")
         # V = coeff * scale * x^2 = (1/2) mass omega^2 x^2 with mass = 1
         return wigner.PotentialSpec.harmonic(math.sqrt(2.0 * coeff * scale), mass=1.0)
-    if family == "quartic":
-        return wigner.PotentialSpec.quartic(coeff * scale)
-    raise click.UsageError(f"unknown omega family {family!r}")
+    return wigner.PotentialSpec.quartic(coeff * scale)
 
 
 @evolve.command("continuum")
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--n", default=None, type=int)
-@click.option("--length", default=None, type=float)
-@click.option("--h", default=None, type=float)
-@click.option("--sigma", default=None, type=float)
-@click.option("--center", default=None, type=float)
-@click.option("--omega-family", default=None, type=click.Choice(["constant", "linear", "harmonic", "quartic"]))
-@click.option("--coeff", default=None, type=float)
-@click.option("--a", "offset", default=None, type=float)
-@click.option("--t-end", default=None, type=float)
-@click.option("--samples", default=None, type=int)
-@click.option("--output-grid", default=None, type=click.Path())
-@click.option("--output-diag", default=None, type=click.Path())
-@click.option("--cross-check", is_flag=True, help="Compare against the momentum-only quadrature path.")
+@_engine("continuum", _CONTINUUM)
+@click.option(
+    "--cross-check", is_flag=True, help="Compare against the momentum-only quadrature path."
+)
 def evolve_continuum(
-    config_path, n, length, h, sigma, center, omega_family, coeff, offset, t_end,
-    samples, output_grid, output_diag, cross_check,
+    n, length, h, sigma, center, omega_family, coeff, a, t_end, samples,
+    output_grid, output_diag, cross_check,
 ):
     """Spectral line-density run; writes final grid and diagnostics."""
-    cfg = _load_section(config_path, "continuum", _CONTINUUM_KEYS) if config_path else {}
-    for key, val in (
-        ("n", n),
-        ("length", length),
-        ("h", h),
-        ("sigma", sigma),
-        ("center", center),
-        ("omega_family", omega_family),
-        ("coeff", coeff),
-        ("a", offset),
-        ("t_end", t_end),
-        ("samples", samples),
-        ("output_grid", output_grid),
-        ("output_diag", output_diag),
-    ):
-        if val is not None:
-            cfg[key] = val
-    n_pts = cfg.get("n", 1024)
-    length_v = cfg.get("length", 8.0)
-    h_v = cfg.get("h", 1.0)
-    sigma_v = cfg.get("sigma", h_v / (2.0 * math.sqrt(math.pi)))
-    family = cfg.get("omega_family", "harmonic")
-    coeff_v = cfg.get("coeff", 1.0)
-    a_v = cfg.get("a", 0.0)
-    t_end_v = cfg.get("t_end", 1.0)
-    n_samples = cfg.get("samples", 100)
+    if samples < 1:
+        raise click.UsageError("samples must be at least 1")
+    if sigma is None:
+        sigma = h / (2.0 * math.sqrt(math.pi))
     try:
-        f0 = densities.gaussian_density(
-            n_pts, length_v, h_v, sigma_v, center=cfg.get("center", 0.0)
-        )
-        kern = densities.build_kernel(_omega_from_config(family, coeff_v), a_v, f0)
+        f0 = densities.gaussian_density(n, length, h, sigma, center=center)
+        kern = densities.build_kernel(_OMEGA[omega_family](coeff), a, f0)
+        spectrum0 = f0.dz * np.abs(np.fft.fft(f0.values))
+        rows = []
+        for k in range(1, samples + 1):
+            t = t_end * k / samples
+            state = densities.evolve_density(f0, kern, t)
+            mode_drift = float(
+                np.max(np.abs(state.dz * np.abs(np.fft.fft(state.values)) - spectrum0))
+            )
+            rows.append((t, state.total, state.information, mode_drift))
     except LogentError as exc:
         raise click.UsageError(str(exc))
-    spectrum0 = f0.dz * np.abs(np.fft.fft(f0.values))
-    rows = []
-    state = f0
-    for k in range(1, n_samples + 1):
-        t = t_end_v * k / n_samples
-        state = densities.evolve_density(f0, kern, t)
-        mode_drift = float(
-            np.max(np.abs(state.dz * np.abs(np.fft.fft(state.values)) - spectrum0))
-        )
-        rows.append((t, state.total, state.information, mode_drift))
-    grid_out = cfg.get("output_grid", "continuum_final.csv")
-    diag_out = cfg.get("output_diag", "continuum_diag.csv")
-    densities.write_density_csv(state, grid_out)
-    with open(diag_out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,sum,I,max_mode_drift\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.14e}" for v in row) + "\n")
-    sums = np.array([r[1] for r in rows])
-    infos = np.array([r[2] for r in rows])
-    drifts = np.array([r[3] for r in rows])
-    click.echo(f"samples            = {n_samples}")
+    diag = np.array(rows)
+    densities.write_density_csv(state, output_grid)
+    _grid.write_csv(output_diag, "t,sum,I,max_mode_drift", [diag], 15)
+    _, sums, infos, drifts = diag.T
+    click.echo(f"samples            = {samples}")
     click.echo(f"max |sum-1|        = {_fmt(float(np.max(np.abs(sums - 1.0))))}")
     click.echo(f"max |I-I(0)|       = {_fmt(float(np.max(np.abs(infos - f0.information))))}")
     click.echo(f"max mode drift     = {_fmt(float(np.max(drifts)))}")
-    click.echo(f"grid written to {grid_out}, diagnostics to {diag_out}")
+    click.echo(f"grid written to {output_grid}, diagnostics to {output_diag}")
     if cross_check:
-        potential = _potential_from_omega(family, coeff_v, h_v)
-        other = wigner.delta_localized_evolve(f0, potential, a_v, t_end_v)
+        potential = _potential_from_omega(omega_family, coeff, h)
+        other = wigner.delta_localized_evolve(f0, potential, a, t_end)
         linf = float(np.max(np.abs(other.values - state.values)))
         click.echo(f"cross-check Linf   = {_fmt(linf)}")
 
 
-_WIGNER_KEYS = {
-    "potential": str,  # free | harmonic | quartic
-    "omega": float,  # 1/time (harmonic)
-    "beta": float,  # energy / x^4 (quartic)
-    "nx": int,
-    "npts": int,
-    "lx": float,  # x units
-    "lp": float,  # p units
-    "h": float,  # action units
-    "mass": float,
-    "sigma_x": float,  # x units
-    "x_center": float,
-    "p_center": float,
-    "t_end": float,  # time
-    "dt": float,  # time
-    "output_snapshot": str,
-    "output_diag": str,
+_WIGNER = {
+    "potential": (click.Choice(["free", "harmonic", "quartic"]), "harmonic"),
+    "omega": (float, 1.0),  # 1/time (harmonic)
+    "beta": (float, 0.1),  # energy / x^4 (quartic)
+    "nx": (int, 128),
+    "npts": (int, 128),
+    "lx": (float, 8.0),  # x units
+    "lp": (float, 8.0),  # p units
+    "h": (float, 1.0),  # action units
+    "mass": (float, 1.0),
+    "sigma_x": (float, None),  # x units; default: h/(2 sqrt(pi))
+    "x_center": (float, 0.0),
+    "p_center": (float, 0.0),
+    "t_end": (float, 1.0),  # time
+    "dt": (float, None),  # time; default: the solver's step rule
+    "output_snapshot": (click.Path(), "wigner_final.csv"),
+    "output_diag": (click.Path(), "wigner_diag.csv"),
 }
 
 
 @evolve.command("wigner")
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--potential", default=None, type=click.Choice(["free", "harmonic", "quartic"]))
-@click.option("--omega", default=None, type=float)
-@click.option("--beta", default=None, type=float)
-@click.option("--nx", default=None, type=int)
-@click.option("--npts", default=None, type=int)
-@click.option("--lx", default=None, type=float)
-@click.option("--lp", default=None, type=float)
-@click.option("--h", default=None, type=float)
-@click.option("--mass", default=None, type=float)
-@click.option("--sigma-x", default=None, type=float)
-@click.option("--x-center", default=None, type=float)
-@click.option("--p-center", default=None, type=float)
-@click.option("--t-end", default=None, type=float)
-@click.option("--dt", default=None, type=float)
-@click.option("--output-snapshot", default=None, type=click.Path())
-@click.option("--output-diag", default=None, type=click.Path())
+@_engine("wigner", _WIGNER)
 @click.option(
     "--rotation-check",
     is_flag=True,
     help="For harmonic runs, compare against the analytic rigid rotation.",
 )
 def evolve_wigner(
-    config_path, potential, omega, beta, nx, npts, lx, lp, h, mass, sigma_x,
-    x_center, p_center, t_end, dt, output_snapshot, output_diag, rotation_check,
+    potential, omega, beta, nx, npts, lx, lp, h, mass, sigma_x, x_center, p_center,
+    t_end, dt, output_snapshot, output_diag, rotation_check,
 ):
     """Phase-space split-step run; writes snapshot and diagnostics."""
-    cfg = _load_section(config_path, "wigner", _WIGNER_KEYS) if config_path else {}
-    for key, val in (
-        ("potential", potential),
-        ("omega", omega),
-        ("beta", beta),
-        ("nx", nx),
-        ("npts", npts),
-        ("lx", lx),
-        ("lp", lp),
-        ("h", h),
-        ("mass", mass),
-        ("sigma_x", sigma_x),
-        ("x_center", x_center),
-        ("p_center", p_center),
-        ("t_end", t_end),
-        ("dt", dt),
-        ("output_snapshot", output_snapshot),
-        ("output_diag", output_diag),
-    ):
-        if val is not None:
-            cfg[key] = val
-    h_v = cfg.get("h", 1.0)
-    mass_v = cfg.get("mass", 1.0)
-    kind = cfg.get("potential", "harmonic")
-    if kind == "free":
+    if sigma_x is None:
+        sigma_x = h / (2.0 * math.sqrt(math.pi))
+    if potential == "free":
         pot = wigner.PotentialSpec.constant(0.0)
-    elif kind == "harmonic":
-        pot = wigner.PotentialSpec.harmonic(cfg.get("omega", 1.0), mass=mass_v)
+    elif potential == "harmonic":
+        pot = wigner.PotentialSpec.harmonic(omega, mass=mass)
     else:
-        pot = wigner.PotentialSpec.quartic(cfg.get("beta", 0.1))
+        pot = wigner.PotentialSpec.quartic(beta)
     try:
         w0 = wigner.gaussian_pure_wigner(
-            cfg.get("nx", 128),
-            cfg.get("npts", 128),
-            cfg.get("lx", 8.0),
-            cfg.get("lp", 8.0),
-            cfg.get("sigma_x", h_v / (2.0 * math.sqrt(math.pi))),
-            h=h_v,
-            mass=mass_v,
-            x_center=cfg.get("x_center", 0.0),
-            p_center=cfg.get("p_center", 0.0),
+            nx, npts, lx, lp, sigma_x, h=h, mass=mass, x_center=x_center, p_center=p_center
         )
-        rec, final = wigner.wigner_run(w0, pot, cfg.get("t_end", 1.0), cfg.get("dt"))
+        rec, final = wigner.wigner_run(w0, pot, t_end, dt)
     except LogentError as exc:
         raise click.UsageError(str(exc))
-    snap_out = cfg.get("output_snapshot", "wigner_final.csv")
-    diag_out = cfg.get("output_diag", "wigner_diag.csv")
-    wigner.write_wigner_csv(final, snap_out)
-    wigner.write_diagnostics_csv(rec, diag_out)
+    wigner.write_wigner_csv(final, output_snapshot)
+    wigner.write_diagnostics_csv(rec, output_diag)
     click.echo(f"steps            = {len(rec.times) - 1}")
     click.echo(
         f"max |sum-1|      = "
@@ -587,23 +500,19 @@ def evolve_wigner(
     rel = abs(m3[-1] - m3[0]) / abs(m3[0]) if m3[0] != 0.0 else float("nan")
     click.echo(f"moment3 change   = {_fmt(rel)}")
     click.echo(f"min w            = {_fmt(float(np.min(rec.min_value)))}")
-    click.echo(f"snapshot written to {snap_out}, diagnostics to {diag_out}")
+    click.echo(f"snapshot written to {output_snapshot}, diagnostics to {output_diag}")
     if rotation_check:
-        if kind != "harmonic":
+        if potential != "harmonic":
             raise click.UsageError("--rotation-check requires the harmonic potential")
-        om = cfg.get("omega", 1.0)
-        t = cfg.get("t_end", 1.0)
-        sx = cfg.get("sigma_x", h_v / (2.0 * math.sqrt(math.pi)))
-        sp = h_v / (4.0 * math.pi * sx)
-        xc, pc = cfg.get("x_center", 0.0), cfg.get("p_center", 0.0)
+        sp = h / (4.0 * math.pi * sigma_x)
         xg = final.x[:, None]
         pg = final.p[None, :]
-        cos_t, sin_t = math.cos(om * t), math.sin(om * t)
-        x_back = xg * cos_t - pg / (mass_v * om) * sin_t
-        p_back = pg * cos_t + mass_v * om * xg * sin_t
+        cos_t, sin_t = math.cos(omega * t_end), math.sin(omega * t_end)
+        x_back = xg * cos_t - pg / (mass * omega) * sin_t
+        p_back = pg * cos_t + mass * omega * xg * sin_t
         ref = np.exp(
-            -0.5 * ((x_back - xc) / sx) ** 2 - 0.5 * ((p_back - pc) / sp) ** 2
-        ) / (2.0 * math.pi * sx * sp)
+            -0.5 * ((x_back - x_center) / sigma_x) ** 2 - 0.5 * ((p_back - p_center) / sp) ** 2
+        ) / (2.0 * math.pi * sigma_x * sp)
         num = math.sqrt(float(np.sum((final.values - ref) ** 2)) * final.dx * final.dp)
         den = math.sqrt(float(np.sum(ref**2)) * final.dx * final.dp)
         click.echo(f"rotation-check L2 = {_fmt(num / den)}")

@@ -27,18 +27,14 @@ code so the pair can cross-validate.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, GridError, NormalizationError
-
-QUAD_TOL = 1e-9
-ADMISSIBLE_TOL = 1e-9
-WRAP_TOL = 1e-10
+from ._grid import Grid, check_step, check_wrap, read_csv, write_csv
+from .errors import DomainError, GridError
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -46,12 +42,13 @@ def _is_power_of_two(n: int) -> bool:
 
 
 @dataclass(frozen=True, eq=False)
-class DensityGrid:
+class DensityGrid(Grid):
     """Uniform periodic sampling of a normalized density, plus the scale h.
 
     values[j] approximates f(z0 + j dz); the domain has period L = N dz.
-    Quadrature normalization sum(values) * dz = 1 is enforced within 1e-9.
-    Grids with I > 1 are representable but flagged inadmissible.
+    Quadrature normalization sum(values) * dz = 1 is enforced within 1e-9;
+    z0, dz and h must be finite and dz, h positive.  Grids with I > 1 are
+    representable but flagged inadmissible.
     """
 
     values: np.ndarray
@@ -59,26 +56,20 @@ class DensityGrid:
     dz: float
     h: float
 
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
+    _SCALARS = ("z0", "dz", "h")
+    _SPACINGS = ("dz",)
+    _POSITIVE = ("dz", "h")
+
+    def _check_shape(self, arr):
         if arr.ndim != 1:
             raise GridError("values must be one-dimensional")
         if not _is_power_of_two(arr.size):
             raise GridError(f"N = {arr.size} is not a power of two")
-        if not np.all(np.isfinite(arr)):
-            raise GridError("values must be finite")
-        if self.dz <= 0.0 or self.h <= 0.0:
-            raise GridError("dz and h must be positive")
-        total = float(arr.sum()) * self.dz
-        if abs(total - 1.0) > QUAD_TOL:
-            raise NormalizationError(
-                f"quadrature sum is {total:.12g}, expected 1 within {QUAD_TOL:g}"
-            )
-        info = self.h * float(arr @ arr) * self.dz
-        if info < self.information_floor * (1.0 - 3e-9):
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.information < self.information_floor * (1.0 - 3e-9):
             raise GridError("information below the uniform-density floor h/L")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
 
     @property
     def n(self) -> int:
@@ -93,25 +84,9 @@ class DensityGrid:
         return self.z0 + self.dz * np.arange(self.n)
 
     @property
-    def total(self) -> float:
-        return float(self.values.sum()) * self.dz
-
-    @property
-    def information(self) -> float:
-        return self.h * float(self.values @ self.values) * self.dz
-
-    @property
-    def entropy(self) -> float:
-        return 1.0 - self.information
-
-    @property
     def information_floor(self) -> float:
         """Uniform-density information h/L, the grid analog of 1/n."""
         return self.h / self.length
-
-    @property
-    def is_admissible(self) -> bool:
-        return self.information <= 1.0 + ADMISSIBLE_TOL
 
 
 @dataclass(frozen=True)
@@ -156,12 +131,7 @@ def gaussian_density(
     if sigma <= 0.0:
         raise DomainError("sigma must be positive")
     z0 = -length / 2.0
-    dist = min(abs(center - z0), abs(z0 + length - center))
-    if math.exp(-0.5 * (dist / sigma) ** 2) > WRAP_TOL:
-        raise GridError(
-            f"domain length {length:g} too small for sigma {sigma:g}: "
-            "boundary amplitude exceeds 1e-10 of the peak"
-        )
+    check_wrap(center, z0, length, sigma)
     dz = length / n
     z = z0 + dz * np.arange(n)
     values = np.exp(-0.5 * ((z - center) / sigma) ** 2) / (math.sqrt(2.0 * math.pi) * sigma)
@@ -230,16 +200,6 @@ class KernelSpec:
     h: float
 
     @property
-    def multiplier(self) -> np.ndarray:
-        """Purely imaginary Fourier multiplier i * mhat(lambda_k)."""
-        return 1j * self.m_hat
-
-    @property
-    def phase_rates(self) -> np.ndarray:
-        """Angular rate of each Fourier mode: d(arg fhat_k)/dt = mhat_k."""
-        return self.m_hat
-
-    @property
     def real_kernel(self) -> np.ndarray:
         """Real-space samples m(zeta_j) on grid offsets, exactly odd.
 
@@ -302,6 +262,7 @@ def evolve_density(f0: DensityGrid, k: KernelSpec, t: float) -> DensityGrid:
     round-off of a single transform pair.
     """
     _check_compatible(f0, k)
+    check_step(t)
     spectrum = np.fft.fft(f0.values)
     spectrum *= np.exp(1j * k.m_hat * t)
     values = np.fft.ifft(spectrum).real
@@ -318,8 +279,7 @@ def evolve_density_timestepped(f0: DensityGrid, k: KernelSpec, t: float, dt: flo
     with evolve_density and serves as an independent discretization.
     """
     _check_compatible(f0, k)
-    if dt <= 0.0:
-        raise DomainError("dt must be positive")
+    check_step(t, dt)
     if t == 0.0:
         return DensityGrid(values=f0.values.copy(), z0=f0.z0, dz=f0.dz, h=f0.h)
     n_steps = max(1, int(math.ceil(abs(t) / dt - 1e-12)))
@@ -361,31 +321,14 @@ def pure_state_residual(f: DensityGrid) -> float:
 def write_density_csv(f: DensityGrid, path, meta_path=None) -> None:
     """CSV with header (z, f) at 17 significant digits plus a JSON sidecar
     holding h, dz, z0, N."""
-    if meta_path is None:
-        meta_path = str(path) + ".meta.json"
-    z = f.z
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("z,f\n")
-        for zj, fj in zip(z, f.values):
-            fh.write(f"{zj:.16e},{fj:.16e}\n")
     meta = {"h": f.h, "dz": f.dz, "z0": f.z0, "N": f.n}
-    with open(meta_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    write_csv(path, "z,f", [f.z, f.values], 17, meta, meta_path)
 
 
 def read_density_csv(path, meta_path=None) -> DensityGrid:
-    if meta_path is None:
-        meta_path = str(path) + ".meta.json"
-    with open(meta_path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "z,f":
-            raise GridError("not a density CSV")
-        values = [float(line.strip().split(",")[1]) for line in fh if line.strip()]
-    if len(values) != int(meta["N"]):
+    """Read a grid written by write_density_csv; GridError for malformed content."""
+    meta = {"h": float, "dz": float, "z0": float, "N": int}
+    _, data, m = read_csv(path, "density", "z,f", meta, meta_path)
+    if data.shape[0] != m["N"]:
         raise GridError("CSV row count disagrees with metadata N")
-    return DensityGrid(
-        values=np.array(values), z0=float(meta["z0"]), dz=float(meta["dz"]), h=float(meta["h"])
-    )
+    return DensityGrid(values=data[:, 1], z0=m["z0"], dz=m["dz"], h=m["h"])

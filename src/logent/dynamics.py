@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._grid import DEFAULT_STEP_ANGLE, check_step, read_csv, write_csv
 from .errors import DimensionMismatchError, DomainError, GridError
 from .vectors import SignedProbVector
 
 MARGINAL_TOL = 1e-12
-DEFAULT_STEP_ANGLE = 0.1  # |G| * dt for the default step choice
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,42 +126,62 @@ def _cayley(g: np.ndarray, dt: float) -> np.ndarray:
     return np.linalg.solve(eye - (dt / 2.0) * g, eye + (dt / 2.0) * g)
 
 
+def _propagator(g: GeneratorMatrix, t: float, dt: float | None) -> np.ndarray | None:
+    """Cayley propagator over time t in equal steps of at most dt, or None
+    when it is the identity (t = 0 or a zero generator).
+
+    The default dt makes |G| * dt = DEFAULT_STEP_ANGLE.  Raises DomainError
+    for a non-finite t or dt, a non-positive dt and a t/dt that overflows.
+    """
+    gen = g.rate * g.matrix
+    norm = float(np.linalg.norm(gen, 2))
+    if dt is None and norm > 0.0:
+        dt = DEFAULT_STEP_ANGLE / norm
+    check_step(t, dt)
+    if t == 0.0 or norm == 0.0:
+        return None
+    n_steps = max(1, int(math.ceil(abs(t) / dt - 1e-12)))
+    return np.linalg.matrix_power(_cayley(gen, t / n_steps), n_steps)
+
+
 def evolve(p0: SignedProbVector, g: GeneratorMatrix, t: float, dt: float | None = None) -> SignedProbVector:
     """State at time t under dp/dt = rate * M p, via Cayley steps.
 
     dt is the internal step size; by default it is chosen so that
     |G| * dt <= 0.1.  Conservation of sum and information holds for any dt;
     smaller steps only tighten agreement with the exact exponential.
+    Raises DomainError for a non-finite t or dt and a non-positive dt.
     """
     if p0.n != g.n:
         raise DimensionMismatchError(f"state has n = {p0.n}, generator n = {g.n}")
-    gen = g.rate * g.matrix
-    norm = float(np.linalg.norm(gen, 2))
-    if t == 0.0 or norm == 0.0:
+    propagator = _propagator(g, t, dt)
+    if propagator is None:
         return SignedProbVector(p0.entries.copy())
-    if dt is None:
-        dt = DEFAULT_STEP_ANGLE / norm
-    if dt <= 0.0:
-        raise DomainError("dt must be positive")
-    n_steps = max(1, int(math.ceil(abs(t) / dt - 1e-12)))
-    step = t / n_steps
-    propagator = np.linalg.matrix_power(_cayley(gen, step), n_steps)
     return SignedProbVector(propagator @ p0.entries)
 
 
 def trajectory(p0: SignedProbVector, g: GeneratorMatrix, t_end: float, dt: float) -> TrajectoryRecord:
     """Sample the evolution at multiples of dt up to t_end, recording the
-    drifts |sum p(t) - 1| and |I(t) - I(0)| at every sample."""
-    if dt <= 0.0:
-        raise DomainError("dt must be positive")
+    drifts |sum p(t) - 1| and |I(t) - I(0)| at every sample.
+
+    Every sample applies the same propagator over dt, built once.  Raises
+    DomainError for a non-finite or negative t_end and a non-finite or
+    non-positive dt.
+    """
+    if p0.n != g.n:
+        raise DimensionMismatchError(f"state has n = {p0.n}, generator n = {g.n}")
+    check_step(t_end, dt)
     if t_end < 0.0:
         raise DomainError("t_end must be nonnegative")
     info0 = p0.information
     n_samples = int(math.floor(t_end / dt + 1e-12))
     times = np.arange(n_samples + 1) * dt
+    propagator = _propagator(g, dt, None)
     states = [p0]
     for _ in range(n_samples):
-        states.append(evolve(states[-1], g, dt))
+        entries = states[-1].entries
+        entries = entries.copy() if propagator is None else propagator @ entries
+        states.append(SignedProbVector(entries))
     prob_drift = np.array([abs(float(s.entries.sum()) - 1.0) for s in states])
     info_drift = np.array([abs(s.information - info0) for s in states])
     return TrajectoryRecord(
@@ -177,23 +197,16 @@ def write_trajectory_csv(rec: TrajectoryRecord, path) -> None:
     significant digits."""
     n = rec.states[0].n
     header = ",".join(["t"] + [f"p_{i}" for i in range(n)] + ["sum_drift", "info_drift"])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for t, state, pd, idr in zip(
-            rec.times, rec.states, rec.probability_drift, rec.information_drift
-        ):
-            row = [t, *state.entries, pd, idr]
-            fh.write(",".join(f"{v:.14e}" for v in row) + "\n")
+    states = np.array([s.entries for s in rec.states])
+    write_csv(path, header, [rec.times, states, rec.probability_drift, rec.information_drift], 15)
 
 
 def read_trajectory_csv(path) -> dict:
-    """Read a trajectory CSV back into arrays (times, states, drifts)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        rows = [list(map(float, line.strip().split(","))) for line in fh if line.strip()]
+    """Read a trajectory CSV back into arrays (times, states, drifts);
+    GridError for malformed content."""
+    header, data, _ = read_csv(path, "trajectory")
     if len(header) < 4 or header[0] != "t":
         raise GridError("not a trajectory CSV")
-    data = np.array(rows)
     return {
         "times": data[:, 0],
         "states": data[:, 1:-2],

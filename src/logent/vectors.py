@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._grid import ADMISSIBLE_TOL
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -36,7 +37,6 @@ from .errors import (
 )
 
 SUM_TOL = 1e-9
-ADMISSIBLE_TOL = 1e-9
 CLASS_TOL = 1e-9
 
 # Fixed orthonormal basis of the zero-sum plane used by solve_n3.  Any

@@ -36,7 +36,6 @@ spectral line-density path so the two can serve as oracles for each other.
 """
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -44,22 +43,20 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from ._grid import DEFAULT_STEP_ANGLE, Grid, check_step, check_wrap, read_csv, write_csv
 from .densities import DensityGrid
-from .errors import DomainError, GridError, NormalizationError
+from .errors import DomainError, GridError
 
-QUAD_TOL = 1e-9
-ADMISSIBLE_TOL = 1e-9
-WRAP_TOL = 1e-10
-DEFAULT_STEP_ANGLE = 0.1  # max phase advance per step with the default dt
 PHASE_WARN = math.pi  # beyond this the fastest grid phase wraps within one step
 
 
 @dataclass(frozen=True, eq=False)
-class WignerGrid:
+class WignerGrid(Grid):
     """Uniform periodic phase-space sampling of a normalized distribution.
 
     values[i, j] approximates w(x0 + i dx, p0 + j dp).  The quadrature
-    normalization is enforced within 1e-9; distributions with I > 1 are
+    normalization is enforced within 1e-9; x0, dx, p0, dp, h and mass must be
+    finite and dx, dp, h, mass positive.  Distributions with I > 1 are
     representable but flagged inadmissible.
     """
 
@@ -71,27 +68,15 @@ class WignerGrid:
     h: float
     mass: float
 
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
+    _SCALARS = ("x0", "dx", "p0", "dp", "h", "mass")
+    _SPACINGS = ("dx", "dp")
+    _POSITIVE = ("dx", "dp", "h", "mass")
+
+    def _check_shape(self, arr):
         if arr.ndim != 2:
             raise GridError("values must be a 2-d array")
         if arr.shape[0] % 2 or arr.shape[1] % 2:
             raise GridError("grid sizes must be even")
-        if not np.all(np.isfinite(arr)):
-            raise GridError("values must be finite")
-        if not all(
-            math.isfinite(v) for v in (self.x0, self.dx, self.p0, self.dp, self.h, self.mass)
-        ):
-            raise GridError("x0, dx, p0, dp, h, mass must be finite")
-        if self.dx <= 0.0 or self.dp <= 0.0 or self.h <= 0.0 or self.mass <= 0.0:
-            raise GridError("dx, dp, h, mass must be positive")
-        total = float(arr.sum()) * self.dx * self.dp
-        if abs(total - 1.0) > QUAD_TOL:
-            raise NormalizationError(
-                f"quadrature sum is {total:.12g}, expected 1 within {QUAD_TOL:g}"
-            )
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
 
     @property
     def nx(self) -> int:
@@ -108,22 +93,6 @@ class WignerGrid:
     @property
     def p(self) -> np.ndarray:
         return self.p0 + self.dp * np.arange(self.npts)
-
-    @property
-    def total(self) -> float:
-        return float(self.values.sum()) * self.dx * self.dp
-
-    @property
-    def information(self) -> float:
-        return self.h * float(np.sum(self.values**2)) * self.dx * self.dp
-
-    @property
-    def entropy(self) -> float:
-        return 1.0 - self.information
-
-    @property
-    def is_admissible(self) -> bool:
-        return self.information <= 1.0 + ADMISSIBLE_TOL
 
     @property
     def amplitude_bound_satisfied(self) -> bool:
@@ -226,16 +195,8 @@ def gaussian_pure_wigner(
         raise DomainError("sigma_x must be positive")
     sigma_p = h / (4.0 * math.pi * sigma_x)
     x0, p0 = -lx / 2.0, -lp / 2.0
-    for center, lo, length, sigma in (
-        (x_center, x0, lx, sigma_x),
-        (p_center, p0, lp, sigma_p),
-    ):
-        dist = min(abs(center - lo), abs(lo + length - center))
-        if math.exp(-0.5 * (dist / sigma) ** 2) > WRAP_TOL:
-            raise GridError(
-                "domain too small for the requested Gaussian: boundary "
-                "amplitude exceeds 1e-10 of the peak"
-            )
+    check_wrap(x_center, x0, lx, sigma_x)
+    check_wrap(p_center, p0, lp, sigma_p)
     dx, dp = lx / nx, lp / npts
     x = x0 + dx * np.arange(nx)
     p = p0 + dp * np.arange(npts)
@@ -290,20 +251,14 @@ def _apply_transport(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
 
 
 def _run(w0: WignerGrid, potential: PotentialSpec, t: float, dt: float | None, record: bool):
-    if not math.isfinite(t):
-        raise DomainError("t must be finite")
-    if dt is not None and not math.isfinite(dt):
-        raise DomainError("dt must be finite")
+    check_step(t, dt)
     kick_rate, transport_rate = _phase_rates(w0, potential)
     max_rate = max(
         float(np.max(np.abs(kick_rate))), float(np.max(np.abs(transport_rate)))
     )
     if dt is None:
         dt = DEFAULT_STEP_ANGLE / max_rate if max_rate > 0.0 else (t if t > 0.0 else 1.0)
-    if dt <= 0.0:
-        raise DomainError("dt must be positive")
-    if not math.isfinite(abs(t) / dt):
-        raise DomainError(f"t = {t:g} needs too many steps of dt = {dt:g}")
+        check_step(t, dt)
     if dt * max_rate > PHASE_WARN:
         warnings.warn(
             f"dt = {dt:g} advances the fastest grid phase by "
@@ -434,14 +389,6 @@ def delta_localized_evolve(
 
 def write_wigner_csv(w: WignerGrid, path, meta_path=None) -> None:
     """Flat CSV (x, p, w) at 17 significant digits plus a JSON sidecar."""
-    if meta_path is None:
-        meta_path = str(path) + ".meta.json"
-    x, p = w.x, w.p
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,p,w\n")
-        for i in range(w.nx):
-            for j in range(w.npts):
-                fh.write(f"{x[i]:.16e},{p[j]:.16e},{w.values[i, j]:.16e}\n")
     meta = {
         "x0": w.x0,
         "dx": w.dx,
@@ -452,38 +399,22 @@ def write_wigner_csv(w: WignerGrid, path, meta_path=None) -> None:
         "Nx": w.nx,
         "Np": w.npts,
     }
-    with open(meta_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    columns = [np.repeat(w.x, w.npts), np.tile(w.p, w.nx), w.values.ravel()]
+    write_csv(path, "x,p,w", columns, 17, meta, meta_path)
 
 
 def read_wigner_csv(path, meta_path=None) -> WignerGrid:
-    if meta_path is None:
-        meta_path = str(path) + ".meta.json"
-    with open(meta_path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    nx, npts = int(meta["Nx"]), int(meta["Np"])
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "x,p,w":
-            raise GridError("not a phase-space CSV")
-        flat = [float(line.strip().split(",")[2]) for line in fh if line.strip()]
-    if len(flat) != nx * npts:
+    """Read a snapshot written by write_wigner_csv; GridError for malformed content."""
+    meta = {"x0": float, "dx": float, "p0": float, "dp": float, "h": float, "mass": float,
+            "Nx": int, "Np": int}
+    _, data, m = read_csv(path, "phase-space", "x,p,w", meta, meta_path)
+    nx, npts = m.pop("Nx"), m.pop("Np")
+    if nx < 1 or npts < 1 or data.shape[0] != nx * npts:
         raise GridError("CSV row count disagrees with metadata shape")
-    return WignerGrid(
-        values=np.array(flat).reshape(nx, npts),
-        x0=float(meta["x0"]),
-        dx=float(meta["dx"]),
-        p0=float(meta["p0"]),
-        dp=float(meta["dp"]),
-        h=float(meta["h"]),
-        mass=float(meta["mass"]),
-    )
+    return WignerGrid(values=data[:, 2].reshape(nx, npts), **m)
 
 
 def write_diagnostics_csv(rec: WignerRunRecord, path) -> None:
     """Time series (t, sum, I, moment3) at 15 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,sum,I,moment3\n")
-        for row in zip(rec.times, rec.total_probability, rec.information, rec.moment3):
-            fh.write(",".join(f"{v:.14e}" for v in row) + "\n")
+    columns = [rec.times, rec.total_probability, rec.information, rec.moment3]
+    write_csv(path, "t,sum,I,moment3", columns, 15)

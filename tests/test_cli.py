@@ -150,6 +150,40 @@ class TestEvolveFd:
         res = runner.invoke(main, ["evolve", "fd", "--config", str(cfg)])
         assert res.exit_code == 2
 
+    def test_flag_overrides_config(self, runner, tmp_path):
+        out = tmp_path / "traj.csv"
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[fd]\nt_end = 1.0\ndt = 0.5\noutput = {out}\n")
+        res = runner.invoke(main, ["evolve", "fd", "--config", str(cfg), "--dt", "0.25"])
+        assert res.exit_code == 0, res.output
+        assert read_trajectory_csv(out)["times"].tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize(
+        "engine, key, value",
+        [
+            ("wigner", "potential", "harmonc"),
+            ("fd", "generator", "cyclc3"),
+            ("continuum", "omega_family", "harmonc"),
+            ("fd", "n", "five"),
+        ],
+    )
+    def test_bad_value_rejected_and_named(self, runner, tmp_path, monkeypatch, engine, key, value):
+        monkeypatch.chdir(tmp_path)  # a run that wrongly proceeds writes its default outputs here
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[{engine}]\n{key} = {value}\n")
+        res = runner.invoke(main, ["evolve", engine, "--config", str(cfg)])
+        assert res.exit_code == 2
+        assert repr(key) in res.output
+
+    @pytest.mark.parametrize("engine, output", [("fd", "--output"), ("continuum", "--output-grid")])
+    @pytest.mark.parametrize("t_end", ["nan", "inf", "-inf"])
+    def test_non_finite_t_end_is_a_usage_error(self, runner, tmp_path, engine, output, t_end):
+        out = str(tmp_path / "out.csv")
+        res = runner.invoke(main, ["evolve", engine, "--t-end", t_end, output, out])
+        assert res.exit_code == 2
+
 
 class TestEvolveContinuum:
     def test_run_and_cross_check(self, runner, tmp_path):
@@ -171,6 +205,39 @@ class TestEvolveContinuum:
         lines = diag_out.read_text().strip().splitlines()
         assert lines[0] == "t,sum,I,max_mode_drift"
         assert len(lines) == 6
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_no_samples_is_a_usage_error(self, runner, tmp_path, samples):
+        res = runner.invoke(
+            main,
+            ["evolve", "continuum", "--n", "64", "--samples", samples,
+             "--output-grid", str(tmp_path / "f.csv"), "--output-diag", str(tmp_path / "d.csv")],
+        )
+        assert res.exit_code == 2
+        assert "samples" in res.output
+
+    def test_diagnostics_bytes_match_per_row_format(self, runner, tmp_path):
+        from logent import build_kernel, evolve_density, gaussian_density, omega_quartic
+
+        diag_out = tmp_path / "d.csv"
+        res = runner.invoke(
+            main,
+            ["evolve", "continuum", "--n", "128", "--t-end", "0.3", "--samples", "4",
+             "--omega-family", "quartic", "--coeff", "0.5", "--a", "0.2",
+             "--output-grid", str(tmp_path / "f.csv"), "--output-diag", str(diag_out)],
+        )
+        assert res.exit_code == 0, res.output
+        f0 = gaussian_density(128, 8.0, 1.0, 1.0 / (2.0 * math.sqrt(math.pi)))
+        kern = build_kernel(omega_quartic(0.5), 0.2, f0)
+        spectrum0 = f0.dz * np.abs(np.fft.fft(f0.values))
+        expected = "t,sum,I,max_mode_drift\n"
+        for k in range(1, 5):
+            t = 0.3 * k / 4
+            state = evolve_density(f0, kern, t)
+            drift = float(np.max(np.abs(state.dz * np.abs(np.fft.fft(state.values)) - spectrum0)))
+            row = (t, state.total, state.information, drift)
+            expected += ",".join(f"{v:.14e}" for v in row) + "\n"
+        assert diag_out.read_text() == expected
 
 
 class TestEvolveWigner:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -53,6 +54,14 @@ class TestDensityGrid:
         f = DensityGrid(values=values, z0=0.0, dz=dz, h=1.0)
         assert f.information == pytest.approx(100.0, rel=1e-12)
         assert not f.is_admissible
+
+    @pytest.mark.parametrize("field", ["z0", "dz", "h"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, field, bad):
+        kwargs = dict(values=np.full(4, 1.0 / 4.0), z0=0.0, dz=1.0, h=1.0)
+        kwargs[field] = bad
+        with pytest.raises(GridError):
+            DensityGrid(**kwargs)
 
 
 class TestInformation:
@@ -215,6 +224,13 @@ class TestSpectralEvolution:
         with pytest.raises(GridError):
             evolve_density(g, k, 1.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, t):
+        f = pure_gaussian(256)
+        k = build_kernel(omega_harmonic(1.0), 0.5, f)
+        with pytest.raises(DomainError):
+            evolve_density(f, k, t)
+
 
 class TestTimesteppedEvolution:
     def test_agrees_with_spectral(self):
@@ -245,6 +261,15 @@ class TestTimesteppedEvolution:
         with pytest.raises(DomainError):
             evolve_density_timestepped(f, k, 1.0, -0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", ["t", "dt"])
+    def test_non_finite_time_or_step_rejected(self, which, bad):
+        f = pure_gaussian(64)
+        k = build_kernel(omega_harmonic(1.0), 0.5, f)
+        args = {"t": 0.1, "dt": 0.01, which: bad}
+        with pytest.raises(DomainError):
+            evolve_density_timestepped(f, k, args["t"], args["dt"])
+
 
 class TestPureStateResidual:
     def test_saturating_gaussian_satisfies_integral_identity(self):
@@ -264,3 +289,46 @@ class TestCsvRoundTrip:
         back = read_density_csv(path)
         assert np.array_equal(back.values, f.values)
         assert (back.z0, back.dz, back.h, back.n) == (f.z0, f.dz, f.h, f.n)
+
+    def test_bytes_match_per_row_format(self, tmp_path):
+        # reference: the per-row f"{v:.16e}" loop and indented sidecar; N spans
+        # several write blocks and the values include a negative zero
+        f = gaussian_density(16384, 8.0, H, SIGMA_PURE)
+        values = f.values.copy()
+        values[0] = -0.0
+        f = DensityGrid(values=values, z0=f.z0, dz=f.dz, h=f.h)
+        path = tmp_path / "grid.csv"
+        write_density_csv(f, path)
+        rows = "".join(f"{zj:.16e},{fj:.16e}\n" for zj, fj in zip(f.z, f.values))
+        assert path.read_text() == "z,f\n" + rows
+        meta = {"h": f.h, "dz": f.dz, "z0": f.z0, "N": f.n}
+        assert (tmp_path / "grid.csv.meta.json").read_text() == json.dumps(meta, indent=2) + "\n"
+        back = read_density_csv(path)
+        assert np.array_equal(back.values, f.values)
+        assert math.copysign(1.0, back.values[0]) == -1.0
+
+    @pytest.mark.parametrize(
+        "csv, meta",
+        [
+            ("z,f\n0.0,0.25\n1.0,abc\n", None),  # non-numeric cell
+            ("z,f\n0.0,0.25\n1.0\n", None),  # short row
+            ("z,f\n0.0\n1.0\n", None),  # every row short
+            (None, '{"h": 1.0, "dz": 1.0, "z0": 0.0}'),  # missing sidecar key
+            (None, "not json"),
+            (None, '{"h": 1.0, "dz": "wide", "z0": 0.0, "N": 4}'),  # mistyped value
+            ("x,p,w\n", None),  # wrong header
+        ],
+    )
+    def test_malformed_content_raises_grid_error(self, tmp_path, csv, meta):
+        path = tmp_path / "grid.csv"
+        write_density_csv(uniform_density(4, 4.0, H), path)
+        if csv is not None:
+            path.write_text(csv)
+        if meta is not None:
+            (tmp_path / "grid.csv.meta.json").write_text(meta)
+        with pytest.raises(GridError):
+            read_density_csv(path)
+
+    def test_missing_file_raises_os_error(self, tmp_path):
+        with pytest.raises(OSError):
+            read_density_csv(tmp_path / "absent.csv")

@@ -8,6 +8,7 @@ from logent import (
     DimensionMismatchError,
     DomainError,
     GeneratorMatrix,
+    GridError,
     SignedProbVector,
     cyclic_generator3,
     evolve,
@@ -127,6 +128,13 @@ class TestEvolve:
         with pytest.raises(DimensionMismatchError):
             evolve(uniform(4), cyclic_generator3(), 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", ["t", "dt"])
+    def test_non_finite_time_or_step_rejected(self, which, bad):
+        args = {"t": 1.0, "dt": 0.1, which: bad}
+        with pytest.raises(DomainError):
+            evolve(E1, cyclic_generator3(), args["t"], dt=args["dt"])
+
     def test_tangency(self):
         g = random_generator(7, seed=13)
         rng = np.random.default_rng(1)
@@ -168,6 +176,24 @@ class TestTrajectory:
         with pytest.raises(DomainError):
             trajectory(E1, cyclic_generator3(), 1.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", ["t_end", "dt"])
+    def test_non_finite_time_or_step_rejected(self, which, bad):
+        args = {"t_end": 1.0, "dt": 0.1, which: bad}
+        with pytest.raises(DomainError):
+            trajectory(E1, cyclic_generator3(), args["t_end"], args["dt"])
+
+    @pytest.mark.parametrize("n", [3, 200])
+    def test_states_match_repeated_evolve_bit_for_bit(self, n):
+        g = random_generator(n, seed=11)
+        p0 = SignedProbVector(np.eye(n)[0])
+        rec = trajectory(p0, g, 1.0, 0.1)
+        state = p0
+        for sample in rec.states[1:]:
+            state = evolve(state, g, 0.1)
+            assert np.array_equal(sample.entries, state.entries)
+        assert len(rec.states) == 11
+
     def test_csv_round_trip(self, tmp_path):
         rec = trajectory(E1, cyclic_generator3(), 1.0, 0.1)
         path = tmp_path / "traj.csv"
@@ -178,3 +204,31 @@ class TestTrajectory:
             reformatted = [f"{v:.14e}" for v in rebuilt]
             assert reformatted == [f"{v:.14e}" for v in orig.entries]
         assert np.allclose(back["times"], rec.times, atol=1e-14)
+
+    def test_csv_bytes_match_per_row_format(self, tmp_path):
+        p0 = SignedProbVector(np.array([1.0, -0.0, 0.0]))
+        rec = trajectory(p0, cyclic_generator3(), 1.0, 0.1)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(rec, path)
+        rows = "".join(
+            ",".join(f"{v:.14e}" for v in [t, *state.entries, pd, idr]) + "\n"
+            for t, state, pd, idr in zip(
+                rec.times, rec.states, rec.probability_drift, rec.information_drift
+            )
+        )
+        assert path.read_text() == "t,p_0,p_1,p_2,sum_drift,info_drift\n" + rows
+        assert "-0.00000000000000e+00" in rows
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "0.0,1.0,0.0,0.0,0.0,oops\n",  # non-numeric cell
+            "0.0,1.0,0.0,0.0,0.0,0.0\n0.1,0.9,0.1,0.0\n",  # short row
+            "0.0,1.0,0.0,0.0,0.0\n0.1,0.9,0.1,0.0,0.0\n",  # every row short
+        ],
+    )
+    def test_malformed_csv_raises_grid_error(self, tmp_path, body):
+        path = tmp_path / "traj.csv"
+        path.write_text("t,p_0,p_1,p_2,sum_drift,info_drift\n" + body)
+        with pytest.raises(GridError):
+            read_trajectory_csv(path)

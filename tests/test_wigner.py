@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -383,3 +384,66 @@ class TestSnapshotIo:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,sum,I,moment3"
         assert len(lines) == len(rec.times) + 1
+
+    def test_snapshot_bytes_match_per_cell_format(self, tmp_path):
+        # reference: the per-cell f"{v:.16e}" loop and indented sidecar, on a
+        # grid with more rows than one write block and a negative zero
+        w = gaussian_pure_wigner(128, 64, 8.0, 8.0, SIGMA, h=H)
+        values = w.values.copy()
+        values[0, 0] = -0.0
+        w = WignerGrid(values=values, x0=w.x0, dx=w.dx, p0=w.p0, dp=w.dp, h=w.h, mass=w.mass)
+        path = tmp_path / "snap.csv"
+        write_wigner_csv(w, path)
+        x, p = w.x, w.p
+        rows = "".join(
+            f"{x[i]:.16e},{p[j]:.16e},{w.values[i, j]:.16e}\n"
+            for i in range(w.nx)
+            for j in range(w.npts)
+        )
+        assert path.read_text() == "x,p,w\n" + rows
+        meta = {"x0": w.x0, "dx": w.dx, "p0": w.p0, "dp": w.dp, "h": w.h, "mass": w.mass,
+                "Nx": w.nx, "Np": w.npts}
+        assert (tmp_path / "snap.csv.meta.json").read_text() == json.dumps(meta, indent=2) + "\n"
+        back = read_wigner_csv(path)
+        assert np.array_equal(back.values, w.values)
+        assert math.copysign(1.0, back.values[0, 0]) == -1.0
+        assert back.total == w.total and back.information == w.information
+
+    def test_diagnostics_bytes_match_per_row_format(self, tmp_path):
+        w0 = pure_state(nx=32, npts=32)
+        rec, _ = wigner_run(w0, PotentialSpec.harmonic(1.0), 0.05, dt=1e-2)
+        path = tmp_path / "diag.csv"
+        write_diagnostics_csv(rec, path)
+        rows = "".join(
+            ",".join(f"{v:.14e}" for v in row) + "\n"
+            for row in zip(rec.times, rec.total_probability, rec.information, rec.moment3)
+        )
+        assert path.read_text() == "t,sum,I,moment3\n" + rows
+
+    @pytest.mark.parametrize(
+        "csv, meta",
+        [
+            ("x,p,w\n0,0,0.25\n0,1,zero\n", None),  # non-numeric cell
+            ("x,p,w\n0,0,0.25\n0,1\n", None),  # short row
+            (None, '{"x0": 0.0, "dx": 1.0, "p0": 0.0, "dp": 1.0, "h": 1.0, "Nx": 4, "Np": 4}'),
+            (None, "{"),  # non-JSON sidecar
+            (None, '{"x0": 0, "dx": 1, "p0": 0, "dp": 1, "h": 1, "mass": 1, "Nx": -4, "Np": -4}'),
+            ("z,f\n", None),  # wrong header
+        ],
+    )
+    def test_malformed_content_raises_grid_error(self, tmp_path, csv, meta):
+        path = tmp_path / "snap.csv"
+        uniform = np.full((4, 4), 1.0 / 16.0)
+        write_wigner_csv(WignerGrid(uniform, x0=0.0, dx=1.0, p0=0.0, dp=1.0, h=1.0, mass=1.0), path)
+        if csv is not None:
+            path.write_text(csv)
+        if meta is not None:
+            (tmp_path / "snap.csv.meta.json").write_text(meta)
+        with pytest.raises(GridError):
+            read_wigner_csv(path)
+
+    def test_missing_sidecar_raises_os_error(self, tmp_path):
+        path = tmp_path / "snap.csv"
+        path.write_text("x,p,w\n")
+        with pytest.raises(OSError):
+            read_wigner_csv(path)
