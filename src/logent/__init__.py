@@ -15,6 +15,7 @@ from .densities import (
     BoundReport,
     DensityGrid,
     KernelSpec,
+    PotentialSpec,
     amplitude_bound_check,
     build_kernel,
     continuum_information,
@@ -71,7 +72,6 @@ from .vectors import (
     solve_n3,
 )
 from .wigner import (
-    PotentialSpec,
     WignerGrid,
     WignerRunRecord,
     delta_localized_evolve,

@@ -7,8 +7,8 @@ codes: 0 success, 1 inadmissible state, 2 usage or configuration error.
 
 Engine parameters can come from flags or from a flat key = value config
 file with one section per engine ([fd], [continuum], [wigner]); unknown
-keys are rejected and values are checked like the flags.  Flags override
-config values.
+keys, and keys the run would ignore, are rejected, and values are checked
+like the flags.  Flags override config values.
 """
 from __future__ import annotations
 
@@ -53,7 +53,7 @@ def _normalized_vector(entries: np.ndarray) -> vectors.SignedProbVector:
 
 
 def _load_section(path: str, section: str, table: dict) -> dict:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     read = parser.read(path)
     if not read:
         raise click.UsageError(f"cannot read config file {path!r}")
@@ -68,6 +68,13 @@ def _load_section(path: str, section: str, table: dict) -> dict:
         except click.BadParameter as exc:
             raise click.UsageError(f"bad value for {key!r} in [{section}]: {exc.message}")
     return out
+
+
+def _reject_set(reason: str, **keys) -> None:
+    """Exit 2 naming the first of keys set by flag or config; the run ignores them."""
+    for key, value in keys.items():
+        if value is not None:
+            raise click.UsageError(f"{key!r} has no effect with {reason}")
 
 
 @click.group()
@@ -324,8 +331,8 @@ def _engine(section: str, table: dict):
 
 _FD = {
     "generator": (click.Choice(["cyclic3", "random"]), "cyclic3"),
-    "n": (int, 3),
-    "seed": (int, 0),
+    "n": (int, None),  # random only; default: 3
+    "seed": (int, None),  # random only; default: 0
     "rate": (float, None),  # 1/time; default: sqrt(3)/3 for cyclic3, 1 for random
     "p0": (str, "1,0,0", "Comma-separated initial state."),
     "t_end": (float, 10.0),  # time
@@ -338,13 +345,16 @@ _FD = {
 @_engine("fd", _FD)
 def evolve_fd(generator, n, seed, rate, p0, t_end, dt, output):
     """Finite-dimensional rotation run; writes the trajectory CSV."""
+    if generator == "cyclic3":
+        _reject_set("generator = cyclic3", n=n, seed=seed)
     try:
         if generator == "cyclic3":
             gen = dynamics.cyclic_generator3()
             if rate is not None:
                 gen = dynamics.GeneratorMatrix(gen.upper, rate=rate)
         else:
-            gen = dynamics.random_generator(n, seed, rate=1.0 if rate is None else rate)
+            n = 3 if n is None else n
+            gen = dynamics.random_generator(n, seed or 0, rate=1.0 if rate is None else rate)
         p0_vec = _normalized_vector(_parse_vector(p0))
         rec = dynamics.trajectory(p0_vec, gen, t_end, dt)
     except LogentError as exc:
@@ -356,20 +366,13 @@ def evolve_fd(generator, n, seed, rate, p0, t_end, dt, output):
     click.echo(f"trajectory written to {output}")
 
 
-_OMEGA = {
-    "constant": densities.omega_constant,
-    "linear": densities.omega_linear,
-    "harmonic": densities.omega_harmonic,
-    "quartic": densities.omega_quartic,
-}
-
 _CONTINUUM = {
     "n": (int, 1024),
     "length": (float, 8.0),  # z units
     "h": (float, 1.0),  # z units
     "sigma": (float, None),  # z units; default: the saturating h/(2 sqrt(pi))
     "center": (float, 0.0),  # z units
-    "omega_family": (click.Choice(list(_OMEGA)), "harmonic"),
+    "omega_family": (click.Choice(list(densities.PotentialSpec._POWERS)), "harmonic"),
     "coeff": (float, 1.0),  # 1/time (constant, linear per z, etc.)
     "a": (float, 0.0),  # z units
     "t_end": (float, 1.0),  # time
@@ -377,21 +380,6 @@ _CONTINUUM = {
     "output_grid": (click.Path(), "continuum_final.csv"),
     "output_diag": (click.Path(), "continuum_diag.csv"),
 }
-
-
-def _potential_from_omega(family: str, coeff: float, h: float) -> wigner.PotentialSpec:
-    # Omega = 2 pi V / h, so V carries a factor h / (2 pi) relative to Omega.
-    scale = h / (2.0 * math.pi)
-    if family == "constant":
-        return wigner.PotentialSpec.constant(coeff * scale)
-    if family == "linear":
-        return wigner.PotentialSpec.linear(coeff * scale)
-    if family == "harmonic":
-        if coeff < 0.0:
-            raise click.UsageError("cross-check needs a nonnegative harmonic coefficient")
-        # V = coeff * scale * x^2 = (1/2) mass omega^2 x^2 with mass = 1
-        return wigner.PotentialSpec.harmonic(math.sqrt(2.0 * coeff * scale), mass=1.0)
-    return wigner.PotentialSpec.quartic(coeff * scale)
 
 
 @evolve.command("continuum")
@@ -410,7 +398,8 @@ def evolve_continuum(
         sigma = h / (2.0 * math.sqrt(math.pi))
     try:
         f0 = densities.gaussian_density(n, length, h, sigma, center=center)
-        kern = densities.build_kernel(_OMEGA[omega_family](coeff), a, f0)
+        omega = densities.PotentialSpec(omega_family, (coeff,))
+        kern = densities.build_kernel(omega.evaluate, a, f0)
         spectrum0 = f0.dz * np.abs(np.fft.fft(f0.values))
         rows = []
         for k in range(1, samples + 1):
@@ -432,7 +421,8 @@ def evolve_continuum(
     click.echo(f"max mode drift     = {_fmt(float(np.max(drifts)))}")
     click.echo(f"grid written to {output_grid}, diagnostics to {output_diag}")
     if cross_check:
-        potential = _potential_from_omega(omega_family, coeff, h)
+        # Omega = 2 pi V / h, so V carries a factor h / (2 pi) relative to Omega
+        potential = densities.PotentialSpec(omega_family, (coeff * (h / (2.0 * math.pi)),))
         other = wigner.delta_localized_evolve(f0, potential, a, t_end)
         linf = float(np.max(np.abs(other.values - state.values)))
         click.echo(f"cross-check Linf   = {_fmt(linf)}")
@@ -440,8 +430,8 @@ def evolve_continuum(
 
 _WIGNER = {
     "potential": (click.Choice(["free", "harmonic", "quartic"]), "harmonic"),
-    "omega": (float, 1.0),  # 1/time (harmonic)
-    "beta": (float, 0.1),  # energy / x^4 (quartic)
+    "omega": (float, None),  # 1/time; harmonic only, default: 1
+    "beta": (float, None),  # energy / x^4; quartic only, default: 0.1
     "nx": (int, 128),
     "npts": (int, 128),
     "lx": (float, 8.0),  # x units
@@ -470,14 +460,23 @@ def evolve_wigner(
     t_end, dt, output_snapshot, output_diag, rotation_check,
 ):
     """Phase-space split-step run; writes snapshot and diagnostics."""
+    if potential != "harmonic":
+        _reject_set(f"potential = {potential}", omega=omega)
+    if potential != "quartic":
+        _reject_set(f"potential = {potential}", beta=beta)
+    if rotation_check and potential != "harmonic":
+        raise click.UsageError("--rotation-check requires the harmonic potential")
+    if rotation_check and omega == 0.0:
+        raise click.UsageError("--rotation-check needs a nonzero omega")
     if sigma_x is None:
         sigma_x = h / (2.0 * math.sqrt(math.pi))
     if potential == "free":
         pot = wigner.PotentialSpec.constant(0.0)
     elif potential == "harmonic":
+        omega = 1.0 if omega is None else omega
         pot = wigner.PotentialSpec.harmonic(omega, mass=mass)
     else:
-        pot = wigner.PotentialSpec.quartic(beta)
+        pot = wigner.PotentialSpec.quartic(0.1 if beta is None else beta)
     try:
         w0 = wigner.gaussian_pure_wigner(
             nx, npts, lx, lp, sigma_x, h=h, mass=mass, x_center=x_center, p_center=p_center
@@ -502,8 +501,6 @@ def evolve_wigner(
     click.echo(f"min w            = {_fmt(float(np.min(rec.min_value)))}")
     click.echo(f"snapshot written to {output_snapshot}, diagnostics to {output_diag}")
     if rotation_check:
-        if potential != "harmonic":
-            raise click.UsageError("--rotation-check requires the harmonic potential")
         sp = h / (4.0 * math.pi * sigma_x)
         xg = final.x[:, None]
         pg = final.p[None, :]

@@ -18,7 +18,10 @@ odd transform as a difference of a single frequency function,
 mhat(lambda) = Omega(a + lambda/2) - Omega(a - lambda/2), the dynamics is
 diagonal in the Fourier basis: mode k advances by the phase
 exp(i * mhat(lambda_k) * t) with lambda_k = k h / L.  Every mode magnitude
-is constant, so both invariants are conserved exactly.
+is constant, so both invariants are conserved exactly.  Omega comes from
+PotentialSpec, the profile registry that also gives the phase-space potential
+V: with Omega = 2 pi V / h this evolution is the momentum evolution of a
+position-localized Wigner state.
 
 Two discretizations of the same dynamics are provided: the spectral
 propagator (exact phases) and a real-space quadrature of the convolution
@@ -140,45 +143,96 @@ def gaussian_density(
 
 
 # ---------------------------------------------------------------------------
-# frequency-function families for the kernel construction
+# profile families: the potential V and the frequency function Omega = 2 pi V / h
+
+
+@dataclass(frozen=True, eq=False)
+class PotentialSpec:
+    """Profile c * x^k (params = (c,), k by family) or a tabulated (xs, vs).
+
+    Its evaluate is the potential V of the phase-space solver or the
+    frequency function Omega of build_kernel; Omega = 2 pi V / h.
+    """
+
+    family: str
+    params: tuple = ()
+
+    _POWERS = {"constant": 0, "linear": 1, "harmonic": 2, "quartic": 4}
+
+    def __post_init__(self):
+        if self.family == "tabulated":
+            if len(self.params) != 2:
+                raise DomainError("the tabulated family takes the tables (xs, vs)")
+            # copies, so the caller's arrays stay writable
+            xs, vs = (np.array(t, dtype=float) for t in self.params)
+            if xs.ndim != 1 or xs.shape != vs.shape or xs.size < 2:
+                raise DomainError("need matching 1-d tables with at least two samples")
+            if np.any(np.diff(xs) <= 0.0):
+                raise DomainError("table abscissae must be strictly increasing")
+            xs.setflags(write=False)
+            vs.setflags(write=False)
+            object.__setattr__(self, "params", (xs, vs))
+        elif self.family not in self._POWERS:
+            raise DomainError(f"unknown potential family {self.family!r}")
+        elif len(self.params) != 1:
+            raise DomainError(f"the {self.family} family takes one coefficient")
+
+    @classmethod
+    def constant(cls, value: float = 0.0) -> "PotentialSpec":
+        return cls("constant", (float(value),))
+
+    @classmethod
+    def linear(cls, slope: float) -> "PotentialSpec":
+        return cls("linear", (float(slope),))
+
+    @classmethod
+    def harmonic(cls, omega: float, mass: float = 1.0) -> "PotentialSpec":
+        """V(x) = mass * omega^2 * x^2 / 2."""
+        return cls("harmonic", (0.5 * float(mass) * float(omega) ** 2,))
+
+    @classmethod
+    def quartic(cls, beta: float) -> "PotentialSpec":
+        """V(x) = beta * x^4."""
+        return cls("quartic", (float(beta),))
+
+    @classmethod
+    def tabulated(cls, xs, vs) -> "PotentialSpec":
+        """Linear interpolation; out-of-range queries raise (as a kernel's Omega
+        the table must cover roughly [a - h/(4 dz), a + h/(4 dz)])."""
+        return cls("tabulated", (xs, vs))
+
+    def evaluate(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if self.family == "tabulated":
+            xs, vs = self.params
+            if np.any(x < xs[0]) or np.any(x > xs[-1]):
+                raise DomainError("tabulated profile queried outside its table")
+            v = np.interp(x, xs, vs)
+        else:
+            v = self.params[0] * x ** self._POWERS[self.family]
+        if not np.all(np.isfinite(v)):
+            raise DomainError("profile is not finite at a sampled point")
+        return v
 
 
 def omega_constant(c: float) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda x: np.full_like(np.asarray(x, dtype=float), c)
+    return PotentialSpec("constant", (c,)).evaluate
 
 
 def omega_linear(slope: float) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda x: slope * np.asarray(x, dtype=float)
+    return PotentialSpec("linear", (slope,)).evaluate
 
 
 def omega_harmonic(coeff: float) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda x: coeff * np.asarray(x, dtype=float) ** 2
+    return PotentialSpec("harmonic", (coeff,)).evaluate
 
 
 def omega_quartic(coeff: float) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda x: coeff * np.asarray(x, dtype=float) ** 4
+    return PotentialSpec("quartic", (coeff,)).evaluate
 
 
 def omega_tabulated(xs, ys) -> Callable[[np.ndarray], np.ndarray]:
-    """Linear interpolation of tabulated samples.
-
-    The table must cover every point a +/- lambda/2 the kernel will sample,
-    i.e. roughly [a - h/(4 dz), a + h/(4 dz)]; out-of-range queries raise.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
-        raise DomainError("need matching 1-d tables with at least two samples")
-    if np.any(np.diff(xs) <= 0.0):
-        raise DomainError("table abscissae must be strictly increasing")
-
-    def interp(x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x < xs[0]) or np.any(x > xs[-1]):
-            raise DomainError("tabulated function queried outside its table")
-        return np.interp(x, xs, ys)
-
-    return interp
+    return PotentialSpec.tabulated(xs, ys).evaluate
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,14 +357,7 @@ def pure_state_residual(f: DensityGrid) -> float:
     with dl = 2 dz.
     """
     v = f.values
-    n = f.n
-    padded = np.zeros(3 * n)
-    padded[n : 2 * n] = v
-    base = n + np.arange(n)
-    conv = np.zeros(n)
-    for shift in range(-(n - 1), n):
-        conv += padded[base - shift] * padded[base + shift]
-    conv *= 2.0 * f.dz
+    conv = np.convolve(v, v)[::2] * 2.0 * f.dz  # the products with j + k = 2i
     return float(np.max(np.abs(f.h * v * v - conv)))
 
 

@@ -13,8 +13,10 @@ The evolution equation is
                                    * w(x, p') dp' dl ),
 
 which conserves both integral(w) and integral(w^2) but not higher powers of
-w.  The solver splits each step symmetrically (half kick, full transport,
-half kick).  Free transport is an exact shift, diagonal in the x-conjugate
+w.  V is a PotentialSpec, the profile registry of densities.
+
+The solver splits each step symmetrically (half kick, full transport, half
+kick).  Free transport is an exact shift, diagonal in the x-conjugate
 Fourier variable; the kick is, for each x column, a diagonal phase in the
 p-conjugate variable with rate (2 pi / h)(V(x + l/2) - V(x - l/2)) at
 l = h * nu_p.  Both substeps multiply Fourier modes by unit-modulus phases,
@@ -44,7 +46,7 @@ import numpy as np
 import scipy.linalg
 
 from ._grid import DEFAULT_STEP_ANGLE, Grid, check_step, check_wrap, read_csv, write_csv
-from .densities import DensityGrid
+from .densities import DensityGrid, PotentialSpec
 from .errors import DomainError, GridError
 
 PHASE_WARN = math.pi  # beyond this the fastest grid phase wraps within one step
@@ -98,70 +100,6 @@ class WignerGrid(Grid):
     def amplitude_bound_satisfied(self) -> bool:
         """Diagnostic max|w| <= 2/h, meaningful for admissible pure states."""
         return float(np.max(np.abs(self.values))) <= 2.0 / self.h * (1.0 + 1e-9)
-
-
-@dataclass(frozen=True, eq=False)
-class PotentialSpec:
-    """Potential energy profile from a small named family."""
-
-    family: str
-    params: tuple = ()
-
-    _FAMILIES = ("constant", "linear", "harmonic", "quartic", "tabulated")
-
-    def __post_init__(self):
-        if self.family not in self._FAMILIES:
-            raise DomainError(f"unknown potential family {self.family!r}")
-
-    @classmethod
-    def constant(cls, value: float = 0.0) -> "PotentialSpec":
-        return cls("constant", (float(value),))
-
-    @classmethod
-    def linear(cls, slope: float) -> "PotentialSpec":
-        return cls("linear", (float(slope),))
-
-    @classmethod
-    def harmonic(cls, omega: float, mass: float = 1.0) -> "PotentialSpec":
-        """V(x) = mass * omega^2 * x^2 / 2."""
-        return cls("harmonic", (float(omega), float(mass)))
-
-    @classmethod
-    def quartic(cls, beta: float) -> "PotentialSpec":
-        """V(x) = beta * x^4."""
-        return cls("quartic", (float(beta),))
-
-    @classmethod
-    def tabulated(cls, xs, vs) -> "PotentialSpec":
-        xs = np.asarray(xs, dtype=float)
-        vs = np.asarray(vs, dtype=float)
-        if xs.ndim != 1 or xs.shape != vs.shape or xs.size < 2:
-            raise DomainError("need matching 1-d tables with at least two samples")
-        if np.any(np.diff(xs) <= 0.0):
-            raise DomainError("table abscissae must be strictly increasing")
-        xs.setflags(write=False)
-        vs.setflags(write=False)
-        return cls("tabulated", (xs, vs))
-
-    def evaluate(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.family == "constant":
-            v = np.full_like(x, self.params[0])
-        elif self.family == "linear":
-            v = self.params[0] * x
-        elif self.family == "harmonic":
-            omega, mass = self.params
-            v = 0.5 * mass * omega**2 * x**2
-        elif self.family == "quartic":
-            v = self.params[0] * x**4
-        else:
-            xs, vs = self.params
-            if np.any(x < xs[0]) or np.any(x > xs[-1]):
-                raise DomainError("tabulated potential queried outside its table")
-            v = np.interp(x, xs, vs)
-        if not np.all(np.isfinite(v)):
-            raise DomainError("potential is not finite at a sampled point")
-        return v
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,3 +285,112 @@ class TestEvolveWigner:
              "--output-diag", str(tmp_path / "wd.csv")],
         )
         assert res.exit_code == 2
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+OUTPUT_FLAGS = {
+    "fd": ["--output"],
+    "continuum": ["--output-grid", "--output-diag"],
+    "wigner": ["--output-snapshot", "--output-diag"],
+}
+
+
+def _readme_configs():
+    blocks = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+    return {re.match(r"\[(\w+)\]", block).group(1): block for block in blocks}
+
+
+class TestReadmeConfigs:
+    def test_every_engine_has_an_example(self):
+        assert sorted(_readme_configs()) == sorted(OUTPUT_FLAGS)
+
+    @pytest.mark.parametrize("engine", sorted(OUTPUT_FLAGS))
+    def test_example_runs(self, runner, tmp_path, engine):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(_readme_configs()[engine])
+        args = ["evolve", engine, "--config", str(cfg)]
+        for i, flag in enumerate(OUTPUT_FLAGS[engine]):
+            args += [flag, str(tmp_path / f"out{i}.csv")]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+        assert all((tmp_path / f"out{i}.csv").exists() for i in range(len(OUTPUT_FLAGS[engine])))
+
+
+class TestIgnoredKeys:
+    CASES = [
+        ("fd", [], "n", "7"),
+        ("fd", ["--generator", "cyclic3"], "seed", "3"),
+        ("wigner", ["--potential", "quartic"], "omega", "2.0"),
+        ("wigner", ["--potential", "free"], "omega", "1.0"),
+        ("wigner", [], "beta", "0.2"),
+        ("wigner", ["--potential", "free"], "beta", "0.1"),
+    ]
+
+    @pytest.mark.parametrize("engine, args, key, value", CASES)
+    def test_flag_rejected_and_named(self, runner, tmp_path, monkeypatch, engine, args, key, value):
+        monkeypatch.chdir(tmp_path)  # a run that wrongly proceeds writes its default outputs here
+        res = runner.invoke(main, ["evolve", engine, *args, "--" + key, value])
+        assert res.exit_code == 2
+        assert repr(key) in res.output
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("engine, args, key, value", CASES)
+    def test_config_rejected_and_named(self, runner, tmp_path, monkeypatch, engine, args, key, value):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[{engine}]\n{key} = {value}\n")
+        res = runner.invoke(main, ["evolve", engine, "--config", str(cfg), *args])
+        assert res.exit_code == 2
+        assert repr(key) in res.output
+        assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
+
+
+class TestRotationCheckBeforeRun:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--potential", "quartic", "--beta", "0.1"],
+            ["--potential", "free"],
+            ["--potential", "harmonic", "--omega", "0"],
+            ["--omega", "0.0"],
+        ],
+    )
+    def test_rejected_before_any_output(self, runner, tmp_path, args):
+        snap, diag = tmp_path / "w.csv", tmp_path / "wd.csv"
+        res = runner.invoke(
+            main,
+            ["evolve", "wigner", *args, "--nx", "64", "--npts", "64", "--t-end", "0.05",
+             "--dt", "0.01", "--rotation-check",
+             "--output-snapshot", str(snap), "--output-diag", str(diag)],
+        )
+        assert res.exit_code == 2
+        assert "rotation-check" in res.output
+        assert not snap.exists() and not diag.exists()
+
+    def test_zero_omega_from_config(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[wigner]\nomega = 0\nnx = 64\nnpts = 64\nt_end = 0.05\n")
+        res = runner.invoke(main, ["evolve", "wigner", "--config", str(cfg), "--rotation-check"])
+        assert res.exit_code == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
+
+
+class TestCrossCheckScaling:
+    @pytest.mark.parametrize(
+        "family, coeff",
+        [("constant", "1.3"), ("linear", "0.9"), ("harmonic", "1.0"), ("quartic", "0.4"),
+         ("harmonic", "-0.5")],
+    )
+    def test_cross_check_at_non_unit_h(self, runner, tmp_path, family, coeff):
+        # at h = 1 a missing or doubled h / (2 pi) factor would go unseen
+        res = runner.invoke(
+            main,
+            ["evolve", "continuum", "--n", "256", "--h", "0.7", "--t-end", "0.5",
+             "--samples", "2", "--omega-family", family, "--coeff", coeff, "--a", "0.5",
+             "--output-grid", str(tmp_path / "f.csv"),
+             "--output-diag", str(tmp_path / "d.csv"), "--cross-check"],
+        )
+        assert res.exit_code == 0, res.output
+        linf = float(res.output.split("cross-check Linf   =")[1].split()[0])
+        assert linf < 1e-6

@@ -9,6 +9,7 @@ from logent import (
     DomainError,
     GridError,
     NormalizationError,
+    PotentialSpec,
     amplitude_bound_check,
     build_kernel,
     continuum_information,
@@ -180,6 +181,19 @@ class TestKernel:
         with pytest.raises(DomainError):
             build_kernel(omega_tabulated(xs[:100], 0.5 * xs[:100] ** 2), 0.0, f)
 
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("harmonic", ()),
+            ("quartic", (1.0, 2.0)),
+            ("tabulated", ()),
+            ("tabulated", (np.array([0.0, 2.0, 1.0]), np.array([0.0, 1.0, 5.0]))),
+        ],
+    )
+    def test_direct_construction_is_validated(self, family, params):
+        with pytest.raises(DomainError):
+            PotentialSpec(family, params)
+
     def test_non_finite_omega_rejected(self):
         f = pure_gaussian(256)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -279,6 +293,26 @@ class TestPureStateResidual:
     def test_mixed_gaussian_does_not(self):
         f = gaussian_density(1024, 12.0, H, 2.0 * SIGMA_PURE)
         assert pure_state_residual(f) > 1e-3
+
+    def test_matches_direct_double_sum_off_centre(self):
+        # two unequal, off-centre Gaussians: an index slip in the convolution
+        # would pair the wrong samples and move the residual
+        n, length = 64, 8.0
+        z = -length / 2.0 + (length / n) * np.arange(n)
+        values = 0.7 * np.exp(-0.5 * ((z - 1.1) / 0.3) ** 2) + 0.3 * np.exp(
+            -0.5 * ((z + 0.6) / 0.5) ** 2
+        )
+        values /= values.sum() * (length / n)
+        f = DensityGrid(values=values, z0=-length / 2.0, dz=length / n, h=H)
+        conv = np.zeros(n)
+        for i in range(n):
+            for j in range(n):
+                k = 2 * i - j
+                if 0 <= k < n:
+                    conv[i] += values[j] * values[k]
+        direct = float(np.max(np.abs(H * values**2 - 2.0 * f.dz * conv)))
+        assert abs(pure_state_residual(f) - direct) < 1e-13
+        assert direct > 1e-3
 
 
 class TestCsvRoundTrip:
