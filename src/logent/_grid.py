@@ -5,6 +5,13 @@ the quadrature sum(values) * cell is one, the information is
 I = h * sum(values^2) * cell and the entropy is S = 1 - I, where the cell
 is the product of the grid spacings.  Grid files are CSV at a fixed number
 of significant digits, optionally with a JSON sidecar holding the scalars.
+
+The time-stepped engines (dynamics, the timestepped density oracle and the
+phase-space split step) share one step rule, steps: a span t is cut into
+n = ceil(|t| / dt) equal steps, and the default dt advances the fastest
+phase by DEFAULT_STEP_ANGLE = 0.1 rad per step (one step when that rate is
+zero).  The two matrix engines also share the Cayley propagator,
+cayley_power, the n-th power of one implicit-midpoint step.
 """
 from __future__ import annotations
 
@@ -83,7 +90,10 @@ class Grid:
 
 def check_wrap(center: float, lo: float, length: float, sigma: float) -> None:
     """GridError when a Gaussian centred in [lo, lo + length) keeps more than
-    WRAP_TOL of its peak amplitude at the nearer boundary."""
+    WRAP_TOL of its peak amplitude at the nearer boundary, or when sigma is
+    not positive."""
+    if not sigma > 0.0:
+        raise GridError(f"Gaussian width {sigma:g} must be positive")
     dist = min(abs(center - lo), abs(lo + length - center))
     if math.exp(-0.5 * (dist / sigma) ** 2) > WRAP_TOL:
         raise GridError(
@@ -92,19 +102,46 @@ def check_wrap(center: float, lo: float, length: float, sigma: float) -> None:
         )
 
 
-def check_step(t: float, dt: float | None = None) -> None:
-    """DomainError unless t is finite and dt, when given, is finite, positive
-    and small enough that |t| / dt is finite."""
+def spacing(length: float, n: int) -> float:
+    """The spacing length / n of an n-point grid; GridError unless n is a
+    positive integer and length finite and positive."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise GridError(f"grid size must be a positive integer, got {n!r}")
+    if not 0.0 < length < math.inf:
+        raise GridError(f"domain length must be finite and positive, got {length:g}")
+    return length / n
+
+
+def steps(t: float, dt: float | None = None, rate: float = 0.0) -> tuple[int, float]:
+    """Cut the time span t into n = ceil(|t| / dt) equal steps (none for
+    t = 0); returns (n, t / n).
+
+    The default dt advances the fastest phase, of angular rate `rate`, by
+    DEFAULT_STEP_ANGLE; a zero rate takes one step.  DomainError unless t is
+    finite and dt finite, positive and small enough that |t| / dt is finite.
+    """
     if not math.isfinite(t):
         raise DomainError("t must be finite")
     if dt is None:
-        return
+        dt = DEFAULT_STEP_ANGLE / rate if rate > 0.0 else abs(t) or 1.0
     if not math.isfinite(dt):
         raise DomainError("dt must be finite")
     if dt <= 0.0:
         raise DomainError("dt must be positive")
     if not math.isfinite(abs(t) / dt):
         raise DomainError(f"t = {t:g} needs too many steps of dt = {dt:g}")
+    n = max(1, int(math.ceil(abs(t) / dt - 1e-12))) if t else 0
+    return n, t / max(n, 1)
+
+
+def cayley_power(a: np.ndarray, step: float, n: int) -> np.ndarray:
+    """((I - step a / 2)^-1 (I + step a / 2))^n: n implicit-midpoint steps of
+    dx/dt = a x.  For an antisymmetric a the Cayley factor is orthogonal, so
+    the propagator conserves the norm for any step; n = 0 gives the identity.
+    """
+    eye = np.eye(a.shape[0])
+    half = (step / 2.0) * a
+    return np.linalg.matrix_power(np.linalg.solve(eye - half, eye + half), n)
 
 
 def write_csv(path, header: str, columns, digits: int, meta: dict | None = None, meta_path=None):

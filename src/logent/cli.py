@@ -13,6 +13,7 @@ like the flags.  Flags override config values.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import functools
 import json
 import math
@@ -21,7 +22,7 @@ import click
 import numpy as np
 
 from . import _grid, densities, dynamics, maxent, vectors, wigner
-from .errors import DegenerateConstraintError, DomainError, LogentError
+from .errors import DomainError, LogentError
 
 CLI_CLASS_TOL = 1e-5  # hand-typed decimals carry ~1e-6 rounding; override with --tol
 
@@ -102,22 +103,22 @@ def entropy(ctx, pstr, path, tol, as_json):
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 entries = np.asarray(json.load(fh), dtype=float)
-        except (OSError, ValueError) as exc:
+        except (OSError, TypeError, ValueError) as exc:
             raise click.UsageError(f"cannot read vector from {path!r}: {exc}")
     else:
         entries = _parse_vector(pstr)
     vec = _normalized_vector(entries)
-    cls = vectors.classify(vec, tol=tol)
+    try:
+        cls = vectors.classify(vec, tol=tol)
+    except DomainError as exc:
+        raise click.UsageError(str(exc))
     radii = vectors.feasibility_radii(vec.n)
     report = {
         "n": vec.n,
         "entropy": vec.logical_entropy,
         "information": vec.information,
         "class": cls.value,
-        "r_max": radii.r_max,
-        "r_pos": radii.r_pos,
-        "r_min": radii.r_min,
-        "negatives_possible": radii.negatives_possible,
+        **dataclasses.asdict(radii),
     }
     if as_json:
         click.echo(json.dumps(report))
@@ -148,17 +149,7 @@ def feasibility(n, as_json):
     except DomainError as exc:
         raise click.UsageError(str(exc))
     if as_json:
-        click.echo(
-            json.dumps(
-                {
-                    "n": radii.n,
-                    "r_max": radii.r_max,
-                    "r_pos": radii.r_pos,
-                    "r_min": radii.r_min,
-                    "negatives_possible": radii.negatives_possible,
-                }
-            )
-        )
+        click.echo(json.dumps({"n": radii.n, **dataclasses.asdict(radii)}))
     else:
         click.echo(f"r_max = {_fmt(radii.r_max)}")
         click.echo(f"r_pos = {_fmt(radii.r_pos)}")
@@ -185,14 +176,14 @@ def maxent_cmd(ctx, xstr, target, find_max, nonnegative, negative_branch, as_jso
         raise click.UsageError("provide exactly one of --m or --find-max")
     try:
         constraint = maxent.ObservableConstraint(x, target_mean=target)
-    except (DegenerateConstraintError, DomainError) as exc:
+        if find_max:
+            bound_of = maxent.max_mean_nonnegative if nonnegative else maxent.max_mean
+            bound = bound_of(constraint, negative_branch=negative_branch)
+            constraint = maxent.ObservableConstraint(x, target_mean=bound)
+        sol = maxent.equilibrium(constraint)
+    except LogentError as exc:
         raise click.UsageError(str(exc))
     if find_max:
-        if nonnegative:
-            bound = maxent.max_mean_nonnegative(constraint, negative_branch=negative_branch)
-        else:
-            bound = maxent.max_mean(constraint, negative_branch=negative_branch)
-        sol = maxent.equilibrium(maxent.ObservableConstraint(x, target_mean=bound))
         if as_json:
             click.echo(
                 json.dumps({"m_max": bound, "p": list(sol.p.entries), "information": sol.information})
@@ -202,7 +193,6 @@ def maxent_cmd(ctx, xstr, target, find_max, nonnegative, negative_branch, as_jso
             click.echo(f"p     = ({', '.join(_fmt(v) for v in sol.p.entries)})")
             click.echo(f"I     = {_fmt(sol.information)}")
         return
-    sol = maxent.equilibrium(constraint)
     report = {
         "p": list(sol.p.entries),
         "lambda": sol.lam,

@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._grid import Grid, check_step, check_wrap, read_csv, write_csv
+from ._grid import Grid, cayley_power, check_wrap, read_csv, spacing, steps, write_csv
 from .errors import DomainError, GridError
 
 
@@ -118,7 +118,7 @@ def amplitude_bound_check(f: DensityGrid) -> BoundReport:
 def uniform_density(n: int, length: float, h: float, z0: float | None = None) -> DensityGrid:
     if z0 is None:
         z0 = -length / 2.0
-    dz = length / n
+    dz = spacing(length, n)
     return DensityGrid(values=np.full(n, 1.0 / length), z0=z0, dz=dz, h=h)
 
 
@@ -135,7 +135,7 @@ def gaussian_density(
         raise DomainError("sigma must be positive")
     z0 = -length / 2.0
     check_wrap(center, z0, length, sigma)
-    dz = length / n
+    dz = spacing(length, n)
     z = z0 + dz * np.arange(n)
     values = np.exp(-0.5 * ((z - center) / sigma) ** 2) / (math.sqrt(2.0 * math.pi) * sigma)
     values /= values.sum() * dz
@@ -316,7 +316,7 @@ def evolve_density(f0: DensityGrid, k: KernelSpec, t: float) -> DensityGrid:
     round-off of a single transform pair.
     """
     _check_compatible(f0, k)
-    check_step(t)
+    steps(t)
     spectrum = np.fft.fft(f0.values)
     spectrum *= np.exp(1j * k.m_hat * t)
     values = np.fft.ifft(spectrum).real
@@ -333,17 +333,10 @@ def evolve_density_timestepped(f0: DensityGrid, k: KernelSpec, t: float, dt: flo
     with evolve_density and serves as an independent discretization.
     """
     _check_compatible(f0, k)
-    check_step(t, dt)
-    if t == 0.0:
-        return DensityGrid(values=f0.values.copy(), z0=f0.z0, dz=f0.dz, h=f0.h)
-    n_steps = max(1, int(math.ceil(abs(t) / dt - 1e-12)))
-    step = t / n_steps
-    m = k.real_kernel
+    n_steps, step = steps(t, dt)
     idx = (np.arange(k.n)[:, None] - np.arange(k.n)[None, :]) % k.n
-    a = (f0.dz / f0.h) * m[idx]
-    eye = np.eye(k.n)
-    cayley = np.linalg.solve(eye - (step / 2.0) * a, eye + (step / 2.0) * a)
-    values = np.linalg.matrix_power(cayley, n_steps) @ f0.values
+    a = (f0.dz / f0.h) * k.real_kernel[idx]
+    values = cayley_power(a, step, n_steps) @ f0.values
     return DensityGrid(values=values, z0=f0.z0, dz=f0.dz, h=f0.h)
 
 

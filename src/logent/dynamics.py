@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._grid import DEFAULT_STEP_ANGLE, check_step, read_csv, write_csv
+from ._grid import cayley_power, read_csv, steps, write_csv
 from .errors import DimensionMismatchError, DomainError, GridError
 from .vectors import SignedProbVector
 
@@ -46,8 +46,8 @@ class GeneratorMatrix:
             raise DomainError("generator storage must be square")
         if arr.shape[0] < 2:
             raise DomainError("generator needs dimension >= 2")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("generator entries must be finite")
+        if not np.all(np.isfinite(arr)) or not math.isfinite(self.rate):
+            raise DomainError("generator entries and rate must be finite")
         if np.any(np.tril(arr) != 0.0):
             raise DomainError("canonical storage must be strictly upper triangular")
         full = arr - arr.T
@@ -113,6 +113,8 @@ def random_generator(n: int, seed: int, rate: float = 1.0) -> GeneratorMatrix:
     """
     if n < 2:
         raise DomainError("n must be >= 2")
+    if seed < 0:
+        raise DomainError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1.0, 1.0, size=(n, n))
     skew = (a - a.T) / 2.0
@@ -120,28 +122,17 @@ def random_generator(n: int, seed: int, rate: float = 1.0) -> GeneratorMatrix:
     return GeneratorMatrix.from_dense(proj @ skew @ proj, rate=rate)
 
 
-def _cayley(g: np.ndarray, dt: float) -> np.ndarray:
-    n = g.shape[0]
-    eye = np.eye(n)
-    return np.linalg.solve(eye - (dt / 2.0) * g, eye + (dt / 2.0) * g)
+def _propagator(g: GeneratorMatrix, t: float, dt: float | None) -> np.ndarray:
+    """Cayley propagator over time t in equal steps of at most dt.
 
-
-def _propagator(g: GeneratorMatrix, t: float, dt: float | None) -> np.ndarray | None:
-    """Cayley propagator over time t in equal steps of at most dt, or None
-    when it is the identity (t = 0 or a zero generator).
-
-    The default dt makes |G| * dt = DEFAULT_STEP_ANGLE.  Raises DomainError
-    for a non-finite t or dt, a non-positive dt and a t/dt that overflows.
+    The default dt advances the fastest phase, of rate |G|_2, by 0.1 rad
+    per step.  Raises DomainError for a non-finite t or dt, a non-positive
+    dt and a t/dt that overflows.
     """
     gen = g.rate * g.matrix
-    norm = float(np.linalg.norm(gen, 2))
-    if dt is None and norm > 0.0:
-        dt = DEFAULT_STEP_ANGLE / norm
-    check_step(t, dt)
-    if t == 0.0 or norm == 0.0:
-        return None
-    n_steps = max(1, int(math.ceil(abs(t) / dt - 1e-12)))
-    return np.linalg.matrix_power(_cayley(gen, t / n_steps), n_steps)
+    rate = float(np.linalg.norm(gen, 2)) if dt is None else 0.0
+    n, step = steps(t, dt, rate)
+    return cayley_power(gen, step, n)
 
 
 def evolve(p0: SignedProbVector, g: GeneratorMatrix, t: float, dt: float | None = None) -> SignedProbVector:
@@ -154,10 +145,7 @@ def evolve(p0: SignedProbVector, g: GeneratorMatrix, t: float, dt: float | None 
     """
     if p0.n != g.n:
         raise DimensionMismatchError(f"state has n = {p0.n}, generator n = {g.n}")
-    propagator = _propagator(g, t, dt)
-    if propagator is None:
-        return SignedProbVector(p0.entries.copy())
-    return SignedProbVector(propagator @ p0.entries)
+    return SignedProbVector(_propagator(g, t, dt) @ p0.entries)
 
 
 def trajectory(p0: SignedProbVector, g: GeneratorMatrix, t_end: float, dt: float) -> TrajectoryRecord:
@@ -170,7 +158,7 @@ def trajectory(p0: SignedProbVector, g: GeneratorMatrix, t_end: float, dt: float
     """
     if p0.n != g.n:
         raise DimensionMismatchError(f"state has n = {p0.n}, generator n = {g.n}")
-    check_step(t_end, dt)
+    steps(t_end, dt)
     if t_end < 0.0:
         raise DomainError("t_end must be nonnegative")
     info0 = p0.information
@@ -179,9 +167,7 @@ def trajectory(p0: SignedProbVector, g: GeneratorMatrix, t_end: float, dt: float
     propagator = _propagator(g, dt, None)
     states = [p0]
     for _ in range(n_samples):
-        entries = states[-1].entries
-        entries = entries.copy() if propagator is None else propagator @ entries
-        states.append(SignedProbVector(entries))
+        states.append(SignedProbVector(propagator @ states[-1].entries))
     prob_drift = np.array([abs(float(s.entries.sum()) - 1.0) for s in states])
     info_drift = np.array([abs(s.information - info0) for s in states])
     return TrajectoryRecord(

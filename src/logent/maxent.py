@@ -44,6 +44,8 @@ class ObservableConstraint:
             raise DegenerateConstraintError(
                 "observable is constant: the mean constraint is degenerate"
             )
+        if self.target_mean is not None and not math.isfinite(self.target_mean):
+            raise DomainError("target mean must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 

@@ -172,7 +172,9 @@ def distance(p, q) -> float:
 
 def classify(p, tol: float = CLASS_TOL) -> StateClass:
     """Classify by information: pure (|I-1| <= tol), inadmissible (I > 1+tol),
-    mixed otherwise."""
+    mixed otherwise.  DomainError unless tol is finite and nonnegative."""
+    if not 0.0 <= tol < math.inf:
+        raise DomainError("tol must be finite and nonnegative")
     info = _coerce(p).information
     if info > 1.0 + tol:
         return StateClass.INADMISSIBLE
@@ -233,6 +235,8 @@ def solve_n3(r: float, theta: float) -> SignedProbVector:
         raise InadmissibleStateError(f"radius {r} exceeds 1")
     if r < 1.0 / math.sqrt(3.0) - 1e-12:
         raise NoSolutionError(f"no states exist with radius {r} < 1/sqrt(3)")
+    if not math.isfinite(theta):
+        raise DomainError("theta must be finite")
     rho = math.sqrt(max(r * r - 1.0 / 3.0, 0.0))
     entries = np.full(3, 1.0 / 3.0) + rho * (
         math.cos(theta) * _PLANE_B1 + math.sin(theta) * _PLANE_B2

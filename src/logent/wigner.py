@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._grid import DEFAULT_STEP_ANGLE, Grid, check_step, check_wrap, read_csv, write_csv
+from ._grid import Grid, check_wrap, read_csv, spacing, steps, write_csv
 from .densities import DensityGrid, PotentialSpec
 from .errors import DomainError, GridError
 
@@ -135,7 +135,7 @@ def gaussian_pure_wigner(
     x0, p0 = -lx / 2.0, -lp / 2.0
     check_wrap(x_center, x0, lx, sigma_x)
     check_wrap(p_center, p0, lp, sigma_p)
-    dx, dp = lx / nx, lp / npts
+    dx, dp = spacing(lx, nx), spacing(lp, npts)
     x = x0 + dx * np.arange(nx)
     p = p0 + dp * np.arange(npts)
     values = np.exp(
@@ -189,41 +189,30 @@ def _apply_transport(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
 
 
 def _run(w0: WignerGrid, potential: PotentialSpec, t: float, dt: float | None, record: bool):
-    check_step(t, dt)
     kick_rate, transport_rate = _phase_rates(w0, potential)
-    max_rate = max(
-        float(np.max(np.abs(kick_rate))), float(np.max(np.abs(transport_rate)))
-    )
-    if dt is None:
-        dt = DEFAULT_STEP_ANGLE / max_rate if max_rate > 0.0 else (t if t > 0.0 else 1.0)
-        check_step(t, dt)
-    if dt * max_rate > PHASE_WARN:
+    max_rate = float(max(np.abs(kick_rate).max(), np.abs(transport_rate).max()))
+    n_steps, step = steps(t, dt, max_rate)
+    if dt is not None and dt * max_rate > PHASE_WARN:
         warnings.warn(
             f"dt = {dt:g} advances the fastest grid phase by "
             f"{dt * max_rate:.2f} rad per step; aliasing likely",
             stacklevel=3,
         )
-    n_steps = max(1, int(math.ceil(abs(t) / dt - 1e-12))) if t != 0.0 else 0
-    step = t / n_steps if n_steps else 0.0
     nx, npts = w0.nx, w0.npts
     # multipliers on the half spectra of the real transforms (Hermitian rates)
     kick_half = np.exp(1j * kick_rate[:, : npts // 2 + 1] * step / 2.0)
     kick_full = kick_half * kick_half
     transport = np.exp(1j * transport_rate[: nx // 2 + 1, :] * step)
 
-    area = w0.dx * w0.dp
     values = w0.values.copy()
-    diag = {"times": [0.0], "total": [], "info": [], "m3": [], "mn": []}
+    diag = np.empty((n_steps + 1, 4)) if record else None
 
-    def _record(v):
+    def _record(k, v):  # total, I and moment3 before the cell area, then min w
         v2 = v * v
-        diag["total"].append(float(v.sum()) * area)
-        diag["info"].append(w0.h * float(np.sum(v2)) * area)
-        diag["m3"].append(w0.h**2 * float(np.sum(v2 * v)) * area)
-        diag["mn"].append(float(v.min()))
+        diag[k] = v.sum(), w0.h * np.sum(v2), w0.h**2 * np.sum(v2 * v), v.min()
 
     if record:
-        _record(values)
+        _record(0, values)
     # The p spectrum carries the state between steps: each step closes with
     # its half kick fused into the next step's opening half kick, and the
     # half-kicked state is formed only when it is needed.
@@ -237,22 +226,16 @@ def _run(w0: WignerGrid, potential: PotentialSpec, t: float, dt: float | None, r
         if record or k == n_steps - 1:
             values = np.fft.irfft(spec * kick_half, n=npts, axis=1)
         if record:
-            diag["times"].append((k + 1) * step)
-            _record(values)
+            _record(k + 1, values)
 
     final = WignerGrid(
         values=values, x0=w0.x0, dx=w0.dx, p0=w0.p0, dp=w0.dp, h=w0.h, mass=w0.mass
     )
     if not record:
         return None, final
-    rec = WignerRunRecord(
-        times=np.array(diag["times"]),
-        total_probability=np.array(diag["total"]),
-        information=np.array(diag["info"]),
-        moment3=np.array(diag["m3"]),
-        min_value=np.array(diag["mn"]),
-    )
-    return rec, final
+    diag[:, :3] *= w0.dx * w0.dp
+    times = np.arange(n_steps + 1) * step + 0.0  # + 0.0: t = 0, not -0, for negative t
+    return WignerRunRecord(times, *diag.T), final
 
 
 def wigner_evolve(
@@ -276,8 +259,7 @@ def wigner_run(
     w0: WignerGrid, potential: PotentialSpec, t: float, dt: float | None = None
 ) -> tuple[WignerRunRecord, WignerGrid]:
     """Same as wigner_evolve but records conservation diagnostics per step."""
-    rec, final = _run(w0, potential, t, dt, record=True)
-    return rec, final
+    return _run(w0, potential, t, dt, record=True)
 
 
 def delta_localized_evolve(

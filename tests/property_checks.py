@@ -6,16 +6,38 @@ Each function runs a batch of seeded randomized checks and returns
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
 from logent import (
+    DensityGrid,
+    GeneratorMatrix,
+    LogentError,
+    ObservableConstraint,
+    PotentialSpec,
     SignedProbVector,
+    WignerGrid,
+    build_kernel,
     classify,
     cyclic_generator3,
+    delta_localized_evolve,
+    equilibrium,
     evolve,
+    evolve_density,
+    evolve_density_timestepped,
+    feasibility_radii,
+    gaussian_density,
+    gaussian_pure_wigner,
+    higher_moment,
+    negative_orthonormal_basis,
     random_generator,
+    solve_n2,
     solve_n3,
+    trajectory,
+    uniform_density,
+    wigner_evolve,
+    wigner_run,
 )
 
 
@@ -162,4 +184,95 @@ def check_n3_sign_pattern(seed: int) -> tuple[int, int]:
         if has_negative is not expect_negative:
             failures += 1
         done += thetas.size
+    return done, failures
+
+
+def _bad_real(rng: np.random.Generator) -> float:
+    """A random non-finite, zero or negative number."""
+    choices = (math.nan, math.inf, -math.inf, 0.0, -float(10.0 ** rng.uniform(-3.0, 1.0)))
+    return choices[int(rng.integers(len(choices)))]
+
+
+def _bad_size(rng: np.random.Generator) -> int:
+    """A random zero or negative grid or vector size."""
+    return -int(rng.integers(0, 5))
+
+
+def check_boundary_errors(n_checks: int, seed: int) -> tuple[int, int]:
+    """Non-finite, zero and negative sizes, spacings, times, steps and
+    tolerances, each fed to one argument of a public constructor or engine,
+    raise nothing but LogentError (the call may also succeed: a negative t
+    or a zero tol is valid)."""
+    rng = np.random.default_rng(seed)
+    p = SignedProbVector(np.array([0.5, 0.3, 0.2]))
+    gen = cyclic_generator3()
+    x = np.array([-1.0, 0.0, 1.0])
+    f = gaussian_density(16, 8.0, 1.0, 0.3)
+    kern = build_kernel(PotentialSpec.harmonic(1.0).evaluate, 0.5, f)
+    w = gaussian_pure_wigner(8, 8, 8.0, 8.0, 0.3)
+    pot = PotentialSpec.harmonic(1.0)
+    real, size = _bad_real, _bad_size
+    cases = [  # (how to draw the bad value, the call that takes it)
+        (real, lambda v: SignedProbVector(np.array([v, 0.5, 0.5]))),
+        (real, lambda v: classify(p, tol=v)),
+        (size, lambda v: feasibility_radii(v)),
+        (size, lambda v: negative_orthonormal_basis(v)),
+        (real, lambda v: solve_n2(v)),
+        (real, lambda v: solve_n3(v, 0.0)),
+        (real, lambda v: solve_n3(0.8, v)),
+        (real, lambda v: ObservableConstraint(x, target_mean=v)),
+        (real, lambda v: equilibrium(ObservableConstraint(x * v, target_mean=0.1))),
+        (size, lambda v: random_generator(v, 0)),
+        (size, lambda v: random_generator(3, v)),
+        (real, lambda v: random_generator(3, 0, rate=v)),
+        (real, lambda v: evolve(p, GeneratorMatrix(gen.upper, rate=v), 1.0)),
+        (real, lambda v: evolve(p, gen, v)),
+        (real, lambda v: evolve(p, gen, 1.0, dt=v)),
+        (real, lambda v: trajectory(p, gen, v, 0.1)),
+        (real, lambda v: trajectory(p, gen, 1.0, v)),
+        (real, lambda v: DensityGrid(f.values, f.z0, v, f.h)),
+        (real, lambda v: DensityGrid(f.values, v, f.dz, f.h)),
+        (real, lambda v: DensityGrid(f.values, f.z0, f.dz, v)),
+        (size, lambda v: uniform_density(v, 8.0, 1.0)),
+        (real, lambda v: uniform_density(16, v, 1.0)),
+        (real, lambda v: uniform_density(16, 8.0, v)),
+        (size, lambda v: gaussian_density(v, 8.0, 1.0, 0.3)),
+        (real, lambda v: gaussian_density(16, v, 1.0, 0.3)),
+        (real, lambda v: gaussian_density(16, 8.0, v, 0.3)),
+        (real, lambda v: gaussian_density(16, 8.0, 1.0, v)),
+        (real, lambda v: build_kernel(pot.evaluate, v, f)),
+        (real, lambda v: evolve_density(f, kern, v)),
+        (real, lambda v: evolve_density_timestepped(f, kern, v, 0.1)),
+        (real, lambda v: evolve_density_timestepped(f, kern, 1.0, v)),
+        (real, lambda v: delta_localized_evolve(f, pot, v, 1.0)),
+        (real, lambda v: delta_localized_evolve(f, pot, 0.5, v)),
+        (real, lambda v: WignerGrid(w.values, w.x0, v, w.p0, w.dp, w.h, w.mass)),
+        (real, lambda v: WignerGrid(w.values, w.x0, w.dx, w.p0, w.dp, v, w.mass)),
+        (real, lambda v: WignerGrid(w.values, w.x0, w.dx, w.p0, w.dp, w.h, v)),
+        (size, lambda v: gaussian_pure_wigner(v, 8, 8.0, 8.0, 0.3)),
+        (size, lambda v: gaussian_pure_wigner(8, v, 8.0, 8.0, 0.3)),
+        (real, lambda v: gaussian_pure_wigner(8, 8, v, 8.0, 0.3)),
+        (real, lambda v: gaussian_pure_wigner(8, 8, 8.0, v, 0.3)),
+        (real, lambda v: gaussian_pure_wigner(8, 8, 8.0, 8.0, v)),
+        (real, lambda v: gaussian_pure_wigner(8, 8, 8.0, 8.0, 0.3, h=v)),
+        (real, lambda v: gaussian_pure_wigner(8, 8, 8.0, 8.0, 0.3, mass=v)),
+        (size, lambda v: higher_moment(w, v)),
+        (real, lambda v: wigner_evolve(w, PotentialSpec.harmonic(v), 1.0)),
+        (real, lambda v: wigner_evolve(w, pot, v)),
+        (real, lambda v: wigner_evolve(w, pot, 1.0, dt=v)),
+        (real, lambda v: wigner_run(w, pot, v)),
+        (real, lambda v: wigner_run(w, pot, 1.0, dt=v)),
+    ]
+    done = failures = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # aliasing warnings for large steps
+        while done < n_checks:
+            draw, call = cases[done % len(cases)]
+            try:
+                call(draw(rng))
+            except LogentError:
+                pass
+            except Exception:
+                failures += 1
+            done += 1
     return done, failures

@@ -394,3 +394,41 @@ class TestCrossCheckScaling:
         assert res.exit_code == 0, res.output
         linf = float(res.output.split("cross-check Linf   =")[1].split()[0])
         assert linf < 1e-6
+
+
+class TestBoundaryExitCodes:
+    """Bad numeric input exits 2 with a usage error, never with a traceback."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["maxent", "--x", "-1,0,1", "--m", "nan"],
+            ["maxent", "--x", "-1,0,1", "--m", "inf"],
+            ["maxent", "--x", "-1,0,1", "--m", "1e12"],
+            ["entropy", "--p", "0.5,0.5", "--tol", "nan"],
+            ["entropy", "--p", "0.5,0.5", "--tol", "-1"],
+            ["evolve", "continuum", "--n", "0"],
+            ["evolve", "wigner", "--nx", "0"],
+            ["evolve", "wigner", "--npts", "0"],
+            ["evolve", "fd", "--generator", "random", "--seed", "-1"],
+        ],
+    )
+    def test_exit_code_two(self, runner, tmp_path, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert "Error:" in res.output
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_tol_is_valid(self, runner):
+        res = runner.invoke(main, ["entropy", "--p", "0.5,0.5", "--tol", "0", "--json"])
+        assert res.exit_code == 0
+        assert json.loads(res.output)["class"] == "mixed"
+
+    @pytest.mark.parametrize("content", ['{"a": 1}', "[{}]"])
+    def test_json_file_of_objects_exits_two(self, runner, tmp_path, content):
+        path = tmp_path / "vec.json"
+        path.write_text(content)
+        res = runner.invoke(main, ["entropy", "--file", str(path)])
+        assert res.exit_code == 2
+        assert "cannot read vector" in res.output

@@ -366,3 +366,17 @@ class TestCsvRoundTrip:
     def test_missing_file_raises_os_error(self, tmp_path):
         with pytest.raises(OSError):
             read_density_csv(tmp_path / "absent.csv")
+
+
+class TestGridSize:
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_non_positive_size_raises_grid_error(self, n):
+        with pytest.raises(GridError):
+            gaussian_density(n, 8.0, 1.0, 0.3)
+        with pytest.raises(GridError):
+            uniform_density(n, 8.0, 1.0)
+
+    @pytest.mark.parametrize("length", [0.0, -8.0, math.inf, math.nan])
+    def test_bad_length_raises_grid_error(self, length):
+        with pytest.raises(GridError):
+            uniform_density(16, length, 1.0)

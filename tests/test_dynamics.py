@@ -232,3 +232,14 @@ class TestTrajectory:
         path.write_text("t,p_0,p_1,p_2,sum_drift,info_drift\n" + body)
         with pytest.raises(GridError):
             read_trajectory_csv(path)
+
+
+class TestBoundaryValues:
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_raises(self, rate):
+        with pytest.raises(DomainError):
+            GeneratorMatrix(cyclic_generator3().upper, rate=rate)
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(DomainError):
+            random_generator(4, -1)

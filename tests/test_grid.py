@@ -1,0 +1,113 @@
+"""The step rule and the Cayley propagator shared by the time-stepped engines."""
+
+import math
+
+import numpy as np
+import pytest
+
+from logent import (
+    DomainError,
+    GeneratorMatrix,
+    PotentialSpec,
+    SignedProbVector,
+    WignerGrid,
+    build_kernel,
+    cyclic_generator3,
+    evolve,
+    evolve_density_timestepped,
+    gaussian_density,
+    omega_harmonic,
+    trajectory,
+    wigner_evolve,
+    wigner_run,
+)
+from logent._grid import DEFAULT_STEP_ANGLE, cayley_power, steps
+
+
+class TestSteps:
+    @pytest.mark.parametrize(
+        "t, dt, n",
+        [(1.0, 0.25, 4), (-1.0, 0.25, 4), (1.0, 0.3, 4), (0.3, 0.1, 3), (0.1, 1.0, 1)],
+    )
+    def test_count_is_the_ceiling_of_t_over_dt(self, t, dt, n):
+        assert steps(t, dt) == (n, t / n)
+
+    def test_default_dt_advances_the_fastest_phase_by_the_step_angle(self):
+        n, step = steps(2.0, rate=7.0)
+        assert n == math.ceil(2.0 * 7.0 / DEFAULT_STEP_ANGLE)
+        assert abs(step) * 7.0 <= DEFAULT_STEP_ANGLE
+
+    @pytest.mark.parametrize("t", [2.5, -2.5, 1e-300, -1e6])
+    def test_zero_rate_takes_one_step(self, t):
+        assert steps(t, rate=0.0) == (1, t)
+
+    @pytest.mark.parametrize("dt, rate", [(None, 0.0), (None, 3.0), (0.1, 0.0)])
+    def test_zero_span_takes_no_step(self, dt, rate):
+        assert steps(0.0, dt, rate) == (0, 0.0)
+
+    @pytest.mark.parametrize(
+        "t, dt",
+        [(math.nan, None), (math.inf, 0.1), (1.0, math.nan), (1.0, math.inf), (1.0, 0.0),
+         (1.0, -0.1), (1e300, 1e-300)],
+    )
+    def test_bad_span_or_step_raises_domain_error(self, t, dt):
+        with pytest.raises(DomainError):
+            steps(t, dt)
+
+    def test_default_dt_that_overflows_raises_domain_error(self):
+        with pytest.raises(DomainError):
+            steps(1.0, rate=1e-320)
+
+
+class TestCayleyPower:
+    def test_zero_steps_is_the_identity(self):
+        a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        np.testing.assert_array_equal(cayley_power(a, 0.3, 0), np.eye(2))
+
+    def test_powers_compose(self):
+        a = cyclic_generator3().matrix
+        np.testing.assert_allclose(
+            cayley_power(a, 0.1, 6), cayley_power(a, 0.1, 2) @ cayley_power(a, 0.1, 4),
+            atol=1e-15,
+        )
+
+    def test_is_orthogonal_for_a_skew_generator(self):
+        a = cyclic_generator3().matrix
+        q = cayley_power(a, 0.7, 5)
+        np.testing.assert_allclose(q.T @ q, np.eye(3), atol=1e-14)
+
+
+class TestExactIdentities:
+    """Zero steps and a zero generator give the initial state exactly."""
+
+    P = SignedProbVector(np.array([0.5, 0.3, 0.2]))
+
+    def test_evolve_at_zero_time(self):
+        out = evolve(self.P, cyclic_generator3(), 0.0)
+        np.testing.assert_array_equal(out.entries, self.P.entries)
+
+    def test_zero_generator_trajectory(self):
+        g = GeneratorMatrix(cyclic_generator3().upper, rate=0.0)
+        rec = trajectory(self.P, g, 1.0, 0.25)
+        for s in rec.states:
+            np.testing.assert_array_equal(s.entries, self.P.entries)
+
+    def test_timestepped_density_at_zero_time(self):
+        f = gaussian_density(32, 8.0, 1.0, 0.3)
+        k = build_kernel(omega_harmonic(1.0), 0.5, f)
+        out = evolve_density_timestepped(f, k, 0.0, 0.1)
+        np.testing.assert_array_equal(out.values, f.values)
+
+
+class TestZeroRateWigner:
+    """With nx = 2 and a constant potential every grid phase rate is zero."""
+
+    W = WignerGrid(np.full((2, 2), 0.25), x0=0.0, dx=1.0, p0=0.0, dp=1.0, h=1.0, mass=1.0)
+
+    @pytest.mark.parametrize("t", [2.5, -2.5])
+    def test_one_step_whatever_the_sign_of_t(self, t):
+        rec, final = wigner_run(self.W, PotentialSpec.constant(0.0), t)
+        np.testing.assert_array_equal(rec.times, [0.0, t])
+        np.testing.assert_array_equal(final.values, self.W.values)
+        evolved = wigner_evolve(self.W, PotentialSpec.constant(0.0), t)
+        np.testing.assert_array_equal(evolved.values, self.W.values)

@@ -177,3 +177,9 @@ def test_information_parabola_convex_with_minimum_at_uniform_mean():
         assert information_of_mean(
             ObservableConstraint(x, target_mean=m_uniform)
         ) == pytest.approx(min(vals), abs=1e-12)
+
+
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+def test_non_finite_target_mean_raises(target):
+    with pytest.raises(DomainError):
+        ObservableConstraint(np.array([-1.0, 0.0, 1.0]), target_mean=target)

@@ -6,6 +6,7 @@ import pytest
 
 from logent import NoSolutionError, solve_n3
 from property_checks import (
+    check_boundary_errors,
     check_classification_invariance,
     check_complement_identity,
     check_generator_tangency,
@@ -39,3 +40,9 @@ def test_n3_sign_pattern_at_landmark_radii():
 def test_no_solutions_below_minimum_radius():
     with pytest.raises(NoSolutionError):
         solve_n3(1 / np.sqrt(3) - 0.01, 0.0)
+
+
+def test_boundary_inputs_raise_only_package_errors():
+    done, failures = check_boundary_errors(1000, seed=2024)
+    assert done >= 1000
+    assert failures == 0

@@ -279,3 +279,18 @@ class TestPairProbability:
             pair_outcome_probability([0.5, 0.5], 0, 2)
         with pytest.raises(InadmissibleStateError):
             pair_outcome_probability([1.0, 1.0, -1.0], 0, 0)
+
+
+class TestBoundaryValues:
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, -1e-12])
+    def test_classify_rejects_bad_tol(self, tol):
+        with pytest.raises(DomainError):
+            classify(SignedProbVector(np.array([0.5, 0.5])), tol=tol)
+
+    def test_classify_accepts_zero_tol(self):
+        assert classify(SignedProbVector(np.array([1.0, 0.0])), tol=0.0) is StateClass.PURE
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf])
+    def test_solve_n3_rejects_non_finite_angle(self, theta):
+        with pytest.raises(DomainError):
+            solve_n3(0.8, theta)

@@ -447,3 +447,15 @@ class TestSnapshotIo:
         path.write_text("x,p,w\n")
         with pytest.raises(OSError):
             read_wigner_csv(path)
+
+
+class TestGridSize:
+    @pytest.mark.parametrize("nx, npts", [(0, 8), (8, 0), (-2, 8)])
+    def test_non_positive_size_raises_grid_error(self, nx, npts):
+        with pytest.raises(GridError):
+            gaussian_pure_wigner(nx, npts, 8.0, 8.0, SIGMA)
+
+    @pytest.mark.parametrize("kwargs", [{"h": 0.0}, {"h": -math.inf}])
+    def test_zero_momentum_width_raises_grid_error(self, kwargs):
+        with pytest.raises(GridError):
+            gaussian_pure_wigner(8, 8, 8.0, 8.0, SIGMA, **kwargs)
