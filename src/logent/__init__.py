@@ -11,6 +11,7 @@ evolution by antisymmetric generators that conserve both.
 * wigner: phase-space distributions and the split-step solver
 """
 
+from ._grid import RunRecord
 from .densities import (
     BoundReport,
     DensityGrid,
@@ -19,6 +20,7 @@ from .densities import (
     amplitude_bound_check,
     build_kernel,
     continuum_information,
+    density_run,
     evolve_density,
     evolve_density_timestepped,
     gaussian_density,
@@ -31,7 +33,6 @@ from .densities import (
 )
 from .dynamics import (
     GeneratorMatrix,
-    TrajectoryRecord,
     cyclic_generator3,
     evolve,
     random_generator,
@@ -73,7 +74,6 @@ from .vectors import (
 )
 from .wigner import (
     WignerGrid,
-    WignerRunRecord,
     delta_localized_evolve,
     gaussian_pure_wigner,
     higher_moment,

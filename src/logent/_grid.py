@@ -10,14 +10,16 @@ The time-stepped engines (dynamics, the timestepped density oracle and the
 phase-space split step) share one step rule, steps: a span t is cut into
 n = ceil(|t| / dt) equal steps, and the default dt advances the fastest
 phase by DEFAULT_STEP_ANGLE = 0.1 rad per step (one step when that rate is
-zero).  The two matrix engines also share the Cayley propagator,
-cayley_power, the n-th power of one implicit-midpoint step.
+zero), at most MAX_STEPS steps.  The two matrix engines also share the
+Cayley propagator, cayley_power, the n-th power of one implicit-midpoint
+step.  Every engine reports a sampled run as one RunRecord.
 """
 from __future__ import annotations
 
 import json
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +29,7 @@ QUAD_TOL = 1e-9
 ADMISSIBLE_TOL = 1e-9
 WRAP_TOL = 1e-10
 DEFAULT_STEP_ANGLE = 0.1  # max phase advance per step with the default dt
+MAX_STEPS = 10**7  # bounds every run's loop and trajectory's samples
 
 _BLOCK_ROWS = 4096  # CSV rows formatted per write: bounds the text held in memory
 
@@ -118,7 +121,7 @@ def steps(t: float, dt: float | None = None, rate: float = 0.0) -> tuple[int, fl
 
     The default dt advances the fastest phase, of angular rate `rate`, by
     DEFAULT_STEP_ANGLE; a zero rate takes one step.  DomainError unless t is
-    finite and dt finite, positive and small enough that |t| / dt is finite.
+    finite and dt finite, positive and large enough for n <= MAX_STEPS.
     """
     if not math.isfinite(t):
         raise DomainError("t must be finite")
@@ -128,10 +131,29 @@ def steps(t: float, dt: float | None = None, rate: float = 0.0) -> tuple[int, fl
         raise DomainError("dt must be finite")
     if dt <= 0.0:
         raise DomainError("dt must be positive")
-    if not math.isfinite(abs(t) / dt):
-        raise DomainError(f"t = {t:g} needs too many steps of dt = {dt:g}")
+    if not abs(t) / dt - 1e-12 <= MAX_STEPS:
+        raise DomainError(f"t = {t:g} needs more than {MAX_STEPS:g} steps of dt = {dt:g}")
     n = max(1, int(math.ceil(abs(t) / dt - 1e-12))) if t else 0
     return n, t / max(n, 1)
+
+
+@dataclass(frozen=True, eq=False)
+class RunRecord:
+    """One sampled run: the sample times, a (samples, k) diagnostics array
+    whose columns are named in order by `columns` and read as attributes
+    (rec.information is rec.diagnostics[:, columns.index("information")]),
+    and, for the finite engine only, the sampled states."""
+
+    times: np.ndarray
+    diagnostics: np.ndarray
+    columns: tuple
+    states: list | None = None
+
+    def __getattr__(self, name):
+        columns = self.__dict__.get("columns", ())
+        if name not in columns:
+            raise AttributeError(name)
+        return self.diagnostics[:, columns.index(name)]
 
 
 def cayley_power(a: np.ndarray, step: float, n: int) -> np.ndarray:
@@ -144,12 +166,11 @@ def cayley_power(a: np.ndarray, step: float, n: int) -> np.ndarray:
     return np.linalg.matrix_power(np.linalg.solve(eye - half, eye + half), n)
 
 
-def write_csv(path, header: str, columns, digits: int, meta: dict | None = None, meta_path=None):
+def write_csv(path, header: str, columns, digits: int, meta: dict | None = None):
     """Write equal-length columns as CSV rows at `digits` significant digits.
 
     A 2-d column contributes one CSV column per array column.  With a meta
-    dict, it is also written as an indented JSON sidecar, by default to
-    <path>.meta.json.
+    dict, it is also written as an indented JSON sidecar to <path>.meta.json.
     """
     cell = f"%.{digits - 1}e"
     rows = len(columns[0])
@@ -160,14 +181,12 @@ def write_csv(path, header: str, columns, digits: int, meta: dict | None = None,
             row = ",".join([cell] * block.shape[1]) + "\n"
             fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
     if meta is not None:
-        if meta_path is None:
-            meta_path = str(path) + ".meta.json"
-        with open(meta_path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(str(path) + ".meta.json", "w", encoding="utf-8", newline="\n") as fh:
             json.dump(meta, fh, indent=2)
             fh.write("\n")
 
 
-def read_csv(path, kind: str, header: str | None = None, meta: dict | None = None, meta_path=None):
+def read_csv(path, kind: str, header: str | None = None, meta: dict | None = None):
     """Read a CSV written by write_csv, and its sidecar when meta is given.
 
     meta maps each required sidecar key to its type.  Returns the header
@@ -178,9 +197,7 @@ def read_csv(path, kind: str, header: str | None = None, meta: dict | None = Non
     """
     values = {}
     if meta is not None:
-        if meta_path is None:
-            meta_path = str(path) + ".meta.json"
-        with open(meta_path, "r", encoding="utf-8") as fh:
+        with open(str(path) + ".meta.json", "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
                 values = {key: typ(raw[key]) for key, typ in meta.items()}

@@ -3,7 +3,8 @@
 Subcommands: entropy, feasibility, maxent, scenario, and evolve with the
 three engines fd, continuum, and wigner.  Numeric output is printed at 15
 significant digits; files follow the per-engine CSV/JSON formats.  Exit
-codes: 0 success, 1 inadmissible state, 2 usage or configuration error.
+codes: 0 success, 1 inadmissible state, 2 usage or configuration error,
+which includes every LogentError a command raises.
 
 Engine parameters can come from flags or from a flat key = value config
 file with one section per engine ([fd], [continuum], [wigner]); unknown
@@ -22,13 +23,20 @@ import click
 import numpy as np
 
 from . import _grid, densities, dynamics, maxent, vectors, wigner
-from .errors import DomainError, LogentError
+from .errors import LogentError
 
 CLI_CLASS_TOL = 1e-5  # hand-typed decimals carry ~1e-6 rounding; override with --tol
 
 
 def _fmt(v: float) -> str:
     return f"{v:.15g}"
+
+
+def _summary(width: int, rows) -> None:
+    """Print one `label = value` line per row, labels padded to width;
+    integers as they are, other numbers through _fmt."""
+    for label, value in rows:
+        click.echo(f"{label:<{width}} = {value if isinstance(value, int) else _fmt(float(value))}")
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -47,10 +55,7 @@ def _normalized_vector(entries: np.ndarray) -> vectors.SignedProbVector:
         raise click.UsageError(f"entries sum to {total}, cannot normalize")
     if abs(total - 1.0) > vectors.SUM_TOL:
         entries = entries / total
-    try:
-        return vectors.SignedProbVector(entries)
-    except LogentError as exc:
-        raise click.UsageError(str(exc))
+    return vectors.SignedProbVector(entries)
 
 
 def _load_section(path: str, section: str, table: dict) -> dict:
@@ -78,7 +83,22 @@ def _reject_set(reason: str, **keys) -> None:
             raise click.UsageError(f"{key!r} has no effect with {reason}")
 
 
-@click.group()
+class _Command(click.Command):
+    """A command whose LogentError exits 2 with its message, like a bad flag."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except LogentError as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+
+
+class _Group(click.Group):
+    command_class = _Command
+    group_class = type  # subgroups are _Group too
+
+
+@click.group(cls=_Group)
 def main():
     """Signed probabilities, quadratic entropy, and conserving dynamics."""
 
@@ -108,10 +128,7 @@ def entropy(ctx, pstr, path, tol, as_json):
     else:
         entries = _parse_vector(pstr)
     vec = _normalized_vector(entries)
-    try:
-        cls = vectors.classify(vec, tol=tol)
-    except DomainError as exc:
-        raise click.UsageError(str(exc))
+    cls = vectors.classify(vec, tol=tol)
     radii = vectors.feasibility_radii(vec.n)
     report = {
         "n": vec.n,
@@ -144,10 +161,7 @@ def entropy(ctx, pstr, path, tol, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def feasibility(n, as_json):
     """Feasibility radii for n outcomes."""
-    try:
-        radii = vectors.feasibility_radii(n)
-    except DomainError as exc:
-        raise click.UsageError(str(exc))
+    radii = vectors.feasibility_radii(n)
     if as_json:
         click.echo(json.dumps({"n": radii.n, **dataclasses.asdict(radii)}))
     else:
@@ -174,15 +188,12 @@ def maxent_cmd(ctx, xstr, target, find_max, nonnegative, negative_branch, as_jso
     x = _parse_vector(xstr)
     if (target is None) == (not find_max):
         raise click.UsageError("provide exactly one of --m or --find-max")
-    try:
-        constraint = maxent.ObservableConstraint(x, target_mean=target)
-        if find_max:
-            bound_of = maxent.max_mean_nonnegative if nonnegative else maxent.max_mean
-            bound = bound_of(constraint, negative_branch=negative_branch)
-            constraint = maxent.ObservableConstraint(x, target_mean=bound)
-        sol = maxent.equilibrium(constraint)
-    except LogentError as exc:
-        raise click.UsageError(str(exc))
+    constraint = maxent.ObservableConstraint(x, target_mean=target)
+    if find_max:
+        bound_of = maxent.max_mean_nonnegative if nonnegative else maxent.max_mean
+        bound = bound_of(constraint, negative_branch=negative_branch)
+        constraint = maxent.ObservableConstraint(x, target_mean=bound)
+    sol = maxent.equilibrium(constraint)
     if find_max:
         if as_json:
             click.echo(
@@ -337,22 +348,19 @@ def evolve_fd(generator, n, seed, rate, p0, t_end, dt, output):
     """Finite-dimensional rotation run; writes the trajectory CSV."""
     if generator == "cyclic3":
         _reject_set("generator = cyclic3", n=n, seed=seed)
-    try:
-        if generator == "cyclic3":
-            gen = dynamics.cyclic_generator3()
-            if rate is not None:
-                gen = dynamics.GeneratorMatrix(gen.upper, rate=rate)
-        else:
-            n = 3 if n is None else n
-            gen = dynamics.random_generator(n, seed or 0, rate=1.0 if rate is None else rate)
-        p0_vec = _normalized_vector(_parse_vector(p0))
-        rec = dynamics.trajectory(p0_vec, gen, t_end, dt)
-    except LogentError as exc:
-        raise click.UsageError(str(exc))
+        gen = dynamics.cyclic_generator3()
+        if rate is not None:
+            gen = dynamics.GeneratorMatrix(gen.upper, rate=rate)
+    else:
+        n = 3 if n is None else n
+        gen = dynamics.random_generator(n, seed or 0, rate=1.0 if rate is None else rate)
+    rec = dynamics.trajectory(_normalized_vector(_parse_vector(p0)), gen, t_end, dt)
     dynamics.write_trajectory_csv(rec, output)
-    click.echo(f"samples        = {len(rec.times)}")
-    click.echo(f"max |sum-1|    = {_fmt(float(np.max(rec.probability_drift)))}")
-    click.echo(f"max |I-I(0)|   = {_fmt(float(np.max(rec.information_drift)))}")
+    _summary(14, [
+        ("samples", len(rec.times)),
+        ("max |sum-1|", np.max(rec.probability_drift)),
+        ("max |I-I(0)|", np.max(rec.information_drift)),
+    ])
     click.echo(f"trajectory written to {output}")
 
 
@@ -382,40 +390,25 @@ def evolve_continuum(
     output_grid, output_diag, cross_check,
 ):
     """Spectral line-density run; writes final grid and diagnostics."""
-    if samples < 1:
-        raise click.UsageError("samples must be at least 1")
     if sigma is None:
         sigma = h / (2.0 * math.sqrt(math.pi))
-    try:
-        f0 = densities.gaussian_density(n, length, h, sigma, center=center)
-        omega = densities.PotentialSpec(omega_family, (coeff,))
-        kern = densities.build_kernel(omega.evaluate, a, f0)
-        spectrum0 = f0.dz * np.abs(np.fft.fft(f0.values))
-        rows = []
-        for k in range(1, samples + 1):
-            t = t_end * k / samples
-            state = densities.evolve_density(f0, kern, t)
-            mode_drift = float(
-                np.max(np.abs(state.dz * np.abs(np.fft.fft(state.values)) - spectrum0))
-            )
-            rows.append((t, state.total, state.information, mode_drift))
-    except LogentError as exc:
-        raise click.UsageError(str(exc))
-    diag = np.array(rows)
-    densities.write_density_csv(state, output_grid)
-    _grid.write_csv(output_diag, "t,sum,I,max_mode_drift", [diag], 15)
-    _, sums, infos, drifts = diag.T
-    click.echo(f"samples            = {samples}")
-    click.echo(f"max |sum-1|        = {_fmt(float(np.max(np.abs(sums - 1.0))))}")
-    click.echo(f"max |I-I(0)|       = {_fmt(float(np.max(np.abs(infos - f0.information))))}")
-    click.echo(f"max mode drift     = {_fmt(float(np.max(drifts)))}")
+    f0 = densities.gaussian_density(n, length, h, sigma, center=center)
+    kern = densities.build_kernel(densities.PotentialSpec(omega_family, (coeff,)).evaluate, a, f0)
+    rec, final = densities.density_run(f0, kern, t_end, samples)
+    densities.write_density_csv(final, output_grid)
+    _grid.write_csv(output_diag, "t,sum,I,max_mode_drift", [rec.times, rec.diagnostics], 15)
+    _summary(18, [
+        ("samples", samples),
+        ("max |sum-1|", np.max(np.abs(rec.total_probability - 1.0))),
+        ("max |I-I(0)|", np.max(np.abs(rec.information - f0.information))),
+        ("max mode drift", np.max(rec.mode_drift)),
+    ])
     click.echo(f"grid written to {output_grid}, diagnostics to {output_diag}")
     if cross_check:
         # Omega = 2 pi V / h, so V carries a factor h / (2 pi) relative to Omega
         potential = densities.PotentialSpec(omega_family, (coeff * (h / (2.0 * math.pi)),))
         other = wigner.delta_localized_evolve(f0, potential, a, t_end)
-        linf = float(np.max(np.abs(other.values - state.values)))
-        click.echo(f"cross-check Linf   = {_fmt(linf)}")
+        _summary(18, [("cross-check Linf", np.max(np.abs(other.values - final.values)))])
 
 
 _WIGNER = {
@@ -467,28 +460,20 @@ def evolve_wigner(
         pot = wigner.PotentialSpec.harmonic(omega, mass=mass)
     else:
         pot = wigner.PotentialSpec.quartic(0.1 if beta is None else beta)
-    try:
-        w0 = wigner.gaussian_pure_wigner(
-            nx, npts, lx, lp, sigma_x, h=h, mass=mass, x_center=x_center, p_center=p_center
-        )
-        rec, final = wigner.wigner_run(w0, pot, t_end, dt)
-    except LogentError as exc:
-        raise click.UsageError(str(exc))
+    w0 = wigner.gaussian_pure_wigner(
+        nx, npts, lx, lp, sigma_x, h=h, mass=mass, x_center=x_center, p_center=p_center
+    )
+    rec, final = wigner.wigner_run(w0, pot, t_end, dt)
     wigner.write_wigner_csv(final, output_snapshot)
     wigner.write_diagnostics_csv(rec, output_diag)
-    click.echo(f"steps            = {len(rec.times) - 1}")
-    click.echo(
-        f"max |sum-1|      = "
-        f"{_fmt(float(np.max(np.abs(rec.total_probability - rec.total_probability[0]))))}"
-    )
-    click.echo(
-        f"max |I-I(0)|     = "
-        f"{_fmt(float(np.max(np.abs(rec.information - rec.information[0]))))}"
-    )
     m3 = rec.moment3
-    rel = abs(m3[-1] - m3[0]) / abs(m3[0]) if m3[0] != 0.0 else float("nan")
-    click.echo(f"moment3 change   = {_fmt(rel)}")
-    click.echo(f"min w            = {_fmt(float(np.min(rec.min_value)))}")
+    _summary(16, [
+        ("steps", len(rec.times) - 1),
+        ("max |sum-1|", np.max(np.abs(rec.total_probability - rec.total_probability[0]))),
+        ("max |I-I(0)|", np.max(np.abs(rec.information - rec.information[0]))),
+        ("moment3 change", abs(m3[-1] - m3[0]) / abs(m3[0]) if m3[0] != 0.0 else math.nan),
+        ("min w", np.min(rec.min_value)),
+    ])
     click.echo(f"snapshot written to {output_snapshot}, diagnostics to {output_diag}")
     if rotation_check:
         sp = h / (4.0 * math.pi * sigma_x)
@@ -502,7 +487,7 @@ def evolve_wigner(
         ) / (2.0 * math.pi * sigma_x * sp)
         num = math.sqrt(float(np.sum((final.values - ref) ** 2)) * final.dx * final.dp)
         den = math.sqrt(float(np.sum(ref**2)) * final.dx * final.dp)
-        click.echo(f"rotation-check L2 = {_fmt(num / den)}")
+        _summary(16, [("rotation-check L2", num / den)])
 
 
 if __name__ == "__main__":

@@ -30,13 +30,14 @@ code so the pair can cross-validate.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ._grid import Grid, cayley_power, check_wrap, read_csv, spacing, steps, write_csv
+from ._grid import Grid, RunRecord, cayley_power, check_wrap, read_csv, spacing, steps, write_csv
 from .errors import DomainError, GridError
 
 
@@ -115,11 +116,9 @@ def amplitude_bound_check(f: DensityGrid) -> BoundReport:
     )
 
 
-def uniform_density(n: int, length: float, h: float, z0: float | None = None) -> DensityGrid:
-    if z0 is None:
-        z0 = -length / 2.0
+def uniform_density(n: int, length: float, h: float) -> DensityGrid:
     dz = spacing(length, n)
-    return DensityGrid(values=np.full(n, 1.0 / length), z0=z0, dz=dz, h=h)
+    return DensityGrid(values=np.full(n, 1.0 / length), z0=-length / 2.0, dz=dz, h=h)
 
 
 def gaussian_density(
@@ -167,6 +166,8 @@ class PotentialSpec:
             xs, vs = (np.array(t, dtype=float) for t in self.params)
             if xs.ndim != 1 or xs.shape != vs.shape or xs.size < 2:
                 raise DomainError("need matching 1-d tables with at least two samples")
+            if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
+                raise DomainError("tables must be finite")
             if np.any(np.diff(xs) <= 0.0):
                 raise DomainError("table abscissae must be strictly increasing")
             xs.setflags(write=False)
@@ -174,8 +175,8 @@ class PotentialSpec:
             object.__setattr__(self, "params", (xs, vs))
         elif self.family not in self._POWERS:
             raise DomainError(f"unknown potential family {self.family!r}")
-        elif len(self.params) != 1:
-            raise DomainError(f"the {self.family} family takes one coefficient")
+        elif len(self.params) != 1 or not math.isfinite(self.params[0]):
+            raise DomainError(f"the {self.family} family takes one finite coefficient")
 
     @classmethod
     def constant(cls, value: float = 0.0) -> "PotentialSpec":
@@ -253,7 +254,7 @@ class KernelSpec:
     dz: float
     h: float
 
-    @property
+    @functools.cached_property
     def real_kernel(self) -> np.ndarray:
         """Real-space samples m(zeta_j) on grid offsets, exactly odd.
 
@@ -261,9 +262,6 @@ class KernelSpec:
         for j = 1..N/2-1 and mirrored as m_{N-j} = -m_j so the periodic
         antisymmetry holds to the last bit; m_0 = m_{N/2} = 0.
         """
-        cached = getattr(self, "_real_kernel", None)
-        if cached is not None:
-            return cached
         n = self.n
         half = n // 2
         j = np.arange(1, half)
@@ -274,7 +272,6 @@ class KernelSpec:
         m[1:half] = -(2.0 * self.h / length) * (sines @ self.m_hat[1:half])
         m[half + 1 :] = -m[1:half][::-1]
         m.setflags(write=False)
-        object.__setattr__(self, "_real_kernel", m)
         return m
 
 
@@ -323,6 +320,28 @@ def evolve_density(f0: DensityGrid, k: KernelSpec, t: float) -> DensityGrid:
     return DensityGrid(values=values, z0=f0.z0, dz=f0.dz, h=f0.h)
 
 
+def density_run(
+    f0: DensityGrid, k: KernelSpec, t_end: float, samples: int
+) -> tuple[RunRecord, DensityGrid]:
+    """evolve_density sampled at t_end * j / samples, j = 1..samples.
+
+    Records per sample the diagnostics total_probability, information and
+    mode_drift, the largest change of a mode magnitude dz |fhat_k| since
+    t = 0 (zero in exact arithmetic); returns the record and the last
+    state.  Raises DomainError unless samples is a positive integer.
+    """
+    if not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise DomainError(f"samples must be a positive integer, got {samples!r}")
+    spectrum0 = f0.dz * np.abs(np.fft.fft(f0.values))
+    times = t_end * np.arange(1, samples + 1) / samples
+    diag = np.empty((samples, 3))
+    for j, t in enumerate(times):
+        state = evolve_density(f0, k, t)
+        drift = np.max(np.abs(state.dz * np.abs(np.fft.fft(state.values)) - spectrum0))
+        diag[j] = state.total, state.information, drift
+    return RunRecord(times, diag, ("total_probability", "information", "mode_drift")), state
+
+
 def evolve_density_timestepped(f0: DensityGrid, k: KernelSpec, t: float, dt: float) -> DensityGrid:
     """Same dynamics through real-space quadrature and implicit midpoint.
 
@@ -358,17 +377,17 @@ def pure_state_residual(f: DensityGrid) -> float:
 # grid import/export
 
 
-def write_density_csv(f: DensityGrid, path, meta_path=None) -> None:
+def write_density_csv(f: DensityGrid, path) -> None:
     """CSV with header (z, f) at 17 significant digits plus a JSON sidecar
     holding h, dz, z0, N."""
     meta = {"h": f.h, "dz": f.dz, "z0": f.z0, "N": f.n}
-    write_csv(path, "z,f", [f.z, f.values], 17, meta, meta_path)
+    write_csv(path, "z,f", [f.z, f.values], 17, meta)
 
 
-def read_density_csv(path, meta_path=None) -> DensityGrid:
+def read_density_csv(path) -> DensityGrid:
     """Read a grid written by write_density_csv; GridError for malformed content."""
     meta = {"h": float, "dz": float, "z0": float, "N": int}
-    _, data, m = read_csv(path, "density", "z,f", meta, meta_path)
+    _, data, m = read_csv(path, "density", "z,f", meta)
     if data.shape[0] != m["N"]:
         raise GridError("CSV row count disagrees with metadata N")
     return DensityGrid(values=data[:, 1], z0=m["z0"], dz=m["dz"], h=m["h"])

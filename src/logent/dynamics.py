@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._grid import cayley_power, read_csv, steps, write_csv
+from ._grid import RunRecord, cayley_power, read_csv, steps, write_csv
 from .errors import DimensionMismatchError, DomainError, GridError
 from .vectors import SignedProbVector
 
@@ -82,16 +82,6 @@ class GeneratorMatrix:
         return cls(upper=np.triu(skew, 1), rate=rate)
 
 
-@dataclass(frozen=True, eq=False)
-class TrajectoryRecord:
-    """Sampled evolution with per-sample conservation drifts."""
-
-    times: np.ndarray
-    states: list
-    probability_drift: np.ndarray
-    information_drift: np.ndarray
-
-
 def cyclic_generator3() -> GeneratorMatrix:
     """The 3x3 cyclic antisymmetric generator with rate sqrt(3)/3.
 
@@ -148,13 +138,14 @@ def evolve(p0: SignedProbVector, g: GeneratorMatrix, t: float, dt: float | None 
     return SignedProbVector(_propagator(g, t, dt) @ p0.entries)
 
 
-def trajectory(p0: SignedProbVector, g: GeneratorMatrix, t_end: float, dt: float) -> TrajectoryRecord:
-    """Sample the evolution at multiples of dt up to t_end, recording the
-    drifts |sum p(t) - 1| and |I(t) - I(0)| at every sample.
+def trajectory(p0: SignedProbVector, g: GeneratorMatrix, t_end: float, dt: float) -> RunRecord:
+    """Sample the evolution at multiples of dt up to t_end; the record holds
+    the states and the drifts probability_drift = |sum p(t) - 1| and
+    information_drift = |I(t) - I(0)| at every sample.
 
     Every sample applies the same propagator over dt, built once.  Raises
-    DomainError for a non-finite or negative t_end and a non-finite or
-    non-positive dt.
+    DomainError for a non-finite or negative t_end, a non-finite or
+    non-positive dt and more than MAX_STEPS samples.
     """
     if p0.n != g.n:
         raise DimensionMismatchError(f"state has n = {p0.n}, generator n = {g.n}")
@@ -168,17 +159,11 @@ def trajectory(p0: SignedProbVector, g: GeneratorMatrix, t_end: float, dt: float
     states = [p0]
     for _ in range(n_samples):
         states.append(SignedProbVector(propagator @ states[-1].entries))
-    prob_drift = np.array([abs(float(s.entries.sum()) - 1.0) for s in states])
-    info_drift = np.array([abs(s.information - info0) for s in states])
-    return TrajectoryRecord(
-        times=times,
-        states=states,
-        probability_drift=prob_drift,
-        information_drift=info_drift,
-    )
+    drifts = [(abs(float(s.entries.sum()) - 1.0), abs(s.information - info0)) for s in states]
+    return RunRecord(times, np.array(drifts), ("probability_drift", "information_drift"), states)
 
 
-def write_trajectory_csv(rec: TrajectoryRecord, path) -> None:
+def write_trajectory_csv(rec: RunRecord, path) -> None:
     """CSV with columns t, p_0..p_{n-1}, sum_drift, info_drift at 15
     significant digits."""
     n = rec.states[0].n

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._grid import Grid, check_wrap, read_csv, spacing, steps, write_csv
+from ._grid import Grid, RunRecord, check_wrap, read_csv, spacing, steps, write_csv
 from .densities import DensityGrid, PotentialSpec
 from .errors import DomainError, GridError
 
@@ -100,17 +100,6 @@ class WignerGrid(Grid):
     def amplitude_bound_satisfied(self) -> bool:
         """Diagnostic max|w| <= 2/h, meaningful for admissible pure states."""
         return float(np.max(np.abs(self.values))) <= 2.0 / self.h * (1.0 + 1e-9)
-
-
-@dataclass(frozen=True, eq=False)
-class WignerRunRecord:
-    """Per-step conservation diagnostics of one solver run."""
-
-    times: np.ndarray
-    total_probability: np.ndarray
-    information: np.ndarray
-    moment3: np.ndarray
-    min_value: np.ndarray
 
 
 def gaussian_pure_wigner(
@@ -235,7 +224,8 @@ def _run(w0: WignerGrid, potential: PotentialSpec, t: float, dt: float | None, r
         return None, final
     diag[:, :3] *= w0.dx * w0.dp
     times = np.arange(n_steps + 1) * step + 0.0  # + 0.0: t = 0, not -0, for negative t
-    return WignerRunRecord(times, *diag.T), final
+    columns = ("total_probability", "information", "moment3", "min_value")
+    return RunRecord(times, diag, columns), final
 
 
 def wigner_evolve(
@@ -257,8 +247,10 @@ def wigner_evolve(
 
 def wigner_run(
     w0: WignerGrid, potential: PotentialSpec, t: float, dt: float | None = None
-) -> tuple[WignerRunRecord, WignerGrid]:
-    """Same as wigner_evolve but records conservation diagnostics per step."""
+) -> tuple[RunRecord, WignerGrid]:
+    """Same as wigner_evolve but records, per step, the diagnostics
+    total_probability, information, moment3 (higher_moment of order 3) and
+    min_value (the smallest w)."""
     return _run(w0, potential, t, dt, record=True)
 
 
@@ -278,8 +270,9 @@ def delta_localized_evolve(
     (spacing h/L), the p' integral at the grid points (spacing dp), giving
     a dense antisymmetric generator that is exponentiated.  No code is
     shared with the spectral density path, so the two discretizations can
-    be checked against each other.
+    be checked against each other.  Raises DomainError for a non-finite t.
     """
+    steps(t)
     n, dp, h = wbar0.n, wbar0.dz, wbar0.h
     if t == 0.0:
         return DensityGrid(values=wbar0.values.copy(), z0=wbar0.z0, dz=dp, h=h)
@@ -307,7 +300,7 @@ def delta_localized_evolve(
 # snapshot and diagnostics export
 
 
-def write_wigner_csv(w: WignerGrid, path, meta_path=None) -> None:
+def write_wigner_csv(w: WignerGrid, path) -> None:
     """Flat CSV (x, p, w) at 17 significant digits plus a JSON sidecar."""
     meta = {
         "x0": w.x0,
@@ -320,21 +313,21 @@ def write_wigner_csv(w: WignerGrid, path, meta_path=None) -> None:
         "Np": w.npts,
     }
     columns = [np.repeat(w.x, w.npts), np.tile(w.p, w.nx), w.values.ravel()]
-    write_csv(path, "x,p,w", columns, 17, meta, meta_path)
+    write_csv(path, "x,p,w", columns, 17, meta)
 
 
-def read_wigner_csv(path, meta_path=None) -> WignerGrid:
+def read_wigner_csv(path) -> WignerGrid:
     """Read a snapshot written by write_wigner_csv; GridError for malformed content."""
     meta = {"x0": float, "dx": float, "p0": float, "dp": float, "h": float, "mass": float,
             "Nx": int, "Np": int}
-    _, data, m = read_csv(path, "phase-space", "x,p,w", meta, meta_path)
+    _, data, m = read_csv(path, "phase-space", "x,p,w", meta)
     nx, npts = m.pop("Nx"), m.pop("Np")
     if nx < 1 or npts < 1 or data.shape[0] != nx * npts:
         raise GridError("CSV row count disagrees with metadata shape")
     return WignerGrid(values=data[:, 2].reshape(nx, npts), **m)
 
 
-def write_diagnostics_csv(rec: WignerRunRecord, path) -> None:
+def write_diagnostics_csv(rec: RunRecord, path) -> None:
     """Time series (t, sum, I, moment3) at 15 significant digits."""
     columns = [rec.times, rec.total_probability, rec.information, rec.moment3]
     write_csv(path, "t,sum,I,moment3", columns, 15)

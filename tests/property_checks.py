@@ -193,6 +193,11 @@ def _bad_real(rng: np.random.Generator) -> float:
     return choices[int(rng.integers(len(choices)))]
 
 
+def _tiny(rng: np.random.Generator) -> float:
+    """A random positive step far too small for a unit time span."""
+    return float(10.0 ** -rng.uniform(10.0, 300.0))
+
+
 def _bad_size(rng: np.random.Generator) -> int:
     """A random zero or negative grid or vector size."""
     return -int(rng.integers(0, 5))
@@ -230,6 +235,12 @@ def check_boundary_errors(n_checks: int, seed: int) -> tuple[int, int]:
         (real, lambda v: evolve(p, gen, 1.0, dt=v)),
         (real, lambda v: trajectory(p, gen, v, 0.1)),
         (real, lambda v: trajectory(p, gen, 1.0, v)),
+        (_tiny, lambda v: evolve(p, gen, 1.0, dt=v)),
+        (_tiny, lambda v: evolve_density_timestepped(f, kern, 1.0, v)),
+        (real, lambda v: PotentialSpec.harmonic(v)),
+        (real, lambda v: PotentialSpec("quartic", (v,))),
+        (real, lambda v: PotentialSpec.tabulated([0.0, v, 2.0], [0.0, 1.0, 2.0])),
+        (real, lambda v: PotentialSpec.tabulated([0.0, 1.0], [0.0, v])),
         (real, lambda v: DensityGrid(f.values, f.z0, v, f.h)),
         (real, lambda v: DensityGrid(f.values, v, f.dz, f.h)),
         (real, lambda v: DensityGrid(f.values, f.z0, f.dz, v)),

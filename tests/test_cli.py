@@ -432,3 +432,86 @@ class TestBoundaryExitCodes:
         res = runner.invoke(main, ["entropy", "--file", str(path)])
         assert res.exit_code == 2
         assert "cannot read vector" in res.output
+
+
+class TestCommandErrorBoundary:
+    """A LogentError from any command exits 2 with its message."""
+
+    def test_failing_cross_check_exits_two(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        res = runner.invoke(
+            main,
+            ["evolve", "continuum", "--n", "64", "--omega-family", "quartic", "--coeff", "1e6",
+             "--a", "0.8", "--t-end", "10", "--cross-check"],
+        )
+        assert res.exit_code == 2, res.output
+        assert "Error: quadrature sum" in res.output
+
+    def test_step_count_over_the_cap_exits_two(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        res = runner.invoke(main, ["evolve", "fd", "--t-end", "1", "--dt", "1e-300"])
+        assert res.exit_code == 2, res.output
+        assert "steps" in res.output
+        assert list(tmp_path.iterdir()) == []
+
+    def test_every_command_converts(self):
+        from logent.cli import _Command
+
+        def leaves(group):
+            for cmd in group.commands.values():
+                yield from leaves(cmd) if hasattr(cmd, "commands") else [cmd]
+
+        names = sorted(cmd.name for cmd in leaves(main))
+        assert names == ["continuum", "entropy", "fd", "feasibility", "maxent", "scenario", "wigner"]
+        assert all(isinstance(cmd, _Command) for cmd in leaves(main))
+
+
+NUM = r"(?:-?\d+(?:\.\d+)?(?:e[+-]\d+)?|nan)"
+
+
+class TestSummaryLayout:
+    """Each engine prints `label = value` lines with its own label column."""
+
+    def _run(self, runner, tmp_path, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+        return res.output
+
+    def test_fd(self, runner, tmp_path, monkeypatch):
+        out = self._run(runner, tmp_path, monkeypatch, ["evolve", "fd", "--t-end", "1"])
+        assert re.fullmatch(
+            rf"samples        = \d+\n"
+            rf"max \|sum-1\|    = {NUM}\n"
+            rf"max \|I-I\(0\)\|   = {NUM}\n"
+            rf"trajectory written to fd_trajectory\.csv\n",
+            out,
+        ), out
+
+    def test_continuum(self, runner, tmp_path, monkeypatch):
+        args = ["evolve", "continuum", "--n", "64", "--samples", "3", "--cross-check"]
+        out = self._run(runner, tmp_path, monkeypatch, args)
+        assert re.fullmatch(
+            rf"samples            = 3\n"
+            rf"max \|sum-1\|        = {NUM}\n"
+            rf"max \|I-I\(0\)\|       = {NUM}\n"
+            rf"max mode drift     = {NUM}\n"
+            rf"grid written to continuum_final\.csv, diagnostics to continuum_diag\.csv\n"
+            rf"cross-check Linf   = {NUM}\n",
+            out,
+        ), out
+
+    def test_wigner(self, runner, tmp_path, monkeypatch):
+        args = ["evolve", "wigner", "--nx", "32", "--npts", "32", "--t-end", "0.1",
+                "--rotation-check"]
+        out = self._run(runner, tmp_path, monkeypatch, args)
+        assert re.fullmatch(
+            rf"steps            = \d+\n"
+            rf"max \|sum-1\|      = {NUM}\n"
+            rf"max \|I-I\(0\)\|     = {NUM}\n"
+            rf"moment3 change   = {NUM}\n"
+            rf"min w            = {NUM}\n"
+            rf"snapshot written to wigner_final\.csv, diagnostics to wigner_diag\.csv\n"
+            rf"rotation-check L2 = {NUM}\n",
+            out,
+        ), out

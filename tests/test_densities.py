@@ -380,3 +380,29 @@ class TestGridSize:
     def test_bad_length_raises_grid_error(self, length):
         with pytest.raises(GridError):
             uniform_density(16, length, 1.0)
+
+
+class TestNonFiniteProfile:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: PotentialSpec.harmonic(math.nan),
+            lambda: PotentialSpec.harmonic(math.inf),
+            lambda: PotentialSpec.constant(math.nan),
+            lambda: PotentialSpec.linear(-math.inf),
+            lambda: PotentialSpec.quartic(math.inf),
+            lambda: PotentialSpec("quartic", (math.inf,)),
+            lambda: PotentialSpec.tabulated([0.0, math.nan, 2.0], [0.0, 1.0, 2.0]),
+            lambda: PotentialSpec.tabulated([0.0, 1.0, math.inf], [0.0, 1.0, 2.0]),
+            lambda: PotentialSpec.tabulated([0.0, 1.0, 2.0], [0.0, math.nan, 2.0]),
+            lambda: PotentialSpec.tabulated([0.0, 1.0, 2.0], [0.0, 1.0, -math.inf]),
+        ],
+    )
+    def test_rejected_at_construction(self, make):
+        with pytest.raises(DomainError):
+            make()
+
+    def test_finite_profiles_still_construct(self):
+        assert PotentialSpec.harmonic(0.0).params == (0.0,)
+        assert PotentialSpec("quartic", (-1e300,)).params == (-1e300,)
+        PotentialSpec.tabulated([0.0, 1.0], [0.0, -1e300])

@@ -111,3 +111,38 @@ class TestZeroRateWigner:
         np.testing.assert_array_equal(final.values, self.W.values)
         evolved = wigner_evolve(self.W, PotentialSpec.constant(0.0), t)
         np.testing.assert_array_equal(evolved.values, self.W.values)
+
+
+class TestStepCap:
+    """No run takes more than MAX_STEPS steps; a longer one is a DomainError."""
+
+    def test_cap_is_inclusive(self):
+        from logent._grid import MAX_STEPS
+
+        assert steps(float(MAX_STEPS), 1.0) == (MAX_STEPS, 1.0)
+        with pytest.raises(DomainError):
+            steps(float(MAX_STEPS + 1), 1.0)
+
+    @pytest.mark.parametrize(
+        "t, dt, rate", [(1.0, 1e-300, 0.0), (-1.0, 1e-300, 0.0), (1.0, None, 1e302)]
+    )
+    def test_tiny_step_raises(self, t, dt, rate):
+        with pytest.raises(DomainError):
+            steps(t, dt, rate)
+
+    def test_engines_refuse_tiny_steps(self):
+        p = SignedProbVector(np.array([0.5, 0.3, 0.2]))
+        with pytest.raises(DomainError):
+            evolve(p, cyclic_generator3(), 1.0, dt=1e-300)
+        f = gaussian_density(32, 8.0, 1.0, 0.3)
+        with pytest.raises(DomainError):
+            evolve_density_timestepped(f, build_kernel(omega_harmonic(1.0), 0.5, f), 1.0, 1e-300)
+
+    def test_cap_bounds_trajectory_samples(self, monkeypatch):
+        from logent import _grid
+
+        monkeypatch.setattr(_grid, "MAX_STEPS", 5)
+        p = SignedProbVector(np.array([0.5, 0.3, 0.2]))
+        assert len(trajectory(p, cyclic_generator3(), 0.5, 0.1).times) == 6
+        with pytest.raises(DomainError):
+            trajectory(p, cyclic_generator3(), 1.0, 0.1)

@@ -459,3 +459,29 @@ class TestGridSize:
     def test_zero_momentum_width_raises_grid_error(self, kwargs):
         with pytest.raises(GridError):
             gaussian_pure_wigner(8, 8, 8.0, 8.0, SIGMA, **kwargs)
+
+
+class TestDeltaLocalizedTime:
+    class _CountingProfile:
+        """A zero profile that counts its evaluations."""
+
+        calls = 0
+
+        def evaluate(self, x):
+            self.calls += 1
+            return np.zeros_like(np.asarray(x, dtype=float))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t_raises_before_any_work(self, t):
+        f = gaussian_density(16, 8.0, H, 0.3)
+        profile = self._CountingProfile()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="t must be finite"):
+                delta_localized_evolve(f, profile, 0.5, t)
+        assert profile.calls == 0
+
+    def test_zero_time_still_returns_the_state(self):
+        f = gaussian_density(16, 8.0, H, 0.3)
+        out = delta_localized_evolve(f, PotentialSpec.harmonic(1.0), 0.5, 0.0)
+        np.testing.assert_array_equal(out.values, f.values)
