@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands: entropy, feasibility, maxent, scenario, and evolve with the
-three engines fd, continuum, and wigner.  Numeric output is printed at 15
-significant digits; files follow the per-engine CSV/JSON formats.  Exit
-codes: 0 success, 1 inadmissible state, 2 usage or configuration error,
-which includes every LogentError a command raises.
+Subcommands: entropy, feasibility, maxent, scenario, and evolve with the three
+engines fd, continuum, and wigner.  Text output has 15 significant digits;
+--json prints a query command's same report as one JSON object.  Files follow
+the per-engine CSV/JSON formats.  Exit codes: 0 success, 1 inadmissible state,
+2 usage or configuration error, which includes every LogentError a command raises.
 
 Engine parameters can come from flags or from a flat key = value config
 file with one section per engine ([fd], [continuum], [wigner]); unknown
@@ -14,7 +14,6 @@ like the flags.  Flags override config values.
 from __future__ import annotations
 
 import configparser
-import dataclasses
 import functools
 import json
 import math
@@ -33,10 +32,21 @@ def _fmt(v: float) -> str:
 
 
 def _summary(width: int, rows) -> None:
-    """Print one `label = value` line per row, labels padded to width;
-    integers as they are, other numbers through _fmt."""
+    """Print one `label = value` line per row, labels padded to width: words,
+    flags and integers as is, lists as (a, b, ...), other numbers by _fmt."""
     for label, value in rows:
-        click.echo(f"{label:<{width}} = {value if isinstance(value, int) else _fmt(float(value))}")
+        if isinstance(value, list):
+            value = f"({', '.join(map(_fmt, value))})"
+        click.echo(f"{label:<{width}} = {value if isinstance(value, (str, int)) else _fmt(float(value))}")
+
+
+def _report(as_json: bool, width: int, rows) -> None:
+    """Print (json key, text label, value) rows as one JSON object of the keyed
+    rows, or the labelled rows by _summary; no key: text-only, no label: JSON-only."""
+    if as_json:
+        click.echo(json.dumps({key: value for key, _, value in rows if key is not None}))
+    else:
+        _summary(width, [(label, value) for _, label, value in rows if label is not None])
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -104,7 +114,9 @@ def main():
 
 
 # ---------------------------------------------------------------------------
-# entropy
+# entropy and feasibility
+
+_RADII = ("r_max", "r_pos", "r_min", "negatives_possible")  # the reported radii fields
 
 
 @main.command()
@@ -130,30 +142,17 @@ def entropy(ctx, pstr, path, tol, as_json):
     vec = _normalized_vector(entries)
     cls = vectors.classify(vec, tol=tol)
     radii = vectors.feasibility_radii(vec.n)
-    report = {
-        "n": vec.n,
-        "entropy": vec.logical_entropy,
-        "information": vec.information,
-        "class": cls.value,
-        **dataclasses.asdict(radii),
-    }
-    if as_json:
-        click.echo(json.dumps(report))
-    else:
-        click.echo(f"n            = {vec.n}")
-        click.echo(f"S_L          = {_fmt(vec.logical_entropy)}")
-        click.echo(f"I            = {_fmt(vec.information)}")
-        click.echo(f"class        = {cls.value}")
-        click.echo(
-            f"radii        = (r_max {_fmt(radii.r_max)}, r_pos {_fmt(radii.r_pos)}, "
-            f"r_min {_fmt(radii.r_min)})"
-        )
+    _report(as_json, 12, [
+        ("n", "n", vec.n),
+        ("entropy", "S_L", vec.logical_entropy),
+        ("information", "I", vec.information),
+        ("class", "class", cls.value),
+        (None, "radii", f"(r_max {_fmt(radii.r_max)}, r_pos {_fmt(radii.r_pos)}, "
+                        f"r_min {_fmt(radii.r_min)})"),
+        *((name, None, getattr(radii, name)) for name in _RADII),
+    ])
     if cls is vectors.StateClass.INADMISSIBLE:
         ctx.exit(1)
-
-
-# ---------------------------------------------------------------------------
-# feasibility
 
 
 @main.command()
@@ -162,13 +161,8 @@ def entropy(ctx, pstr, path, tol, as_json):
 def feasibility(n, as_json):
     """Feasibility radii for n outcomes."""
     radii = vectors.feasibility_radii(n)
-    if as_json:
-        click.echo(json.dumps({"n": radii.n, **dataclasses.asdict(radii)}))
-    else:
-        click.echo(f"r_max = {_fmt(radii.r_max)}")
-        click.echo(f"r_pos = {_fmt(radii.r_pos)}")
-        click.echo(f"r_min = {_fmt(radii.r_min)}")
-        click.echo(f"negatives_possible = {radii.negatives_possible}")
+    rows = [(name, name, getattr(radii, name)) for name in _RADII]
+    _report(as_json, 5, [("n", None, radii.n), *rows])
 
 
 # ---------------------------------------------------------------------------
@@ -194,31 +188,14 @@ def maxent_cmd(ctx, xstr, target, find_max, nonnegative, negative_branch, as_jso
         bound = bound_of(constraint, negative_branch=negative_branch)
         constraint = maxent.ObservableConstraint(x, target_mean=bound)
     sol = maxent.equilibrium(constraint)
+    p, info = ("p", "p", list(sol.p.entries)), ("information", "I", sol.information)
     if find_max:
-        if as_json:
-            click.echo(
-                json.dumps({"m_max": bound, "p": list(sol.p.entries), "information": sol.information})
-            )
-        else:
-            click.echo(f"m_max = {_fmt(bound)}")
-            click.echo(f"p     = ({', '.join(_fmt(v) for v in sol.p.entries)})")
-            click.echo(f"I     = {_fmt(sol.information)}")
+        _report(as_json, 5, [("m_max", "m_max", bound), p, info])
         return
-    report = {
-        "p": list(sol.p.entries),
-        "lambda": sol.lam,
-        "mu": sol.mu,
-        "information": sol.information,
-        "admissible": sol.admissible,
-    }
-    if as_json:
-        click.echo(json.dumps(report))
-    else:
-        click.echo(f"p      = ({', '.join(_fmt(v) for v in sol.p.entries)})")
-        click.echo(f"lambda = {_fmt(sol.lam)}")
-        click.echo(f"mu     = {_fmt(sol.mu)}")
-        click.echo(f"I      = {_fmt(sol.information)}")
-        click.echo(f"admissible = {sol.admissible}")
+    _report(as_json, 6, [
+        p, ("lambda", "lambda", sol.lam), ("mu", "mu", sol.mu), info,
+        ("admissible", "admissible", sol.admissible),
+    ])
     if not sol.admissible:
         ctx.exit(1)
 
@@ -395,6 +372,13 @@ def evolve_continuum(
     f0 = densities.gaussian_density(n, length, h, sigma, center=center)
     kern = densities.build_kernel(densities.PotentialSpec(omega_family, (coeff,)).evaluate, a, f0)
     rec, final = densities.density_run(f0, kern, t_end, samples)
+    if cross_check:
+        try:
+            # Omega = 2 pi V / h, so V carries a factor h / (2 pi) relative to Omega
+            potential = densities.PotentialSpec(omega_family, (coeff * (h / (2.0 * math.pi)),))
+            other = wigner.delta_localized_evolve(f0, potential, a, t_end)
+        except LogentError as exc:
+            raise click.UsageError(f"{exc} (--cross-check oracle)") from exc
     densities.write_density_csv(final, output_grid)
     _grid.write_csv(output_diag, "t,sum,I,max_mode_drift", [rec.times, rec.diagnostics], 15)
     _summary(18, [
@@ -405,9 +389,6 @@ def evolve_continuum(
     ])
     click.echo(f"grid written to {output_grid}, diagnostics to {output_diag}")
     if cross_check:
-        # Omega = 2 pi V / h, so V carries a factor h / (2 pi) relative to Omega
-        potential = densities.PotentialSpec(omega_family, (coeff * (h / (2.0 * math.pi)),))
-        other = wigner.delta_localized_evolve(f0, potential, a, t_end)
         _summary(18, [("cross-check Linf", np.max(np.abs(other.values - final.values)))])
 
 

@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -145,6 +147,13 @@ def gaussian_density(
 # profile families: the potential V and the frequency function Omega = 2 pi V / h
 
 
+def _finite(value) -> float:
+    """value as a finite float; DomainError if it is anything else."""
+    if not (isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max):
+        raise DomainError(f"expected a finite real number, not {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True, eq=False)
 class PotentialSpec:
     """Profile c * x^k (params = (c,), k by family) or a tabulated (xs, vs).
@@ -159,11 +168,14 @@ class PotentialSpec:
     _POWERS = {"constant": 0, "linear": 1, "harmonic": 2, "quartic": 4}
 
     def __post_init__(self):
+        params = tuple(self.params) if isinstance(self.params, (tuple, list)) else ()
         if self.family == "tabulated":
-            if len(self.params) != 2:
+            if len(params) != 2:
                 raise DomainError("the tabulated family takes the tables (xs, vs)")
-            # copies, so the caller's arrays stay writable
-            xs, vs = (np.array(t, dtype=float) for t in self.params)
+            try:  # copies, so the caller's arrays stay writable
+                xs, vs = (np.array(t, dtype=float) for t in params)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise DomainError(f"tables must hold real numbers: {exc}") from None
             if xs.ndim != 1 or xs.shape != vs.shape or xs.size < 2:
                 raise DomainError("need matching 1-d tables with at least two samples")
             if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
@@ -173,28 +185,33 @@ class PotentialSpec:
             xs.setflags(write=False)
             vs.setflags(write=False)
             object.__setattr__(self, "params", (xs, vs))
-        elif self.family not in self._POWERS:
+        elif not isinstance(self.family, str) or self.family not in self._POWERS:
             raise DomainError(f"unknown potential family {self.family!r}")
-        elif len(self.params) != 1 or not math.isfinite(self.params[0]):
-            raise DomainError(f"the {self.family} family takes one finite coefficient")
+        elif len(params) != 1:
+            raise DomainError(f"the {self.family} family takes one coefficient")
+        else:
+            object.__setattr__(self, "params", (_finite(params[0]),))
 
     @classmethod
     def constant(cls, value: float = 0.0) -> "PotentialSpec":
-        return cls("constant", (float(value),))
+        return cls("constant", (value,))
 
     @classmethod
     def linear(cls, slope: float) -> "PotentialSpec":
-        return cls("linear", (float(slope),))
+        return cls("linear", (slope,))
 
     @classmethod
     def harmonic(cls, omega: float, mass: float = 1.0) -> "PotentialSpec":
         """V(x) = mass * omega^2 * x^2 / 2."""
-        return cls("harmonic", (0.5 * float(mass) * float(omega) ** 2,))
+        try:
+            return cls("harmonic", (0.5 * _finite(mass) * _finite(omega) ** 2,))
+        except OverflowError:  # omega ** 2 beyond the float range
+            raise DomainError(f"omega = {omega!r} overflows the harmonic coefficient") from None
 
     @classmethod
     def quartic(cls, beta: float) -> "PotentialSpec":
         """V(x) = beta * x^4."""
-        return cls("quartic", (float(beta),))
+        return cls("quartic", (beta,))
 
     @classmethod
     def tabulated(cls, xs, vs) -> "PotentialSpec":

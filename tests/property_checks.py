@@ -31,6 +31,7 @@ from logent import (
     gaussian_pure_wigner,
     higher_moment,
     negative_orthonormal_basis,
+    omega_quartic,
     random_generator,
     solve_n2,
     solve_n3,
@@ -198,6 +199,12 @@ def _tiny(rng: np.random.Generator) -> float:
     return float(10.0 ** -rng.uniform(10.0, 300.0))
 
 
+def _not_real(rng: np.random.Generator):
+    """A random value that is not a finite real number at all."""
+    choices = ("a", None, 1j, [1.0, 2.0], 10**400, float(10.0 ** rng.uniform(155.0, 308.0)))
+    return choices[int(rng.integers(len(choices)))]
+
+
 def _bad_size(rng: np.random.Generator) -> int:
     """A random zero or negative grid or vector size."""
     return -int(rng.integers(0, 5))
@@ -205,9 +212,10 @@ def _bad_size(rng: np.random.Generator) -> int:
 
 def check_boundary_errors(n_checks: int, seed: int) -> tuple[int, int]:
     """Non-finite, zero and negative sizes, spacings, times, steps and
-    tolerances, each fed to one argument of a public constructor or engine,
-    raise nothing but LogentError (the call may also succeed: a negative t
-    or a zero tol is valid)."""
+    tolerances, and non-numeric or overflowing profile parameters, each fed
+    to one argument of a public constructor or engine, raise nothing but
+    LogentError (the call may also succeed: a negative t or a zero tol is
+    valid)."""
     rng = np.random.default_rng(seed)
     p = SignedProbVector(np.array([0.5, 0.3, 0.2]))
     gen = cyclic_generator3()
@@ -241,6 +249,13 @@ def check_boundary_errors(n_checks: int, seed: int) -> tuple[int, int]:
         (real, lambda v: PotentialSpec("quartic", (v,))),
         (real, lambda v: PotentialSpec.tabulated([0.0, v, 2.0], [0.0, 1.0, 2.0])),
         (real, lambda v: PotentialSpec.tabulated([0.0, 1.0], [0.0, v])),
+        (_not_real, lambda v: PotentialSpec("quartic", (v,))),
+        (_not_real, lambda v: PotentialSpec("quartic", v)),
+        (_not_real, lambda v: PotentialSpec.tabulated([v, 1.0], [0.0, 1.0])),
+        (_not_real, lambda v: PotentialSpec.quartic(v)),
+        (_not_real, lambda v: PotentialSpec.harmonic(v)),
+        (_not_real, lambda v: PotentialSpec.harmonic(1.0, mass=v)),
+        (_not_real, lambda v: omega_quartic(v)),
         (real, lambda v: DensityGrid(f.values, f.z0, v, f.h)),
         (real, lambda v: DensityGrid(f.values, v, f.dz, f.h)),
         (real, lambda v: DensityGrid(f.values, f.z0, f.dz, v)),

@@ -515,3 +515,74 @@ class TestSummaryLayout:
             rf"rotation-check L2 = {NUM}\n",
             out,
         ), out
+
+
+class TestCrossCheckRunsFirst:
+    """A failing --cross-check oracle stops the run before any output."""
+
+    def test_failing_oracle_leaves_no_file_and_names_the_check(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        res = runner.invoke(
+            main,
+            ["evolve", "continuum", "--n", "64", "--omega-family", "quartic", "--coeff", "1e6",
+             "--a", "0.8", "--t-end", "10", "--cross-check"],
+        )
+        assert res.exit_code == 2, res.output
+        assert list(tmp_path.iterdir()) == []
+        assert "samples" not in res.output
+        assert "(--cross-check oracle)" in res.output
+
+
+QUERY_OUTPUT = {
+    ("entropy", "--p", "0.5,0.5"): (
+        "n            = 2\n"
+        "S_L          = 0.5\n"
+        "I            = 0.5\n"
+        "class        = mixed\n"
+        "radii        = (r_max 1, r_pos 1, r_min 0.707106781186547)\n"
+    ),
+    ("entropy", "--p", "0.5,0.5", "--json"): (
+        '{"n": 2, "entropy": 0.5, "information": 0.5, "class": "mixed", "r_max": 1.0, '
+        '"r_pos": 1.0, "r_min": 0.7071067811865475, "negatives_possible": false}\n'
+    ),
+    ("feasibility", "--n", "3"): (
+        "r_max = 1\n"
+        "r_pos = 0.707106781186547\n"
+        "r_min = 0.577350269189626\n"
+        "negatives_possible = True\n"
+    ),
+    ("feasibility", "--n", "3", "--json"): (
+        '{"n": 3, "r_max": 1.0, "r_pos": 0.7071067811865475, "r_min": 0.5773502691896258, '
+        '"negatives_possible": true}\n'
+    ),
+    ("maxent", "--x", "-1,0,1", "--m", "0.5"): (
+        "p      = (0.0833333333333333, 0.333333333333333, 0.583333333333333)\n"
+        "lambda = 0.666666666666667\n"
+        "mu     = -0.5\n"
+        "I      = 0.458333333333333\n"
+        "admissible = True\n"
+    ),
+    ("maxent", "--x", "-1,0,1", "--m", "0.5", "--json"): (
+        '{"p": [0.08333333333333331, 0.3333333333333333, 0.5833333333333333], '
+        '"lambda": 0.6666666666666666, "mu": -0.5, "information": 0.4583333333333332, '
+        '"admissible": true}\n'
+    ),
+    ("maxent", "--x", "-1,0,1", "--find-max"): (
+        "m_max = 1.15470053837925\n"
+        "p     = (-0.244016935856293, 0.333333333333333, 0.910683602522959)\n"
+        "I     = 1\n"
+    ),
+    ("maxent", "--x", "-1,0,1", "--find-max", "--json"): (
+        '{"m_max": 1.1547005383792517, '
+        '"p": [-0.24401693585629253, 0.3333333333333333, 0.9106836025229592], '
+        '"information": 1.0000000000000002}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("args", list(QUERY_OUTPUT), ids=" ".join)
+def test_query_output_is_pinned(runner, args):
+    """The full text and JSON reports of the query commands, byte for byte."""
+    res = runner.invoke(main, list(args))
+    assert res.exit_code == 0, res.output
+    assert res.output == QUERY_OUTPUT[args]

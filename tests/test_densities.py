@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,12 +8,15 @@ import pytest
 from logent import (
     DensityGrid,
     DomainError,
+    GeneratorMatrix,
     GridError,
     NormalizationError,
     PotentialSpec,
+    SignedProbVector,
     amplitude_bound_check,
     build_kernel,
     continuum_information,
+    evolve,
     evolve_density,
     evolve_density_timestepped,
     gaussian_density,
@@ -284,6 +288,23 @@ class TestTimesteppedEvolution:
         with pytest.raises(DomainError):
             evolve_density_timestepped(f, k, args["t"], args["dt"])
 
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize(
+        "family, coeff, a", [("harmonic", 1.0, 0.0), ("quartic", 0.3, 0.8), ("linear", 2.0, 0.5)]
+    )
+    def test_is_the_finite_dynamics_of_the_weights(self, family, coeff, a, n):
+        """One structure at two levels: the quadrature weights f * dz evolve as a
+        signed probability vector under the circulant generator (dz/h) m(i - j).
+        With dz a power of two the scaling by dz is exact, so the two agree bit
+        for bit."""
+        f = gaussian_density(n, 8.0, H, SIGMA_PURE)
+        k = build_kernel(PotentialSpec(family, (coeff,)).evaluate, a, f)
+        idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+        gen = GeneratorMatrix.from_dense((f.dz / f.h) * k.real_kernel[idx])
+        weights = evolve(SignedProbVector(f.values * f.dz), gen, 0.7, dt=0.05)
+        ref = evolve_density_timestepped(f, k, 0.7, 0.05)
+        assert np.array_equal(weights.entries / f.dz, ref.values)
+
 
 class TestPureStateResidual:
     def test_saturating_gaussian_satisfies_integral_identity(self):
@@ -406,3 +427,34 @@ class TestNonFiniteProfile:
         assert PotentialSpec.harmonic(0.0).params == (0.0,)
         assert PotentialSpec("quartic", (-1e300,)).params == (-1e300,)
         PotentialSpec.tabulated([0.0, 1.0], [0.0, -1e300])
+
+
+class TestNonNumericProfile:
+    """Malformed profile parameters raise DomainError, not a raw TypeError,
+    ValueError or OverflowError."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: PotentialSpec("quartic", ("a",)),
+            lambda: PotentialSpec("quartic", (None,)),
+            lambda: PotentialSpec("quartic", 0.5),
+            lambda: PotentialSpec("quartic", (1j,)),
+            lambda: PotentialSpec("quartic", (10**400,)),
+            lambda: PotentialSpec([], ()),
+            lambda: PotentialSpec.tabulated(["a", "b"], [0, 1]),
+            lambda: PotentialSpec.tabulated([0.0, 1.0], [0.0, 1j]),
+            lambda: PotentialSpec.quartic("a"),
+            lambda: PotentialSpec.harmonic(1.0, mass=None),
+            lambda: PotentialSpec.harmonic(1e200),
+            lambda: omega_quartic("a"),
+        ],
+    )
+    def test_rejected_at_construction(self, make):
+        with pytest.raises(DomainError):
+            make()
+
+    def test_coefficient_is_stored_as_a_float(self):
+        spec = PotentialSpec("quartic", (Fraction(1, 2),))
+        assert spec.params == (0.5,) and type(spec.params[0]) is float
+        assert spec.evaluate(np.array([2.0])).tolist() == [8.0]
