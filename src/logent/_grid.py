@@ -8,16 +8,21 @@ of significant digits, optionally with a JSON sidecar holding the scalars.
 
 The time-stepped engines (dynamics, the timestepped density oracle and the
 phase-space split step) share one step rule, steps: a span t is cut into
-n = ceil(|t| / dt) equal steps, and the default dt advances the fastest
-phase by DEFAULT_STEP_ANGLE = 0.1 rad per step (one step when that rate is
-zero), at most MAX_STEPS steps.  The two matrix engines also share the
-Cayley propagator, cayley_power, the n-th power of one implicit-midpoint
-step.  Every engine reports a sampled run as one RunRecord.
+n = ceil(|t| / dt) equal steps, at most MAX_STEPS, and the default dt
+advances the fastest phase by a fixed angle per step (one step when that
+rate is zero).  The angle is DEFAULT_STEP_ANGLE = 0.1 rad for the Cayley
+steps; the split step asks for pi per substep of its fourth-order
+composition.  The two matrix engines also share the Cayley propagator,
+cayley_power, the n-th power of one implicit-midpoint step.  Every engine
+reports a sampled run as one RunRecord.  Scalar arguments are checked with
+finite, so a non-numeric value raises DomainError like a non-finite one.
 """
 from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -29,6 +34,7 @@ QUAD_TOL = 1e-9
 ADMISSIBLE_TOL = 1e-9
 WRAP_TOL = 1e-10
 DEFAULT_STEP_ANGLE = 0.1  # max phase advance per step with the default dt
+_WRAP_SIGMAS = math.sqrt(-2.0 * math.log(WRAP_TOL))  # sigmas out, a Gaussian is WRAP_TOL high
 MAX_STEPS = 10**7  # bounds every run's loop and trajectory's samples
 
 _BLOCK_ROWS = 4096  # CSV rows formatted per write: bounds the text held in memory
@@ -56,8 +62,8 @@ class Grid:
         self._check_shape(arr)
         if not np.all(np.isfinite(arr)):
             raise GridError("values must be finite")
-        if not all(math.isfinite(getattr(self, name)) for name in self._SCALARS):
-            raise GridError(f"{', '.join(self._SCALARS)} must be finite")
+        for name in self._SCALARS:
+            finite(getattr(self, name), name, GridError)
         if not all(getattr(self, name) > 0.0 for name in self._POSITIVE):
             raise GridError(f"{', '.join(self._POSITIVE)} must be positive")
         total = self._integrate(float(arr.sum()))
@@ -93,16 +99,27 @@ class Grid:
 
 def check_wrap(center: float, lo: float, length: float, sigma: float) -> None:
     """GridError when a Gaussian centred in [lo, lo + length) keeps more than
-    WRAP_TOL of its peak amplitude at the nearer boundary, or when sigma is
-    not positive."""
+    WRAP_TOL of its peak amplitude at the nearer boundary, when the centre
+    lies outside that domain, or when sigma is not positive."""
     if not sigma > 0.0:
         raise GridError(f"Gaussian width {sigma:g} must be positive")
-    dist = min(abs(center - lo), abs(lo + length - center))
-    if math.exp(-0.5 * (dist / sigma) ** 2) > WRAP_TOL:
+    if not lo <= center < lo + length:
+        raise GridError(f"centre {center:g} lies outside [{lo:g}, {lo + length:g})")
+    dist = min(center - lo, lo + length - center)
+    if dist < _WRAP_SIGMAS * sigma:  # exp(-(dist / sigma)^2 / 2) > WRAP_TOL
         raise GridError(
             f"domain length {length:g} too small for sigma {sigma:g}: "
             "boundary amplitude exceeds 1e-10 of the peak"
         )
+
+
+def finite(value, name: str = "value", error: type = DomainError) -> float:
+    """value as a float; `error` (DomainError by default) unless it is a real
+    number within the float range, so a string, None, a complex number, nan,
+    inf and an int beyond the float range are all refused alike."""
+    if not (isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max):
+        raise error(f"{name} must be finite and real, not {value!r}")
+    return float(value)
 
 
 def spacing(length: float, n: int) -> float:
@@ -110,25 +127,26 @@ def spacing(length: float, n: int) -> float:
     positive integer and length finite and positive."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise GridError(f"grid size must be a positive integer, got {n!r}")
-    if not 0.0 < length < math.inf:
+    if not finite(length, "domain length", GridError) > 0.0:
         raise GridError(f"domain length must be finite and positive, got {length:g}")
     return length / n
 
 
-def steps(t: float, dt: float | None = None, rate: float = 0.0) -> tuple[int, float]:
+def steps(
+    t: float, dt: float | None = None, rate: float = 0.0, angle: float = DEFAULT_STEP_ANGLE
+) -> tuple[int, float]:
     """Cut the time span t into n = ceil(|t| / dt) equal steps (none for
     t = 0); returns (n, t / n).
 
     The default dt advances the fastest phase, of angular rate `rate`, by
-    DEFAULT_STEP_ANGLE; a zero rate takes one step.  DomainError unless t is
-    finite and dt finite, positive and large enough for n <= MAX_STEPS.
+    `angle`; a zero rate takes one step.  DomainError unless t and dt are
+    finite real numbers and dt is positive and large enough for
+    n <= MAX_STEPS.
     """
-    if not math.isfinite(t):
-        raise DomainError("t must be finite")
+    t = finite(t, "t")
     if dt is None:
-        dt = DEFAULT_STEP_ANGLE / rate if rate > 0.0 else abs(t) or 1.0
-    if not math.isfinite(dt):
-        raise DomainError("dt must be finite")
+        dt = angle / rate if rate > 0.0 else abs(t) or 1.0
+    dt = finite(dt, "dt")
     if dt <= 0.0:
         raise DomainError("dt must be positive")
     if not abs(t) / dt - 1e-12 <= MAX_STEPS:

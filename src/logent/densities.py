@@ -32,14 +32,14 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ._grid import Grid, RunRecord, cayley_power, check_wrap, read_csv, spacing, steps, write_csv
+from ._grid import (
+    Grid, RunRecord, cayley_power, check_wrap, finite, read_csv, spacing, steps, write_csv,
+)
 from .errors import DomainError, GridError
 
 
@@ -132,11 +132,12 @@ def gaussian_density(
     below 1e-10 relative amplitude at the boundary; L >= 20 sigma keeps
     periodic artifacts below 1e-12 and is the recommended sizing.
     """
-    if sigma <= 0.0:
+    if finite(sigma, "sigma") <= 0.0:
         raise DomainError("sigma must be positive")
+    center = finite(center, "center")
+    dz = spacing(length, n)
     z0 = -length / 2.0
     check_wrap(center, z0, length, sigma)
-    dz = spacing(length, n)
     z = z0 + dz * np.arange(n)
     values = np.exp(-0.5 * ((z - center) / sigma) ** 2) / (math.sqrt(2.0 * math.pi) * sigma)
     values /= values.sum() * dz
@@ -145,13 +146,6 @@ def gaussian_density(
 
 # ---------------------------------------------------------------------------
 # profile families: the potential V and the frequency function Omega = 2 pi V / h
-
-
-def _finite(value) -> float:
-    """value as a finite float; DomainError if it is anything else."""
-    if not (isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max):
-        raise DomainError(f"expected a finite real number, not {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,7 +184,7 @@ class PotentialSpec:
         elif len(params) != 1:
             raise DomainError(f"the {self.family} family takes one coefficient")
         else:
-            object.__setattr__(self, "params", (_finite(params[0]),))
+            object.__setattr__(self, "params", (finite(params[0]),))
 
     @classmethod
     def constant(cls, value: float = 0.0) -> "PotentialSpec":
@@ -204,7 +198,7 @@ class PotentialSpec:
     def harmonic(cls, omega: float, mass: float = 1.0) -> "PotentialSpec":
         """V(x) = mass * omega^2 * x^2 / 2."""
         try:
-            return cls("harmonic", (0.5 * _finite(mass) * _finite(omega) ** 2,))
+            return cls("harmonic", (0.5 * finite(mass) * finite(omega) ** 2,))
         except OverflowError:  # omega ** 2 beyond the float range
             raise DomainError(f"omega = {omega!r} overflows the harmonic coefficient") from None
 
@@ -303,6 +297,7 @@ def build_kernel(
     beyond the Nyquist frequency is unrepresentable on the grid and is
     truncated.
     """
+    a = finite(a, "a")
     nu = np.fft.fftfreq(grid.n, d=grid.dz)
     lambdas = grid.h * nu
     m_hat = np.asarray(
@@ -313,7 +308,7 @@ def build_kernel(
     m_hat[grid.n // 2] = 0.0  # unpaired Nyquist mode
     m_hat.setflags(write=False)
     lambdas.setflags(write=False)
-    return KernelSpec(m_hat=m_hat, lambdas=lambdas, a=float(a), n=grid.n, dz=grid.dz, h=grid.h)
+    return KernelSpec(m_hat=m_hat, lambdas=lambdas, a=a, n=grid.n, dz=grid.dz, h=grid.h)
 
 
 def _check_compatible(f: DensityGrid, k: KernelSpec) -> None:

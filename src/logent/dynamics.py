@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._grid import RunRecord, cayley_power, read_csv, steps, write_csv
+from ._grid import RunRecord, cayley_power, finite, read_csv, steps, write_csv
 from .errors import DimensionMismatchError, DomainError, GridError
 from .vectors import SignedProbVector
 
@@ -46,8 +46,9 @@ class GeneratorMatrix:
             raise DomainError("generator storage must be square")
         if arr.shape[0] < 2:
             raise DomainError("generator needs dimension >= 2")
-        if not np.all(np.isfinite(arr)) or not math.isfinite(self.rate):
-            raise DomainError("generator entries and rate must be finite")
+        if not np.all(np.isfinite(arr)):
+            raise DomainError("generator entries must be finite")
+        object.__setattr__(self, "rate", finite(self.rate, "rate"))
         if np.any(np.tril(arr) != 0.0):
             raise DomainError("canonical storage must be strictly upper triangular")
         full = arr - arr.T
@@ -149,7 +150,7 @@ def trajectory(p0: SignedProbVector, g: GeneratorMatrix, t_end: float, dt: float
     """
     if p0.n != g.n:
         raise DimensionMismatchError(f"state has n = {p0.n}, generator n = {g.n}")
-    steps(t_end, dt)
+    steps(t_end, finite(dt, "dt"))
     if t_end < 0.0:
         raise DomainError("t_end must be nonnegative")
     info0 = p0.information

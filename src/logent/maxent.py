@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._grid import finite
 from .errors import DegenerateConstraintError, DomainError, NoSolutionError
 from .vectors import ADMISSIBLE_TOL, SignedProbVector
 
@@ -44,8 +45,8 @@ class ObservableConstraint:
             raise DegenerateConstraintError(
                 "observable is constant: the mean constraint is degenerate"
             )
-        if self.target_mean is not None and not math.isfinite(self.target_mean):
-            raise DomainError("target mean must be finite")
+        if self.target_mean is not None:
+            object.__setattr__(self, "target_mean", finite(self.target_mean, "target mean"))
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._grid import ADMISSIBLE_TOL
+from ._grid import ADMISSIBLE_TOL, finite
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -173,7 +173,7 @@ def distance(p, q) -> float:
 def classify(p, tol: float = CLASS_TOL) -> StateClass:
     """Classify by information: pure (|I-1| <= tol), inadmissible (I > 1+tol),
     mixed otherwise.  DomainError unless tol is finite and nonnegative."""
-    if not 0.0 <= tol < math.inf:
+    if not 0.0 <= finite(tol, "tol"):
         raise DomainError("tol must be finite and nonnegative")
     info = _coerce(p).information
     if info > 1.0 + tol:
@@ -210,6 +210,7 @@ def solve_n2(r: float) -> tuple[SignedProbVector, SignedProbVector]:
     The two points coincide at r = sqrt(2)/2 (uniform state).  Below that
     radius the constraint set is empty; above r = 1 it is inadmissible.
     """
+    r = finite(r, "r")
     if r > 1.0 + 1e-12:
         raise InadmissibleStateError(f"radius {r} exceeds 1")
     if r < math.sqrt(0.5) - 1e-12:
@@ -231,12 +232,11 @@ def solve_n3(r: float, theta: float) -> SignedProbVector:
     of the zero-sum plane.  The result has unit sum and information r^2 to
     within 1e-12 by construction.
     """
+    r, theta = finite(r, "r"), finite(theta, "theta")
     if r > 1.0 + 1e-12:
         raise InadmissibleStateError(f"radius {r} exceeds 1")
     if r < 1.0 / math.sqrt(3.0) - 1e-12:
         raise NoSolutionError(f"no states exist with radius {r} < 1/sqrt(3)")
-    if not math.isfinite(theta):
-        raise DomainError("theta must be finite")
     rho = math.sqrt(max(r * r - 1.0 / 3.0, 0.0))
     entries = np.full(3, 1.0 / 3.0) + rho * (
         math.cos(theta) * _PLANE_B1 + math.sin(theta) * _PLANE_B2

@@ -15,20 +15,23 @@ The evolution equation is
 which conserves both integral(w) and integral(w^2) but not higher powers of
 w.  V is a PotentialSpec, the profile registry of densities.
 
-The solver splits each step symmetrically (half kick, full transport, half
-kick).  Free transport is an exact shift, diagonal in the x-conjugate
+The solver splits each substep symmetrically (half kick, full transport,
+half kick).  Free transport is an exact shift, diagonal in the x-conjugate
 Fourier variable; the kick is, for each x column, a diagonal phase in the
 p-conjugate variable with rate (2 pi / h)(V(x + l/2) - V(x - l/2)) at
 l = h * nu_p.  Both substeps multiply Fourier modes by unit-modulus phases,
-so each conserves both invariants to round-off, and the composition does.
+so each conserves both invariants to round-off, and any composition does.
 
-Adjacent half kicks of consecutive steps are fused into one full kick
-(first-same-as-last Strang composition), so n steps run as
-K/2 T K T K ... T K/2.  Both phase rates are exactly odd in their Fourier
+A step is a composition of such Strang substeps with stage weights: with a
+caller's dt one substep (STRANG, second order); by default Yoshida's three
+(YOSHIDA, fourth order), at the largest step for which no substep advances
+any grid phase past pi.  Adjacent half kicks of consecutive substeps are
+fused into one kick (first-same-as-last composition), so n Strang steps run
+as K/2 T K T K ... T K/2.  Both phase rates are exactly odd in their Fourier
 variable (V(x + l/2) - V(x - l/2) is odd in l, fftfreq is antisymmetric and
 both Nyquist rates are zero), so every multiplier is Hermitian and the state
 stays real: the loop works on real FFTs and half spectra, four real
-transforms per step, plus one more for each step whose state is recorded.
+transforms per substep, plus one more for each step whose state is recorded.
 
 For states concentrated at a single position a, the transport term drops
 and the remaining kick dynamics closes in p alone.  That reduced equation
@@ -38,6 +41,7 @@ spectral line-density path so the two can serve as oracles for each other.
 """
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -45,11 +49,18 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._grid import Grid, RunRecord, check_wrap, read_csv, spacing, steps, write_csv
+from ._grid import Grid, RunRecord, check_wrap, finite, read_csv, spacing, steps, write_csv
 from .densities import DensityGrid, PotentialSpec
 from .errors import DomainError, GridError
 
 PHASE_WARN = math.pi  # beyond this the fastest grid phase wraps within one step
+STRANG = (1.0,)  # stage weights of one step: K/2 T K/2
+_CBRT2 = 2.0 ** (1.0 / 3.0)
+# Yoshida's fourth-order composition of three Strang substeps (Phys. Lett. A
+# 150 (1990) 262); the middle one runs backward in time
+YOSHIDA = (1.0 / (2.0 - _CBRT2), -_CBRT2 / (2.0 - _CBRT2), 1.0 / (2.0 - _CBRT2))
+
+_log = logging.getLogger("logent")
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,13 +129,14 @@ def gaussian_pure_wigner(
     The domain is [-lx/2, lx/2) x [-lp/2, lp/2).  Raises GridError when a
     boundary amplitude exceeds 1e-10 of the peak (wrap-around too large).
     """
-    if sigma_x <= 0.0:
+    if finite(sigma_x, "sigma_x") <= 0.0:
         raise DomainError("sigma_x must be positive")
-    sigma_p = h / (4.0 * math.pi * sigma_x)
+    x_center, p_center = finite(x_center, "x_center"), finite(p_center, "p_center")
+    sigma_p = finite(h, "h", GridError) / (4.0 * math.pi * sigma_x)
+    dx, dp = spacing(lx, nx), spacing(lp, npts)
     x0, p0 = -lx / 2.0, -lp / 2.0
     check_wrap(x_center, x0, lx, sigma_x)
     check_wrap(p_center, p0, lp, sigma_p)
-    dx, dp = spacing(lx, nx), spacing(lp, npts)
     x = x0 + dx * np.arange(nx)
     p = p0 + dp * np.arange(npts)
     values = np.exp(
@@ -178,20 +190,46 @@ def _apply_transport(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
 
 
 def _run(w0: WignerGrid, potential: PotentialSpec, t: float, dt: float | None, record: bool):
+    """Resolve the step rule, then run the fused loop.
+
+    A caller's dt runs Strang steps.  The default runs YOSHIDA steps, as long
+    as no substep advances any grid phase past PHASE_WARN: the bound the
+    aliasing warning holds a caller's dt to.
+    """
     kick_rate, transport_rate = _phase_rates(w0, potential)
     max_rate = float(max(np.abs(kick_rate).max(), np.abs(transport_rate).max()))
-    n_steps, step = steps(t, dt, max_rate)
+    if dt is None:
+        stages, rule = YOSHIDA, "default, 4th-order Yoshida"
+    else:
+        stages, rule = STRANG, "caller's dt, Strang"
+    widest = max(abs(weight) for weight in stages)
+    n_steps, step = steps(t, dt, widest * max_rate, angle=PHASE_WARN)
     if dt is not None and dt * max_rate > PHASE_WARN:
         warnings.warn(
             f"dt = {dt:g} advances the fastest grid phase by "
             f"{dt * max_rate:.2f} rad per step; aliasing likely",
             stacklevel=3,
         )
+    _log.debug(
+        "wigner step rule: %s; %d steps of %.6g, max grid phase rate %.6g rad/time, "
+        "largest substep phase %.4g rad",
+        rule, n_steps, step, max_rate, widest * abs(step) * max_rate,
+    )
+    return _loop(w0, kick_rate, transport_rate, stages, n_steps, step, record)
+
+
+def _loop(
+    w0: WignerGrid, kick_rate, transport_rate, stages, n_steps: int, step: float, record: bool
+):
+    """n_steps steps of length step, each composed of one Strang substep
+    K(w step / 2) T(w step) K(w step / 2) per stage weight w in stages."""
     nx, npts = w0.nx, w0.npts
     # multipliers on the half spectra of the real transforms (Hermitian rates)
-    kick_half = np.exp(1j * kick_rate[:, : npts // 2 + 1] * step / 2.0)
-    kick_full = kick_half * kick_half
-    transport = np.exp(1j * transport_rate[: nx // 2 + 1, :] * step)
+    halves = [np.exp(1j * kick_rate[:, : npts // 2 + 1] * (w * step) / 2.0) for w in stages]
+    transports = [np.exp(1j * transport_rate[: nx // 2 + 1, :] * (w * step)) for w in stages]
+    # the kick after stage i fuses its closing half kick with the opening one
+    # of stage i + 1 (of the next step's first stage, after the last)
+    after = [halves[i] * halves[(i + 1) % len(stages)] for i in range(len(stages))]
 
     values = w0.values.copy()
     diag = np.empty((n_steps + 1, 4)) if record else None
@@ -202,18 +240,19 @@ def _run(w0: WignerGrid, potential: PotentialSpec, t: float, dt: float | None, r
 
     if record:
         _record(0, values)
-    # The p spectrum carries the state between steps: each step closes with
-    # its half kick fused into the next step's opening half kick, and the
+    # The p spectrum carries the state between substeps: each closes with its
+    # half kick fused into the next one's opening half kick, and the
     # half-kicked state is formed only when it is needed.
     spec = np.fft.rfft(values, axis=1) if n_steps else None
-    kick = kick_half
+    kick = halves[0]
     for k in range(n_steps):
-        buf = np.fft.irfft(spec * kick, n=npts, axis=1)
-        buf = np.fft.irfft(np.fft.rfft(buf, axis=0) * transport, n=nx, axis=0)
-        spec = np.fft.rfft(buf, axis=1)
-        kick = kick_full
+        for transport, next_kick in zip(transports, after):
+            buf = np.fft.irfft(spec * kick, n=npts, axis=1)
+            buf = np.fft.irfft(np.fft.rfft(buf, axis=0) * transport, n=nx, axis=0)
+            spec = np.fft.rfft(buf, axis=1)
+            kick = next_kick
         if record or k == n_steps - 1:
-            values = np.fft.irfft(spec * kick_half, n=npts, axis=1)
+            values = np.fft.irfft(spec * halves[-1], n=npts, axis=1)
         if record:
             _record(k + 1, values)
 
@@ -233,13 +272,16 @@ def wigner_evolve(
 ) -> WignerGrid:
     """Evolve by symmetric split steps (half kick, transport, half kick).
 
-    Consecutive half kicks are fused into one full kick, so each step costs
-    four real FFTs on half spectra; this is exact, not an approximation,
-    because both phase rates are odd and the multipliers Hermitian.  The
-    default dt bounds the fastest grid phase at 0.1 rad per step; a warning
-    is issued when a supplied dt lets any grid phase exceed pi per step.
-    Both invariants are conserved to round-off for any dt.  Raises
-    DomainError for a non-finite t or dt and for a non-positive dt.
+    A supplied dt runs Strang steps of at most dt; a warning is issued when
+    it lets any grid phase exceed pi per step.  Without one, each step is
+    Yoshida's fourth-order composition of three Strang substeps, and the
+    step is the largest at which no substep advances any grid phase past pi.
+    Consecutive half kicks are fused, so each substep costs four real FFTs
+    on half spectra; this is exact, not an approximation, because both
+    phase rates are odd and the multipliers Hermitian.  Both invariants are
+    conserved to round-off for any dt.  The step decision is logged at
+    DEBUG level on the "logent" logger.  Raises DomainError unless t and dt
+    are finite real numbers and dt is positive.
     """
     _, final = _run(w0, potential, t, dt, record=False)
     return final
@@ -273,6 +315,7 @@ def delta_localized_evolve(
     be checked against each other.  Raises DomainError for a non-finite t.
     """
     steps(t)
+    a = finite(a, "a")
     n, dp, h = wbar0.n, wbar0.dz, wbar0.h
     if t == 0.0:
         return DensityGrid(values=wbar0.values.copy(), z0=wbar0.z0, dz=dp, h=h)

@@ -212,8 +212,9 @@ def _bad_size(rng: np.random.Generator) -> int:
 
 def check_boundary_errors(n_checks: int, seed: int) -> tuple[int, int]:
     """Non-finite, zero and negative sizes, spacings, times, steps and
-    tolerances, and non-numeric or overflowing profile parameters, each fed
-    to one argument of a public constructor or engine, raise nothing but
+    tolerances, and non-numeric or overflowing scalars (profile parameters,
+    times, steps, tolerances, lengths, widths, centres and h), each fed to one
+    argument of a public constructor or engine, raise nothing but
     LogentError (the call may also succeed: a negative t or a zero tol is
     valid)."""
     rng = np.random.default_rng(seed)
@@ -288,6 +289,35 @@ def check_boundary_errors(n_checks: int, seed: int) -> tuple[int, int]:
         (real, lambda v: wigner_evolve(w, pot, 1.0, dt=v)),
         (real, lambda v: wigner_run(w, pot, v)),
         (real, lambda v: wigner_run(w, pot, 1.0, dt=v)),
+        (_not_real, lambda v: classify(p, tol=v)),
+        (_not_real, lambda v: solve_n2(v)),
+        (_not_real, lambda v: random_generator(3, 0, rate=v)),
+        (_not_real, lambda v: trajectory(p, gen, 1.0, v)),
+        (_not_real, lambda v: build_kernel(pot.evaluate, v, f)),
+        (_not_real, lambda v: delta_localized_evolve(f, pot, v, 1.0)),
+        (_not_real, lambda v: solve_n3(v, 0.0)),
+        (_not_real, lambda v: solve_n3(0.8, v)),
+        (_not_real, lambda v: ObservableConstraint(x, target_mean=v)),
+        (_not_real, lambda v: evolve(p, gen, v)),
+        (_not_real, lambda v: evolve(p, gen, 1.0, dt=v)),
+        (_not_real, lambda v: trajectory(p, gen, v, 0.1)),
+        (_not_real, lambda v: gaussian_density(16, 8.0, 1.0, v)),
+        (_not_real, lambda v: gaussian_density(16, 8.0, 1.0, 0.3, center=v)),
+        (_not_real, lambda v: evolve_density(f, kern, v)),
+        (_not_real, lambda v: delta_localized_evolve(f, pot, 0.5, v)),
+        (_not_real, lambda v: uniform_density(16, v, 1.0)),
+        (_not_real, lambda v: gaussian_density(16, v, 1.0, 0.3)),
+        (_not_real, lambda v: gaussian_density(16, 8.0, v, 0.3)),
+        (_not_real, lambda v: gaussian_pure_wigner(8, 8, v, 8.0, 0.3)),
+        (_not_real, lambda v: gaussian_pure_wigner(8, 8, 8.0, v, 0.3)),
+        (_not_real, lambda v: gaussian_pure_wigner(8, 8, 8.0, 8.0, v)),
+        (_not_real, lambda v: gaussian_pure_wigner(8, 8, 8.0, 8.0, 0.3, h=v)),
+        (_not_real, lambda v: gaussian_pure_wigner(8, 8, 8.0, 8.0, 0.3, x_center=v)),
+        (_not_real, lambda v: gaussian_pure_wigner(8, 8, 8.0, 8.0, 0.3, p_center=v)),
+        (_not_real, lambda v: WignerGrid(w.values, w.x0, w.dx, w.p0, w.dp, w.h, v)),
+        (_not_real, lambda v: wigner_evolve(w, pot, v)),
+        (_not_real, lambda v: wigner_evolve(w, pot, 1.0, dt=v)),
+        (_not_real, lambda v: wigner_run(w, pot, v)),
     ]
     done = failures = 0
     with warnings.catch_warnings():

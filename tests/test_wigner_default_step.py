@@ -1,0 +1,133 @@
+"""The split step's default rule: Yoshida's fourth-order composition at the
+largest step whose substeps keep every grid phase within pi.
+
+Accuracy is measured against two oracles that share no code with the
+solver: the analytic rotation for the harmonic potential and the
+wavefunction reference for the anharmonic one.
+"""
+import logging
+import math
+
+import numpy as np
+import pytest
+
+from logent import PotentialSpec, gaussian_pure_wigner, wigner, wigner_evolve, wigner_run
+from oracles import rotated_gaussian_wigner, wavefunction_wigner
+
+SIGMA = 1.0 / (2.0 * math.sqrt(math.pi))  # saturating width at h = 1
+SIGMA_P = 1.0 / (4.0 * math.pi * SIGMA)
+
+
+def rel_l2(a: np.ndarray, b: np.ndarray) -> float:
+    return math.sqrt(float(np.sum((a - b) ** 2)) / float(np.sum(b**2)))
+
+
+def harmonic_error(w, x_center, p_center, t):
+    ref = rotated_gaussian_wigner(w.x, w.p, SIGMA, SIGMA_P, x_center, p_center, 1.0, 1.0, t)
+    return rel_l2(w.values, ref)
+
+
+class TestFourthOrder:
+    def test_error_falls_sixteenfold_per_halved_step(self):
+        # the private loop at chosen step counts, past the default's step
+        w0 = gaussian_pure_wigner(64, 64, 8.0, 8.0, SIGMA, x_center=0.8)
+        kick_rate, transport_rate = wigner._phase_rates(w0, PotentialSpec.harmonic(1.0))
+        errors = []
+        for n in (8, 16, 32):
+            _, wt = wigner._loop(w0, kick_rate, transport_rate, wigner.YOSHIDA, n, 1.0 / n, False)
+            errors.append(harmonic_error(wt, 0.8, 0.0, 1.0))
+        # measured: 2.8e-5, 1.8e-6, 1.1e-7 (ratios 16.15 and 16.04)
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 15.0 < coarse / fine < 17.0
+
+    def test_stage_weights(self):
+        assert sum(wigner.YOSHIDA) == pytest.approx(1.0, abs=1e-15)
+        assert sum(w**3 for w in wigner.YOSHIDA) == pytest.approx(0.0, abs=1e-14)
+        assert wigner.STRANG == (1.0,)
+
+
+class TestDefaultAccuracy:
+    # (x_center, p_center, t, gate): the gate is 4x the error measured with the
+    # default rule; the former default, Strang at 0.1 rad per step, reached
+    # 3.6e-9, 7.1e-9, 1.4e-9, 2.8e-9 and 9.7e-8 on these cases.  The first
+    # four are the benchmark's harmonic jobs on their |x_center| range.
+    @pytest.mark.parametrize(
+        "x_center, p_center, t, gate",
+        [
+            (0.3, 0.0, 0.1, 1.2e-10),  # measured 3.0e-11
+            (-1.2, 0.0, 0.1, 2.6e-10),  # measured 6.4e-11
+            (0.3, 0.0, 0.04, 3e-11),  # measured 7.1e-12
+            (1.2, 0.0, 0.04, 6e-11),  # measured 1.5e-11
+            (1.0, 0.5, 2.9, 1.6e-8),  # measured 4.1e-9
+        ],
+    )
+    def test_harmonic_rotation(self, x_center, p_center, t, gate):
+        w0 = gaussian_pure_wigner(
+            128, 128, 8.0, 8.0, SIGMA, x_center=x_center, p_center=p_center
+        )
+        wt = wigner_evolve(w0, PotentialSpec.harmonic(1.0), t)
+        assert harmonic_error(wt, x_center, p_center, t) < gate
+
+    def test_quartic_matches_wavefunction_reference(self):
+        # measured 9.46e-6: the floor of this grid, set by the momentum window
+        # (the same run with a caller's dt = 1e-3 gives 9.47e-6)
+        sigma_x, x_center, t = 0.4, 1.15, 1.0
+        w0 = gaussian_pure_wigner(128, 128, 8.0, 8.0, sigma_x, x_center=x_center)
+        wt = wigner_evolve(w0, PotentialSpec.quartic(0.1), t)
+        ref = wavefunction_wigner(
+            wt.x, wt.p, 1.0, 1.0, lambda x: 0.1 * x**4, sigma_x, x_center, 0.0, t
+        )
+        assert rel_l2(wt.values, ref) < 1.5e-5
+        assert abs(wt.information - w0.information) < 1e-12
+
+
+class TestWavefunctionOracle:
+    def test_initial_state_is_the_gaussian(self):
+        w0 = gaussian_pure_wigner(128, 128, 8.0, 8.0, 0.4, x_center=1.15)
+        ref = wavefunction_wigner(w0.x, w0.p, 1.0, 1.0, lambda x: 0.1 * x**4, 0.4, 1.15, 0.0, 0.0)
+        # measured 9.5e-12 of the peak
+        assert np.max(np.abs(ref - w0.values)) < 1e-10 * np.max(w0.values)
+
+    def test_agrees_with_the_analytic_rotation(self):
+        w0 = gaussian_pure_wigner(128, 128, 8.0, 8.0, SIGMA, x_center=1.0, p_center=0.5)
+        ref = wavefunction_wigner(w0.x, w0.p, 1.0, 1.0, lambda x: 0.5 * x**2, SIGMA, 1.0, 0.5, 2.9)
+        rot = rotated_gaussian_wigner(w0.x, w0.p, SIGMA, SIGMA_P, 1.0, 0.5, 1.0, 1.0, 2.9)
+        assert rel_l2(ref, rot) < 1e-12  # measured 8.3e-14
+
+
+class TestDefaultRule:
+    def test_step_count_is_pinned(self):
+        w0 = gaussian_pure_wigner(128, 128, 8.0, 8.0, SIGMA)
+        rec, _ = wigner_run(w0, PotentialSpec.harmonic(1.0), 1.0)
+        assert len(rec.times) == 109
+        assert rec.times[-1] == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("t", [0.37, -0.37])
+    def test_run_and_evolve_agree_bit_for_bit(self, t):
+        w0 = gaussian_pure_wigner(64, 64, 8.0, 8.0, SIGMA, x_center=0.7, p_center=0.3)
+        pot = PotentialSpec.quartic(0.05)
+        _, final = wigner_run(w0, pot, t)
+        evolved = wigner_evolve(w0, pot, t)
+        assert np.array_equal(final.values, evolved.values)
+        assert np.max(np.abs(evolved.values - w0.values)) > 1e-3  # the state moved
+
+    def test_step_decision_is_logged(self, caplog):
+        w0 = gaussian_pure_wigner(128, 128, 8.0, 8.0, SIGMA)
+        pot = PotentialSpec.harmonic(1.0)
+        with caplog.at_level(logging.DEBUG, logger="logent"):
+            wigner_evolve(w0, pot, 1.0)
+            wigner_run(w0, pot, 0.1, dt=0.01)
+        default, caller = [r for r in caplog.records if r.name == "logent"]
+        assert default.levelno == caller.levelno == logging.DEBUG
+        rule, n, step, rate, phase = default.args
+        assert "4th-order" in rule and (n, step) == (108, 1.0 / 108)
+        assert phase == pytest.approx(max(map(abs, wigner.YOSHIDA)) * step * rate)
+        assert math.pi * 0.99 < phase <= math.pi
+        rule, n, step, rate, phase = caller.args
+        assert "Strang" in rule and n == 10 and phase == pytest.approx(0.01 * rate)
+
+    def test_nothing_logged_above_debug(self, caplog):
+        w0 = gaussian_pure_wigner(32, 32, 8.0, 8.0, SIGMA)
+        with caplog.at_level(logging.INFO, logger="logent"):
+            wigner_evolve(w0, PotentialSpec.harmonic(1.0), 0.1)
+        assert not [r for r in caplog.records if r.name == "logent"]
