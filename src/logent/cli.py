@@ -134,8 +134,8 @@ def entropy(ctx, pstr, path, tol, as_json):
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                entries = np.asarray(json.load(fh), dtype=float)
-        except (OSError, TypeError, ValueError) as exc:
+                entries = _grid.real_array(json.load(fh), "vector")
+        except (OSError, ValueError) as exc:  # a LogentError is a ValueError
             raise click.UsageError(f"cannot read vector from {path!r}: {exc}")
     else:
         entries = _parse_vector(pstr)

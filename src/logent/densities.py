@@ -38,7 +38,8 @@ from typing import Callable
 import numpy as np
 
 from ._grid import (
-    Grid, RunRecord, cayley_power, check_wrap, finite, read_csv, spacing, steps, write_csv,
+    Grid, RunRecord, cayley_power, check_wrap, count, finite, positive, read_csv, real_array,
+    spacing, steps, write_csv,
 )
 from .errors import DomainError, GridError
 
@@ -54,7 +55,8 @@ class DensityGrid(Grid):
     values[j] approximates f(z0 + j dz); the domain has period L = N dz.
     Quadrature normalization sum(values) * dz = 1 is enforced within 1e-9;
     z0, dz and h must be finite and dz, h positive.  Grids with I > 1 are
-    representable but flagged inadmissible.
+    representable but flagged inadmissible.  The floor I >= h/L needs no
+    check: Cauchy-Schwarz and the 1e-9 sum tolerance keep I >= (h/L)(1 - 2e-9).
     """
 
     values: np.ndarray
@@ -62,20 +64,14 @@ class DensityGrid(Grid):
     dz: float
     h: float
 
-    _SCALARS = ("z0", "dz", "h")
+    _SCALARS = {"z0": finite, "dz": positive, "h": positive}
     _SPACINGS = ("dz",)
-    _POSITIVE = ("dz", "h")
 
     def _check_shape(self, arr):
         if arr.ndim != 1:
             raise GridError("values must be one-dimensional")
         if not _is_power_of_two(arr.size):
             raise GridError(f"N = {arr.size} is not a power of two")
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.information < self.information_floor * (1.0 - 3e-9):
-            raise GridError("information below the uniform-density floor h/L")
 
     @property
     def n(self) -> int:
@@ -132,8 +128,7 @@ def gaussian_density(
     below 1e-10 relative amplitude at the boundary; L >= 20 sigma keeps
     periodic artifacts below 1e-12 and is the recommended sizing.
     """
-    if finite(sigma, "sigma") <= 0.0:
-        raise DomainError("sigma must be positive")
+    positive(sigma, "sigma")
     center = finite(center, "center")
     dz = spacing(length, n)
     z0 = -length / 2.0
@@ -166,18 +161,11 @@ class PotentialSpec:
         if self.family == "tabulated":
             if len(params) != 2:
                 raise DomainError("the tabulated family takes the tables (xs, vs)")
-            try:  # copies, so the caller's arrays stay writable
-                xs, vs = (np.array(t, dtype=float) for t in params)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise DomainError(f"tables must hold real numbers: {exc}") from None
+            xs, vs = (real_array(t, "tables") for t in params)
             if xs.ndim != 1 or xs.shape != vs.shape or xs.size < 2:
                 raise DomainError("need matching 1-d tables with at least two samples")
-            if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
-                raise DomainError("tables must be finite")
             if np.any(np.diff(xs) <= 0.0):
                 raise DomainError("table abscissae must be strictly increasing")
-            xs.setflags(write=False)
-            vs.setflags(write=False)
             object.__setattr__(self, "params", (xs, vs))
         elif not isinstance(self.family, str) or self.family not in self._POWERS:
             raise DomainError(f"unknown potential family {self.family!r}")
@@ -325,7 +313,7 @@ def evolve_density(f0: DensityGrid, k: KernelSpec, t: float) -> DensityGrid:
     round-off of a single transform pair.
     """
     _check_compatible(f0, k)
-    steps(t)
+    t = finite(t, "t")
     spectrum = np.fft.fft(f0.values)
     spectrum *= np.exp(1j * k.m_hat * t)
     values = np.fft.ifft(spectrum).real
@@ -342,8 +330,7 @@ def density_run(
     t = 0 (zero in exact arithmetic); returns the record and the last
     state.  Raises DomainError unless samples is a positive integer.
     """
-    if not isinstance(samples, (int, np.integer)) or samples < 1:
-        raise DomainError(f"samples must be a positive integer, got {samples!r}")
+    samples = count(samples, "samples")
     spectrum0 = f0.dz * np.abs(np.fft.fft(f0.values))
     times = t_end * np.arange(1, samples + 1) / samples
     diag = np.empty((samples, 3))
@@ -398,7 +385,7 @@ def write_density_csv(f: DensityGrid, path) -> None:
 
 def read_density_csv(path) -> DensityGrid:
     """Read a grid written by write_density_csv; GridError for malformed content."""
-    meta = {"h": float, "dz": float, "z0": float, "N": int}
+    meta = {"h": finite, "dz": finite, "z0": finite, "N": count}
     _, data, m = read_csv(path, "density", "z,f", meta)
     if data.shape[0] != m["N"]:
         raise GridError("CSV row count disagrees with metadata N")

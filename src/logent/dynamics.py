@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._grid import RunRecord, cayley_power, finite, read_csv, steps, write_csv
+from ._grid import RunRecord, cayley_power, count, finite, read_csv, real_array, steps, write_csv
 from .errors import DimensionMismatchError, DomainError, GridError
 from .vectors import SignedProbVector
 
@@ -41,13 +41,11 @@ class GeneratorMatrix:
     rate: float = 1.0
 
     def __post_init__(self):
-        arr = np.array(self.upper, dtype=float)
+        arr = real_array(self.upper, "generator entries")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DomainError("generator storage must be square")
         if arr.shape[0] < 2:
             raise DomainError("generator needs dimension >= 2")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("generator entries must be finite")
         object.__setattr__(self, "rate", finite(self.rate, "rate"))
         if np.any(np.tril(arr) != 0.0):
             raise DomainError("canonical storage must be strictly upper triangular")
@@ -57,7 +55,6 @@ class GeneratorMatrix:
             raise DomainError(
                 f"row sums reach {np.max(np.abs(sums)):.3e}, exceed {MARGINAL_TOL:g}"
             )
-        arr.setflags(write=False)
         full.setflags(write=False)
         object.__setattr__(self, "upper", arr)
         object.__setattr__(self, "_full", full)
@@ -73,7 +70,7 @@ class GeneratorMatrix:
 
     @classmethod
     def from_dense(cls, m, rate: float = 1.0) -> "GeneratorMatrix":
-        arr = np.asarray(m, dtype=float)
+        arr = real_array(m, "generator entries")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DomainError("generator must be square")
         if float(np.max(np.abs(arr + arr.T))) > MARGINAL_TOL:
@@ -102,10 +99,7 @@ def random_generator(n: int, seed: int, rate: float = 1.0) -> GeneratorMatrix:
     both sides with P = I - ones/n.  PAP keeps antisymmetry and has exactly
     zero row and column sums because P annihilates the constant vector.
     """
-    if n < 2:
-        raise DomainError("n must be >= 2")
-    if seed < 0:
-        raise DomainError("seed must be nonnegative")
+    n, seed = count(n, "n", 2), count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1.0, 1.0, size=(n, n))
     skew = (a - a.T) / 2.0

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._grid import finite
+from ._grid import finite, real_array
 from .errors import DegenerateConstraintError, DomainError, NoSolutionError
 from .vectors import ADMISSIBLE_TOL, SignedProbVector
 
@@ -36,18 +36,15 @@ class ObservableConstraint:
     target_mean: float | None = None
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
+        arr = real_array(self.values, "observable values")
         if arr.ndim != 1 or arr.size < 2:
             raise DomainError("observable needs at least two outcome values")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("observable values must be finite")
         if float(np.ptp(arr)) == 0.0:
             raise DegenerateConstraintError(
                 "observable is constant: the mean constraint is degenerate"
             )
         if self.target_mean is not None:
             object.__setattr__(self, "target_mean", finite(self.target_mean, "target mean"))
-        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     @property

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._grid import ADMISSIBLE_TOL, finite
+from ._grid import ADMISSIBLE_TOL, count, finite, real_array
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -50,31 +50,25 @@ _PLANE_B2 = np.array([1.0, 1.0, -2.0]) / math.sqrt(6.0)
 class SignedProbVector:
     """Real vector with unit entry sum; entries may be negative.
 
-    Immutable after construction.  Construction enforces |sum - 1| <= 1e-9
-    and the Cauchy-Schwarz floor I >= 1/n (with slack covering the sum
-    tolerance); it does not reject I > 1, which is reported through
-    :attr:`is_admissible` instead.
+    Immutable after construction.  Construction enforces finite real entries
+    and |sum - 1| <= 1e-9; it does not reject I > 1, which is reported
+    through :attr:`is_admissible` instead.  The floor I >= 1/n needs no
+    check: by Cauchy-Schwarz I >= sum^2 / n >= (1 - 2e-9) / n.
     """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=float)
+        arr = real_array(self.entries, "entries")
         if arr.ndim != 1:
             raise DomainError("entries must form a one-dimensional vector")
         if arr.size < 2:
             raise DomainError("need at least two outcomes")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("entries must be finite")
         total = float(arr.sum())
         if abs(total - 1.0) > SUM_TOL:
             raise NormalizationError(
                 f"entries sum to {total:.12g}, expected 1 within {SUM_TOL:g}"
             )
-        info = float(arr @ arr)
-        if info < 1.0 / arr.size - 2e-9:
-            raise DomainError("information below the uniform-state floor 1/n")
-        arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -119,9 +113,7 @@ class FeasibilityRadii:
 
 
 def _coerce(p) -> SignedProbVector:
-    if isinstance(p, SignedProbVector):
-        return p
-    return SignedProbVector(np.asarray(p, dtype=float))
+    return p if isinstance(p, SignedProbVector) else SignedProbVector(p)
 
 
 def logical_entropy(p) -> float:
@@ -192,13 +184,12 @@ def feasibility_radii(n: int) -> FeasibilityRadii:
     vacuous (no admissible radius produces negative entries), recorded by
     negatives_possible = False; r_pos then degenerates to r_max.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise DomainError("n must be an integer >= 2")
+    n = count(n, "n", 2)
     return FeasibilityRadii(
         r_max=1.0,
         r_pos=1.0 / math.sqrt(n - 1),
         r_min=1.0 / math.sqrt(n),
-        n=int(n),
+        n=n,
         negatives_possible=n >= 3,
     )
 
@@ -251,8 +242,7 @@ def negative_orthonormal_basis(n: int) -> list[SignedProbVector]:
     Each member is the pure state of most negative entry; the family exists
     only for n >= 3.
     """
-    if not isinstance(n, (int, np.integer)) or n < 3:
-        raise DomainError("no negative pure states exist below n = 3")
+    n = count(n, "n", 3)
     basis = []
     for k in range(n):
         entries = np.full(n, 2.0 / n)
@@ -267,9 +257,10 @@ def pair_outcome_probability(p, i: int, j: int) -> float:
 
     Summing over the diagonal i = j recovers the information.  Requires an
     admissible state: only pair probabilities of admissible distributions
-    carry the draw interpretation.
+    carry the draw interpretation.  An out-of-range index raises IndexError.
     """
     pv = _coerce(p)
+    i, j = count(i, "index i", -math.inf), count(j, "index j", -math.inf)
     if not (0 <= i < pv.n and 0 <= j < pv.n):
         raise IndexError(f"indices ({i}, {j}) out of range for n = {pv.n}")
     if not pv.is_admissible:

@@ -49,7 +49,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._grid import Grid, RunRecord, check_wrap, finite, read_csv, spacing, steps, write_csv
+from ._grid import (
+    Grid, RunRecord, check_wrap, count, finite, positive, read_csv, spacing, steps, write_csv,
+)
 from .densities import DensityGrid, PotentialSpec
 from .errors import DomainError, GridError
 
@@ -81,9 +83,9 @@ class WignerGrid(Grid):
     h: float
     mass: float
 
-    _SCALARS = ("x0", "dx", "p0", "dp", "h", "mass")
+    _SCALARS = {"x0": finite, "dx": positive, "p0": finite, "dp": positive, "h": positive,
+                "mass": positive}
     _SPACINGS = ("dx", "dp")
-    _POSITIVE = ("dx", "dp", "h", "mass")
 
     def _check_shape(self, arr):
         if arr.ndim != 2:
@@ -129,8 +131,7 @@ def gaussian_pure_wigner(
     The domain is [-lx/2, lx/2) x [-lp/2, lp/2).  Raises GridError when a
     boundary amplitude exceeds 1e-10 of the peak (wrap-around too large).
     """
-    if finite(sigma_x, "sigma_x") <= 0.0:
-        raise DomainError("sigma_x must be positive")
+    positive(sigma_x, "sigma_x")
     x_center, p_center = finite(x_center, "x_center"), finite(p_center, "p_center")
     sigma_p = finite(h, "h", GridError) / (4.0 * math.pi * sigma_x)
     dx, dp = spacing(lx, nx), spacing(lp, npts)
@@ -148,13 +149,20 @@ def gaussian_pure_wigner(
 
 
 def higher_moment(w: WignerGrid, r: int) -> float:
-    """Dimensionless moment h^(r-1) * integral(w^r dx dp), r >= 2."""
-    if not isinstance(r, (int, np.integer)) or r < 2:
-        raise DomainError("moment order must be an integer >= 2")
-    power = w.values * w.values
-    for _ in range(r - 2):  # repeated products: an integer ** r calls libm pow per element
-        power *= w.values
-    return float(w.h ** (r - 1) * np.sum(power) * w.dx * w.dp)
+    """Dimensionless moment h^(r-1) * integral(w^r dx dp), r >= 2; DomainError
+    when r or the moment lies beyond the float range.  w^r takes log2(r)
+    products by repeated squaring (an integer ** r calls libm pow per element).
+    """
+    r = count(r, "moment order", 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        h_power = np.float64(w.h) ** (finite(r, "moment order") - 1.0)
+        power, square = 1.0, w.values
+        for k in range(r.bit_length()):  # the binary digits of r, lowest first
+            if k:
+                square = square * square
+            if r >> k & 1:
+                power = power * square
+        return finite(float(h_power * np.sum(power) * w.dx * w.dp), "moment")
 
 
 def _phase_rates(w: WignerGrid, potential: PotentialSpec):
@@ -314,8 +322,7 @@ def delta_localized_evolve(
     shared with the spectral density path, so the two discretizations can
     be checked against each other.  Raises DomainError for a non-finite t.
     """
-    steps(t)
-    a = finite(a, "a")
+    t, a = finite(t, "t"), finite(a, "a")
     n, dp, h = wbar0.n, wbar0.dz, wbar0.h
     if t == 0.0:
         return DensityGrid(values=wbar0.values.copy(), z0=wbar0.z0, dz=dp, h=h)
@@ -361,11 +368,11 @@ def write_wigner_csv(w: WignerGrid, path) -> None:
 
 def read_wigner_csv(path) -> WignerGrid:
     """Read a snapshot written by write_wigner_csv; GridError for malformed content."""
-    meta = {"x0": float, "dx": float, "p0": float, "dp": float, "h": float, "mass": float,
-            "Nx": int, "Np": int}
+    meta = {"x0": finite, "dx": finite, "p0": finite, "dp": finite, "h": finite,
+            "mass": finite, "Nx": count, "Np": count}
     _, data, m = read_csv(path, "phase-space", "x,p,w", meta)
     nx, npts = m.pop("Nx"), m.pop("Np")
-    if nx < 1 or npts < 1 or data.shape[0] != nx * npts:
+    if data.shape[0] != nx * npts:
         raise GridError("CSV row count disagrees with metadata shape")
     return WignerGrid(values=data[:, 2].reshape(nx, npts), **m)
 

@@ -22,6 +22,8 @@ from logent import (
     classify,
     cyclic_generator3,
     delta_localized_evolve,
+    density_run,
+    distance,
     equilibrium,
     evolve,
     evolve_density,
@@ -30,9 +32,14 @@ from logent import (
     gaussian_density,
     gaussian_pure_wigner,
     higher_moment,
+    information,
+    logical_entropy,
     negative_orthonormal_basis,
     omega_quartic,
+    pair_outcome_probability,
     random_generator,
+    scalar_product,
+    shannon_entropy,
     solve_n2,
     solve_n3,
     trajectory,
@@ -210,11 +217,25 @@ def _bad_size(rng: np.random.Generator) -> int:
     return -int(rng.integers(0, 5))
 
 
+def _not_count(rng: np.random.Generator):
+    """A random value that is not an integer (a bool is not one)."""
+    choices = ("a", None, 2.5, True, 1j)
+    return choices[int(rng.integers(len(choices)))]
+
+
+def _not_array(rng: np.random.Generator):
+    """A random value that is not an array of real numbers: a string, a ragged
+    nesting, a complex entry or an int beyond the float range."""
+    choices = ("ab", [[0.5, 0.5], 0.5], [0.5 + 1j, 0.5], [10**400, 0.0])
+    return choices[int(rng.integers(len(choices)))]
+
+
 def check_boundary_errors(n_checks: int, seed: int) -> tuple[int, int]:
     """Non-finite, zero and negative sizes, spacings, times, steps and
-    tolerances, and non-numeric or overflowing scalars (profile parameters,
-    times, steps, tolerances, lengths, widths, centres and h), each fed to one
-    argument of a public constructor or engine, raise nothing but
+    tolerances, non-numeric or overflowing scalars (profile parameters,
+    times, steps, tolerances, lengths, widths, centres and h), non-integer
+    counts (sizes, seeds, indices, samples, orders) and non-real arrays, each
+    fed to one argument of a public constructor or engine, raise nothing but
     LogentError (the call may also succeed: a negative t or a zero tol is
     valid)."""
     rng = np.random.default_rng(seed)
@@ -318,6 +339,35 @@ def check_boundary_errors(n_checks: int, seed: int) -> tuple[int, int]:
         (_not_real, lambda v: wigner_evolve(w, pot, v)),
         (_not_real, lambda v: wigner_evolve(w, pot, 1.0, dt=v)),
         (_not_real, lambda v: wigner_run(w, pot, v)),
+        (_not_count, lambda v: feasibility_radii(v)),
+        (_not_count, lambda v: negative_orthonormal_basis(v)),
+        (_not_count, lambda v: random_generator(v, 0)),
+        (_not_count, lambda v: random_generator(3, v)),
+        (_not_count, lambda v: pair_outcome_probability(p, v, 0)),
+        (_not_count, lambda v: pair_outcome_probability(p, 0, v)),
+        (_not_count, lambda v: density_run(f, kern, 1.0, v)),
+        (_not_count, lambda v: higher_moment(w, v)),
+        (_not_count, lambda v: uniform_density(v, 8.0, 1.0)),
+        (_not_count, lambda v: gaussian_density(v, 8.0, 1.0, 0.3)),
+        (_not_count, lambda v: gaussian_pure_wigner(v, 8, 8.0, 8.0, 0.3)),
+        (_not_count, lambda v: gaussian_pure_wigner(8, v, 8.0, 8.0, 0.3)),
+        (_not_array, lambda v: SignedProbVector(v)),
+        (_not_array, lambda v: logical_entropy(v)),
+        (_not_array, lambda v: information(v)),
+        (_not_array, lambda v: shannon_entropy(v)),
+        (_not_array, lambda v: scalar_product(p, v)),
+        (_not_array, lambda v: scalar_product(v, p)),
+        (_not_array, lambda v: distance(p, v)),
+        (_not_array, lambda v: distance(v, p)),
+        (_not_array, lambda v: classify(v)),
+        (_not_array, lambda v: pair_outcome_probability(v, 0, 0)),
+        (_not_array, lambda v: ObservableConstraint(v)),
+        (_not_array, lambda v: GeneratorMatrix(v)),
+        (_not_array, lambda v: GeneratorMatrix.from_dense(v)),
+        (_not_array, lambda v: PotentialSpec.tabulated(v, [0.0, 1.0])),
+        (_not_array, lambda v: PotentialSpec.tabulated([0.0, 1.0], v)),
+        (_not_array, lambda v: DensityGrid(v, f.z0, f.dz, f.h)),
+        (_not_array, lambda v: WignerGrid(v, w.x0, w.dx, w.p0, w.dp, w.h, w.mass)),
     ]
     done = failures = 0
     with warnings.catch_warnings():

@@ -433,6 +433,14 @@ class TestBoundaryExitCodes:
         assert res.exit_code == 2
         assert "cannot read vector" in res.output
 
+    def test_json_file_of_numeric_strings_exits_two(self, runner, tmp_path):
+        # the strings were read as numbers without notice
+        path = tmp_path / "vec.json"
+        path.write_text('["0.5", "0.5"]')
+        res = runner.invoke(main, ["entropy", "--file", str(path)])
+        assert res.exit_code == 2
+        assert "cannot read vector" in res.output
+
 
 class TestCommandErrorBoundary:
     """A LogentError from any command exits 2 with its message."""

@@ -388,6 +388,18 @@ class TestCsvRoundTrip:
         with pytest.raises(OSError):
             read_density_csv(tmp_path / "absent.csv")
 
+    @pytest.mark.parametrize("key, value", [("N", 16.9), ("h", "1.0")])
+    def test_sidecar_values_are_checked_not_coerced(self, tmp_path, key, value):
+        # int() truncated N = 16.9 to 16 and float() read the string "1.0"
+        path = tmp_path / "grid.csv"
+        write_density_csv(uniform_density(16, 4.0, H), path)
+        sidecar = tmp_path / "grid.csv.meta.json"
+        meta = json.loads(sidecar.read_text())
+        meta[key] = value
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(GridError):
+            read_density_csv(path)
+
 
 class TestGridSize:
     @pytest.mark.parametrize("n", [0, -4])

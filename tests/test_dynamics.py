@@ -243,3 +243,8 @@ class TestBoundaryValues:
     def test_negative_seed_raises(self):
         with pytest.raises(DomainError):
             random_generator(4, -1)
+
+    @pytest.mark.parametrize("n, seed", [(2.5, 0), (True, 0), (3, None), (3, 1.5), (3, "0")])
+    def test_non_integer_size_or_seed_raises(self, n, seed):
+        with pytest.raises(DomainError):
+            random_generator(n, seed)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -294,3 +295,27 @@ class TestBoundaryValues:
     def test_solve_n3_rejects_non_finite_angle(self, theta):
         with pytest.raises(DomainError):
             solve_n3(0.8, theta)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [["a", "b"], ["0.5", "0.5"], [0.5 + 1j, 0.5], [10**400, 0.0], [[0.5], 0.5], None],
+    )
+    def test_non_real_entries_raise(self, entries):
+        # a numeric string was converted, a complex entry dropped its imaginary part
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                SignedProbVector(entries)
+            with pytest.raises(DomainError):
+                classify(entries)
+
+    @pytest.mark.parametrize("i", ["a", None, 0.0, True])
+    def test_pair_index_must_be_an_integer(self, i):
+        with pytest.raises(DomainError):
+            pair_outcome_probability([0.5, 0.5], i, 0)
+        with pytest.raises(DomainError):
+            pair_outcome_probability([0.5, 0.5], 0, i)
+
+    def test_negative_pair_index_is_out_of_range(self):
+        with pytest.raises(IndexError):
+            pair_outcome_probability([0.5, 0.5], -1, 0)

@@ -78,6 +78,14 @@ class TestWignerGrid:
         with pytest.raises(GridError):
             WignerGrid(**kwargs)
 
+    def test_complex_values_raise_grid_error_without_warning(self):
+        # the imaginary part was dropped with a ComplexWarning
+        w = pure_state(8, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridError):
+                WignerGrid(w.values.astype(complex), w.x0, w.dx, w.p0, w.dp, w.h, w.mass)
+
 
 class TestHigherMoment:
     def test_purity_is_one(self):
@@ -93,6 +101,22 @@ class TestHigherMoment:
     def test_rejects_low_order(self):
         with pytest.raises(DomainError):
             higher_moment(pure_state(), 1)
+
+    @pytest.mark.parametrize("r", [5, 6, 7, 11])
+    def test_higher_orders_by_repeated_squaring(self, r):
+        w = pure_state()
+        assert higher_moment(w, r) == pytest.approx(2 ** (r - 1) / r, abs=1e-6)
+        quad = wigner_moment_quad(w.values, w.dx, w.dp, w.h, r)
+        assert higher_moment(w, r) == pytest.approx(quad, rel=1e-13)
+
+    @pytest.mark.parametrize("r", [10**6, 10**400])
+    def test_huge_order_raises_promptly(self, r):
+        # h w peaks at 2, so w^(10^6) overflows; 10^400 is beyond the float range
+        # and would take 10^400 products one at a time
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                higher_moment(pure_state(), r)
 
 
 class TestTransportOnly:
