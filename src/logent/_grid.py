@@ -1,10 +1,11 @@
-"""Validation, invariants and CSV I/O shared by the line and phase-space grids.
+"""Validation, invariants and CSV I/O shared by vectors, lines and phase space.
 
-Both grids hold a normalized state sampled on a uniform periodic lattice:
-the quadrature sum(values) * cell is one, the information is
-I = h * sum(values^2) * cell and the entropy is S = 1 - I, where the cell
-is the product of the grid spacings.  Grid files are CSV at a fixed number
-of significant digits, optionally with a JSON sidecar holding the scalars.
+A signed vector, a line density and a Wigner function hold a normalized
+state on a lattice: the quadrature sum(values) * cell is one, the
+information is I = h * sum(values^2) * cell and the entropy is S = 1 - I,
+where the cell is the product of the spacings (none for a vector, whose
+h = 1).  Grid files are CSV at a fixed number of significant digits,
+optionally with a JSON sidecar holding the scalars.
 
 The time-stepped engines (dynamics, the timestepped density oracle and the
 phase-space split step) share one step rule, steps: a span t is cut into
@@ -39,31 +40,34 @@ DEFAULT_STEP_ANGLE = 0.1  # max phase advance per step with the default dt
 _WRAP_SIGMAS = math.sqrt(-2.0 * math.log(WRAP_TOL))  # sigmas out, a Gaussian is WRAP_TOL high
 # cayley_power costs log2(n) products, but its round-off grows as n eps: |I - I0| of cyclic3
 # at 0.1 rad per step is 8e-11 at 10^7 steps and 8e-9 at 10^9, against the fd gate of 1e-10
-MAX_STEPS = 10**7  # bounds every run's loop, trajectory's samples and cayley_power's round-off
+MAX_STEPS = 10**7  # bounds every run's loop, every run's samples and cayley_power's round-off
 
 _BLOCK_ROWS = 4096  # CSV rows formatted per write: bounds the text held in memory
 
 
 class Grid:
-    """Checks and invariants of a frozen grid dataclass.
+    """Checks and invariants of a frozen normalized-state dataclass.
 
     Subclasses declare the fields (values, then the scalars that _SCALARS
     maps to their checks), the spacings whose product is the cell in
-    _SPACINGS and the array shape in _check_shape.  Values must be finite
-    and sum to one within QUAD_TOL in quadrature; they are stored read-only.
+    _SPACINGS, the array shape in _check_shape and h, a field or a
+    constant.  Values must be finite and sum to one within QUAD_TOL in
+    quadrature; they are stored read-only.  _ERROR is raised for malformed
+    values and scalars.
     """
 
     _SCALARS: dict = {}
     _SPACINGS: tuple = ()
+    _ERROR: type = GridError
 
     def _check_shape(self, arr: np.ndarray) -> None:
         raise NotImplementedError
 
     def __post_init__(self):
-        arr = real_array(self.values, "values", GridError)
+        arr = real_array(self.values, "values", self._ERROR)
         self._check_shape(arr)
         for name, check in self._SCALARS.items():
-            check(getattr(self, name), name, GridError)
+            check(getattr(self, name), name, self._ERROR)
         total = self._integrate(float(arr.sum()))
         if abs(total - 1.0) > QUAD_TOL:
             raise NormalizationError(
@@ -233,8 +237,8 @@ def read_csv(path, kind: str, header: str | None = None, meta: dict | None = Non
     meta maps each required sidecar key to its check, finite or count.
     Returns the header fields, the (rows, columns) data and the checked
     sidecar values.  A wrong header (when `header` is given), a non-numeric
-    cell, a row of the wrong length and a missing, refused or non-JSON
-    sidecar raise GridError; a missing file raises OSError.
+    cell, a row of the wrong length, non-UTF-8 text and a missing, refused
+    or non-JSON sidecar raise GridError; a missing file raises OSError.
     """
     values = {}
     if meta is not None:
@@ -245,7 +249,10 @@ def read_csv(path, kind: str, header: str | None = None, meta: dict | None = Non
             except (KeyError, TypeError, ValueError) as exc:  # GridError is a ValueError
                 raise GridError(f"malformed {kind} sidecar: {exc!r}") from exc
     with open(path, "r", encoding="utf-8") as fh:
-        fields = fh.readline().strip().split(",")
+        try:
+            fields = fh.readline().strip().split(",")
+        except UnicodeDecodeError as exc:
+            raise GridError(f"malformed {kind} CSV: {exc}") from exc
         if header is not None and fields != header.split(","):
             raise GridError(f"not a {kind} CSV")
         try:

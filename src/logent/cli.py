@@ -63,20 +63,24 @@ def _normalized_vector(entries: np.ndarray) -> vectors.SignedProbVector:
     total = entries.sum()
     if total == 0.0 or not np.isfinite(total):
         raise click.UsageError(f"entries sum to {total}, cannot normalize")
-    if abs(total - 1.0) > vectors.SUM_TOL:
+    if abs(total - 1.0) > _grid.QUAD_TOL:
         entries = entries / total
     return vectors.SignedProbVector(entries)
 
 
 def _load_section(path: str, section: str, table: dict) -> dict:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+        items = parser.items(section) if parser.has_section(section) else None
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise click.UsageError(f"malformed config file {path!r}: {exc}") from exc
     if not read:
         raise click.UsageError(f"cannot read config file {path!r}")
-    if not parser.has_section(section):
+    if items is None:
         raise click.UsageError(f"config file lacks a [{section}] section")
     out = {}
-    for key, raw in parser.items(section):
+    for key, raw in items:
         if key not in table:
             raise click.UsageError(f"unknown key {key!r} in [{section}]")
         try:

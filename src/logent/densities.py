@@ -38,8 +38,8 @@ from typing import Callable
 import numpy as np
 
 from ._grid import (
-    Grid, RunRecord, cayley_power, check_wrap, count, finite, positive, read_csv, real_array,
-    spacing, steps, write_csv,
+    MAX_STEPS, Grid, RunRecord, cayley_power, check_wrap, count, finite, positive, read_csv,
+    real_array, spacing, steps, write_csv,
 )
 from .errors import DomainError, GridError
 
@@ -328,9 +328,11 @@ def density_run(
     Records per sample the diagnostics total_probability, information and
     mode_drift, the largest change of a mode magnitude dz |fhat_k| since
     t = 0 (zero in exact arithmetic); returns the record and the last
-    state.  Raises DomainError unless samples is a positive integer.
+    state.  Raises DomainError unless samples is an integer in [1, MAX_STEPS].
     """
     samples = count(samples, "samples")
+    if samples > MAX_STEPS:
+        raise DomainError(f"samples = {samples} exceeds the cap of {MAX_STEPS:g}")
     spectrum0 = f0.dz * np.abs(np.fft.fft(f0.values))
     times = t_end * np.arange(1, samples + 1) / samples
     diag = np.empty((samples, 3))

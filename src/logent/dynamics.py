@@ -144,7 +144,7 @@ def trajectory(p0: SignedProbVector, g: GeneratorMatrix, t_end: float, dt: float
     """
     if p0.n != g.n:
         raise DimensionMismatchError(f"state has n = {p0.n}, generator n = {g.n}")
-    steps(t_end, finite(dt, "dt"))
+    steps(t_end, finite(dt, "dt"))  # finite: steps reads dt = None as "choose dt"
     if t_end < 0.0:
         raise DomainError("t_end must be nonnegative")
     info0 = p0.information
@@ -154,7 +154,7 @@ def trajectory(p0: SignedProbVector, g: GeneratorMatrix, t_end: float, dt: float
     states = [p0]
     for _ in range(n_samples):
         states.append(SignedProbVector(propagator @ states[-1].entries))
-    drifts = [(abs(float(s.entries.sum()) - 1.0), abs(s.information - info0)) for s in states]
+    drifts = [(abs(s.total - 1.0), abs(s.information - info0)) for s in states]
     return RunRecord(times, np.array(drifts), ("probability_drift", "information_drift"), states)
 
 

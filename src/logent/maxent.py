@@ -25,7 +25,7 @@ import numpy as np
 
 from ._grid import finite, real_array
 from .errors import DegenerateConstraintError, DomainError, NoSolutionError
-from .vectors import ADMISSIBLE_TOL, SignedProbVector
+from .vectors import SignedProbVector
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +63,7 @@ class EquilibriumSolution:
 
     @property
     def admissible(self) -> bool:
-        return self.information <= 1.0 + ADMISSIBLE_TOL
+        return self.p.is_admissible
 
 
 def _affine_coefficients(c: ObservableConstraint):

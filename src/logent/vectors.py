@@ -27,17 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._grid import ADMISSIBLE_TOL, count, finite, real_array
-from .errors import (
-    DimensionMismatchError,
-    DomainError,
-    InadmissibleStateError,
-    NoSolutionError,
-    NormalizationError,
-)
-
-SUM_TOL = 1e-9
-CLASS_TOL = 1e-9
+from ._grid import ADMISSIBLE_TOL, Grid, count, finite
+from .errors import DimensionMismatchError, DomainError, InadmissibleStateError, NoSolutionError
 
 # Fixed orthonormal basis of the zero-sum plane used by solve_n3.  Any
 # orthonormal pair spanning {x : sum(x) = 0} parametrizes the same circle;
@@ -47,52 +38,45 @@ _PLANE_B2 = np.array([1.0, 1.0, -2.0]) / math.sqrt(6.0)
 
 
 @dataclass(frozen=True, eq=False)
-class SignedProbVector:
+class SignedProbVector(Grid):
     """Real vector with unit entry sum; entries may be negative.
 
-    Immutable after construction.  Construction enforces finite real entries
-    and |sum - 1| <= 1e-9; it does not reject I > 1, which is reported
-    through :attr:`is_admissible` instead.  The floor I >= 1/n needs no
-    check: by Cauchy-Schwarz I >= sum^2 / n >= (1 - 2e-9) / n.
+    The finite level of the grid core: one point per outcome, a unit cell
+    and h = 1, so the information is sum(p_i^2).  Construction enforces
+    finite real entries and |sum - 1| <= QUAD_TOL; I > 1 is not rejected but
+    reported through :attr:`is_admissible`.  The floor I >= 1/n needs no
+    check: by Cauchy-Schwarz I >= sum^2 / n >= (1 - 2e-9) / n.  entries is values.
     """
 
-    entries: np.ndarray
+    values: np.ndarray
 
-    def __post_init__(self):
-        arr = real_array(self.entries, "entries")
+    h = 1.0
+    _ERROR = DomainError
+
+    def _check_shape(self, arr):
         if arr.ndim != 1:
             raise DomainError("entries must form a one-dimensional vector")
         if arr.size < 2:
             raise DomainError("need at least two outcomes")
-        total = float(arr.sum())
-        if abs(total - 1.0) > SUM_TOL:
-            raise NormalizationError(
-                f"entries sum to {total:.12g}, expected 1 within {SUM_TOL:g}"
-            )
-        object.__setattr__(self, "entries", arr)
+
+    @property
+    def entries(self) -> np.ndarray:
+        return self.values
 
     @property
     def n(self) -> int:
-        return self.entries.size
-
-    @property
-    def information(self) -> float:
-        return float(self.entries @ self.entries)
+        return self.values.size
 
     @property
     def logical_entropy(self) -> float:
-        return 1.0 - self.information
+        return self.entropy
 
     @property
     def radius(self) -> float:
         return math.sqrt(self.information)
 
-    @property
-    def is_admissible(self) -> bool:
-        return self.information <= 1.0 + ADMISSIBLE_TOL
-
     def __len__(self) -> int:
-        return self.entries.size
+        return self.values.size
 
 
 class StateClass(enum.Enum):
@@ -162,7 +146,7 @@ def distance(p, q) -> float:
     return float(np.linalg.norm(pv.entries - qv.entries))
 
 
-def classify(p, tol: float = CLASS_TOL) -> StateClass:
+def classify(p, tol: float = ADMISSIBLE_TOL) -> StateClass:
     """Classify by information: pure (|I-1| <= tol), inadmissible (I > 1+tol),
     mixed otherwise.  DomainError unless tol is finite and nonnegative."""
     if not 0.0 <= finite(tol, "tol"):

@@ -187,6 +187,29 @@ class TestConfigValues:
         assert res.exit_code == 2
 
 
+class TestMalformedConfig:
+    """A config file configparser cannot read exits 2 naming the file."""
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"t_end = 1.0\n",  # no [section] header
+            b"[fd]\nt_end = 1.0\nt_end = 2.0\n",  # repeated key
+            b"[fd]\noutput = 50%.csv\n",  # % starts an interpolation
+            b"[fd]\nt_end = 1.0\n# caf\xe9\n",  # not UTF-8
+        ],
+        ids=["no-header", "repeated-key", "percent", "not-utf8"],
+    )
+    def test_exit_code_two(self, runner, tmp_path, monkeypatch, content):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.ini"
+        cfg.write_bytes(content)
+        res = runner.invoke(main, ["evolve", "fd", "--config", str(cfg)])
+        assert res.exit_code == 2, res.output
+        assert "run.ini" in res.output
+        assert list(tmp_path.iterdir()) == [cfg]
+
+
 class TestEvolveContinuum:
     def test_run_and_cross_check(self, runner, tmp_path):
         grid_out = tmp_path / "f.csv"
@@ -217,6 +240,12 @@ class TestEvolveContinuum:
         )
         assert res.exit_code == 2
         assert "samples" in res.output
+
+    def test_samples_above_the_step_cap_are_a_usage_error(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        res = runner.invoke(main, ["evolve", "continuum", "--samples", "100000000000"])
+        assert res.exit_code == 2, res.output  # was a MemoryError, exit 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_diagnostics_bytes_match_per_row_format(self, runner, tmp_path):
         from logent import build_kernel, evolve_density, gaussian_density, omega_quartic

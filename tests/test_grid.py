@@ -1,4 +1,4 @@
-"""The step rule and the Cayley propagator shared by the time-stepped engines."""
+"""The step rule, the Cayley propagator and the CSV reader shared by the engines."""
 
 import math
 
@@ -8,20 +8,27 @@ import pytest
 from logent import (
     DomainError,
     GeneratorMatrix,
+    GridError,
     PotentialSpec,
     SignedProbVector,
     WignerGrid,
     build_kernel,
     cyclic_generator3,
+    density_run,
     evolve,
     evolve_density_timestepped,
     gaussian_density,
+    gaussian_pure_wigner,
     omega_harmonic,
     trajectory,
     wigner_evolve,
     wigner_run,
 )
+from logent import densities
 from logent._grid import DEFAULT_STEP_ANGLE, cayley_power, steps
+from logent.densities import read_density_csv, write_density_csv
+from logent.dynamics import read_trajectory_csv, write_trajectory_csv
+from logent.wigner import read_wigner_csv, write_wigner_csv
 
 
 class TestSteps:
@@ -146,3 +153,44 @@ class TestStepCap:
         assert len(trajectory(p, cyclic_generator3(), 0.5, 0.1).times) == 6
         with pytest.raises(DomainError):
             trajectory(p, cyclic_generator3(), 1.0, 0.1)
+
+    def test_cap_bounds_density_run_samples(self, monkeypatch):
+        f = gaussian_density(32, 8.0, 1.0, 0.3)
+        k = build_kernel(omega_harmonic(1.0), 0.5, f)
+        with pytest.raises(DomainError):  # was a MemoryError from the sample times
+            density_run(f, k, 1.0, 10**11)
+        monkeypatch.setattr(densities, "MAX_STEPS", 5)
+        assert len(density_run(f, k, 1.0, 5)[0].times) == 5
+        with pytest.raises(DomainError):
+            density_run(f, k, 1.0, 6)
+
+
+def _density_file(path):
+    write_density_csv(gaussian_density(32, 8.0, 1.0, 0.3), path)
+    return read_density_csv
+
+
+def _wigner_file(path):
+    write_wigner_csv(gaussian_pure_wigner(8, 8, 8.0, 8.0, 0.3), path)
+    return read_wigner_csv
+
+
+def _trajectory_file(path):
+    p = SignedProbVector(np.array([0.5, 0.3, 0.2]))
+    write_trajectory_csv(trajectory(p, cyclic_generator3(), 0.2, 0.1), path)
+    return read_trajectory_csv
+
+
+class TestReadCsv:
+    @pytest.mark.parametrize("write", [_density_file, _wigner_file, _trajectory_file])
+    @pytest.mark.parametrize("where", ["header", "data"])
+    def test_non_utf8_text_raises_grid_error(self, tmp_path, write, where):
+        path = tmp_path / "run.csv"
+        read = write(path)
+        header, data = path.read_bytes().split(b"\n", 1)
+        if where == "header":
+            path.write_bytes(header + b"\xff\n" + data)
+        else:
+            path.write_bytes(header + b"\n" + data + b"\xe9\n")
+        with pytest.raises(GridError):
+            read(path)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from logent import (
+    DensityGrid,
     DimensionMismatchError,
     DomainError,
     InadmissibleStateError,
@@ -24,6 +25,7 @@ from logent import (
     solve_n2,
     solve_n3,
 )
+from logent._grid import Grid
 from oracles import sample_feasibility_min_entries
 
 PURE_NEG = np.array([2.0 / 3.0, 2.0 / 3.0, -1.0 / 3.0])
@@ -319,3 +321,19 @@ class TestBoundaryValues:
     def test_negative_pair_index_is_out_of_range(self):
         with pytest.raises(IndexError):
             pair_outcome_probability([0.5, 0.5], -1, 0)
+
+
+class TestGridCore:
+    """A vector is the finite level of the grid core: unit cell, h = 1."""
+
+    @pytest.mark.parametrize("n", [4, 8, 64])
+    def test_invariants_equal_a_unit_cell_density(self, n):
+        x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        values = x - x.mean() + 1.0 / n
+        v = SignedProbVector(values)
+        f = DensityGrid(values, z0=0.0, dz=1.0, h=1.0)
+        assert isinstance(v, Grid)
+        assert v.entries is v.values
+        assert (v.total, v.information, v.entropy) == (f.total, f.information, f.entropy)
+        assert v.logical_entropy == f.entropy
+        assert v.is_admissible == f.is_admissible
