@@ -17,8 +17,9 @@ composition.  The two matrix engines also share the Cayley propagator,
 cayley_power, the n-th power of one implicit-midpoint step.  Every engine
 reports a sampled run as one RunRecord.  Arguments are checked by four
 functions that raise the error class their caller names: finite (a real
-scalar), positive (one above zero), count (an integer, not a bool, of at
-least a given size) and real_array (a new read-only array of finite reals).
+scalar), positive (one above zero), count (an integer, not a bool, within
+given bounds; a size is at most MAX_POINTS) and real_array (a new read-only
+array of finite reals).
 """
 from __future__ import annotations
 
@@ -41,6 +42,9 @@ _WRAP_SIGMAS = math.sqrt(-2.0 * math.log(WRAP_TOL))  # sigmas out, a Gaussian is
 # cayley_power costs log2(n) products, but its round-off grows as n eps: |I - I0| of cyclic3
 # at 0.1 rad per step is 8e-11 at 10^7 steps and 8e-9 at 10^9, against the fd gate of 1e-10
 MAX_STEPS = 10**7  # bounds every run's loop, every run's samples and cayley_power's round-off
+# a size up to 2**53 converts to float exactly, so n - 1, 1 / n and length / n see the true
+# size; an array of more float64 points (64 PiB) outgrows any address space
+MAX_POINTS = 2**53  # bounds every size argument: a grid axis, a vector's n, n^2 for n x n
 
 _BLOCK_ROWS = 4096  # CSV rows formatted per write: bounds the text held in memory
 
@@ -113,13 +117,19 @@ def check_wrap(center: float, lo: float, length: float, sigma: float) -> None:
         )
 
 
+def _shown(value) -> str:
+    """repr(value), but not the digits of an int beyond the float range:
+    str() refuses an int of more than 4,300 digits."""
+    big = isinstance(value, int) and not abs(value) <= sys.float_info.max
+    return "an int beyond the float range" if big else repr(value)
+
+
 def finite(value, name: str = "value", error: type = DomainError) -> float:
     """value as a float; `error` (DomainError by default) unless it is a real
     number within the float range, so a string, None, a complex number, nan,
     inf and an int beyond the float range are all refused alike."""
     if not (isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max):
-        shown = "an int beyond the float range" if isinstance(value, int) else repr(value)
-        raise error(f"{name} must be finite and real, not {shown}")
+        raise error(f"{name} must be finite and real, not {_shown(value)}")
     return float(value)
 
 
@@ -130,10 +140,14 @@ def positive(value, name: str = "value", error: type = DomainError) -> float:
     return float(value)
 
 
-def count(value, name: str = "value", low: int = 1, error: type = DomainError) -> int:
-    """value as an int; `error` unless it is an integer, not a bool, >= low."""
+def count(
+    value, name: str = "value", low: int = 1, error: type = DomainError, high: float = math.inf
+) -> int:
+    """value as an int; `error` unless it is an integer, not a bool, in [low, high]."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise error(f"{name} must be an integer >= {low}, not {value!r}")
+        raise error(f"{name} must be an integer >= {low}, not {_shown(value)}")
+    if value > high:  # not shown: it may have more digits than str() converts
+        raise error(f"{name} must be at most {high}")
     return int(value)
 
 
@@ -155,9 +169,9 @@ def real_array(values, name: str = "values", error: type = DomainError) -> np.nd
 
 
 def spacing(length: float, n: int) -> float:
-    """The spacing length / n of an n-point grid; GridError unless n is a
-    positive integer and length finite and positive."""
-    n = count(n, "grid size", 1, GridError)
+    """The spacing length / n of an n-point grid; GridError unless n is an
+    integer in [1, MAX_POINTS] and length finite and positive."""
+    n = count(n, "grid size", 1, GridError, MAX_POINTS)
     return positive(length, "domain length", GridError) / n
 
 

@@ -2,9 +2,13 @@
 
 Subcommands: entropy, feasibility, maxent, scenario, and evolve with the three
 engines fd, continuum, and wigner.  Text output has 15 significant digits;
---json prints a query command's same report as one JSON object.  Files follow
-the per-engine CSV/JSON formats.  Exit codes: 0 success, 1 inadmissible state,
-2 usage or configuration error, which includes every LogentError a command raises.
+--json prints a query command's (entropy, feasibility, maxent, scenario) same
+report as one JSON object, both rendered from one list of rows.  Files follow
+the per-engine CSV/JSON formats.  evolve wigner --rotation-check evaluates the
+initial Gaussian's closed form at back-rotated points: it shares the state
+formula with the library but no evolution code.  Exit codes: 0 success,
+1 inadmissible state, 2 usage or configuration error, which includes every
+LogentError a command raises.
 
 Engine parameters can come from flags or from a flat key = value config
 file with one section per engine ([fd], [continuum], [wigner]); unknown
@@ -216,58 +220,28 @@ def scenario(name, as_json):
     if name == "marbles":
         p = vectors.SignedProbVector(np.array([2.0 / 3.0, 2.0 / 3.0, -1.0 / 3.0]))
         q = vectors.SignedProbVector(np.array([-1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0]))
-        prob_rr = vectors.pair_outcome_probability(q, 0, 0)
-        prob_bb = vectors.pair_outcome_probability(p, 1, 1)
-        prob_gg = vectors.pair_outcome_probability(p, 2, 2)
-        not_rr = prob_bb + prob_gg
-        report = {
-            "p": list(p.entries),
-            "q": list(q.entries),
-            "p_dot_q": vectors.scalar_product(p, q),
-            "prob_q_RR": prob_rr,
-            "prob_p_notR_notR": not_rr,
-            "consistent": abs(prob_rr - not_rr) < 1e-12,
-        }
-        if as_json:
-            click.echo(json.dumps(report))
-        else:
-            click.echo(f"bag p = ({', '.join(_fmt(v) for v in p.entries)})  [R, B, G]")
-            click.echo(f"bag q = ({', '.join(_fmt(v) for v in q.entries)})  [R, B, G]")
-            click.echo(f"p . q = {_fmt(report['p_dot_q'])}  (anticorrelated bags)")
-            click.echo(f"Prob_q(RR)     = {_fmt(prob_rr)}")
-            click.echo(f"Prob_p(~R ~R)  = {_fmt(not_rr)}")
-            click.echo(
-                "the two ways of computing the same pair disagree: "
-                f"{_fmt(prob_rr)} != {_fmt(not_rr)}"
-            )
+        pair = vectors.pair_outcome_probability
+        prob_rr, not_rr = pair(q, 0, 0), pair(p, 1, 1) + pair(p, 2, 2)
+        _report(as_json, 15, [
+            ("p", "bag p [R, B, G]", list(p.entries)),
+            ("q", "bag q [R, B, G]", list(q.entries)),
+            ("p_dot_q", "p . q", vectors.scalar_product(p, q)),
+            ("prob_q_RR", "Prob_q(RR)", prob_rr),
+            ("prob_p_notR_notR", "Prob_p(~R ~R)", not_rr),
+            ("consistent", "consistent", abs(prob_rr - not_rr) < 1e-12),
+        ])
         return
-    x = np.array([-1.0, 0.0, 1.0])
-    classical_m = maxent.max_mean_nonnegative(maxent.ObservableConstraint(x))
-    classical = maxent.equilibrium(maxent.ObservableConstraint(x, target_mean=classical_m))
-    signed_m = maxent.max_mean(maxent.ObservableConstraint(x))
-    signed = maxent.equilibrium(maxent.ObservableConstraint(x, target_mean=signed_m))
-    report = {
-        "classical_m_max": classical_m,
-        "classical_p": list(classical.p.entries),
-        "classical_information": classical.information,
-        "signed_m_max": signed_m,
-        "signed_p": list(signed.p.entries),
-        "signed_information": signed.information,
-    }
-    if as_json:
-        click.echo(json.dumps(report))
-    else:
-        click.echo("three-faced die, unevenness = mean of X = (-1, 0, 1)")
-        click.echo(
-            f"classical bound: m = {_fmt(classical_m)}, "
-            f"p = ({', '.join(_fmt(v) for v in classical.p.entries)}), "
-            f"I = {_fmt(classical.information)}"
-        )
-        click.echo(
-            f"signed bound:    m = {_fmt(signed_m)}, "
-            f"p = ({', '.join(_fmt(v) for v in signed.p.entries)}), "
-            f"I = {_fmt(signed.information)}"
-        )
+    x = np.array([-1.0, 0.0, 1.0])  # the die's unevenness observable
+    rows = [(None, "X", list(x))]
+    for kind, bound_of in (("classical", maxent.max_mean_nonnegative), ("signed", maxent.max_mean)):
+        m = bound_of(maxent.ObservableConstraint(x))
+        sol = maxent.equilibrium(maxent.ObservableConstraint(x, target_mean=m))
+        rows += [
+            (f"{kind}_m_max", f"{kind} m_max", m),
+            (f"{kind}_p", f"{kind} p", list(sol.p.entries)),
+            (f"{kind}_information", f"{kind} I", sol.information),
+        ]
+    _report(as_json, 15, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -460,16 +434,12 @@ def evolve_wigner(
         ("min w", np.min(rec.min_value)),
     ])
     click.echo(f"snapshot written to {output_snapshot}, diagnostics to {output_diag}")
-    if rotation_check:
-        sp = h / (4.0 * math.pi * sigma_x)
-        xg = final.x[:, None]
-        pg = final.p[None, :]
+    if rotation_check:  # the initial state's closed form at back-rotated points
+        xg, pg = final.x[:, None], final.p[None, :]
         cos_t, sin_t = math.cos(omega * t_end), math.sin(omega * t_end)
         x_back = xg * cos_t - pg / (mass * omega) * sin_t
         p_back = pg * cos_t + mass * omega * xg * sin_t
-        ref = np.exp(
-            -0.5 * ((x_back - x_center) / sigma_x) ** 2 - 0.5 * ((p_back - p_center) / sp) ** 2
-        ) / (2.0 * math.pi * sigma_x * sp)
+        ref = wigner._gaussian(x_back, p_back, sigma_x, h, x_center, p_center)
         num = math.sqrt(float(np.sum((final.values - ref) ** 2)) * final.dx * final.dp)
         den = math.sqrt(float(np.sum(ref**2)) * final.dx * final.dp)
         _summary(16, [("rotation-check L2", num / den)])

@@ -330,9 +330,7 @@ def density_run(
     t = 0 (zero in exact arithmetic); returns the record and the last
     state.  Raises DomainError unless samples is an integer in [1, MAX_STEPS].
     """
-    samples = count(samples, "samples")
-    if samples > MAX_STEPS:
-        raise DomainError(f"samples = {samples} exceeds the cap of {MAX_STEPS:g}")
+    samples = count(samples, "samples", high=MAX_STEPS)
     spectrum0 = f0.dz * np.abs(np.fft.fft(f0.values))
     times = t_end * np.arange(1, samples + 1) / samples
     diag = np.empty((samples, 3))

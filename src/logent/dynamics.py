@@ -21,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._grid import RunRecord, cayley_power, count, finite, read_csv, real_array, steps, write_csv
+from ._grid import (
+    MAX_POINTS, RunRecord, cayley_power, count, finite, read_csv, real_array, steps, write_csv,
+)
 from .errors import DimensionMismatchError, DomainError, GridError
 from .vectors import SignedProbVector
 
@@ -99,7 +101,7 @@ def random_generator(n: int, seed: int, rate: float = 1.0) -> GeneratorMatrix:
     both sides with P = I - ones/n.  PAP keeps antisymmetry and has exactly
     zero row and column sums because P annihilates the constant vector.
     """
-    n, seed = count(n, "n", 2), count(seed, "seed", 0)
+    n, seed = count(n, "n", 2, high=math.isqrt(MAX_POINTS)), count(seed, "seed", 0)  # n^2 points
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1.0, 1.0, size=(n, n))
     skew = (a - a.T) / 2.0

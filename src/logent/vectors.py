@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._grid import ADMISSIBLE_TOL, Grid, count, finite
+from ._grid import ADMISSIBLE_TOL, MAX_POINTS, Grid, count, finite
 from .errors import DimensionMismatchError, DomainError, InadmissibleStateError, NoSolutionError
 
 # Fixed orthonormal basis of the zero-sum plane used by solve_n3.  Any
@@ -168,7 +168,7 @@ def feasibility_radii(n: int) -> FeasibilityRadii:
     vacuous (no admissible radius produces negative entries), recorded by
     negatives_possible = False; r_pos then degenerates to r_max.
     """
-    n = count(n, "n", 2)
+    n = count(n, "n", 2, high=MAX_POINTS)
     return FeasibilityRadii(
         r_max=1.0,
         r_pos=1.0 / math.sqrt(n - 1),
@@ -226,7 +226,7 @@ def negative_orthonormal_basis(n: int) -> list[SignedProbVector]:
     Each member is the pure state of most negative entry; the family exists
     only for n >= 3.
     """
-    n = count(n, "n", 3)
+    n = count(n, "n", 3, high=math.isqrt(MAX_POINTS))  # n vectors of n: n^2 points
     basis = []
     for k in range(n):
         entries = np.full(n, 2.0 / n)

@@ -115,6 +115,15 @@ class WignerGrid(Grid):
         return float(np.max(np.abs(self.values))) <= 2.0 / self.h * (1.0 + 1e-9)
 
 
+def _gaussian(x, p, sigma_x: float, h: float, x_center: float, p_center: float):
+    """The minimum-uncertainty Gaussian w(x, p) in closed form, at any points:
+    peak (x_center, p_center), widths sigma_x and h / (4 pi sigma_x)."""
+    sigma_p = h / (4.0 * math.pi * sigma_x)
+    return np.exp(
+        -0.5 * ((x - x_center) / sigma_x) ** 2 - 0.5 * ((p - p_center) / sigma_p) ** 2
+    ) / (2.0 * math.pi * sigma_x * sigma_p)
+
+
 def gaussian_pure_wigner(
     nx: int,
     npts: int,
@@ -126,7 +135,8 @@ def gaussian_pure_wigner(
     x_center: float = 0.0,
     p_center: float = 0.0,
 ) -> WignerGrid:
-    """Minimum-uncertainty Gaussian, sigma_x * sigma_p = h / (4 pi), I = 1.
+    """Minimum-uncertainty Gaussian, sigma_x * sigma_p = h / (4 pi), I = 1:
+    _gaussian sampled on the grid and renormalized to a unit quadrature sum.
 
     The domain is [-lx/2, lx/2) x [-lp/2, lp/2).  Raises GridError when a
     boundary amplitude exceeds 1e-10 of the peak (wrap-around too large).
@@ -140,10 +150,7 @@ def gaussian_pure_wigner(
     check_wrap(p_center, p0, lp, sigma_p)
     x = x0 + dx * np.arange(nx)
     p = p0 + dp * np.arange(npts)
-    values = np.exp(
-        -0.5 * ((x[:, None] - x_center) / sigma_x) ** 2
-        - 0.5 * ((p[None, :] - p_center) / sigma_p) ** 2
-    ) / (2.0 * math.pi * sigma_x * sigma_p)
+    values = _gaussian(x[:, None], p[None, :], sigma_x, h, x_center, p_center)
     values /= values.sum() * dx * dp
     return WignerGrid(values=values, x0=x0, dx=dx, p0=p0, dp=dp, h=h, mass=mass)
 
@@ -178,23 +185,6 @@ def _phase_rates(w: WignerGrid, potential: PotentialSpec):
     transport_rate = -2.0 * math.pi * nu_x[:, None] * w.p[None, :] / w.mass
     transport_rate[w.nx // 2, :] = 0.0  # unpaired Nyquist mode in x
     return kick_rate, transport_rate
-
-
-def _apply_kick(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
-    """Potential kick: diagonal phases in the p-conjugate variable, per x.
-
-    One unfused substep on the full complex spectrum; the solver's loop does
-    the same on real half spectra.
-    """
-    return np.fft.ifft(np.fft.fft(values, axis=1) * multiplier, axis=1)
-
-
-def _apply_transport(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
-    """Free streaming: exact shift, diagonal in the x-conjugate variable.
-
-    One unfused substep on the full complex spectrum, like _apply_kick.
-    """
-    return np.fft.ifft(np.fft.fft(values, axis=0) * multiplier, axis=0)
 
 
 def _run(w0: WignerGrid, potential: PotentialSpec, t: float, dt: float | None, record: bool):

@@ -8,7 +8,8 @@ parabola), densities are integrated with adaptive quadrature (the package
 uses grid sums), the harmonic phase-space flow is the analytic rigid
 rotation (the package split-steps), and an anharmonic one is the Wigner
 transform of a wavefunction propagated by one eigendecomposition of a dense
-Hamiltonian.
+Hamiltonian.  The split step's own substeps are here too, unfused and on
+full complex spectra (the package fuses them on real half spectra).
 """
 from __future__ import annotations
 
@@ -133,6 +134,23 @@ def rotated_gaussian_wigner(
         - 0.5 * ((p_back - p_center) / sigma_p) ** 2
     ) / (2.0 * math.pi * sigma_x * sigma_p)
     return vals
+
+
+def apply_kick(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+    """Potential kick: diagonal phases in the p-conjugate variable, per x.
+
+    One unfused substep on the full complex spectrum; the package's loop
+    fuses consecutive kicks and works on real half spectra.
+    """
+    return np.fft.ifft(np.fft.fft(values, axis=1) * multiplier, axis=1)
+
+
+def apply_transport(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+    """Free streaming: exact shift, diagonal in the x-conjugate variable.
+
+    One unfused substep on the full complex spectrum, like apply_kick.
+    """
+    return np.fft.ifft(np.fft.fft(values, axis=0) * multiplier, axis=0)
 
 
 def wigner_moment_quad(values: np.ndarray, dx: float, dp: float, h: float, r: int) -> float:

@@ -47,6 +47,7 @@ from logent import (
     wigner_evolve,
     wigner_run,
 )
+from logent._grid import MAX_POINTS
 
 
 def random_unit_sum(rng: np.random.Generator, n: int, batch: int) -> np.ndarray:
@@ -217,6 +218,14 @@ def _bad_size(rng: np.random.Generator) -> int:
     return -int(rng.integers(0, 5))
 
 
+def _huge_size(rng: np.random.Generator) -> int:
+    """A random size beyond MAX_POINTS, or its negative, from just past it
+    to 6,000 digits (str() converts at most 4,300); every size argument must
+    refuse it before allocating anything."""
+    size = MAX_POINTS + 1 + 2 ** int(rng.integers(0, 20_000))
+    return size if rng.random() < 0.5 else -size
+
+
 def _not_count(rng: np.random.Generator):
     """A random value that is not an integer (a bool is not one)."""
     choices = ("a", None, 2.5, True, 1j)
@@ -232,12 +241,12 @@ def _not_array(rng: np.random.Generator):
 
 def check_boundary_errors(n_checks: int, seed: int) -> tuple[int, int]:
     """Non-finite, zero and negative sizes, spacings, times, steps and
-    tolerances, non-numeric or overflowing scalars (profile parameters,
-    times, steps, tolerances, lengths, widths, centres and h), non-integer
-    counts (sizes, seeds, indices, samples, orders) and non-real arrays, each
-    fed to one argument of a public constructor or engine, raise nothing but
-    LogentError (the call may also succeed: a negative t or a zero tol is
-    valid)."""
+    tolerances, sizes beyond MAX_POINTS, non-numeric or overflowing scalars
+    (profile parameters, times, steps, tolerances, lengths, widths, centres
+    and h), non-integer counts (sizes, seeds, indices, samples, orders) and
+    non-real arrays, each fed to one argument of a public constructor or
+    engine, raise nothing but LogentError (the call may also succeed: a
+    negative t or a zero tol is valid)."""
     rng = np.random.default_rng(seed)
     p = SignedProbVector(np.array([0.5, 0.3, 0.2]))
     gen = cyclic_generator3()
@@ -368,6 +377,15 @@ def check_boundary_errors(n_checks: int, seed: int) -> tuple[int, int]:
         (_not_array, lambda v: PotentialSpec.tabulated([0.0, 1.0], v)),
         (_not_array, lambda v: DensityGrid(v, f.z0, f.dz, f.h)),
         (_not_array, lambda v: WignerGrid(v, w.x0, w.dx, w.p0, w.dp, w.h, w.mass)),
+        (_huge_size, lambda v: feasibility_radii(v)),
+        (_huge_size, lambda v: negative_orthonormal_basis(v)),
+        (_huge_size, lambda v: random_generator(v, 0)),
+        (_huge_size, lambda v: uniform_density(v, 8.0, 1.0)),
+        (_huge_size, lambda v: gaussian_density(v, 8.0, 1.0, 0.3)),
+        (_huge_size, lambda v: gaussian_pure_wigner(v, 8, 8.0, 8.0, 0.3)),
+        (_huge_size, lambda v: gaussian_pure_wigner(8, v, 8.0, 8.0, 0.3)),
+        (_huge_size, lambda v: density_run(f, kern, 1.0, v)),
+        (_huge_size, lambda v: higher_moment(w, v)),
     ]
     done = failures = 0
     with warnings.catch_warnings():
