@@ -5,7 +5,9 @@ state on a lattice: the quadrature sum(values) * cell is one, the
 information is I = h * sum(values^2) * cell and the entropy is S = 1 - I,
 where the cell is the product of the spacings (none for a vector, whose
 h = 1).  Grid files are CSV at a fixed number of significant digits,
-optionally with a JSON sidecar holding the scalars.
+optionally with a JSON sidecar holding the scalars: write_csv writes the
+text that column_rows (columns) or lattice_rows (a 2-d lattice, each
+coordinate formatted once) yields, a block at a time.
 
 The time-stepped engines (dynamics, the timestepped density oracle and the
 phase-space split step) share one step rule, steps: a span t is cut into
@@ -225,20 +227,60 @@ def cayley_power(a: np.ndarray, step: float, n: int) -> np.ndarray:
     return np.linalg.matrix_power(np.linalg.solve(eye - half, eye + half), n)
 
 
-def write_csv(path, header: str, columns, digits: int, meta: dict | None = None):
-    """Write equal-length columns as CSV rows at `digits` significant digits.
+def int_power(x: np.ndarray, r: int) -> np.ndarray:
+    """x ** r for an integer r >= 0 by repeated squaring: log2(r) squares and
+    one product per binary digit of r.  An array ** r with r > 2 calls libm
+    pow per element instead: x^4 at 128 x 128 points takes 1.2 ms, against
+    40 us here.  The result is pow's wherever the products are exact, as at
+    dyadic points of a small grid; elsewhere it is within 2 ulp of pow for
+    r <= 4."""
+    power, square = np.ones_like(x), x
+    for k in range(r.bit_length()):  # the binary digits of r, lowest first
+        if k:
+            square = square * square
+        if r >> k & 1:
+            power = power * square
+    return power
 
-    A 2-d column contributes one CSV column per array column.  With a meta
-    dict, it is also written as an indented JSON sidecar to <path>.meta.json.
+
+def column_rows(columns, digits: int):
+    """CSV text of equal-length columns at `digits` significant digits, at most
+    _BLOCK_ROWS rows at a time.  A 2-d column contributes one CSV column per
+    array column."""
+    cell = f"%.{digits - 1}e"
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = np.column_stack([c[start : start + _BLOCK_ROWS] for c in columns])
+        row = ",".join([cell] * block.shape[1]) + "\n"
+        yield (row * block.shape[0]) % tuple(block.ravel().tolist())
+
+
+def lattice_rows(x, p, values, digits: int):
+    """CSV text of the rows x[i], p[j], values[i, j] (i slowest) at `digits`
+    significant digits, one x line of at most _BLOCK_ROWS rows at a time.
+
+    The same text as column_rows over np.repeat(x), np.tile(p) and the
+    flattened values, but each coordinate is formatted once, not once per
+    row: a 128 x 128 lattice takes 256 coordinate conversions, not 32,768.
     """
     cell = f"%.{digits - 1}e"
-    rows = len(columns[0])
+    # each p row's text after its x, with a placeholder for its value
+    tails = [f",{cell % v},{cell}\n" for v in p.tolist()]
+    for i, x_text in enumerate([cell % v for v in x.tolist()]):
+        for start in range(0, len(tails), _BLOCK_ROWS):
+            line = x_text + x_text.join(tails[start : start + _BLOCK_ROWS])
+            yield line % tuple(values[i, start : start + _BLOCK_ROWS].tolist())
+
+
+def write_csv(path, header: str, text, meta: dict | None = None):
+    """Write a header line, then the blocks of CSV text from `text`
+    (column_rows or lattice_rows), as they come.
+
+    With a meta dict, it is also written as an indented JSON sidecar to
+    <path>.meta.json.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for start in range(0, rows, _BLOCK_ROWS):
-            block = np.column_stack([c[start : start + _BLOCK_ROWS] for c in columns])
-            row = ",".join([cell] * block.shape[1]) + "\n"
-            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+        fh.writelines(text)
     if meta is not None:
         with open(str(path) + ".meta.json", "w", encoding="utf-8", newline="\n") as fh:
             json.dump(meta, fh, indent=2)

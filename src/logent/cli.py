@@ -358,7 +358,9 @@ def evolve_continuum(
         except LogentError as exc:
             raise click.UsageError(f"{exc} (--cross-check oracle)") from exc
     densities.write_density_csv(final, output_grid)
-    _grid.write_csv(output_diag, "t,sum,I,max_mode_drift", [rec.times, rec.diagnostics], 15)
+    _grid.write_csv(
+        output_diag, "t,sum,I,max_mode_drift", _grid.column_rows([rec.times, rec.diagnostics], 15)
+    )
     _summary(18, [
         ("samples", samples),
         ("max |sum-1|", np.max(np.abs(rec.total_probability - 1.0))),

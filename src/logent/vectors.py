@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._grid import ADMISSIBLE_TOL, MAX_POINTS, Grid, count, finite
+from ._grid import ADMISSIBLE_TOL, MAX_POINTS, Grid, _shown, count, finite
 from .errors import DimensionMismatchError, DomainError, InadmissibleStateError, NoSolutionError
 
 # Fixed orthonormal basis of the zero-sum plane used by solve_n3.  Any
@@ -246,7 +246,7 @@ def pair_outcome_probability(p, i: int, j: int) -> float:
     pv = _coerce(p)
     i, j = count(i, "index i", -math.inf), count(j, "index j", -math.inf)
     if not (0 <= i < pv.n and 0 <= j < pv.n):
-        raise IndexError(f"indices ({i}, {j}) out of range for n = {pv.n}")
+        raise IndexError(f"indices ({_shown(i)}, {_shown(j)}) out of range for n = {pv.n}")
     if not pv.is_admissible:
         raise InadmissibleStateError("pair probabilities require an admissible state")
     return float(pv.entries[i] * pv.entries[j])

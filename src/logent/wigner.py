@@ -50,7 +50,8 @@ import numpy as np
 import scipy.linalg
 
 from ._grid import (
-    Grid, RunRecord, check_wrap, count, finite, positive, read_csv, spacing, steps, write_csv,
+    Grid, RunRecord, check_wrap, column_rows, count, finite, int_power, lattice_rows, positive,
+    read_csv, spacing, steps, write_csv,
 )
 from .densities import DensityGrid, PotentialSpec
 from .errors import DomainError, GridError
@@ -157,18 +158,13 @@ def gaussian_pure_wigner(
 
 def higher_moment(w: WignerGrid, r: int) -> float:
     """Dimensionless moment h^(r-1) * integral(w^r dx dp), r >= 2; DomainError
-    when r or the moment lies beyond the float range.  w^r takes log2(r)
-    products by repeated squaring (an integer ** r calls libm pow per element).
+    when r or the moment lies beyond the float range.  w^r is int_power's
+    repeated squaring, the same as PotentialSpec.evaluate's x^k.
     """
     r = count(r, "moment order", 2)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         h_power = np.float64(w.h) ** (finite(r, "moment order") - 1.0)
-        power, square = 1.0, w.values
-        for k in range(r.bit_length()):  # the binary digits of r, lowest first
-            if k:
-                square = square * square
-            if r >> k & 1:
-                power = power * square
+        power = int_power(w.values, r)
         return finite(float(h_power * np.sum(power) * w.dx * w.dp), "moment")
 
 
@@ -222,12 +218,15 @@ def _loop(
     """n_steps steps of length step, each composed of one Strang substep
     K(w step / 2) T(w step) K(w step / 2) per stage weight w in stages."""
     nx, npts = w0.nx, w0.npts
-    # multipliers on the half spectra of the real transforms (Hermitian rates)
-    halves = [np.exp(1j * kick_rate[:, : npts // 2 + 1] * (w * step) / 2.0) for w in stages]
-    transports = [np.exp(1j * transport_rate[: nx // 2 + 1, :] * (w * step)) for w in stages]
+    # multipliers on the half spectra of the real transforms (Hermitian rates),
+    # one pair per distinct weight: Yoshida's outer two are equal
+    kick_rate, transport_rate = kick_rate[:, : npts // 2 + 1], transport_rate[: nx // 2 + 1, :]
+    half_kick = {w: np.exp(1j * kick_rate * (w * step) / 2.0) for w in set(stages)}
+    full_transport = {w: np.exp(1j * transport_rate * (w * step)) for w in set(stages)}
+    transports = [full_transport[w] for w in stages]
     # the kick after stage i fuses its closing half kick with the opening one
     # of stage i + 1 (of the next step's first stage, after the last)
-    after = [halves[i] * halves[(i + 1) % len(stages)] for i in range(len(stages))]
+    after = [half_kick[w] * half_kick[v] for w, v in zip(stages, stages[1:] + stages[:1])]
 
     values = w0.values.copy()
     diag = np.empty((n_steps + 1, 4)) if record else None
@@ -242,7 +241,7 @@ def _loop(
     # half kick fused into the next one's opening half kick, and the
     # half-kicked state is formed only when it is needed.
     spec = np.fft.rfft(values, axis=1) if n_steps else None
-    kick = halves[0]
+    kick = half_kick[stages[0]]
     for k in range(n_steps):
         for transport, next_kick in zip(transports, after):
             buf = np.fft.irfft(spec * kick, n=npts, axis=1)
@@ -250,7 +249,7 @@ def _loop(
             spec = np.fft.rfft(buf, axis=1)
             kick = next_kick
         if record or k == n_steps - 1:
-            values = np.fft.irfft(spec * halves[-1], n=npts, axis=1)
+            values = np.fft.irfft(spec * half_kick[stages[-1]], n=npts, axis=1)
         if record:
             _record(k + 1, values)
 
@@ -341,7 +340,9 @@ def delta_localized_evolve(
 
 
 def write_wigner_csv(w: WignerGrid, path) -> None:
-    """Flat CSV (x, p, w) at 17 significant digits plus a JSON sidecar."""
+    """Flat CSV (x, p, w) at 17 significant digits, x slowest, plus a JSON
+    sidecar.  Written one x line at a time by lattice_rows, which formats
+    each of the nx + npts coordinates once and each value once."""
     meta = {
         "x0": w.x0,
         "dx": w.dx,
@@ -352,8 +353,7 @@ def write_wigner_csv(w: WignerGrid, path) -> None:
         "Nx": w.nx,
         "Np": w.npts,
     }
-    columns = [np.repeat(w.x, w.npts), np.tile(w.p, w.nx), w.values.ravel()]
-    write_csv(path, "x,p,w", columns, 17, meta)
+    write_csv(path, "x,p,w", lattice_rows(w.x, w.p, w.values, 17), meta)
 
 
 def read_wigner_csv(path) -> WignerGrid:
@@ -370,4 +370,4 @@ def read_wigner_csv(path) -> WignerGrid:
 def write_diagnostics_csv(rec: RunRecord, path) -> None:
     """Time series (t, sum, I, moment3) at 15 significant digits."""
     columns = [rec.times, rec.total_probability, rec.information, rec.moment3]
-    write_csv(path, "t,sum,I,moment3", columns, 15)
+    write_csv(path, "t,sum,I,moment3", column_rows(columns, 15))

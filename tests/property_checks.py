@@ -221,7 +221,7 @@ def _bad_size(rng: np.random.Generator) -> int:
 def _huge_size(rng: np.random.Generator) -> int:
     """A random size beyond MAX_POINTS, or its negative, from just past it
     to 6,000 digits (str() converts at most 4,300); every size argument must
-    refuse it before allocating anything."""
+    refuse it before allocating anything, and every index as out of range."""
     size = MAX_POINTS + 1 + 2 ** int(rng.integers(0, 20_000))
     return size if rng.random() < 0.5 else -size
 
@@ -239,14 +239,24 @@ def _not_array(rng: np.random.Generator):
     return choices[int(rng.integers(len(choices)))]
 
 
+def _pair_in_range(p, i, j):
+    """pair_outcome_probability, with its documented IndexError for an index
+    out of range taken as a refusal."""
+    try:
+        return pair_outcome_probability(p, i, j)
+    except IndexError:
+        return None
+
+
 def check_boundary_errors(n_checks: int, seed: int) -> tuple[int, int]:
     """Non-finite, zero and negative sizes, spacings, times, steps and
     tolerances, sizes beyond MAX_POINTS, non-numeric or overflowing scalars
     (profile parameters, times, steps, tolerances, lengths, widths, centres
-    and h), non-integer counts (sizes, seeds, indices, samples, orders) and
-    non-real arrays, each fed to one argument of a public constructor or
-    engine, raise nothing but LogentError (the call may also succeed: a
-    negative t or a zero tol is valid)."""
+    and h), non-integer counts (sizes, seeds, indices, samples, orders),
+    non-real arrays and indices beyond MAX_POINTS, each fed to one argument
+    of a public constructor or engine, raise nothing but LogentError, or the
+    IndexError documented for an index out of range (the call may also
+    succeed: a negative t or a zero tol is valid)."""
     rng = np.random.default_rng(seed)
     p = SignedProbVector(np.array([0.5, 0.3, 0.2]))
     gen = cyclic_generator3()
@@ -386,6 +396,8 @@ def check_boundary_errors(n_checks: int, seed: int) -> tuple[int, int]:
         (_huge_size, lambda v: gaussian_pure_wigner(8, v, 8.0, 8.0, 0.3)),
         (_huge_size, lambda v: density_run(f, kern, 1.0, v)),
         (_huge_size, lambda v: higher_moment(w, v)),
+        (_huge_size, lambda v: _pair_in_range(p, v, 0)),
+        (_huge_size, lambda v: _pair_in_range(p, 0, v)),
     ]
     done = failures = 0
     with warnings.catch_warnings():

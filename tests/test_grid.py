@@ -25,7 +25,7 @@ from logent import (
     wigner_run,
 )
 from logent import densities
-from logent._grid import DEFAULT_STEP_ANGLE, cayley_power, steps
+from logent._grid import DEFAULT_STEP_ANGLE, cayley_power, int_power, steps
 from logent.densities import read_density_csv, write_density_csv
 from logent.dynamics import read_trajectory_csv, write_trajectory_csv
 from logent.wigner import read_wigner_csv, write_wigner_csv
@@ -179,6 +179,40 @@ def _trajectory_file(path):
     p = SignedProbVector(np.array([0.5, 0.3, 0.2]))
     write_trajectory_csv(trajectory(p, cyclic_generator3(), 0.2, 0.1), path)
     return read_trajectory_csv
+
+
+def _ulps(a: np.ndarray, b: np.ndarray) -> int:
+    """Largest distance in units in the last place between same-sign floats."""
+    return int(np.max(np.abs(a.view(np.int64) - b.view(np.int64))))
+
+
+class TestIntPower:
+    FAMILIES = [("constant", 0), ("linear", 1), ("harmonic", 2), ("quartic", 4)]
+
+    @pytest.mark.parametrize("family, k", FAMILIES)
+    def test_bit_identical_to_pow_at_dyadic_points(self, family, k):
+        # covers the points x +- l/2 of a 128 x 128 phase-space grid on [-4, 4)^2, h = 1
+        x = np.arange(-192, 192) / 16.0
+        assert np.array_equal(int_power(x, k), x**k)
+        assert np.array_equal(PotentialSpec(family, (0.1,)).evaluate(x), 0.1 * x**k)
+
+    @pytest.mark.parametrize("family, k", FAMILIES)
+    def test_within_two_ulp_of_pow_at_random_points(self, family, k):
+        x = np.random.default_rng(11).uniform(-10.0, 10.0, 200_000)
+        power = int_power(x, k)
+        assert np.array_equal(np.signbit(power), np.signbit(x**k))
+        assert _ulps(np.abs(power), np.abs(x**k)) <= 2
+        c = -0.37  # evaluate is c times the power, whatever its rounding
+        assert np.array_equal(PotentialSpec(family, (c,)).evaluate(x), c * power)
+
+    def test_overflowing_quartic_raises_domain_error(self):
+        with np.errstate(over="ignore"), pytest.raises(DomainError):
+            PotentialSpec.quartic(0.1).evaluate(np.array([0.0, 1e100]))
+
+    def test_shape_and_negative_zero_kept(self):
+        assert int_power(np.zeros((3, 2)), 0).shape == (3, 2)
+        assert np.signbit(int_power(np.array([-0.0]), 1))[0]
+        assert PotentialSpec.constant(2.5).evaluate(np.zeros(4)).tolist() == [2.5] * 4
 
 
 class TestReadCsv:

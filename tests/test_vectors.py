@@ -283,6 +283,15 @@ class TestPairProbability:
         with pytest.raises(InadmissibleStateError):
             pair_outcome_probability([1.0, 1.0, -1.0], 0, 0)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_index_beyond_str_conversion_is_an_index_error(self, sign):
+        # str() refuses an int of more than 4,300 digits; the message must not need it
+        big = sign * 10**5000
+        with pytest.raises(IndexError, match="beyond the float range"):
+            pair_outcome_probability([0.5, 0.5], big, 0)
+        with pytest.raises(IndexError, match=r"\(1, an int beyond the float range\)"):
+            pair_outcome_probability([0.5, 0.5], 1, big)
+
 
 class TestBoundaryValues:
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, -1e-12])

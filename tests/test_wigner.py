@@ -19,6 +19,7 @@ from logent import (
     wigner_evolve,
     wigner_run,
 )
+from logent._grid import _BLOCK_ROWS
 from logent.wigner import read_wigner_csv, write_diagnostics_csv, write_wigner_csv
 from oracles import rotated_gaussian_wigner, wigner_moment_quad
 
@@ -108,6 +109,19 @@ class TestHigherMoment:
         assert higher_moment(w, r) == pytest.approx(2 ** (r - 1) / r, abs=1e-6)
         quad = wigner_moment_quad(w.values, w.dx, w.dp, w.h, r)
         assert higher_moment(w, r) == pytest.approx(quad, rel=1e-13)
+
+    @pytest.mark.parametrize("r", range(2, 8))
+    def test_same_bits_as_the_inline_squaring_loop(self, r):
+        # the loop higher_moment ran before it called int_power
+        w = gaussian_pure_wigner(64, 64, 8.0, 8.0, 0.4, h=0.7, x_center=1.1, p_center=-0.3)
+        power, square = 1.0, w.values
+        for k in range(r.bit_length()):
+            if k:
+                square = square * square
+            if r >> k & 1:
+                power = power * square
+        expected = float(np.float64(w.h) ** (r - 1.0) * np.sum(power) * w.dx * w.dp)
+        assert higher_moment(w, r) == expected
 
     @pytest.mark.parametrize("r", [10**6, 10**400])
     def test_huge_order_raises_promptly(self, r):
@@ -482,6 +496,28 @@ class TestSnapshotIo:
         assert np.array_equal(back.values, w.values)
         assert math.copysign(1.0, back.values[0, 0]) == -1.0
         assert back.total == w.total and back.information == w.information
+
+    def test_bytes_match_per_cell_rule_across_write_chunks(self, tmp_path):
+        # reference: "%.16e" per cell over the repeated x, tiled p and values
+        # columns; 4 x lines of 2 * _BLOCK_ROWS + 2 points, each written in
+        # three pieces, holding negative values, -0.0, 1e-300 and values
+        # that need all 17 digits (0.1, -1/3, and most of the coordinates)
+        nx, npts = 4, 2 * _BLOCK_ROWS + 2
+        values = np.random.default_rng(7).standard_normal((nx, npts)) + 1.0
+        values[0, :4] = -0.0, 1e-300, 0.1, -1.0 / 3.0
+        dp = 2.0 / float(values.sum())
+        w = WignerGrid(values, x0=-1.0 / 3.0, dx=0.5, p0=-math.pi, dp=dp, h=0.7, mass=1.3)
+        path = tmp_path / "snap.csv"
+        write_wigner_csv(w, path)
+        columns = np.column_stack([np.repeat(w.x, npts), np.tile(w.p, nx), values.ravel()])
+        rows = "".join("%.16e,%.16e,%.16e\n" % tuple(row) for row in columns.tolist())
+        assert path.read_text() == "x,p,w\n" + rows
+        back = read_wigner_csv(path)
+        assert np.array_equal(back.values, values)
+        assert np.array_equal(np.signbit(back.values), np.signbit(values))
+        assert (back.x0, back.dx, back.p0, back.dp, back.h, back.mass) == (
+            w.x0, w.dx, w.p0, w.dp, w.h, w.mass
+        )
 
     def test_diagnostics_bytes_match_per_row_format(self, tmp_path):
         w0 = pure_state(nx=32, npts=32)
