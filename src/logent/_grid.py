@@ -4,10 +4,10 @@ A signed vector, a line density and a Wigner function hold a normalized
 state on a lattice: the quadrature sum(values) * cell is one, the
 information is I = h * sum(values^2) * cell and the entropy is S = 1 - I,
 where the cell is the product of the spacings (none for a vector, whose
-h = 1).  Grid files are CSV at a fixed number of significant digits,
-optionally with a JSON sidecar holding the scalars: write_csv writes the
-text that column_rows (columns) or lattice_rows (a 2-d lattice, each
-coordinate formatted once) yields, a block at a time.
+h = 1).  Every CSV file is lattice_rows text: a row per lattice point, its
+coordinates, then its values (a run's series: the lattice of its times).
+write_grid and read_grid keep a grid's snapshot with a JSON sidecar of its
+scalars and sizes; the reader checks the coordinates against that lattice.
 
 The time-stepped engines (dynamics, the timestepped density oracle and the
 phase-space split step) share one step rule, steps: a span t is cut into
@@ -25,6 +25,7 @@ array of finite reals).
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -55,15 +56,17 @@ class Grid:
     """Checks and invariants of a frozen normalized-state dataclass.
 
     Subclasses declare the fields (values, then the scalars that _SCALARS
-    maps to their checks), the spacings whose product is the cell in
-    _SPACINGS, the array shape in _check_shape and h, a field or a
-    constant.  Values must be finite and sum to one within QUAD_TOL in
-    quadrature; they are stored read-only.  _ERROR is raised for malformed
-    values and scalars.
+    maps to their checks), the (origin, spacing) fields of each array axis
+    in _AXES (the cell is the product of the spacings), the snapshot's CSV
+    header and sidecar size keys in _HEADER and _SIZES, the array shape in
+    _check_shape and h, a field or a constant.  Values must be finite and
+    sum to one within QUAD_TOL in quadrature; they are stored read-only.
+    _ERROR is raised for malformed values and scalars.
     """
 
     _SCALARS: dict = {}
-    _SPACINGS: tuple = ()
+    _AXES: tuple = ()
+    _HEADER, _SIZES = "", ()
     _ERROR: type = GridError
 
     def _check_shape(self, arr: np.ndarray) -> None:
@@ -83,9 +86,14 @@ class Grid:
 
     def _integrate(self, s: float) -> float:
         """A lattice sum times the cell, one spacing at a time."""
-        for name in self._SPACINGS:
-            s *= getattr(self, name)
+        for _, step in self._AXES:
+            s *= getattr(self, step)
         return s
+
+    def axis(self, k: int) -> np.ndarray:
+        """The coordinates origin + spacing * arange(n) of array axis k."""
+        origin, step = self._AXES[k]
+        return getattr(self, origin) + getattr(self, step) * np.arange(self.values.shape[k])
 
     @property
     def total(self) -> float:
@@ -243,37 +251,32 @@ def int_power(x: np.ndarray, r: int) -> np.ndarray:
     return power
 
 
-def column_rows(columns, digits: int):
-    """CSV text of equal-length columns at `digits` significant digits, at most
-    _BLOCK_ROWS rows at a time.  A 2-d column contributes one CSV column per
-    array column."""
+def lattice_rows(axes, values, digits: int):
+    """CSV rows of a lattice at `digits` significant digits, _BLOCK_ROWS at a
+    time: each point's coordinates (the first axis slowest), then its values.
+    values has the lattice's shape, plus a trailing axis if points have several.
+    Each coordinate is formatted once per line of the last axis: 256
+    conversions for a 128 x 128 lattice, not 32,768."""
     cell = f"%.{digits - 1}e"
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = np.column_stack([c[start : start + _BLOCK_ROWS] for c in columns])
-        row = ",".join([cell] * block.shape[1]) + "\n"
-        yield (row * block.shape[0]) % tuple(block.ravel().tolist())
-
-
-def lattice_rows(x, p, values, digits: int):
-    """CSV text of the rows x[i], p[j], values[i, j] (i slowest) at `digits`
-    significant digits, one x line of at most _BLOCK_ROWS rows at a time.
-
-    The same text as column_rows over np.repeat(x), np.tile(p) and the
-    flattened values, but each coordinate is formatted once, not once per
-    row: a 128 x 128 lattice takes 256 coordinate conversions, not 32,768.
-    """
-    cell = f"%.{digits - 1}e"
-    # each p row's text after its x, with a placeholder for its value
-    tails = [f",{cell % v},{cell}\n" for v in p.tolist()]
-    for i, x_text in enumerate([cell % v for v in x.tolist()]):
-        for start in range(0, len(tails), _BLOCK_ROWS):
-            line = x_text + x_text.join(tails[start : start + _BLOCK_ROWS])
-            yield line % tuple(values[i, start : start + _BLOCK_ROWS].tolist())
+    *outer, last = [np.asarray(a).tolist() for a in axes]
+    width = math.prod(np.shape(values)[len(axes) :])  # values per point
+    lines = np.reshape(values, (math.prod(map(len, outer)), len(last), width))
+    row = ",".join([cell] * width) + "\n"
+    starts = range(0, len(last), _BLOCK_ROWS)
+    # each block's rows after their outer coordinates, with placeholders for the values
+    tails = ([f"{cell % v},{row}" for v in last[s : s + _BLOCK_ROWS]] for s in starts)
+    blocks = list(tails) if outer else tails  # a series: block by block, as written
+    texts = itertools.product(*[[cell % v for v in a] for a in outer])
+    for line, coords in zip(lines, texts):
+        prefix = "".join(c + "," for c in coords)
+        for start, block in zip(starts, blocks):
+            cells = line[start : start + _BLOCK_ROWS].ravel().tolist()
+            yield (prefix + prefix.join(block)) % tuple(cells)
 
 
 def write_csv(path, header: str, text, meta: dict | None = None):
     """Write a header line, then the blocks of CSV text from `text`
-    (column_rows or lattice_rows), as they come.
+    (lattice_rows), as they come.
 
     With a meta dict, it is also written as an indented JSON sidecar to
     <path>.meta.json.
@@ -320,3 +323,28 @@ def read_csv(path, kind: str, header: str | None = None, meta: dict | None = Non
     if data.size and data.shape[1] != len(fields):
         raise GridError(f"{kind} CSV rows have {data.shape[1]} cells, header has {len(fields)}")
     return fields, data.reshape(-1, len(fields)), values
+
+
+def write_grid(grid: Grid, path) -> None:
+    """A grid's lattice and values at 17 significant digits, with a sidecar of
+    its _SCALARS fields in declaration order, then its _SIZES."""
+    meta = {name: getattr(grid, name) for name in grid._SCALARS}
+    meta.update(zip(grid._SIZES, grid.values.shape))
+    axes = [grid.axis(k) for k in range(grid.values.ndim)]
+    write_csv(path, grid._HEADER, lattice_rows(axes, grid.values, 17), meta)
+
+
+def read_grid(cls, path):
+    """The cls that write_grid wrote to path; GridError for malformed content,
+    rows other than the sidecar's sizes or coordinates other than its
+    lattice (17 digits read back bit for bit)."""
+    meta = dict(cls._SCALARS, **dict.fromkeys(cls._SIZES, count))
+    _, data, m = read_csv(path, cls.__name__, cls._HEADER, meta)
+    shape = tuple(m.pop(key) for key in cls._SIZES)
+    if data.shape[0] != math.prod(shape):
+        raise GridError(f"{cls.__name__} CSV row count disagrees with the sidecar sizes")
+    grid = cls(data[:, -1].reshape(shape), **m)
+    lattice = np.meshgrid(*[grid.axis(k) for k in range(grid.values.ndim)], indexing="ij")
+    if not all(np.array_equal(data[:, k], c.ravel()) for k, c in enumerate(lattice)):
+        raise GridError(f"{cls.__name__} CSV coordinates are not the sidecar's lattice")
+    return grid

@@ -359,7 +359,7 @@ def evolve_continuum(
             raise click.UsageError(f"{exc} (--cross-check oracle)") from exc
     densities.write_density_csv(final, output_grid)
     _grid.write_csv(
-        output_diag, "t,sum,I,max_mode_drift", _grid.column_rows([rec.times, rec.diagnostics], 15)
+        output_diag, "t,sum,I,max_mode_drift", _grid.lattice_rows([rec.times], rec.diagnostics, 15)
     )
     _summary(18, [
         ("samples", samples),

@@ -32,14 +32,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from ._grid import (
-    MAX_STEPS, Grid, RunRecord, cayley_power, check_wrap, column_rows, count, finite, int_power,
-    positive, read_csv, real_array, spacing, steps, write_csv,
+    MAX_STEPS, Grid, RunRecord, cayley_power, check_wrap, count, finite, int_power, positive,
+    read_grid, real_array, spacing, steps, write_grid,
 )
 from .errors import DomainError, GridError
 
@@ -64,8 +64,9 @@ class DensityGrid(Grid):
     dz: float
     h: float
 
-    _SCALARS = {"z0": finite, "dz": positive, "h": positive}
-    _SPACINGS = ("dz",)
+    _SCALARS = {"h": positive, "dz": positive, "z0": finite}
+    _AXES = (("z0", "dz"),)
+    _HEADER, _SIZES = "z,f", ("N",)
 
     def _check_shape(self, arr):
         if arr.ndim != 1:
@@ -83,7 +84,7 @@ class DensityGrid(Grid):
 
     @property
     def z(self) -> np.ndarray:
-        return self.z0 + self.dz * np.arange(self.n)
+        return self.axis(0)
 
     @property
     def information_floor(self) -> float:
@@ -321,8 +322,7 @@ def evolve_density(f0: DensityGrid, k: KernelSpec, t: float) -> DensityGrid:
     t = finite(t, "t")
     spectrum = np.fft.fft(f0.values)
     spectrum *= np.exp(1j * k.m_hat * t)
-    values = np.fft.ifft(spectrum).real
-    return DensityGrid(values=values, z0=f0.z0, dz=f0.dz, h=f0.h)
+    return replace(f0, values=np.fft.ifft(spectrum).real)
 
 
 def density_run(
@@ -356,11 +356,10 @@ def evolve_density_timestepped(f0: DensityGrid, k: KernelSpec, t: float, dt: flo
     with evolve_density and serves as an independent discretization.
     """
     _check_compatible(f0, k)
-    n_steps, step = steps(t, dt)
+    n_steps, step = steps(t, finite(dt, "dt"))  # finite: steps reads dt = None as "choose dt"
     idx = (np.arange(k.n)[:, None] - np.arange(k.n)[None, :]) % k.n
     a = (f0.dz / f0.h) * k.real_kernel[idx]
-    values = cayley_power(a, step, n_steps) @ f0.values
-    return DensityGrid(values=values, z0=f0.z0, dz=f0.dz, h=f0.h)
+    return replace(f0, values=cayley_power(a, step, n_steps) @ f0.values)
 
 
 def pure_state_residual(f: DensityGrid) -> float:
@@ -383,15 +382,11 @@ def pure_state_residual(f: DensityGrid) -> float:
 
 def write_density_csv(f: DensityGrid, path) -> None:
     """CSV with header (z, f) at 17 significant digits plus a JSON sidecar
-    holding h, dz, z0, N."""
-    meta = {"h": f.h, "dz": f.dz, "z0": f.z0, "N": f.n}
-    write_csv(path, "z,f", column_rows([f.z, f.values], 17), meta)
+    holding h, dz, z0, N: write_grid's snapshot."""
+    write_grid(f, path)
 
 
 def read_density_csv(path) -> DensityGrid:
-    """Read a grid written by write_density_csv; GridError for malformed content."""
-    meta = {"h": finite, "dz": finite, "z0": finite, "N": count}
-    _, data, m = read_csv(path, "density", "z,f", meta)
-    if data.shape[0] != m["N"]:
-        raise GridError("CSV row count disagrees with metadata N")
-    return DensityGrid(values=data[:, 1], z0=m["z0"], dz=m["dz"], h=m["h"])
+    """Read a grid written by write_density_csv; GridError for malformed
+    content, including a z column that is not the sidecar's lattice."""
+    return read_grid(DensityGrid, path)

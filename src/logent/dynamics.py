@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._grid import (
-    MAX_POINTS, RunRecord, cayley_power, column_rows, count, finite, read_csv, real_array, steps,
+    MAX_POINTS, RunRecord, cayley_power, count, finite, lattice_rows, read_csv, real_array, steps,
     write_csv,
 )
 from .errors import DimensionMismatchError, DomainError, GridError
@@ -166,9 +166,8 @@ def write_trajectory_csv(rec: RunRecord, path) -> None:
     significant digits."""
     n = rec.states[0].n
     header = ",".join(["t"] + [f"p_{i}" for i in range(n)] + ["sum_drift", "info_drift"])
-    states = np.array([s.entries for s in rec.states])
-    columns = [rec.times, states, rec.probability_drift, rec.information_drift]
-    write_csv(path, header, column_rows(columns, 15))
+    values = np.column_stack([[s.entries for s in rec.states], rec.diagnostics])
+    write_csv(path, header, lattice_rows([rec.times], values, 15))
 
 
 def read_trajectory_csv(path) -> dict:

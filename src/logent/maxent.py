@@ -148,13 +148,9 @@ def max_mean_nonnegative(c: ObservableConstraint, negative_branch: bool = False)
     negative branch).
     """
     a, b, _, _ = _affine_coefficients(c)
-    scale = float(np.max(np.abs(b)))
-    if negative_branch:
-        rising = b > scale * 1e-14
-        if not np.any(rising):
-            raise NoSolutionError("no entry decreases toward negative means")
-        return float(np.max(-a[rising] / b[rising]))
-    falling = b < -scale * 1e-14
+    sign = -1.0 if negative_branch else 1.0  # the direction the mean moves in
+    falling = sign * b < -float(np.max(np.abs(b))) * 1e-14
     if not np.any(falling):
-        raise NoSolutionError("no entry decreases toward positive means")
-    return float(np.min(-a[falling] / b[falling]))
+        side = "negative" if negative_branch else "positive"
+        raise NoSolutionError(f"no entry decreases toward {side} means")
+    return sign * float(np.min(-a[falling] / (sign * b[falling])))

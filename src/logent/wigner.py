@@ -44,14 +44,14 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
 from ._grid import (
-    Grid, RunRecord, check_wrap, column_rows, count, finite, int_power, lattice_rows, positive,
-    read_csv, spacing, steps, write_csv,
+    Grid, RunRecord, check_wrap, count, finite, int_power, lattice_rows, positive, read_grid,
+    spacing, steps, write_csv, write_grid,
 )
 from .densities import DensityGrid, PotentialSpec
 from .errors import DomainError, GridError
@@ -86,7 +86,8 @@ class WignerGrid(Grid):
 
     _SCALARS = {"x0": finite, "dx": positive, "p0": finite, "dp": positive, "h": positive,
                 "mass": positive}
-    _SPACINGS = ("dx", "dp")
+    _AXES = (("x0", "dx"), ("p0", "dp"))
+    _HEADER, _SIZES = "x,p,w", ("Nx", "Np")
 
     def _check_shape(self, arr):
         if arr.ndim != 2:
@@ -104,11 +105,11 @@ class WignerGrid(Grid):
 
     @property
     def x(self) -> np.ndarray:
-        return self.x0 + self.dx * np.arange(self.nx)
+        return self.axis(0)
 
     @property
     def p(self) -> np.ndarray:
-        return self.p0 + self.dp * np.arange(self.npts)
+        return self.axis(1)
 
     @property
     def amplitude_bound_satisfied(self) -> bool:
@@ -253,9 +254,7 @@ def _loop(
         if record:
             _record(k + 1, values)
 
-    final = WignerGrid(
-        values=values, x0=w0.x0, dx=w0.dx, p0=w0.p0, dp=w0.dp, h=w0.h, mass=w0.mass
-    )
+    final = replace(w0, values=values)
     if not record:
         return None, final
     diag[:, :3] *= w0.dx * w0.dp
@@ -314,7 +313,7 @@ def delta_localized_evolve(
     t, a = finite(t, "t"), finite(a, "a")
     n, dp, h = wbar0.n, wbar0.dz, wbar0.h
     if t == 0.0:
-        return DensityGrid(values=wbar0.values.copy(), z0=wbar0.z0, dz=dp, h=h)
+        return replace(wbar0, values=wbar0.values.copy())
     lam = h * np.fft.fftfreq(n, d=dp)
     m_hat = (2.0 * math.pi / h) * (
         potential.evaluate(a + lam / 2.0) - potential.evaluate(a - lam / 2.0)
@@ -331,8 +330,7 @@ def delta_localized_evolve(
     c = col.real
     c = (c - c[(-offsets) % n]) / 2.0  # enforce exact periodic oddness
     gen = c[(offsets[:, None] - offsets[None, :]) % n]
-    values = scipy.linalg.expm(t * gen) @ wbar0.values
-    return DensityGrid(values=values, z0=wbar0.z0, dz=dp, h=h)
+    return replace(wbar0, values=scipy.linalg.expm(t * gen) @ wbar0.values)
 
 
 # ---------------------------------------------------------------------------
@@ -341,33 +339,16 @@ def delta_localized_evolve(
 
 def write_wigner_csv(w: WignerGrid, path) -> None:
     """Flat CSV (x, p, w) at 17 significant digits, x slowest, plus a JSON
-    sidecar.  Written one x line at a time by lattice_rows, which formats
-    each of the nx + npts coordinates once and each value once."""
-    meta = {
-        "x0": w.x0,
-        "dx": w.dx,
-        "p0": w.p0,
-        "dp": w.dp,
-        "h": w.h,
-        "mass": w.mass,
-        "Nx": w.nx,
-        "Np": w.npts,
-    }
-    write_csv(path, "x,p,w", lattice_rows(w.x, w.p, w.values, 17), meta)
+    sidecar of x0, dx, p0, dp, h, mass, Nx and Np: write_grid's snapshot."""
+    write_grid(w, path)
 
 
 def read_wigner_csv(path) -> WignerGrid:
-    """Read a snapshot written by write_wigner_csv; GridError for malformed content."""
-    meta = {"x0": finite, "dx": finite, "p0": finite, "dp": finite, "h": finite,
-            "mass": finite, "Nx": count, "Np": count}
-    _, data, m = read_csv(path, "phase-space", "x,p,w", meta)
-    nx, npts = m.pop("Nx"), m.pop("Np")
-    if data.shape[0] != nx * npts:
-        raise GridError("CSV row count disagrees with metadata shape")
-    return WignerGrid(values=data[:, 2].reshape(nx, npts), **m)
+    """Read a snapshot written by write_wigner_csv; GridError for malformed
+    content, including x and p columns that are not the sidecar's lattice."""
+    return read_grid(WignerGrid, path)
 
 
 def write_diagnostics_csv(rec: RunRecord, path) -> None:
     """Time series (t, sum, I, moment3) at 15 significant digits."""
-    columns = [rec.times, rec.total_probability, rec.information, rec.moment3]
-    write_csv(path, "t,sum,I,moment3", column_rows(columns, 15))
+    write_csv(path, "t,sum,I,moment3", lattice_rows([rec.times], rec.diagnostics[:, :3], 15))

@@ -279,6 +279,14 @@ class TestTimesteppedEvolution:
         with pytest.raises(DomainError):
             evolve_density_timestepped(f, k, 1.0, -0.1)
 
+    def test_rejects_none_dt(self):
+        # steps reads dt = None as "choose dt", and the zero rate it is given
+        # would take one Cayley step over all of t
+        f = pure_gaussian(64)
+        k = build_kernel(omega_harmonic(1.0), 0.5, f)
+        with pytest.raises(DomainError):
+            evolve_density_timestepped(f, k, 2.0, None)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("which", ["t", "dt"])
     def test_non_finite_time_or_step_rejected(self, which, bad):
@@ -372,6 +380,8 @@ class TestCsvRoundTrip:
             (None, "not json"),
             (None, '{"h": 1.0, "dz": "wide", "z0": 0.0, "N": 4}'),  # mistyped value
             ("x,p,w\n", None),  # wrong header
+            ("z,f\n" + "9.9,0.25\n" * 4, None),  # z column overwritten
+            ("z,f\n-1,0.25\n0,0.25\n1,0.25\n2,0.25\n", None),  # z shifted by one cell
         ],
     )
     def test_malformed_content_raises_grid_error(self, tmp_path, csv, meta):

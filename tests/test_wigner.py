@@ -9,6 +9,7 @@ from logent import (
     DomainError,
     GridError,
     PotentialSpec,
+    RunRecord,
     WignerGrid,
     build_kernel,
     delta_localized_evolve,
@@ -530,6 +531,12 @@ class TestSnapshotIo:
         )
         assert path.read_text() == "t,sum,I,moment3\n" + rows
 
+    def test_diagnostics_of_no_samples_is_the_header_alone(self, tmp_path):
+        columns = ("total_probability", "information", "moment3", "min_value")
+        path = tmp_path / "diag.csv"
+        write_diagnostics_csv(RunRecord(np.array([]), np.empty((0, 4)), columns), path)
+        assert path.read_text() == "t,sum,I,moment3\n"
+
     @pytest.mark.parametrize(
         "csv, meta",
         [
@@ -539,6 +546,11 @@ class TestSnapshotIo:
             (None, "{"),  # non-JSON sidecar
             (None, '{"x0": 0, "dx": 1, "p0": 0, "dp": 1, "h": 1, "mass": 1, "Nx": -4, "Np": -4}'),
             ("z,f\n", None),  # wrong header
+            ("x,p,w\n" + "9.9,-7.7,0.0625\n" * 16, None),  # x and p columns overwritten
+            (  # the x column right, the p column overwritten
+                "x,p,w\n" + "".join(f"{i},-7.7,0.0625\n" for i in range(4) for _ in range(4)),
+                None,
+            ),
         ],
     )
     def test_malformed_content_raises_grid_error(self, tmp_path, csv, meta):
