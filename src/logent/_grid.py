@@ -4,10 +4,11 @@ A signed vector, a line density and a Wigner function hold a normalized
 state on a lattice: the quadrature sum(values) * cell is one, the
 information is I = h * sum(values^2) * cell and the entropy is S = 1 - I,
 where the cell is the product of the spacings (none for a vector, whose
-h = 1).  Every CSV file is lattice_rows text: a row per lattice point, its
+h = 1).  write_csv writes every CSV file: a row per lattice point, its
 coordinates, then its values (a run's series: the lattice of its times).
 write_grid and read_grid keep a grid's snapshot with a JSON sidecar of its
-scalars and sizes; the reader checks the coordinates against that lattice.
+scalars and sizes, the only sidecar; the reader checks the header and the
+coordinates against that lattice.
 
 The time-stepped engines (dynamics, the timestepped density oracle and the
 phase-space split step) share one step rule, steps: a span t is cut into
@@ -251,12 +252,13 @@ def int_power(x: np.ndarray, r: int) -> np.ndarray:
     return power
 
 
-def lattice_rows(axes, values, digits: int):
-    """CSV rows of a lattice at `digits` significant digits, _BLOCK_ROWS at a
-    time: each point's coordinates (the first axis slowest), then its values.
-    values has the lattice's shape, plus a trailing axis if points have several.
-    Each coordinate is formatted once per line of the last axis: 256
-    conversions for a 128 x 128 lattice, not 32,768."""
+def write_csv(path, header: str, axes, values, digits: int) -> None:
+    """Write a header line, then a CSV row per lattice point at `digits`
+    significant digits: its coordinates (the first axis slowest), then its
+    values.  values has the lattice's shape, plus a trailing axis if points
+    have several.  Each coordinate is formatted once per line of the last
+    axis (256 conversions for a 128 x 128 lattice, not 32,768), and at most
+    _BLOCK_ROWS rows are formatted per write."""
     cell = f"%.{digits - 1}e"
     *outer, last = [np.asarray(a).tolist() for a in axes]
     width = math.prod(np.shape(values)[len(axes) :])  # values per point
@@ -267,84 +269,65 @@ def lattice_rows(axes, values, digits: int):
     tails = ([f"{cell % v},{row}" for v in last[s : s + _BLOCK_ROWS]] for s in starts)
     blocks = list(tails) if outer else tails  # a series: block by block, as written
     texts = itertools.product(*[[cell % v for v in a] for a in outer])
-    for line, coords in zip(lines, texts):
-        prefix = "".join(c + "," for c in coords)
-        for start, block in zip(starts, blocks):
-            cells = line[start : start + _BLOCK_ROWS].ravel().tolist()
-            yield (prefix + prefix.join(block)) % tuple(cells)
-
-
-def write_csv(path, header: str, text, meta: dict | None = None):
-    """Write a header line, then the blocks of CSV text from `text`
-    (lattice_rows), as they come.
-
-    With a meta dict, it is also written as an indented JSON sidecar to
-    <path>.meta.json.
-    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        fh.writelines(text)
-    if meta is not None:
-        with open(str(path) + ".meta.json", "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(meta, fh, indent=2)
-            fh.write("\n")
+        for line, coords in zip(lines, texts):
+            prefix = "".join(c + "," for c in coords)
+            for start, block in zip(starts, blocks):
+                cells = line[start : start + _BLOCK_ROWS].ravel().tolist()
+                fh.write((prefix + prefix.join(block)) % tuple(cells))
 
 
-def read_csv(path, kind: str, header: str | None = None, meta: dict | None = None):
-    """Read a CSV written by write_csv, and its sidecar when meta is given.
-
-    meta maps each required sidecar key to its check, finite or count.
-    Returns the header fields, the (rows, columns) data and the checked
-    sidecar values.  A wrong header (when `header` is given), a non-numeric
-    cell, a row of the wrong length, non-UTF-8 text and a missing, refused
-    or non-JSON sidecar raise GridError; a missing file raises OSError.
-    """
-    values = {}
-    if meta is not None:
-        with open(str(path) + ".meta.json", "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-                values = {key: check(raw[key], key, error=GridError) for key, check in meta.items()}
-            except (KeyError, TypeError, ValueError) as exc:  # GridError is a ValueError
-                raise GridError(f"malformed {kind} sidecar: {exc!r}") from exc
+def read_csv(path, kind: str):
+    """Read a CSV written by write_csv: its header fields and its (rows,
+    columns) data.  A non-numeric cell, a row of the wrong length and
+    non-UTF-8 text raise GridError; a missing file raises OSError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             fields = fh.readline().strip().split(",")
-        except UnicodeDecodeError as exc:
-            raise GridError(f"malformed {kind} CSV: {exc}") from exc
-        if header is not None and fields != header.split(","):
-            raise GridError(f"not a {kind} CSV")
-        try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # no data rows
                 data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
+        except ValueError as exc:  # UnicodeDecodeError is a ValueError
             raise GridError(f"malformed {kind} CSV: {exc}") from exc
     if data.size and data.shape[1] != len(fields):
         raise GridError(f"{kind} CSV rows have {data.shape[1]} cells, header has {len(fields)}")
-    return fields, data.reshape(-1, len(fields)), values
+    return fields, data.reshape(-1, len(fields))
 
 
 def write_grid(grid: Grid, path) -> None:
-    """A grid's lattice and values at 17 significant digits, with a sidecar of
-    its _SCALARS fields in declaration order, then its _SIZES."""
+    """A grid's lattice and values at 17 significant digits, with an indented
+    JSON sidecar, <path>.meta.json, of its _SCALARS fields in declaration
+    order, then its _SIZES."""
     meta = {name: getattr(grid, name) for name in grid._SCALARS}
     meta.update(zip(grid._SIZES, grid.values.shape))
-    axes = [grid.axis(k) for k in range(grid.values.ndim)]
-    write_csv(path, grid._HEADER, lattice_rows(axes, grid.values, 17), meta)
+    write_csv(path, grid._HEADER, [grid.axis(k) for k in range(grid.values.ndim)], grid.values, 17)
+    with open(str(path) + ".meta.json", "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(meta, fh, indent=2)
+        fh.write("\n")
 
 
 def read_grid(cls, path):
-    """The cls that write_grid wrote to path; GridError for malformed content,
-    rows other than the sidecar's sizes or coordinates other than its
-    lattice (17 digits read back bit for bit)."""
-    meta = dict(cls._SCALARS, **dict.fromkeys(cls._SIZES, count))
-    _, data, m = read_csv(path, cls.__name__, cls._HEADER, meta)
-    shape = tuple(m.pop(key) for key in cls._SIZES)
+    """The cls that write_grid wrote to path; GridError for a sidecar that is
+    not JSON or lacks or refuses an entry, malformed CSV content, a header
+    other than cls._HEADER, rows other than the sidecar's sizes or
+    coordinates other than its lattice (17 digits read back bit for bit);
+    OSError for a missing CSV or sidecar."""
+    kind, checks = cls.__name__, dict(cls._SCALARS, **dict.fromkeys(cls._SIZES, count))
+    with open(str(path) + ".meta.json", "r", encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+            meta = {key: check(raw[key], key, error=GridError) for key, check in checks.items()}
+        except (KeyError, TypeError, ValueError) as exc:  # GridError is a ValueError
+            raise GridError(f"malformed {kind} sidecar: {exc!r}") from exc
+    fields, data = read_csv(path, kind)
+    if fields != cls._HEADER.split(","):
+        raise GridError(f"not a {kind} CSV")
+    shape = tuple(meta.pop(key) for key in cls._SIZES)
     if data.shape[0] != math.prod(shape):
-        raise GridError(f"{cls.__name__} CSV row count disagrees with the sidecar sizes")
-    grid = cls(data[:, -1].reshape(shape), **m)
+        raise GridError(f"{kind} CSV row count disagrees with the sidecar sizes")
+    grid = cls(data[:, -1].reshape(shape), **meta)
     lattice = np.meshgrid(*[grid.axis(k) for k in range(grid.values.ndim)], indexing="ij")
     if not all(np.array_equal(data[:, k], c.ravel()) for k, c in enumerate(lattice)):
-        raise GridError(f"{cls.__name__} CSV coordinates are not the sidecar's lattice")
+        raise GridError(f"{kind} CSV coordinates are not the sidecar's lattice")
     return grid

@@ -8,17 +8,16 @@ the per-engine CSV/JSON formats.  evolve wigner --rotation-check evaluates the
 initial Gaussian's closed form at back-rotated points: it shares the state
 formula with the library but no evolution code.  Exit codes: 0 success,
 1 inadmissible state, 2 usage or configuration error, which includes every
-LogentError a command raises.
+LogentError a command raises and an output path it cannot write (OSError).
 
 Engine parameters can come from flags or from a flat key = value config
 file with one section per engine ([fd], [continuum], [wigner]); unknown
 keys, and keys the run would ignore, are rejected, and values are checked
-like the flags.  Flags override config values.
+like the flags.  Flags override config values, wherever --config stands.
 """
 from __future__ import annotations
 
 import configparser
-import functools
 import json
 import math
 
@@ -102,12 +101,13 @@ def _reject_set(reason: str, **keys) -> None:
 
 
 class _Command(click.Command):
-    """A command whose LogentError exits 2 with its message, like a bad flag."""
+    """A command whose LogentError, or OSError (an unwritable output path),
+    exits 2 with its message, like a bad flag."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except LogentError as exc:
+        except (LogentError, OSError) as exc:
             raise click.UsageError(str(exc), ctx) from exc
 
 
@@ -257,30 +257,26 @@ def _engine(section: str, table: dict):
     """Give an evolve command --config and one --<key> option per key.
 
     table maps each key to (click type, default[, help]); the key names the
-    config entry and, with "-" for "_", the flag.  The command receives every
-    key, resolved in this order: the default, then the [section] of the
-    config file, then the flag.  Config values pass through the flag's click
-    type, so both are checked alike.
+    config entry and, with "-" for "_", the flag.  --config is eager, so its
+    [section] becomes the context's default_map before any key is resolved,
+    and click takes each key's flag, else its config value, else its default.
+    Config values pass through the flag's click type, so both are checked
+    alike.
     """
 
-    def decorate(fn):
-        @functools.wraps(fn)
-        def command(config_path, **kwargs):
-            params = {key: spec[1] for key, spec in table.items()}
-            if config_path:
-                params.update(_load_section(config_path, section, table))
-            for key in table:
-                flag = kwargs.pop(key)
-                if flag is not None:
-                    params[key] = flag
-            return fn(**params, **kwargs)
+    def load(ctx, param, path):
+        if path is not None:
+            ctx.default_map = _load_section(path, section, table)
 
-        for key, (ctype, _, *text) in reversed(table.items()):
+    def decorate(fn):
+        for key, (ctype, default, *text) in reversed(table.items()):
             flag = "--" + key.replace("_", "-")
             help_text = text[0] if text else None
-            command = click.option(flag, key, default=None, type=ctype, help=help_text)(command)
-        config = click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-        return config(command)
+            fn = click.option(flag, key, default=default, type=ctype, help=help_text)(fn)
+        config = click.option(
+            "--config", type=click.Path(exists=True), is_eager=True, expose_value=False, callback=load
+        )
+        return config(fn)
 
     return decorate
 
@@ -358,9 +354,7 @@ def evolve_continuum(
         except LogentError as exc:
             raise click.UsageError(f"{exc} (--cross-check oracle)") from exc
     densities.write_density_csv(final, output_grid)
-    _grid.write_csv(
-        output_diag, "t,sum,I,max_mode_drift", _grid.lattice_rows([rec.times], rec.diagnostics, 15)
-    )
+    _grid.write_csv(output_diag, "t,sum,I,max_mode_drift", [rec.times], rec.diagnostics, 15)
     _summary(18, [
         ("samples", samples),
         ("max |sum-1|", np.max(np.abs(rec.total_probability - 1.0))),

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._grid import (
-    MAX_POINTS, RunRecord, cayley_power, count, finite, lattice_rows, read_csv, real_array, steps,
-    write_csv,
+    MAX_POINTS, RunRecord, cayley_power, count, finite, read_csv, real_array, steps, write_csv,
 )
 from .errors import DimensionMismatchError, DomainError, GridError
 from .vectors import SignedProbVector
@@ -161,20 +160,23 @@ def trajectory(p0: SignedProbVector, g: GeneratorMatrix, t_end: float, dt: float
     return RunRecord(times, np.array(drifts), ("probability_drift", "information_drift"), states)
 
 
+def _header(n: int) -> list:  # the trajectory CSV's fields for n outcomes
+    return ["t", *(f"p_{i}" for i in range(n)), "sum_drift", "info_drift"]
+
+
 def write_trajectory_csv(rec: RunRecord, path) -> None:
     """CSV with columns t, p_0..p_{n-1}, sum_drift, info_drift at 15
     significant digits."""
-    n = rec.states[0].n
-    header = ",".join(["t"] + [f"p_{i}" for i in range(n)] + ["sum_drift", "info_drift"])
     values = np.column_stack([[s.entries for s in rec.states], rec.diagnostics])
-    write_csv(path, header, lattice_rows([rec.times], values, 15))
+    write_csv(path, ",".join(_header(rec.states[0].n)), [rec.times], values, 15)
 
 
 def read_trajectory_csv(path) -> dict:
     """Read a trajectory CSV back into arrays (times, states, drifts);
-    GridError for malformed content."""
-    header, data, _ = read_csv(path, "trajectory")
-    if len(header) < 4 or header[0] != "t":
+    GridError for malformed content or a header other than t, p_0..p_{n-1},
+    sum_drift, info_drift with n >= 2."""
+    header, data = read_csv(path, "trajectory")
+    if len(header) < 5 or header != _header(len(header) - 3):
         raise GridError("not a trajectory CSV")
     return {
         "times": data[:, 0],

@@ -50,8 +50,8 @@ import numpy as np
 import scipy.linalg
 
 from ._grid import (
-    Grid, RunRecord, check_wrap, count, finite, int_power, lattice_rows, positive, read_grid,
-    spacing, steps, write_csv, write_grid,
+    Grid, RunRecord, check_wrap, count, finite, int_power, positive, read_grid, spacing, steps,
+    write_csv, write_grid,
 )
 from .densities import DensityGrid, PotentialSpec
 from .errors import DomainError, GridError
@@ -351,4 +351,4 @@ def read_wigner_csv(path) -> WignerGrid:
 
 def write_diagnostics_csv(rec: RunRecord, path) -> None:
     """Time series (t, sum, I, moment3) at 15 significant digits."""
-    write_csv(path, "t,sum,I,moment3", lattice_rows([rec.times], rec.diagnostics[:, :3], 15))
+    write_csv(path, "t,sum,I,moment3", [rec.times], rec.diagnostics[:, :3], 15)

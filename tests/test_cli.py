@@ -160,6 +160,14 @@ class TestEvolveFd:
         assert res.exit_code == 0, res.output
         assert read_trajectory_csv(out)["times"].tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
 
+    def test_flag_before_config_overrides_it(self, runner, tmp_path):
+        out = tmp_path / "traj.csv"
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[fd]\nt_end = 1.0\ndt = 0.5\noutput = {out}\n")
+        res = runner.invoke(main, ["evolve", "fd", "--dt", "0.25", "--config", str(cfg)])
+        assert res.exit_code == 0, res.output
+        assert read_trajectory_csv(out)["times"].tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+
 
 class TestConfigValues:
     @pytest.mark.parametrize(
@@ -501,6 +509,30 @@ class TestCommandErrorBoundary:
         names = sorted(cmd.name for cmd in leaves(main))
         assert names == ["continuum", "entropy", "fd", "feasibility", "maxent", "scenario", "wigner"]
         assert all(isinstance(cmd, _Command) for cmd in leaves(main))
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written exits 2 with the OS message, not
+    1, the inadmissible-state code."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["fd", "--output", "no_such_dir/x.csv"],
+            ["continuum", "--n", "64", "--samples", "5", "--output-grid", "no_such_dir/g.csv"],
+            ["continuum", "--n", "64", "--samples", "5", "--output-diag", "no_such_dir/d.csv"],
+            ["wigner", "--nx", "32", "--npts", "32", "--t-end", "0.05",
+             "--output-snapshot", "no_such_dir/s.csv"],
+            ["wigner", "--nx", "32", "--npts", "32", "--t-end", "0.05",
+             "--output-diag", "no_such_dir/d.csv"],
+        ],
+    )
+    def test_exits_two(self, runner, tmp_path, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        res = runner.invoke(main, ["evolve", *args])
+        assert res.exit_code == 2, res.output
+        assert "Error: " in res.output
+        assert "No such file or directory" in res.output and "no_such_dir" in res.output
 
 
 NUM = r"(?:-?\d+(?:\.\d+)?(?:e[+-]\d+)?|nan)"

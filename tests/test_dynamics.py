@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from click.testing import CliRunner
 
 from logent import (
     DimensionMismatchError,
@@ -15,6 +16,7 @@ from logent import (
     random_generator,
     trajectory,
 )
+from logent.cli import main
 from logent.dynamics import read_trajectory_csv, write_trajectory_csv
 from oracles import matrix_exp_taylor
 
@@ -231,6 +233,36 @@ class TestTrajectory:
         path = tmp_path / "traj.csv"
         path.write_text("t,p_0,p_1,p_2,sum_drift,info_drift\n" + body)
         with pytest.raises(GridError):
+            read_trajectory_csv(path)
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (["wigner", "--nx", "32", "--npts", "32", "--t-end", "0.05"], "wigner_diag.csv"),
+            (["continuum", "--n", "64", "--samples", "5"], "continuum_diag.csv"),
+        ],
+    )
+    def test_diagnostics_csv_is_not_a_trajectory(self, tmp_path, monkeypatch, args, name):
+        # t and three columns: these read back as one-outcome trajectories before
+        monkeypatch.chdir(tmp_path)
+        res = CliRunner().invoke(main, ["evolve", *args])
+        assert res.exit_code == 0, res.output
+        with pytest.raises(GridError, match="not a trajectory CSV"):
+            read_trajectory_csv(tmp_path / name)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "t,p_0,sum_drift,info_drift",  # one outcome
+            "t,p_0,p_2,sum_drift,info_drift",  # an outcome skipped
+            "t,p_0,p_1,info_drift,sum_drift",  # drifts swapped
+            "time,p_0,p_1,sum_drift,info_drift",
+        ],
+    )
+    def test_header_other_than_the_writers_raises(self, tmp_path, header):
+        path = tmp_path / "traj.csv"
+        path.write_text(header + "\n" + ",".join(["0.5"] * len(header.split(","))) + "\n")
+        with pytest.raises(GridError, match="not a trajectory CSV"):
             read_trajectory_csv(path)
 
 
