@@ -7,8 +7,8 @@ where the cell is the product of the spacings (none for a vector, whose
 h = 1).  write_csv writes every CSV file: a row per lattice point, its
 coordinates, then its values (a run's series: the lattice of its times).
 write_grid and read_grid keep a grid's snapshot with a JSON sidecar of its
-scalars and sizes, the only sidecar; the reader checks the header and the
-coordinates against that lattice.
+scalars and sizes, the only sidecar, at sidecar(path); the reader checks the
+header and the coordinates against that lattice.
 
 The time-stepped engines (dynamics, the timestepped density oracle and the
 phase-space split step) share one step rule, steps: a span t is cut into
@@ -295,6 +295,11 @@ def read_csv(path, kind: str):
     return fields, data.reshape(-1, len(fields))
 
 
+def sidecar(path) -> str:
+    """The path <path>.meta.json of the JSON sidecar of a snapshot at path."""
+    return str(path) + ".meta.json"
+
+
 def write_grid(grid: Grid, path) -> None:
     """A grid's lattice and values at 17 significant digits, with an indented
     JSON sidecar, <path>.meta.json, of its _SCALARS fields in declaration
@@ -302,7 +307,7 @@ def write_grid(grid: Grid, path) -> None:
     meta = {name: getattr(grid, name) for name in grid._SCALARS}
     meta.update(zip(grid._SIZES, grid.values.shape))
     write_csv(path, grid._HEADER, [grid.axis(k) for k in range(grid.values.ndim)], grid.values, 17)
-    with open(str(path) + ".meta.json", "w", encoding="utf-8", newline="\n") as fh:
+    with open(sidecar(path), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
 
@@ -314,7 +319,7 @@ def read_grid(cls, path):
     coordinates other than its lattice (17 digits read back bit for bit);
     OSError for a missing CSV or sidecar."""
     kind, checks = cls.__name__, dict(cls._SCALARS, **dict.fromkeys(cls._SIZES, count))
-    with open(str(path) + ".meta.json", "r", encoding="utf-8") as fh:
+    with open(sidecar(path), "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
             meta = {key: check(raw[key], key, error=GridError) for key, check in checks.items()}

@@ -8,7 +8,8 @@ the per-engine CSV/JSON formats.  evolve wigner --rotation-check evaluates the
 initial Gaussian's closed form at back-rotated points: it shares the state
 formula with the library but no evolution code.  Exit codes: 0 success,
 1 inadmissible state, 2 usage or configuration error, which includes every
-LogentError a command raises and an output path it cannot write (OSError).
+LogentError a command raises and an output path it cannot write (OSError);
+a run that fails to write an output removes the files it created.
 
 Engine parameters can come from flags or from a flat key = value config
 file with one section per engine ([fd], [continuum], [wigner]); unknown
@@ -18,8 +19,10 @@ like the flags.  Flags override config values, wherever --config stands.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import json
 import math
+import os
 
 import click
 import numpy as np
@@ -109,6 +112,20 @@ class _Command(click.Command):
             return super().invoke(ctx)
         except (LogentError, OSError) as exc:
             raise click.UsageError(str(exc), ctx) from exc
+
+
+@contextlib.contextmanager
+def _all_or_none(*paths):
+    """Remove those of paths that did not exist before the block if it
+    raises, so a run that fails to write one output leaves none behind."""
+    created = [p for p in paths if not os.path.lexists(p)]
+    try:
+        yield
+    except BaseException:
+        for p in created:
+            with contextlib.suppress(OSError):
+                os.remove(p)
+        raise
 
 
 class _Group(click.Group):
@@ -306,7 +323,8 @@ def evolve_fd(generator, n, seed, rate, p0, t_end, dt, output):
         n = 3 if n is None else n
         gen = dynamics.random_generator(n, seed or 0, rate=1.0 if rate is None else rate)
     rec = dynamics.trajectory(_normalized_vector(_parse_vector(p0)), gen, t_end, dt)
-    dynamics.write_trajectory_csv(rec, output)
+    with _all_or_none(output):
+        dynamics.write_trajectory_csv(rec, output)
     _summary(14, [
         ("samples", len(rec.times)),
         ("max |sum-1|", np.max(rec.probability_drift)),
@@ -353,8 +371,9 @@ def evolve_continuum(
             other = wigner.delta_localized_evolve(f0, potential, a, t_end)
         except LogentError as exc:
             raise click.UsageError(f"{exc} (--cross-check oracle)") from exc
-    densities.write_density_csv(final, output_grid)
-    _grid.write_csv(output_diag, "t,sum,I,max_mode_drift", [rec.times], rec.diagnostics, 15)
+    with _all_or_none(output_grid, _grid.sidecar(output_grid), output_diag):
+        densities.write_density_csv(final, output_grid)
+        _grid.write_csv(output_diag, "t,sum,I,max_mode_drift", [rec.times], rec.diagnostics, 15)
     _summary(18, [
         ("samples", samples),
         ("max |sum-1|", np.max(np.abs(rec.total_probability - 1.0))),
@@ -419,8 +438,9 @@ def evolve_wigner(
         nx, npts, lx, lp, sigma_x, h=h, mass=mass, x_center=x_center, p_center=p_center
     )
     rec, final = wigner.wigner_run(w0, pot, t_end, dt)
-    wigner.write_wigner_csv(final, output_snapshot)
-    wigner.write_diagnostics_csv(rec, output_diag)
+    with _all_or_none(output_snapshot, _grid.sidecar(output_snapshot), output_diag):
+        wigner.write_wigner_csv(final, output_snapshot)
+        wigner.write_diagnostics_csv(rec, output_diag)
     m3 = rec.moment3
     _summary(16, [
         ("steps", len(rec.times) - 1),

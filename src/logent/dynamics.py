@@ -16,18 +16,22 @@ only controls phase accuracy against exp(tG).
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._grid import (
-    MAX_POINTS, RunRecord, cayley_power, count, finite, read_csv, real_array, steps, write_csv,
+    DEFAULT_STEP_ANGLE, MAX_POINTS, RunRecord, cayley_power, count, finite, read_csv, real_array,
+    steps, write_csv,
 )
 from .errors import DimensionMismatchError, DomainError, GridError
 from .vectors import SignedProbVector
 
 MARGINAL_TOL = 1e-12
+
+_log = logging.getLogger("logent")
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,12 +117,16 @@ def _propagator(g: GeneratorMatrix, t: float, dt: float | None) -> np.ndarray:
     """Cayley propagator over time t in equal steps of at most dt.
 
     The default dt advances the fastest phase, of rate |G|_2, by 0.1 rad
-    per step.  Raises DomainError for a non-finite t or dt, a non-positive
-    dt and a t/dt that overflows.
+    per step.  The step decision is logged at DEBUG level on the "logent"
+    logger, with |G|_2 when the default computes it.  Raises DomainError for
+    a non-finite t or dt, a non-positive dt and a t/dt that overflows.
     """
     gen = g.rate * g.matrix
-    rate = float(np.linalg.norm(gen, 2)) if dt is None else 0.0
-    n, step = steps(t, dt, rate)
+    rule, norm = "caller's dt", None
+    if dt is None:
+        rule, norm = f"default, {DEFAULT_STEP_ANGLE:g} rad per step", float(np.linalg.norm(gen, 2))
+    n, step = steps(t, dt, norm or 0.0)
+    _log.debug("fd step rule: %s; %d steps of %.6g, |G|_2 %s", rule, n, step, norm)
     return cayley_power(gen, step, n)
 
 

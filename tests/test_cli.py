@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -533,6 +534,60 @@ class TestUnwritableOutput:
         assert res.exit_code == 2, res.output
         assert "Error: " in res.output
         assert "No such file or directory" in res.output and "no_such_dir" in res.output
+
+
+class TestNoLeftoverOutput:
+    """A run that fails to write one of its outputs exits 2 and leaves no file
+    it created: neither the snapshot and its sidecar nor the other output."""
+
+    SMALL = {
+        "continuum": ["--n", "64", "--samples", "5"],
+        "wigner": ["--nx", "32", "--npts", "32", "--t-end", "0.05"],
+    }
+    SNAPSHOT = {"continuum": "--output-grid", "wigner": "--output-snapshot"}
+
+    @pytest.mark.parametrize("engine", ["continuum", "wigner"])
+    def test_unwritable_diagnostics_leave_no_snapshot(self, runner, tmp_path, monkeypatch, engine):
+        monkeypatch.chdir(tmp_path)
+        args = ["evolve", engine, *self.SMALL[engine], "--output-diag", "no_such_dir/d.csv"]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert "no_such_dir" in res.output
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("engine", ["continuum", "wigner"])
+    def test_unwritable_sidecar_leaves_no_snapshot(self, runner, tmp_path, monkeypatch, engine):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.csv.meta.json").mkdir()  # the sidecar path cannot be opened as a file
+        args = ["evolve", engine, *self.SMALL[engine], self.SNAPSHOT[engine], "s.csv"]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv.meta.json"]
+
+    @pytest.mark.parametrize("engine", ["continuum", "wigner"])
+    def test_files_that_existed_stay(self, runner, tmp_path, monkeypatch, engine):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.csv").write_text("old\n")
+        args = ["evolve", engine, *self.SMALL[engine], self.SNAPSHOT[engine], "s.csv",
+                "--output-diag", "no_such_dir/d.csv"]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
+
+
+class TestOverflowingSampleTime:
+    """A finite --t-end whose sample times would overflow exits 2 naming
+    t_end * samples, before any numpy warning."""
+
+    def test_exits_two_without_warning(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            args = ["evolve", "continuum", "--t-end", "1e308", "--samples", "10"]
+            res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert "Error: t_end * samples = 1e+308 * 10 is beyond the float range" in res.output
+        assert "Warning" not in res.output and list(tmp_path.iterdir()) == []
 
 
 NUM = r"(?:-?\d+(?:\.\d+)?(?:e[+-]\d+)?|nan)"

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -145,6 +146,45 @@ class TestEvolve:
             mp = g.matrix @ x
             assert abs(mp.sum()) < 1e-12 * max(1.0, np.abs(x).max())
             assert abs(x @ mp) < 1e-12 * max(1.0, x @ x)
+
+
+class TestStepRuleLog:
+    """The fd step decision is logged at DEBUG on the "logent" logger: the
+    rule, the step count, the step and |G|_2 when the default computes it."""
+
+    def test_default_and_caller_rules(self, caplog):
+        g = cyclic_generator3()
+        with caplog.at_level(logging.DEBUG, logger="logent"):
+            evolve(E1, g, 1.0)
+            evolve(E1, g, -1.0, dt=0.3)
+        default, caller = [r for r in caplog.records if r.name == "logent"]
+        assert default.levelno == caller.levelno == logging.DEBUG
+        rule, n, step, norm = default.args
+        assert rule.startswith("default") and "0.1 rad" in rule
+        assert norm == pytest.approx(np.linalg.norm(g.rate * g.matrix, 2))
+        assert (n, step) == (10, pytest.approx(0.1)) and step * norm <= 0.1
+        assert caller.args == ("caller's dt", 4, -0.25, None)
+        assert "fd step rule: caller's dt; 4 steps of -0.25" in caller.getMessage()
+
+    def test_trajectory_logs_its_sample_propagator(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="logent"):
+            trajectory(E1, cyclic_generator3(), 1.0, 0.5)
+        (record,) = [r for r in caplog.records if r.name == "logent"]
+        assert record.args[0].startswith("default") and record.args[1:3] == (5, 0.1)
+
+    def test_nothing_logged_above_debug(self, caplog):
+        with caplog.at_level(logging.INFO, logger="logent"):
+            evolve(E1, cyclic_generator3(), 1.0)
+        assert not [r for r in caplog.records if r.name == "logent"]
+
+    def test_cli_output_unchanged_with_debug_logging(self, caplog, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        runner = CliRunner()
+        quiet = runner.invoke(main, ["evolve", "fd", "--t-end", "1"])
+        with caplog.at_level(logging.DEBUG, logger="logent"):
+            loud = runner.invoke(main, ["evolve", "fd", "--t-end", "1"])
+        assert quiet.exit_code == loud.exit_code == 0
+        assert quiet.output == loud.output
 
 
 class TestTrajectory:
