@@ -320,7 +320,12 @@ def _check_compatible(f: DensityGrid, k: KernelSpec) -> None:
 def _evolve_values(f0: DensityGrid, k: KernelSpec, times: np.ndarray) -> np.ndarray:
     """The values of f0 at each of times, one contiguous row per time: one
     forward transform of f0, one phase multiply exp(i mhat_k t) for all
-    times and one inverse transform along the rows."""
+    times and one inverse transform along the rows.  GridError, the class
+    of the non-finite grid it would build, before anything is multiplied
+    when max|mhat| * max|t| is beyond the float range."""
+    m_max, t_max = float(np.abs(k.m_hat).max()), float(np.abs(times).max())
+    if not math.isfinite(m_max * t_max):
+        raise GridError(f"max|m_hat| * |t| = {m_max!r} * {t_max!r} is beyond the float range")
     spectrum = np.fft.fft(f0.values)
     phases = np.exp(1j * k.m_hat * times[:, None])
     return np.ascontiguousarray(np.fft.ifft(spectrum * phases, axis=1).real)

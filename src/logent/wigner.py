@@ -38,6 +38,10 @@ and the remaining kick dynamics closes in p alone.  That reduced equation
 is implemented separately in delta_localized_evolve by direct quadrature of
 the double integral, deliberately sharing no evolution code with the
 spectral line-density path so the two can serve as oracles for each other.
+The quadrature gives a circulant generator, fixed by its first column, and
+its exponential is taken in the algebra of circulants: scaling and squaring
+of a Taylor series in which each product is a direct cyclic convolution, so
+no transform and no dense matrix is involved.
 """
 from __future__ import annotations
 
@@ -47,7 +51,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from ._grid import (
     Grid, RunRecord, check_wrap, count, finite, int_power, positive, read_grid, spacing, steps,
@@ -62,6 +65,12 @@ _CBRT2 = 2.0 ** (1.0 / 3.0)
 # Yoshida's fourth-order composition of three Strang substeps (Phys. Lett. A
 # 150 (1990) 262); the middle one runs backward in time
 YOSHIDA = (1.0 / (2.0 - _CBRT2), -_CBRT2 / (2.0 - _CBRT2), 1.0 / (2.0 - _CBRT2))
+
+# delta_localized_evolve's circulant exponential: its Taylor series stops at
+# a term below one unit round-off, and its 2**s squarings multiply the
+# round-off of the scaled series by 2**s, so t |c|_1 beyond 2**53 is refused
+_UNIT_ROUNDOFF = 2.0**-53
+_SQUARING_LIMIT = 2.0**53
 
 _log = logging.getLogger("logent")
 
@@ -292,6 +301,60 @@ def wigner_run(
     return _run(w0, potential, t, dt, record=True)
 
 
+def _cyclic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """First column of the circulant product C(a) C(b), C(a)[i, j] =
+    a[(i - j) % n]: the cyclic convolution of a and b, as the direct linear
+    convolution with its tail wrapped around."""
+    full = np.convolve(a, b)
+    out = full[: a.size]
+    out[:-1] += full[a.size :]
+    return out
+
+
+def _circulant_expm(b: np.ndarray, norm: float) -> np.ndarray:
+    """First column of exp(C(b)), given norm = |b|_1, which bounds every
+    operator norm of C(b).  Scaling and squaring (Moler and Van Loan, SIAM
+    Rev. 45 (2003) 3): b is halved s times until its 1-norm is below 1, the
+    Taylor series is summed until a term adds less than a unit round-off
+    (the k-th term is at most 1/k!), and the sum is squared s times."""
+    s = max(0, math.frexp(norm)[1])
+    b = np.ldexp(b, -s)
+    e = np.zeros_like(b)
+    e[0] = 1.0
+    term, k = e, 0
+    while np.abs(term).sum() > _UNIT_ROUNDOFF:
+        k += 1
+        term = _cyclic(term, b) / k
+        e = e + term
+    for _ in range(s):
+        e = _cyclic(e, e)
+    return e
+
+
+def _quadrature_column(wbar0: DensityGrid, potential: PotentialSpec, a: float) -> np.ndarray:
+    """The column c of delta_localized_evolve's generator, made exactly odd;
+    DomainError when the quadrature is not real.  An overflow leaves
+    non-finite entries, for the caller to refuse."""
+    n, dp, h = wbar0.n, wbar0.dz, wbar0.h
+    lam = h * np.fft.fftfreq(n, d=dp)
+    d_lam = h / (n * dp)  # lambda sample spacing
+    offsets = np.arange(n)
+    roots = np.exp(2j * math.pi * offsets / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m_hat = (2.0 * math.pi / h) * (
+            potential.evaluate(a + lam / 2.0) - potential.evaluate(a - lam / 2.0)
+        )
+        m_hat[n // 2] = 0.0  # unpaired Nyquist mode
+        # c_d = (i/h) sum_l mhat_l e^{2 pi i d l / N} dl dp, each phase from the
+        # table: mode l sits at index l mod N, and N is a power of two, so the
+        # table index (d l) mod N is a bit mask
+        col = (1j * d_lam * dp / h) * (roots[np.outer(offsets, offsets) & (n - 1)] @ m_hat)
+        if float(np.max(np.abs(col.imag))) > 1e-10 * max(1.0, float(np.max(np.abs(col.real)))):
+            raise DomainError("kernel quadrature produced a non-real generator")
+        c = col.real
+        return (c - c[(-offsets) % n]) / 2.0  # enforce exact periodic oddness
+
+
 def delta_localized_evolve(
     wbar0: DensityGrid, potential: PotentialSpec, a: float, t: float
 ) -> DensityGrid:
@@ -305,32 +368,30 @@ def delta_localized_evolve(
 
     with Omega = 2 pi V / h, by direct quadrature: the l integral is
     truncated at the grid Nyquist frequency and sampled at l_k = k h / L
-    (spacing h/L), the p' integral at the grid points (spacing dp), giving
-    a dense antisymmetric generator that is exponentiated.  No code is
-    shared with the spectral density path, so the two discretizations can
-    be checked against each other.  Raises DomainError for a non-finite t.
+    (spacing h/L), the p' integral at the grid points (spacing dp).  The
+    quadrature phases come from a table of the N roots of unity, and the
+    generator is the antisymmetric circulant C(c)[i, j] = c[(i - j) % N] of
+    one exactly odd column c.  exp(t C(c)) is taken in the algebra of
+    circulants, by scaling and squaring with direct cyclic convolutions,
+    and applied to the state by one more.  No code is shared with the
+    spectral density path, so the two discretizations can be checked
+    against each other.  Raises DomainError for a non-finite t or a, for a
+    non-real quadrature column, and when t |c|_1 exceeds 2**53: each
+    squaring doubles the round-off of the scaled series, so beyond that no
+    significant digit would be left.
     """
     t, a = finite(t, "t"), finite(a, "a")
-    n, dp, h = wbar0.n, wbar0.dz, wbar0.h
     if t == 0.0:
         return replace(wbar0, values=wbar0.values.copy())
-    lam = h * np.fft.fftfreq(n, d=dp)
-    m_hat = (2.0 * math.pi / h) * (
-        potential.evaluate(a + lam / 2.0) - potential.evaluate(a - lam / 2.0)
-    )
-    m_hat[n // 2] = 0.0  # unpaired Nyquist mode
-    d_lam = h / (n * dp)  # lambda sample spacing
-    mode_ints = np.rint(np.fft.fftfreq(n) * n).astype(int)
-    offsets = np.arange(n)
-    # column of the circulant: c_d = (i/h) sum_l mhat_l e^{2 pi i d l / N} dl dp
-    expo = np.exp(2j * math.pi * np.outer(offsets, mode_ints) / n)
-    col = (1j * d_lam * dp / h) * (expo @ m_hat)
-    if float(np.max(np.abs(col.imag))) > 1e-10 * max(1.0, float(np.max(np.abs(col.real)))):
-        raise DomainError("kernel quadrature produced a non-real generator")
-    c = col.real
-    c = (c - c[(-offsets) % n]) / 2.0  # enforce exact periodic oddness
-    gen = c[(offsets[:, None] - offsets[None, :]) % n]
-    return replace(wbar0, values=scipy.linalg.expm(t * gen) @ wbar0.values)
+    c = _quadrature_column(wbar0, potential, a)
+    with np.errstate(over="ignore"):  # an infinite norm is refused below
+        norm = float(np.abs(c).sum())
+    if not abs(t) * norm <= _SQUARING_LIMIT:  # also refuses an infinite or nan product
+        raise DomainError(
+            f"t * |c|_1 = {t!r} * {norm!r} exceeds 2**53, beyond which the generator's "
+            "exponential keeps no significant digit"
+        )
+    return replace(wbar0, values=_cyclic(_circulant_expm(t * c, abs(t) * norm), wbar0.values))
 
 
 # ---------------------------------------------------------------------------

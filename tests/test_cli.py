@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -590,7 +593,44 @@ class TestOverflowingSampleTime:
         assert "Warning" not in res.output and list(tmp_path.iterdir()) == []
 
 
-NUM = r"(?:-?\d+(?:\.\d+)?(?:e[+-]\d+)?|nan)"
+class TestOverflowingPhase:
+    """A kernel and time whose product leaves the float range exit 2 naming
+    both, before any numpy warning: in the spectral run max|m_hat| * |t|, in
+    the oracle t * |c|_1."""
+
+    def _run(self, runner, tmp_path, monkeypatch, size, extra):
+        monkeypatch.chdir(tmp_path)
+        args = ["evolve", "continuum", "--n", "64", "--omega-family", "quartic", "--a", "0.3",
+                "--coeff", size, "--t-end", size, "--samples", "3", *extra]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert "Warning" not in res.output and list(tmp_path.iterdir()) == []
+        return res.output
+
+    def test_spectral_run(self, runner, tmp_path, monkeypatch):
+        out = self._run(runner, tmp_path, monkeypatch, "1e200", [])
+        assert re.search(r"Error: max\|m_hat\| \* \|t\| = \S+e\+201 \* 1e\+200 is beyond", out), out
+
+    def test_cross_check_oracle(self, runner, tmp_path, monkeypatch):
+        out = self._run(runner, tmp_path, monkeypatch, "1e150", ["--cross-check"])
+        assert re.search(r"Error: t \* \|c\|_1 = 1e\+150 \* \S+e\+151 exceeds 2\*\*53", out), out
+        assert "(--cross-check oracle)" in out
+
+
+def test_import_leaves_scipy_out():
+    """scipy is a test dependency only: importing the package and its CLI,
+    which every logent command does, loads none of it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = ("import sys, logent, logent.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert res.stdout.strip() == "[]", res.stdout
+
+
+NUM =r"(?:-?\d+(?:\.\d+)?(?:e[+-]\d+)?|nan)"
 
 
 class TestSummaryLayout:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from logent import (
     amplitude_bound_check,
     build_kernel,
     continuum_information,
+    density_run,
     evolve,
     evolve_density,
     evolve_density_timestepped,
@@ -248,6 +250,18 @@ class TestSpectralEvolution:
         k = build_kernel(omega_harmonic(1.0), 0.5, f)
         with pytest.raises(DomainError):
             evolve_density(f, k, t)
+
+    @pytest.mark.parametrize("run", [
+        lambda f, k: evolve_density(f, k, -1e200),
+        lambda f, k: density_run(f, k, 1e200, 3),
+    ], ids=["evolve_density", "density_run"])
+    def test_overflowing_phase_is_refused_before_any_warning(self, run):
+        f = pure_gaussian(64)
+        k = build_kernel(omega_quartic(1e200), 0.3, f)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridError, match=r"max\|m_hat\| \* \|t\| = \S+e\+201 \* 1e\+200 is"):
+                run(f, k)
 
 
 class TestTimesteppedEvolution:

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from logent import (
     DomainError,
@@ -447,6 +448,52 @@ class TestDeltaLocalized:
             state = delta_localized_evolve(state, V, 0.4, t=1e-3)
         assert abs(state.total - 1.0) < 1e-8
         assert abs(state.information - f0.information) < 1e-8
+
+    def test_pinned_cross_check_round_off(self):
+        # quartic Omega = 0.2 x^4 at a = -0.8, t = 7, N = 256: 5.7e-13, where a
+        # dense expm of the generator, with each quadrature phase computed as
+        # exp(2 pi i d l / N), reached 1.5e-11
+        f0 = gaussian_density(256, 8.0, H, SIGMA)
+        V = PotentialSpec.quartic(0.2 / (2 * math.pi))
+        a, t = -0.8, 7.0
+        kern = build_kernel(lambda x: 2 * math.pi * V.evaluate(x) / H, a, f0)
+        spectral = evolve_density(f0, kern, t)
+        quadrature = delta_localized_evolve(f0, V, a, t)
+        assert np.max(np.abs(spectral.values - quadrature.values)) < 3e-12
+
+    def test_refuses_a_product_beyond_its_digits(self):
+        f0 = gaussian_density(64, 8.0, H, SIGMA)
+        V = PotentialSpec.quartic(1e150 / (2 * math.pi))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = r"t \* \|c\|_1 = 1e\+150 \* \S+e\+151 exceeds 2\*\*53"
+            with pytest.raises(DomainError, match=message):
+                delta_localized_evolve(f0, V, 0.3, 1e150)
+
+
+class TestCirculantExponential:
+    """The oracle's exponential, taken in the algebra of circulants, against
+    a dense expm of the same generator C(c)[i, j] = c[(i - j) % N]."""
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize(
+        "potential",
+        [PotentialSpec.constant(2.2), PotentialSpec.linear(1.3), PotentialSpec.harmonic(1.0),
+         PotentialSpec.quartic(0.2 / (2 * math.pi))],
+        ids=["constant", "linear", "harmonic", "quartic"],
+    )
+    @pytest.mark.parametrize("a", [0.0, 0.5, -0.8])
+    @pytest.mark.parametrize("t", [1.5, -1.5])
+    def test_matches_dense_expm(self, n, potential, a, t):
+        from logent.wigner import _quadrature_column
+
+        f0 = gaussian_density(n, 8.0, H, SIGMA)
+        c = _quadrature_column(f0, potential, a)
+        offsets = np.arange(n)
+        dense = scipy.linalg.expm(t * c[(offsets[:, None] - offsets[None, :]) % n]) @ f0.values
+        out = delta_localized_evolve(f0, potential, a, t)
+        # largest measured: 6.3e-13 (quartic, a = -0.8, t = 1.5, N = 256)
+        assert np.max(np.abs(out.values - dense)) < 2e-12
 
 
 class TestSnapshotIo:
