@@ -19,7 +19,6 @@ from .densities import (
     PotentialSpec,
     amplitude_bound_check,
     build_kernel,
-    continuum_information,
     density_run,
     evolve_density,
     evolve_density_timestepped,

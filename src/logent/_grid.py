@@ -17,7 +17,10 @@ advances the fastest phase by a fixed angle per step (one step when that
 rate is zero).  The angle is DEFAULT_STEP_ANGLE = 0.1 rad for the Cayley
 steps; the split step asks for pi per substep of its fourth-order
 composition.  The two matrix engines also share the Cayley propagator,
-cayley_power, the n-th power of one implicit-midpoint step.  Every engine
+cayley_power, the n-th power of one implicit-midpoint step; the two
+real-space oracles of the spectral line-density path (the timestepped
+kernel and wigner's momentum-only quadrature) share odd_sine_sum, the sine
+sum that gives an odd kernel's transform in real space.  Every engine
 reports a sampled run as one RunRecord.  Arguments are checked by four
 functions that raise the error class their caller names: finite (a real
 scalar), positive (one above zero), count (an integer, not a bool, within
@@ -234,6 +237,23 @@ def cayley_power(a: np.ndarray, step: float, n: int) -> np.ndarray:
     eye = np.eye(a.shape[0])
     half = (step / 2.0) * a
     return np.linalg.matrix_power(np.linalg.solve(eye - half, eye + half), n)
+
+
+def odd_sine_sum(m_hat: np.ndarray) -> np.ndarray:
+    """s_j = sum_{l=1}^{N/2-1} m_hat[l] sin(2 pi j l / N) for j = 1..N/2-1,
+    mirrored as s_{N-j} = -s_j, so s is odd to the last bit and s_0 =
+    s_{N/2} = 0: the real-space column of an odd kernel whose transform is
+    m_hat in FFT order, N a power of two.  Each sine is read from a table of
+    the N values sin(2 pi k / N) at k = (j l) mod N, a bit mask, so no large
+    argument is rounded; m_hat[0] and the Nyquist m_hat[N/2] are not read."""
+    n = m_hat.size
+    half = n // 2
+    modes = np.arange(1, half)
+    table = np.sin(2.0 * math.pi * np.arange(n) / n)
+    s = np.zeros(n)
+    s[1:half] = table[np.outer(modes, modes) & (n - 1)] @ m_hat[1:half]
+    s[half + 1 :] = -s[1:half][::-1]
+    return s
 
 
 def int_power(x: np.ndarray, r: int) -> np.ndarray:

@@ -43,7 +43,7 @@ import numpy as np
 
 from ._grid import (
     MAX_STEPS, QUAD_TOL, Grid, RunRecord, cayley_power, check_wrap, count, finite, int_power,
-    positive, read_grid, real_array, spacing, steps, write_grid,
+    odd_sine_sum, positive, read_grid, real_array, spacing, steps, write_grid,
 )
 from .errors import DomainError, GridError
 
@@ -104,11 +104,6 @@ class BoundReport:
     max_abs: float
     bound: float
     satisfied: bool
-
-
-def continuum_information(f: DensityGrid) -> float:
-    """Information I = h * sum(f^2) * dz; the entropy is 1 - I."""
-    return f.information
 
 
 def amplitude_bound_check(f: DensityGrid) -> BoundReport:
@@ -268,21 +263,12 @@ class KernelSpec:
 
     @functools.cached_property
     def real_kernel(self) -> np.ndarray:
-        """Real-space samples m(zeta_j) on grid offsets, exactly odd.
-
-        m_j = -(2h/L) * sum_{l=1}^{N/2-1} mhat_l sin(2 pi j l / N), evaluated
-        for j = 1..N/2-1 and mirrored as m_{N-j} = -m_j so the periodic
-        antisymmetry holds to the last bit; m_0 = m_{N/2} = 0.
+        """Real-space samples m(zeta_j) on grid offsets, exactly odd:
+        m_j = -(2h/L) * sum_{l=1}^{N/2-1} mhat_l sin(2 pi j l / N), the
+        odd_sine_sum of m_hat, so m_{N-j} = -m_j to the last bit and
+        m_0 = m_{N/2} = 0.
         """
-        n = self.n
-        half = n // 2
-        j = np.arange(1, half)
-        l = np.arange(1, half)
-        sines = np.sin(2.0 * math.pi * np.outer(j, l) / n)
-        length = n * self.dz
-        m = np.zeros(n)
-        m[1:half] = -(2.0 * self.h / length) * (sines @ self.m_hat[1:half])
-        m[half + 1 :] = -m[1:half][::-1]
+        m = -(2.0 * self.h / (self.n * self.dz)) * odd_sine_sum(self.m_hat)
         m.setflags(write=False)
         return m
 

@@ -38,9 +38,10 @@ and the remaining kick dynamics closes in p alone.  That reduced equation
 is implemented separately in delta_localized_evolve by direct quadrature of
 the double integral, deliberately sharing no evolution code with the
 spectral line-density path so the two can serve as oracles for each other.
-The quadrature gives a circulant generator, fixed by its first column, and
-its exponential is taken in the algebra of circulants: scaling and squaring
-of a Taylor series in which each product is a direct cyclic convolution, so
+The quadrature gives a circulant generator whose first column is the sine
+sum that also gives the timestepped density oracle its kernel.  Its
+exponential is taken in the algebra of circulants: scaling and squaring of
+a Taylor series in which each product is a direct cyclic convolution, so
 no transform and no dense matrix is involved.
 """
 from __future__ import annotations
@@ -53,8 +54,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._grid import (
-    Grid, RunRecord, check_wrap, count, finite, int_power, positive, read_grid, spacing, steps,
-    write_csv, write_grid,
+    Grid, RunRecord, check_wrap, count, finite, int_power, odd_sine_sum, positive, read_grid,
+    spacing, steps, write_csv, write_grid,
 )
 from .densities import DensityGrid, PotentialSpec
 from .errors import DomainError, GridError
@@ -332,27 +333,17 @@ def _circulant_expm(b: np.ndarray, norm: float) -> np.ndarray:
 
 
 def _quadrature_column(wbar0: DensityGrid, potential: PotentialSpec, a: float) -> np.ndarray:
-    """The column c of delta_localized_evolve's generator, made exactly odd;
-    DomainError when the quadrature is not real.  An overflow leaves
-    non-finite entries, for the caller to refuse."""
+    """The column c of delta_localized_evolve's generator, exactly odd.  An
+    overflow leaves non-finite entries, for the caller to refuse."""
     n, dp, h = wbar0.n, wbar0.dz, wbar0.h
     lam = h * np.fft.fftfreq(n, d=dp)
-    d_lam = h / (n * dp)  # lambda sample spacing
-    offsets = np.arange(n)
-    roots = np.exp(2j * math.pi * offsets / n)
     with np.errstate(over="ignore", invalid="ignore"):
         m_hat = (2.0 * math.pi / h) * (
             potential.evaluate(a + lam / 2.0) - potential.evaluate(a - lam / 2.0)
         )
-        m_hat[n // 2] = 0.0  # unpaired Nyquist mode
-        # c_d = (i/h) sum_l mhat_l e^{2 pi i d l / N} dl dp, each phase from the
-        # table: mode l sits at index l mod N, and N is a power of two, so the
-        # table index (d l) mod N is a bit mask
-        col = (1j * d_lam * dp / h) * (roots[np.outer(offsets, offsets) & (n - 1)] @ m_hat)
-        if float(np.max(np.abs(col.imag))) > 1e-10 * max(1.0, float(np.max(np.abs(col.real)))):
-            raise DomainError("kernel quadrature produced a non-real generator")
-        c = col.real
-        return (c - c[(-offsets) % n]) / 2.0  # enforce exact periodic oddness
+        # c_d = (i/h) sum_l mhat_l e^{2 pi i d l / N} dl dp with dl dp = h / N;
+        # mhat is odd (lam is), so the sum is 2i times the sine sum over l < N/2
+        return -(2.0 / n) * odd_sine_sum(m_hat)
 
 
 def delta_localized_evolve(
@@ -369,16 +360,16 @@ def delta_localized_evolve(
     with Omega = 2 pi V / h, by direct quadrature: the l integral is
     truncated at the grid Nyquist frequency and sampled at l_k = k h / L
     (spacing h/L), the p' integral at the grid points (spacing dp).  The
-    quadrature phases come from a table of the N roots of unity, and the
-    generator is the antisymmetric circulant C(c)[i, j] = c[(i - j) % N] of
-    one exactly odd column c.  exp(t C(c)) is taken in the algebra of
-    circulants, by scaling and squaring with direct cyclic convolutions,
-    and applied to the state by one more.  No code is shared with the
-    spectral density path, so the two discretizations can be checked
-    against each other.  Raises DomainError for a non-finite t or a, for a
-    non-real quadrature column, and when t |c|_1 exceeds 2**53: each
-    squaring doubles the round-off of the scaled series, so beyond that no
-    significant digit would be left.
+    sampled difference is odd in l, so the generator's column c is a real
+    sine sum, odd_sine_sum, exactly odd, and the generator is the
+    antisymmetric circulant C(c)[i, j] = c[(i - j) % N].  exp(t C(c)) is
+    taken in the algebra of circulants, by scaling and squaring with direct
+    cyclic convolutions, and applied to the state by one more.  No code is
+    shared with the spectral density path, so the two discretizations can
+    be checked against each other.  Raises DomainError for a non-finite t
+    or a, and when t |c|_1 exceeds 2**53: each squaring doubles the
+    round-off of the scaled series, so beyond that no significant digit
+    would be left.
     """
     t, a = finite(t, "t"), finite(a, "a")
     if t == 0.0:

@@ -16,7 +16,6 @@ from logent import (
     SignedProbVector,
     amplitude_bound_check,
     build_kernel,
-    continuum_information,
     density_run,
     evolve,
     evolve_density,
@@ -74,12 +73,12 @@ class TestDensityGrid:
 class TestInformation:
     def test_saturating_gaussian(self):
         f = pure_gaussian()
-        assert abs(continuum_information(f) - 1.0) < 1e-9
+        assert abs(f.information - 1.0) < 1e-9
 
     def test_double_width_gaussian_closed_form(self):
         # closed form I = h / (2 sigma sqrt(pi)); at sigma = h/sqrt(pi) it is 1/2
         f = gaussian_density(1024, 12.0, H, H / math.sqrt(math.pi))
-        assert continuum_information(f) == pytest.approx(0.5, abs=1e-9)
+        assert f.information == pytest.approx(0.5, abs=1e-9)
         assert gaussian_information_quad(H / math.sqrt(math.pi), H) == pytest.approx(
             0.5, abs=1e-10
         )
@@ -89,13 +88,13 @@ class TestInformation:
             length = max(8.0, 22.0 * sigma)
             f = gaussian_density(2048, length, H, sigma)
             closed = H / (2.0 * sigma * math.sqrt(math.pi))
-            assert continuum_information(f) == pytest.approx(closed, abs=1e-6)
+            assert f.information == pytest.approx(closed, abs=1e-6)
             assert gaussian_information_quad(sigma, H) == pytest.approx(closed, abs=1e-9)
 
     def test_nonunit_scale_constant(self):
         h = 0.7
         f = gaussian_density(1024, 8.0, h, h / (2.0 * math.sqrt(math.pi)))
-        assert continuum_information(f) == pytest.approx(1.0, abs=1e-9)
+        assert f.information == pytest.approx(1.0, abs=1e-9)
         rep = amplitude_bound_check(f)
         assert rep.max_abs == pytest.approx(math.sqrt(2.0) / h, rel=1e-9)
 

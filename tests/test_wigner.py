@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,7 +23,9 @@ from logent import (
     wigner_run,
 )
 from logent._grid import _BLOCK_ROWS
-from logent.wigner import read_wigner_csv, write_diagnostics_csv, write_wigner_csv
+from logent.wigner import (
+    _quadrature_column, read_wigner_csv, write_diagnostics_csv, write_wigner_csv,
+)
 from oracles import rotated_gaussian_wigner, wigner_moment_quad
 
 H = 1.0
@@ -494,6 +497,46 @@ class TestCirculantExponential:
         out = delta_localized_evolve(f0, potential, a, t)
         # largest measured: 6.3e-13 (quartic, a = -0.8, t = 1.5, N = 256)
         assert np.max(np.abs(out.values - dense)) < 2e-12
+
+
+class TestOneGenerator:
+    """The two real-space oracles realise one generator: the momentum-only
+    quadrature's column and the timestepped density oracle's kernel, scaled
+    by dz / h, are the same odd sine sum of Omega = 2 pi V / h."""
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize(
+        "potential",
+        [PotentialSpec.constant(2.2), PotentialSpec.linear(1.3), PotentialSpec.harmonic(1.0),
+         PotentialSpec.quartic(0.2 / (2 * math.pi))],
+        ids=["constant", "linear", "harmonic", "quartic"],
+    )
+    @pytest.mark.parametrize("a", [0.0, 0.5, -0.8])
+    @pytest.mark.parametrize("h", [1.0, 0.7])
+    def test_column_is_the_scaled_real_kernel(self, n, potential, a, h):
+        f0 = gaussian_density(n, 8.0, h, h / (2.0 * math.sqrt(math.pi)))
+        c = _quadrature_column(f0, potential, a)
+        kern = build_kernel(lambda x: 2 * math.pi * potential.evaluate(x) / h, a, f0)
+        kernel = (f0.dz / f0.h) * kern.real_kernel
+        assert np.all(c + c[(-np.arange(n)) % n] == 0.0)
+        assert c[0] == 0.0 and c[n // 2] == 0.0
+        # largest measured: 2.2e-16 (linear, a = 0.5, N = 16, h = 0.7); a sum
+        # over a table of the N complex roots of unity against np.sin of each
+        # large argument 2 pi j l / N differed by up to 5.6e-15
+        assert np.max(np.abs(c - kernel)) <= 1e-15 * np.max(np.abs(c))
+
+    def test_column_peak_memory_at_n_2048(self):
+        # measured peak 16.0 MiB: the (N/2 - 1)^2 gathered sines and their
+        # index; an N x N complex gather of the roots of unity with its index
+        # took 96.1 MiB
+        f0 = gaussian_density(2048, 8.0, H, SIGMA)
+        tracemalloc.start()
+        try:
+            _quadrature_column(f0, PotentialSpec.quartic(1.0), 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
 
 class TestSnapshotIo:
