@@ -17,15 +17,19 @@ advances the fastest phase by a fixed angle per step (one step when that
 rate is zero).  The angle is DEFAULT_STEP_ANGLE = 0.1 rad for the Cayley
 steps; the split step asks for pi per substep of its fourth-order
 composition.  The two matrix engines also share the Cayley propagator,
-cayley_power, the n-th power of one implicit-midpoint step; the two
-real-space oracles of the spectral line-density path (the timestepped
-kernel and wigner's momentum-only quadrature) share odd_sine_sum, the sine
-sum that gives an odd kernel's transform in real space.  Every engine
-reports a sampled run as one RunRecord.  Arguments are checked by four
-functions that raise the error class their caller names: finite (a real
-scalar), positive (one above zero), count (an integer, not a bool, within
-given bounds; a size is at most MAX_POINTS) and real_array (a new read-only
-array of finite reals).
+cayley_power, the n-th power of one implicit-midpoint step, which powers
+the first column of a circulant generator's Cayley factor by cyclic
+convolutions and takes any other generator densely.  The two real-space
+oracles of the spectral line-density path (the timestepped density oracle
+and wigner's momentum-only quadrature) share odd_sine_sum, the sine sum
+that gives an odd kernel's transform in real space, and the algebra of
+circulants: circulant gathers one from its first column, and cyclic, the
+product of two, raises the timestepped oracle's Cayley factor to its power
+and wigner's generator to its exponential.  Every engine reports a sampled
+run as one RunRecord.  Arguments are checked by four functions that raise
+the error class their caller names: finite (a real scalar), positive (one
+above zero), count (an integer, not a bool, within given bounds; a size is
+at most MAX_POINTS) and real_array (a new read-only array of finite reals).
 """
 from __future__ import annotations
 
@@ -38,6 +42,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, GridError, NormalizationError
 
@@ -46,8 +51,9 @@ ADMISSIBLE_TOL = 1e-9
 WRAP_TOL = 1e-10
 DEFAULT_STEP_ANGLE = 0.1  # max phase advance per step with the default dt
 _WRAP_SIGMAS = math.sqrt(-2.0 * math.log(WRAP_TOL))  # sigmas out, a Gaussian is WRAP_TOL high
-# cayley_power costs log2(n) products, but its round-off grows as n eps: |I - I0| of cyclic3
-# at 0.1 rad per step is 8e-11 at 10^7 steps and 8e-9 at 10^9, against the fd gate of 1e-10
+# cayley_power costs log2(n) products (dense, or cyclic convolutions of one column for a
+# circulant generator), but its round-off grows as n eps: |I - I0| of cyclic3 at 0.1 rad per
+# step is 8e-11 at 10^7 steps and 8e-9 at 10^9, against the fd gate of 1e-10
 MAX_STEPS = 10**7  # bounds every run's loop, every run's samples and cayley_power's round-off
 # a size up to 2**53 converts to float exactly, so n - 1, 1 / n and length / n see the true
 # size; an array of more float64 points (64 PiB) outgrows any address space
@@ -233,10 +239,46 @@ def cayley_power(a: np.ndarray, step: float, n: int) -> np.ndarray:
     """((I - step a / 2)^-1 (I + step a / 2))^n: n implicit-midpoint steps of
     dx/dt = a x.  For an antisymmetric a the Cayley factor is orthogonal, so
     the propagator conserves the norm for any step; n = 0 gives the identity.
+
+    When a is circulant, entry for entry (its first row is compared before
+    the whole matrix, so most other matrices are refused in O(N) for N x N),
+    so is the Cayley factor Q, and only its first column r is computed: one
+    LU solve of (I - H) r = e0 + H e0 with H = step a / 2, refined once by
+    its residual through (I - H)^-1 = (I + Q) / 2, raised to the n-th power
+    by repeated squaring with cyclic convolutions and gathered as a
+    circulant.  That costs one LU, O(N^3 / 3), and O(N^2) per product, not a
+    solve with N right-hand sides and log2(n) dense products; no transform
+    is used.  Every product repeats r's round-off, so the drift of the total
+    grows coherently with n; the refinement cuts it fivefold.  Any other a
+    takes the dense solve and matrix power.
     """
     eye = np.eye(a.shape[0])
     half = (step / 2.0) * a
-    return np.linalg.matrix_power(np.linalg.solve(eye - half, eye + half), n)
+    gathered = circulant(a[:, 0])
+    if not (np.array_equal(a[0], gathered[0]) and np.array_equal(a, gathered)):
+        return np.linalg.matrix_power(np.linalg.solve(eye - half, eye + half), n)
+    rhs = eye[0] + half[:, 0]
+    r = np.linalg.solve(eye - half, rhs)
+    res = rhs - (r - cyclic(half[:, 0], r))
+    r = r + (res + cyclic(r, res)) / 2.0
+    return circulant(int_power(r, n, cyclic, eye[0])).copy()
+
+
+def circulant(c: np.ndarray) -> np.ndarray:
+    """The circulant C(c)[i, j] = c[(i - j) % n] of its first column c, as a
+    read-only view of c reversed and wrapped (2n - 1 values): row i is the
+    window that starts n - 1 - i values in."""
+    return sliding_window_view(np.concatenate([c[::-1], c[:0:-1]]), c.size)[::-1]
+
+
+def cyclic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """First column of the circulant product C(a) C(b): the cyclic
+    convolution of a and b, as the direct linear convolution with its tail
+    wrapped around."""
+    full = np.convolve(a, b)
+    out = full[: a.size]
+    out[:-1] += full[a.size :]
+    return out
 
 
 def odd_sine_sum(m_hat: np.ndarray) -> np.ndarray:
@@ -256,19 +298,20 @@ def odd_sine_sum(m_hat: np.ndarray) -> np.ndarray:
     return s
 
 
-def int_power(x: np.ndarray, r: int) -> np.ndarray:
+def int_power(x: np.ndarray, r: int, product=np.multiply, one=None) -> np.ndarray:
     """x ** r for an integer r >= 0 by repeated squaring: log2(r) squares and
     one product per binary digit of r.  An array ** r with r > 2 calls libm
     pow per element instead: x^4 at 128 x 128 points takes 1.2 ms, against
     40 us here.  The result is pow's wherever the products are exact, as at
     dyadic points of a small grid; elsewhere it is within 2 ulp of pow for
-    r <= 4."""
-    power, square = np.ones_like(x), x
+    r <= 4.  Another product and its unit `one` (by default elementwise *
+    and ones) power in another algebra: cyclic and e0 power a circulant."""
+    power, square = np.ones_like(x) if one is None else one, x
     for k in range(r.bit_length()):  # the binary digits of r, lowest first
         if k:
-            square = square * square
+            square = product(square, square)
         if r >> k & 1:
-            power = power * square
+            power = product(power, square)
     return power
 
 

@@ -54,8 +54,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._grid import (
-    Grid, RunRecord, check_wrap, count, finite, int_power, odd_sine_sum, positive, read_grid,
-    spacing, steps, write_csv, write_grid,
+    Grid, RunRecord, check_wrap, count, cyclic, finite, int_power, odd_sine_sum, positive,
+    read_grid, spacing, steps, write_csv, write_grid,
 )
 from .densities import DensityGrid, PotentialSpec
 from .errors import DomainError, GridError
@@ -302,16 +302,6 @@ def wigner_run(
     return _run(w0, potential, t, dt, record=True)
 
 
-def _cyclic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """First column of the circulant product C(a) C(b), C(a)[i, j] =
-    a[(i - j) % n]: the cyclic convolution of a and b, as the direct linear
-    convolution with its tail wrapped around."""
-    full = np.convolve(a, b)
-    out = full[: a.size]
-    out[:-1] += full[a.size :]
-    return out
-
-
 def _circulant_expm(b: np.ndarray, norm: float) -> np.ndarray:
     """First column of exp(C(b)), given norm = |b|_1, which bounds every
     operator norm of C(b).  Scaling and squaring (Moler and Van Loan, SIAM
@@ -325,10 +315,10 @@ def _circulant_expm(b: np.ndarray, norm: float) -> np.ndarray:
     term, k = e, 0
     while np.abs(term).sum() > _UNIT_ROUNDOFF:
         k += 1
-        term = _cyclic(term, b) / k
+        term = cyclic(term, b) / k
         e = e + term
     for _ in range(s):
-        e = _cyclic(e, e)
+        e = cyclic(e, e)
     return e
 
 
@@ -382,7 +372,7 @@ def delta_localized_evolve(
             f"t * |c|_1 = {t!r} * {norm!r} exceeds 2**53, beyond which the generator's "
             "exponential keeps no significant digit"
         )
-    return replace(wbar0, values=_cyclic(_circulant_expm(t * c, abs(t) * norm), wbar0.values))
+    return replace(wbar0, values=cyclic(_circulant_expm(t * c, abs(t) * norm), wbar0.values))
 
 
 # ---------------------------------------------------------------------------

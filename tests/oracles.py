@@ -9,7 +9,9 @@ uses grid sums), the harmonic phase-space flow is the analytic rigid
 rotation (the package split-steps), and an anharmonic one is the Wigner
 transform of a wavefunction propagated by one eigendecomposition of a dense
 Hamiltonian.  The split step's own substeps are here too, unfused and on
-full complex spectra (the package fuses them on real half spectra).
+full complex spectra (the package fuses them on real half spectra), and so
+is the dense Cayley power (the package powers a circulant generator's
+Cayley factor as one column).
 """
 from __future__ import annotations
 
@@ -33,6 +35,14 @@ def matrix_exp_taylor(m: np.ndarray, n_taylor: int = 24) -> np.ndarray:
     for _ in range(n_square):
         out = out @ out
     return out
+
+
+def cayley_power_dense(a: np.ndarray, step: float, n: int) -> np.ndarray:
+    """((I - step a / 2)^-1 (I + step a / 2))^n by a solve with n right-hand
+    sides and a dense matrix power, whatever the structure of a."""
+    eye = np.eye(a.shape[0])
+    half = (step / 2.0) * a
+    return np.linalg.matrix_power(np.linalg.solve(eye - half, eye + half), n)
 
 
 def solve_equilibrium_numeric(x: np.ndarray, m: float) -> np.ndarray:

@@ -25,10 +25,11 @@ from logent import (
     wigner_run,
 )
 from logent import densities
-from logent._grid import DEFAULT_STEP_ANGLE, cayley_power, int_power, steps
+from logent._grid import DEFAULT_STEP_ANGLE, cayley_power, circulant, int_power, steps
 from logent.densities import read_density_csv, write_density_csv
 from logent.dynamics import read_trajectory_csv, write_trajectory_csv
 from logent.wigner import read_wigner_csv, write_wigner_csv
+from oracles import cayley_power_dense
 
 
 class TestSteps:
@@ -82,6 +83,49 @@ class TestCayleyPower:
         a = cyclic_generator3().matrix
         q = cayley_power(a, 0.7, 5)
         np.testing.assert_allclose(q.T @ q, np.eye(3), atol=1e-14)
+
+    @staticmethod
+    def _timestepped(family, a, n):
+        """The generator evolve_density_timestepped builds, at the step of
+        t = 0.7 in steps of dt = 0.05."""
+        f = gaussian_density(n, 8.0, 1.0, 1.0 / (2.0 * math.sqrt(math.pi)))
+        coeff = {"constant": 1.0, "linear": 2.0, "harmonic": 1.0, "quartic": 0.3}[family]
+        k = build_kernel(PotentialSpec(family, (coeff,)).evaluate, a, f)
+        return (f.dz / f.h) * circulant(k.real_kernel), steps(0.7, 0.05)
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("a", [0.0, 0.5, -0.8])
+    @pytest.mark.parametrize("family", ["constant", "linear", "harmonic", "quartic"])
+    def test_circulant_matches_the_dense_formula(self, family, a, n):
+        # measured worst case 1.1e-14 (quartic, a = -0.8, N = 256, 14 steps);
+        # the gate leaves a margin of 4.4x
+        gen, (n_steps, step) = self._timestepped(family, a, n)
+        q = cayley_power(gen, step, n_steps)
+        assert np.abs(q - cayley_power_dense(gen, step, n_steps)).max() < 5e-14
+
+    def test_circulant_matches_the_dense_formula_for_cyclic3(self):
+        # measured 6.9e-15 at 100 steps, under the gate above
+        gen = cyclic_generator3().matrix
+        diff = cayley_power(gen, 0.1, 100) - cayley_power_dense(gen, 0.1, 100)
+        assert np.abs(diff).max() < 5e-14
+
+    def test_one_entry_off_circulant_takes_the_dense_formula(self):
+        # row 0 is circulant, so only the whole-matrix comparison refuses it
+        gen, (n_steps, step) = self._timestepped("quartic", 0.5, 16)
+        gen[5, 3] = np.nextafter(gen[5, 3], math.inf)
+        q = cayley_power(gen, step, n_steps)
+        assert np.array_equal(q, cayley_power_dense(gen, step, n_steps))
+
+    def test_circulant_takes_no_dense_matrix_power(self, monkeypatch):
+        calls = []
+        power = np.linalg.matrix_power
+        monkeypatch.setattr(np.linalg, "matrix_power", lambda *args: calls.append(1) or power(*args))
+        gen, (n_steps, step) = self._timestepped("harmonic", 0.5, 64)
+        cayley_power(gen, step, n_steps)
+        cayley_power(cyclic_generator3().matrix, 0.1, 7)
+        assert calls == []
+        cayley_power(gen[::-1], step, n_steps)  # not circulant: the dense path
+        assert calls == [1]
 
 
 class TestExactIdentities:
