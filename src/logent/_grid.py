@@ -240,28 +240,28 @@ def cayley_power(a: np.ndarray, step: float, n: int) -> np.ndarray:
     dx/dt = a x.  For an antisymmetric a the Cayley factor is orthogonal, so
     the propagator conserves the norm for any step; n = 0 gives the identity.
 
-    When a is circulant, entry for entry (its first row is compared before
-    the whole matrix, so most other matrices are refused in O(N) for N x N),
-    so is the Cayley factor Q, and only its first column r is computed: one
-    LU solve of (I - H) r = e0 + H e0 with H = step a / 2, refined once by
-    its residual through (I - H)^-1 = (I + Q) / 2, raised to the n-th power
-    by repeated squaring with cyclic convolutions and gathered as a
-    circulant.  That costs one LU, O(N^3 / 3), and O(N^2) per product, not a
-    solve with N right-hand sides and log2(n) dense products; no transform
-    is used.  Every product repeats r's round-off, so the drift of the total
-    grows coherently with n; the refinement cuts it fivefold.  Any other a
-    takes the dense solve and matrix power.
+    When a is circulant, entry for entry (one compare with the circulant of
+    its first column; a may be such a read-only view), so is the Cayley
+    factor Q, and only its first column r is computed from a's first column
+    alone, with no N x N generator built: one LU solve of (I - H) r = e0 +
+    H e0 with H = step a / 2, I - H gathered as the circulant of e0 - H e0,
+    refined once by its residual through (I - H)^-1 = (I + Q) / 2, raised to
+    the n-th power by repeated squaring with cyclic convolutions and
+    gathered as a circulant.  That costs one LU, O(N^3 / 3), and O(N^2) per
+    product, not a solve with N right-hand sides and log2(n) dense products;
+    no transform is used.  Every product repeats r's round-off, so the drift
+    of the total grows coherently with n; the refinement cuts it fivefold.
+    Any other a takes the dense solve and matrix power.
     """
-    eye = np.eye(a.shape[0])
-    half = (step / 2.0) * a
-    gathered = circulant(a[:, 0])
-    if not (np.array_equal(a[0], gathered[0]) and np.array_equal(a, gathered)):
+    if not np.array_equal(a, circulant(a[:, 0])):
+        eye, half = np.eye(a.shape[0]), (step / 2.0) * a
         return np.linalg.matrix_power(np.linalg.solve(eye - half, eye + half), n)
-    rhs = eye[0] + half[:, 0]
-    r = np.linalg.solve(eye - half, rhs)
-    res = rhs - (r - cyclic(half[:, 0], r))
+    e0, half = np.eye(1, a.shape[0])[0], (step / 2.0) * a[:, 0]
+    rhs = e0 + half
+    r = np.linalg.solve(circulant(e0 - half), rhs)
+    res = rhs - (r - cyclic(half, r))
     r = r + (res + cyclic(r, res)) / 2.0
-    return circulant(int_power(r, n, cyclic, eye[0])).copy()
+    return circulant(int_power(r, n, cyclic, e0)).copy()
 
 
 def circulant(c: np.ndarray) -> np.ndarray:

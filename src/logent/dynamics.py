@@ -174,7 +174,10 @@ def _header(n: int) -> list:  # the trajectory CSV's fields for n outcomes
 
 def write_trajectory_csv(rec: RunRecord, path) -> None:
     """CSV with columns t, p_0..p_{n-1}, sum_drift, info_drift at 15
-    significant digits."""
+    significant digits; DomainError, before any file is made, for a record
+    without the finite engine's drift columns and states."""
+    if rec.columns != ("probability_drift", "information_drift") or rec.states is None:
+        raise DomainError(f"not a trajectory run record: columns {rec.columns}")
     values = np.column_stack([[s.entries for s in rec.states], rec.diagnostics])
     write_csv(path, ",".join(_header(rec.states[0].n)), [rec.times], values, 15)
 

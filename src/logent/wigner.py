@@ -392,5 +392,8 @@ def read_wigner_csv(path) -> WignerGrid:
 
 
 def write_diagnostics_csv(rec: RunRecord, path) -> None:
-    """Time series (t, sum, I, moment3) at 15 significant digits."""
+    """Time series (t, sum, I, moment3) at 15 significant digits; DomainError,
+    before any file is made, for a record of another engine's columns."""
+    if rec.columns[:3] != ("total_probability", "information", "moment3"):
+        raise DomainError(f"not a wigner run record: columns {rec.columns}")
     write_csv(path, "t,sum,I,moment3", [rec.times], rec.diagnostics[:, :3], 15)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -293,6 +294,24 @@ class TestTimesteppedEvolution:
         assert abs(out.total - f.total) < 1e-11
         assert abs(out.information - f.information) < 2e-11
         assert np.max(np.abs(out.values - evolve_density(f, k, 1.0).values)) < 1e-6
+
+    def test_memory_of_one_call_at_n_1024(self):
+        """The generator reaches cayley_power as a circulant view and the
+        circulant branch reads its first column alone, so the one N x N
+        array tracemalloc sees is the gathered propagator (LAPACK's copy of
+        I - H is allocated outside its view).  Measured peak 8.07 MiB; the
+        gate leaves a margin of 1.5x, and a second N x N array (8 MiB) fails
+        it: the dense generator with its N x N eye and half peaked at
+        32.1 MiB."""
+        f = pure_gaussian(1024)
+        k = build_kernel(PotentialSpec.quartic(0.5).evaluate, 0.5, f)
+        tracemalloc.start()
+        try:
+            evolve_density_timestepped(f, k, 1.0, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
     def test_information_conserved_for_coarse_steps(self):
         # the Cayley step conserves the quadratic invariant for any dt

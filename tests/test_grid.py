@@ -103,6 +103,17 @@ class TestCayleyPower:
         q = cayley_power(gen, step, n_steps)
         assert np.abs(q - cayley_power_dense(gen, step, n_steps)).max() < 5e-14
 
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("a", [0.0, 0.5, -0.8])
+    @pytest.mark.parametrize("family", ["constant", "linear", "harmonic", "quartic"])
+    def test_read_only_circulant_view_gives_the_bits_of_its_copy(self, family, a, n):
+        # evolve_density_timestepped hands over such a view, not an N x N array
+        gen, (n_steps, step) = self._timestepped(family, a, n)
+        view = circulant(gen[:, 0])
+        assert not view.flags.writeable
+        q = cayley_power(view, step, n_steps)
+        assert np.array_equal(q, cayley_power(view.copy(), step, n_steps))
+
     def test_circulant_matches_the_dense_formula_for_cyclic3(self):
         # measured 6.9e-15 at 100 steps, under the gate above
         gen = cyclic_generator3().matrix

@@ -25,6 +25,8 @@ from logent import (
     wigner_run,
 )
 from logent.densities import _BLOCK_POINTS
+from logent.dynamics import write_trajectory_csv
+from logent.wigner import write_diagnostics_csv
 
 
 def same_bits(a, b) -> bool:
@@ -69,6 +71,25 @@ class TestRunRecord:
         assert traj.states[0].entries.tolist() == [1.0, 0.0, 0.0]
         assert len(traj.states) == len(traj.times) == 3
         assert wrec.states is None and drec.states is None
+
+    # each writer refuses another engine's record before it creates a file
+    def test_diagnostics_writer_refuses_a_trajectory(self, tmp_path):
+        rec = trajectory(SignedProbVector(np.array([1.0, 0.0, 0.0])), cyclic_generator3(), 1.0, 0.5)
+        with pytest.raises(DomainError, match="not a wigner run record"):
+            write_diagnostics_csv(rec, tmp_path / "diag.csv")
+        assert not list(tmp_path.iterdir())
+
+    def test_diagnostics_writer_refuses_a_density_run(self, tmp_path):
+        rec, _ = density_run(*density_case(), 1.0, 3)
+        with pytest.raises(DomainError, match="not a wigner run record"):
+            write_diagnostics_csv(rec, tmp_path / "diag.csv")
+        assert not list(tmp_path.iterdir())
+
+    def test_trajectory_writer_refuses_a_density_run(self, tmp_path):
+        rec, _ = density_run(*density_case(), 1.0, 3)
+        with pytest.raises(DomainError, match="not a trajectory run record"):
+            write_trajectory_csv(rec, tmp_path / "traj.csv")
+        assert not list(tmp_path.iterdir())
 
 
 class TestDensityRun:
