@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from logent import (
     trajectory,
 )
 from logent.cli import main
-from logent.dynamics import read_trajectory_csv, write_trajectory_csv
+from logent.dynamics import MARGINAL_TOL, read_trajectory_csv, write_trajectory_csv
 from oracles import matrix_exp_taylor
 
 E1 = SignedProbVector(np.array([1.0, 0.0, 0.0]))
@@ -69,6 +70,18 @@ class TestRandomGenerator:
         a = random_generator(6, seed=123)
         b = random_generator(6, seed=123)
         assert np.array_equal(a.matrix, b.matrix)
+
+    @pytest.mark.parametrize("n", [2, 7, 200])
+    def test_rank_one_identity_matches_the_dense_projection(self, n):
+        # P A P = A - r 1^T + 1 r^T, r the row means of A; measured against the
+        # dense product: 0, 2.2e-16 and 2.4e-15 at n = 2, 7, 200 (bound 4x)
+        g = random_generator(n, seed=7)
+        a = np.random.default_rng(7).uniform(-1.0, 1.0, size=(n, n))
+        proj = np.eye(n) - np.full((n, n), 1.0 / n)
+        assert np.max(np.abs(g.matrix - proj @ ((a - a.T) / 2.0) @ proj)) <= 1e-14
+        assert np.max(np.abs(g.matrix.sum(axis=0))) <= MARGINAL_TOL
+        assert np.max(np.abs(g.matrix.sum(axis=1))) <= MARGINAL_TOL
+        assert random_generator(n, seed=7).matrix.tobytes() == g.matrix.tobytes()
 
     def test_n3_is_multiple_of_cyclic(self):
         g = random_generator(3, seed=9)
@@ -185,6 +198,75 @@ class TestStepRuleLog:
             loud = runner.invoke(main, ["evolve", "fd", "--t-end", "1"])
         assert quiet.exit_code == loud.exit_code == 0
         assert quiet.output == loud.output
+
+
+def _logged_norm(caplog, g, t):
+    """|G|_2 as the default fd step rule logs it for a run over t."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="logent"):
+        evolve(SignedProbVector(np.eye(g.n)[0]), g, t)
+    (record,) = [r for r in caplog.records if r.name == "logent"]
+    return record.args[3]
+
+
+class TestDefaultStepNorm:
+    """The default step's |G|_2 comes from one eigvalsh of the scaled G^T G."""
+
+    GENERATORS = {"cyclic3": cyclic_generator3, **{
+        f"random{n}": (lambda n=n: random_generator(n, seed=7)) for n in (2, 7, 200)
+    }}
+
+    @pytest.mark.parametrize("rate", [None, 1e200, 1e-200])
+    @pytest.mark.parametrize("name", list(GENERATORS))
+    def test_matches_the_svd_norm_within_ulps(self, caplog, name, rate):
+        # measured at most 6 ulps here (random200 at rate 1) and 9 over seeds 0-29
+        # at n = 200; random2 is the zero generator
+        g = self.GENERATORS[name]()
+        if rate is not None:
+            g = GeneratorMatrix(g.upper, rate=rate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = _logged_norm(caplog, g, 1.0 / (rate or 1.0))
+        ref = np.linalg.norm(g.rate * g.matrix, 2)
+        assert abs(norm - ref) <= 16 * np.spacing(ref)
+
+    @pytest.mark.parametrize(
+        "rate, message",
+        [(1e300, "needs more than 1e\\+07 steps"), (5e-324, "dt must be finite and real, not inf")],
+    )
+    @pytest.mark.parametrize("name", ["cyclic3", "random7", "random200"])
+    def test_extreme_rates_raise_domain_error(self, name, rate, message):
+        g = GeneratorMatrix(self.GENERATORS[name]().upper, rate=rate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                evolve(SignedProbVector(np.eye(g.n)[0]), g, 1.0)
+
+    def test_overflowed_generator_raises_domain_error(self):
+        g = GeneratorMatrix(2.0 * cyclic_generator3().upper, rate=1e308)  # rate * M overflows
+        with np.errstate(over="ignore"), pytest.raises(DomainError):
+            evolve(E1, g, 1.0)
+
+    def test_default_step_takes_no_svd(self, monkeypatch):
+        # norm(x, 2) reaches numpy's SVD without the np.linalg.svd attribute
+        calls = []
+        svd, norm = np.linalg.svd, np.linalg.norm
+
+        def spectral_norm_spy(x, ord=None, *args, **kw):
+            if ord in (2, -2):
+                calls.append("norm")
+            return norm(x, ord, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append("svd") or svd(*a, **kw))
+        monkeypatch.setattr(np.linalg, "norm", spectral_norm_spy)
+        for g in (cyclic_generator3(), random_generator(7, seed=7)):
+            p0 = SignedProbVector(np.eye(g.n)[0])
+            evolve(p0, g, 1.0)
+            trajectory(p0, g, 1.0, 0.5)
+        assert calls == []
+        np.linalg.norm(np.eye(2), 2)
+        np.linalg.svd(np.eye(2))
+        assert calls == ["norm", "svd"]
 
 
 class TestTrajectory:
