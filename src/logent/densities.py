@@ -23,9 +23,15 @@ PotentialSpec, the profile registry that also gives the phase-space potential
 V: with Omega = 2 pi V / h this evolution is the momentum evolution of a
 position-localized Wigner state.
 
-density_run samples the spectral propagator at many times and evaluates
-its samples in batched transform pairs of at most 2**16 points (samples x N)
-each, bit for bit as evolve_density evaluates one time.
+The propagator runs on real transforms and half spectra: mhat is odd with a
+zero Nyquist sample (build_kernel makes it so), so the phases
+exp(i mhat_k t) of modes k and N - k are complex conjugates, the propagated
+spectrum of a real density stays Hermitian, and its upper half is implied
+by the lower.  One rfft, N/2 + 1 phases and one irfft give the evolved
+density exactly real, with nothing to discard.  density_run samples the
+propagator at many times and evaluates its samples in batched real
+transform pairs of at most 2**16 points (samples x N) each, bit for bit as
+evolve_density evaluates one time.
 
 Two discretizations of the same dynamics are provided: the spectral
 propagator (exact phases) and a real-space quadrature of the convolution
@@ -305,16 +311,19 @@ def _check_compatible(f: DensityGrid, k: KernelSpec) -> None:
 
 def _evolve_values(f0: DensityGrid, k: KernelSpec, times: np.ndarray) -> np.ndarray:
     """The values of f0 at each of times, one contiguous row per time: one
-    forward transform of f0, one phase multiply exp(i mhat_k t) for all
-    times and one inverse transform along the rows.  GridError, the class
-    of the non-finite grid it would build, before anything is multiplied
-    when max|mhat| * max|t| is beyond the float range."""
+    real forward transform of f0, one phase multiply exp(i mhat_k t) on the
+    half spectrum k = 0..N/2 for all times and one real inverse transform
+    along the rows.  The half spectrum is exact because the phases are
+    Hermitian, which assumes an odd m_hat with a zero Nyquist sample, as
+    build_kernel makes it.  GridError, the class of the non-finite grid it
+    would build, before anything is multiplied when max|mhat| * max|t| is
+    beyond the float range."""
     m_max, t_max = float(np.abs(k.m_hat).max()), float(np.abs(times).max())
     if not math.isfinite(m_max * t_max):
         raise GridError(f"max|m_hat| * |t| = {m_max!r} * {t_max!r} is beyond the float range")
-    spectrum = np.fft.fft(f0.values)
-    phases = np.exp(1j * k.m_hat * times[:, None])
-    return np.ascontiguousarray(np.fft.ifft(spectrum * phases, axis=1).real)
+    n = f0.n
+    phases = np.exp(1j * k.m_hat[: n // 2 + 1] * times[:, None])
+    return np.fft.irfft(np.fft.rfft(f0.values) * phases, n=n, axis=1)
 
 
 def evolve_density(f0: DensityGrid, k: KernelSpec, t: float) -> DensityGrid:
@@ -323,7 +332,8 @@ def evolve_density(f0: DensityGrid, k: KernelSpec, t: float) -> DensityGrid:
     The phase is evaluated at the absolute time t, so successive calls at
     increasing times do not accumulate round-off; every mode magnitude, and
     with them the total probability and the information, is exact up to
-    round-off of a single transform pair.
+    round-off of a single real transform pair on the half spectrum (see
+    _evolve_values; it assumes the odd m_hat that build_kernel makes).
     """
     _check_compatible(f0, k)
     t = finite(t, "t")
@@ -338,12 +348,14 @@ def density_run(
     Records per sample the diagnostics total_probability, information and
     mode_drift, the largest change of a mode magnitude dz |fhat_k| since
     t = 0 (zero in exact arithmetic); returns the record and the last
-    state.  The samples are evaluated in batched transform pairs of at most
-    2**16 points (samples x N), bit for bit as evolve_density evaluates
-    each, and each is checked as the grid evolve_density builds: a
-    non-finite sample raises GridError, a total off by more than QUAD_TOL
-    NormalizationError.  Raises DomainError unless samples is an integer in
-    [1, MAX_STEPS], t_end is finite and t_end * samples does not overflow.
+    state.  The samples are evaluated in batched real transform pairs on the
+    half spectrum, of at most 2**16 points (samples x N), bit for bit as
+    evolve_density evaluates each; the mode drift is measured on the full
+    complex spectrum of each sample.  Each sample is checked as the grid
+    evolve_density builds: a non-finite sample raises GridError, a total
+    off by more than QUAD_TOL NormalizationError.  Raises DomainError
+    unless samples is an integer in [1, MAX_STEPS], t_end is finite and
+    t_end * samples does not overflow.
     """
     samples = count(samples, "samples", high=MAX_STEPS)
     _check_compatible(f0, k)

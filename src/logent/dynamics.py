@@ -125,14 +125,18 @@ def _propagator(g: GeneratorMatrix, t: float, dt: float | None) -> np.ndarray:
     m = max|G| first, so no square overflows or underflows, and |G|_2 =
     m sqrt(lambda_max).  The step decision is logged at DEBUG level on the
     "logent" logger, with |G|_2 when the default computes it.  Raises
-    DomainError for a non-finite t or dt, a non-positive dt and a t/dt that
-    overflows.
+    DomainError for a non-finite t or dt, a non-positive dt, a t/dt that
+    overflows and, before G is formed, a rate * max|M| beyond the float
+    range.
     """
+    m_max = float(np.max(np.abs(g.matrix)))
+    m = abs(g.rate) * m_max  # max|G| to the bit: rounding a product is monotone
+    if not math.isfinite(m):
+        raise DomainError(f"rate * max|M| = {g.rate!r} * {m_max!r} is beyond the float range")
     gen = g.rate * g.matrix
     rule, norm = "caller's dt", None
     if dt is None:
-        m = float(np.max(np.abs(gen)))
-        unit = gen / m if 0.0 < m < math.inf else np.eye(1)  # |G|_2 = m for m = 0 or inf
+        unit = gen / m if m > 0.0 else np.eye(1)  # |G|_2 = m = 0 for the zero generator
         rule = f"default, {DEFAULT_STEP_ANGLE:g} rad per step"
         norm = m * math.sqrt(np.linalg.eigvalsh(unit.T @ unit)[-1])
     n, step = steps(t, dt, norm or 0.0)

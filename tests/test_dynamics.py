@@ -247,6 +247,16 @@ class TestDefaultStepNorm:
         with np.errstate(over="ignore"), pytest.raises(DomainError):
             evolve(E1, g, 1.0)
 
+    @pytest.mark.parametrize("dt", [0.1, None])
+    def test_overflowing_rate_raises_before_numpy(self, dt):
+        g = GeneratorMatrix(2.0 * cyclic_generator3().upper, rate=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"rate \* max\|M\| = 1e\+308 \* 2\.0 is beyond"):
+                evolve(E1, g, 1.0, dt)
+            with pytest.raises(DomainError, match=r"rate \* max\|M\| = 1e\+308 \* 2\.0 is beyond"):
+                trajectory(E1, g, 1.0, dt or 0.5)
+
     def test_default_step_takes_no_svd(self, monkeypatch):
         # norm(x, 2) reaches numpy's SVD without the np.linalg.svd attribute
         calls = []
