@@ -55,6 +55,10 @@ _WRAP_SIGMAS = math.sqrt(-2.0 * math.log(WRAP_TOL))  # sigmas out, a Gaussian is
 # circulant generator), but its round-off grows as n eps: |I - I0| of cyclic3 at 0.1 rad per
 # step is 8e-11 at 10^7 steps and 8e-9 at 10^9, against the fd gate of 1e-10
 MAX_STEPS = 10**7  # bounds every run's loop, every run's samples and cayley_power's round-off
+# one Cayley step's round-off grows with its reach (step / 2) max|a|: over cyclic3, random n = 6
+# and 200 and the timestepped oracle at N = 256 and 1024, one step moved the sum or I by at most
+# 7.0e-12 at reach 100 and 1.1e-10 at 1,000 (random n = 200); the tests reach at most 44
+MAX_CAYLEY_REACH = 100.0  # bounds (step / 2) max|a| in cayley_power
 # a size up to 2**53 converts to float exactly, so n - 1, 1 / n and length / n see the true
 # size; an array of more float64 points (64 PiB) outgrows any address space
 MAX_POINTS = 2**53  # bounds every size argument: a grid axis, a vector's n, n^2 for n x n
@@ -196,19 +200,21 @@ def spacing(length: float, n: int) -> float:
 
 
 def steps(
-    t: float, dt: float | None = None, rate: float = 0.0, angle: float = DEFAULT_STEP_ANGLE
+    t: float, dt: float | None = None, rate: float = 0.0, angle: float = DEFAULT_STEP_ANGLE,
+    rate_name: str = "the fastest phase rate",
 ) -> tuple[int, float]:
     """Cut the time span t into n = ceil(|t| / dt) equal steps (none for
     t = 0); returns (n, t / n).
 
-    The default dt advances the fastest phase, of angular rate `rate`, by
-    `angle`; a zero rate takes one step.  DomainError unless t and dt are
-    finite real numbers and dt is positive and large enough for
-    n <= MAX_STEPS.
+    The default dt advances the fastest phase, of angular rate `rate`
+    (called `rate_name` in errors), by `angle`; a zero rate takes one step.
+    DomainError unless t and dt are finite real numbers and dt is positive
+    and large enough for n <= MAX_STEPS, and for a default dt unless the
+    rate is finite.
     """
     t = finite(t, "t")
     if dt is None:
-        dt = angle / rate if rate > 0.0 else abs(t) or 1.0
+        dt = angle / rate if finite(rate, rate_name) > 0.0 else abs(t) or 1.0
     dt = positive(dt, "dt")
     if not abs(t) / dt - 1e-12 <= MAX_STEPS:
         raise DomainError(f"t = {t:g} needs more than {MAX_STEPS:g} steps of dt = {dt:g}")
@@ -238,7 +244,9 @@ class RunRecord:
 def cayley_power(a: np.ndarray, step: float, n: int) -> np.ndarray:
     """((I - step a / 2)^-1 (I + step a / 2))^n: n implicit-midpoint steps of
     dx/dt = a x.  For an antisymmetric a the Cayley factor is orthogonal, so
-    the propagator conserves the norm for any step; n = 0 gives the identity.
+    the propagator conserves the norm to round-off; n = 0 gives the identity.
+    That round-off grows with the reach (step / 2) max|a|, so a reach above
+    MAX_CAYLEY_REACH is a DomainError.
 
     When a is circulant, entry for entry (one compare with the circulant of
     its first column; a may be such a read-only view), so is the Cayley
@@ -253,7 +261,14 @@ def cayley_power(a: np.ndarray, step: float, n: int) -> np.ndarray:
     of the total grows coherently with n; the refinement cuts it fivefold.
     Any other a takes the dense solve and matrix power.
     """
-    if not np.array_equal(a, circulant(a[:, 0])):
+    circulant_a = np.array_equal(a, circulant(a[:, 0]))
+    a_max = float(np.max(np.abs(a[:, 0] if circulant_a else a)))
+    if not abs(step) / 2.0 * a_max <= MAX_CAYLEY_REACH:
+        raise DomainError(
+            f"Cayley step reach (step / 2) max|a| = ({step!r} / 2) * {a_max!r} exceeds "
+            f"{MAX_CAYLEY_REACH:g}: the step would not keep the total to round-off"
+        )
+    if not circulant_a:
         eye, half = np.eye(a.shape[0]), (step / 2.0) * a
         return np.linalg.matrix_power(np.linalg.solve(eye - half, eye + half), n)
     e0, half = np.eye(1, a.shape[0])[0], (step / 2.0) * a[:, 0]

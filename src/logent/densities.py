@@ -385,12 +385,13 @@ def evolve_density_timestepped(f0: DensityGrid, k: KernelSpec, t: float, dt: flo
     The convolution integral becomes the circulant A[i,j] = (dz/h) *
     m((i-j) dz), antisymmetric because the kernel samples are exactly odd;
     each step applies its Cayley transform, which conserves the quadrature
-    sum and the information for any dt.  A, the generator the finite engine
-    would be given for the quadrature weights, is the read-only circulant
-    view of its first column (no N x N array), and cayley_power, which
-    finds it circulant, powers the first column of its Cayley factor by
-    cyclic convolutions after one LU solve (O(N^3 / 3) once, then O(N^2)
-    per product).  This path shares no evolution code with evolve_density,
+    sum and the information to round-off for any dt whose reach
+    (dt/2) max|A| is at most _grid.MAX_CAYLEY_REACH (DomainError above it).
+    A, the generator the finite engine would be given for the quadrature
+    weights, is the read-only circulant view of its first column (no N x N
+    array), and cayley_power, which finds it circulant, powers the first
+    column of its Cayley factor by cyclic convolutions after one LU solve
+    (O(N^3 / 3) once, then O(N^2) per product).  This path shares no evolution code with evolve_density,
     uses no transform, and serves as an independent discretization.
     """
     _check_compatible(f0, k)

@@ -11,8 +11,10 @@ Time stepping uses the Cayley transform of the generator,
 
 the implicit midpoint rule for a linear system.  The Cayley matrix of a
 skew G is exactly orthogonal and fixes the unit-sum hyperplane, so both
-invariants are conserved to round-off for any step size; the step size
-only controls phase accuracy against exp(tG).
+invariants are conserved to round-off at every step whose reach
+(dt/2) max|G| is at most _grid.MAX_CAYLEY_REACH (a coarser step is refused:
+the round-off grows with the reach); below that the step size controls the
+phase accuracy against exp(tG).
 """
 from __future__ import annotations
 
@@ -126,8 +128,9 @@ def _propagator(g: GeneratorMatrix, t: float, dt: float | None) -> np.ndarray:
     m sqrt(lambda_max).  The step decision is logged at DEBUG level on the
     "logent" logger, with |G|_2 when the default computes it.  Raises
     DomainError for a non-finite t or dt, a non-positive dt, a t/dt that
-    overflows and, before G is formed, a rate * max|M| beyond the float
-    range.
+    overflows, a default step whose |G|_2 overflows, a step beyond the
+    Cayley reach bound and, before G is formed, a rate * max|M| beyond the
+    float range.
     """
     m_max = float(np.max(np.abs(g.matrix)))
     m = abs(g.rate) * m_max  # max|G| to the bit: rounding a product is monotone
@@ -139,7 +142,7 @@ def _propagator(g: GeneratorMatrix, t: float, dt: float | None) -> np.ndarray:
         unit = gen / m if m > 0.0 else np.eye(1)  # |G|_2 = m = 0 for the zero generator
         rule = f"default, {DEFAULT_STEP_ANGLE:g} rad per step"
         norm = m * math.sqrt(np.linalg.eigvalsh(unit.T @ unit)[-1])
-    n, step = steps(t, dt, norm or 0.0)
+    n, step = steps(t, dt, norm or 0.0, rate_name="|G|_2")
     _log.debug("fd step rule: %s; %d steps of %.6g, |G|_2 %s", rule, n, step, norm)
     return cayley_power(gen, step, n)
 
@@ -148,9 +151,11 @@ def evolve(p0: SignedProbVector, g: GeneratorMatrix, t: float, dt: float | None 
     """State at time t under dp/dt = rate * M p, via Cayley steps.
 
     dt is the internal step size; by default it is chosen so that
-    |G| * dt <= 0.1.  Conservation of sum and information holds for any dt;
+    |G| * dt <= 0.1.  Conservation of sum and information holds to
+    round-off for any dt up to the Cayley reach bound, (dt/2) max|G| <= 100;
     smaller steps only tighten agreement with the exact exponential.
-    Raises DomainError for a non-finite t or dt and a non-positive dt.
+    Raises DomainError for a non-finite t or dt, a non-positive dt, a dt
+    beyond the reach bound and a default dt whose |G|_2 overflows.
     """
     if p0.n != g.n:
         raise DimensionMismatchError(f"state has n = {p0.n}, generator n = {g.n}")

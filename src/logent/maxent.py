@@ -1,30 +1,27 @@
 """Entropy maximization under a linear observable constraint.
 
-Maximizing the quadratic entropy S = 1 - sum(p_i^2) subject to sum(p_i) = 1
-and sum(p_i X_i) = m is the stationarity problem of
+Maximizing S = 1 - sum(p_i^2) subject to sum(p_i) = 1 and sum(p_i X_i) = m
+is the stationarity problem of F = sum(p_i^2) - lam sum(p_i) + mu sum(p_i X_i),
+whose unique stationary point is p_i = (lam - mu X_i) / 2.  About the mean
+Xbar of a non-constant X, with d_i = X_i - Xbar and D = sum(d_i^2) > 0:
 
-    F = sum(p_i^2) - lam * sum(p_i) + mu * sum(p_i X_i)
+    p_i = 1/n + beta d_i,  beta = (m - Xbar) / D,  lam = 2/n - 2 beta Xbar,  mu = -2 beta,
 
-whose unique stationary point is p_i = (lam - mu X_i) / 2.  The multipliers
-solve the 2x2 linear system produced by the two constraints:
-
-    n   * lam - sum(X)   * mu = 2
-    sum(X) * lam - sum(X^2) * mu = 2 m
-
-Because the multipliers are affine in m, the equilibrium entries are affine
-in m and the equilibrium information I(m) is a convex parabola.  Its
-crossings of I = 1 bound the admissible range of the mean; the entries'
-zero crossings bound the classical (all-nonnegative) range.
+so I(m) = 1/n + (m - Xbar)^2 / D, least (uniform p) at m = Xbar.  I <= 1 for
+|m - Xbar| <= sqrt((1 - 1/n) D), and p >= 0 for Xbar - D / (n max d) <= m <=
+Xbar - D / (n min d).  X is scaled by an exact power of two, so no square
+overflows or underflows, and centred in two passes, so no raw moment cancels.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._grid import finite, real_array
-from .errors import DegenerateConstraintError, DomainError, NoSolutionError
+from .errors import DegenerateConstraintError, DomainError
 from .vectors import SignedProbVector
 
 
@@ -39,7 +36,7 @@ class ObservableConstraint:
         arr = real_array(self.values, "observable values")
         if arr.ndim != 1 or arr.size < 2:
             raise DomainError("observable needs at least two outcome values")
-        if float(np.ptp(arr)) == 0.0:
+        if arr.min() == arr.max():
             raise DegenerateConstraintError(
                 "observable is constant: the mean constraint is degenerate"
             )
@@ -66,91 +63,68 @@ class EquilibriumSolution:
         return self.p.is_admissible
 
 
-def _affine_coefficients(c: ObservableConstraint):
-    """Entries of the equilibrium as p(m) = a + b*m, plus multiplier lines.
-
-    Derived by inverting the constraint system; det = sum(X)^2 - n*sum(X^2)
-    = -n^2 var(X) is nonzero for non-constant X.
-    """
-    x = c.values
-    n = x.size
-    s1 = float(x.sum())
-    s2 = float(x @ x)
-    det = s1 * s1 - n * s2
-    lam0, lam1 = -2.0 * s2 / det, 2.0 * s1 / det
-    mu0, mu1 = -2.0 * s1 / det, 2.0 * n / det
-    a = (lam0 - mu0 * x) / 2.0
-    b = (lam1 - mu1 * x) / 2.0
-    return a, b, (lam0, lam1), (mu0, mu1)
+def _centred(c: ObservableConstraint, m: float = 0.0):
+    """(n, e, mean, lo, d, D, t) of X scaled by 2^-e, e putting max|X| 2^-e
+    in [1/2, 1): the scaled mean is mean + lo, lo being the mean of the first
+    pass's deviations, so d, the deviations about it, sum to zero at their
+    own scale; D = sum(d^2) and t = (m - Xbar) 2^-e."""
+    e = math.frexp(float(np.max(np.abs(c.values))))[1]
+    x = np.ldexp(c.values, -e)
+    mean = float(x.mean())
+    d = x - mean
+    lo = float(d.mean())
+    d -= lo
+    t = (_unscaled(m, -e, "target mean in units of max|X|") - mean) - lo
+    return c.n, e, mean, lo, d, float(d @ d), t
 
 
-def _information_parabola(c: ObservableConstraint):
-    """Coefficients (i0, i1, i2) of I(m) = i0 + i1*m + i2*m^2."""
-    a, b, _, _ = _affine_coefficients(c)
-    return float(a @ a), 2.0 * float(a @ b), float(b @ b)
+def _unscaled(value: float, e: int, name: str) -> float:
+    """value * 2^e; DomainError naming `name` unless that is a finite float."""
+    with contextlib.suppress(OverflowError):
+        if math.isfinite(out := math.ldexp(value, e)):
+            return out
+    raise DomainError(f"{name} is beyond the float range")
 
 
 def equilibrium(c: ObservableConstraint) -> EquilibriumSolution:
     """Entropy-maximizing distribution with mean value c.target_mean.
 
     The solution may have information above one; it is returned anyway and
-    flagged through :attr:`EquilibriumSolution.admissible` so callers can
-    decide how to treat it.
+    flagged through :attr:`EquilibriumSolution.admissible`, so callers decide
+    how to treat it.  A lambda or mu beyond the float range is a DomainError.
     """
     if c.target_mean is None:
         raise DomainError("equilibrium requires a target mean")
-    m = float(c.target_mean)
-    a, b, (lam0, lam1), (mu0, mu1) = _affine_coefficients(c)
-    entries = a + b * m
-    p = SignedProbVector(entries)
-    return EquilibriumSolution(
-        p=p,
-        lam=lam0 + lam1 * m,
-        mu=mu0 + mu1 * m,
-        information=p.information,
-    )
+    n, e, mean, lo, d, dd, t = _centred(c, c.target_mean)
+    beta = t / dd
+    lam = _unscaled(2.0 / n - 2.0 * beta * (mean + lo), 0, "lambda")
+    mu = _unscaled(-2.0 * beta, -e, "mu")
+    p = SignedProbVector(1.0 / n + beta * d)
+    return EquilibriumSolution(p=p, lam=lam, mu=mu, information=p.information)
 
 
 def information_of_mean(c: ObservableConstraint) -> float:
-    """Equilibrium information I(m) at the constraint's target mean,
-    evaluated through the closed-form parabola."""
+    """Equilibrium information I(m) = 1/n + (m - Xbar)^2 / D at the
+    constraint's target mean."""
     if c.target_mean is None:
         raise DomainError("information_of_mean requires a target mean")
-    i0, i1, i2 = _information_parabola(c)
-    m = float(c.target_mean)
-    return i0 + i1 * m + i2 * m * m
+    n, *_, dd, t = _centred(c, c.target_mean)
+    return _unscaled(1.0 / n + t / dd * t, 0, "information")
 
 
 def max_mean(c: ObservableConstraint, negative_branch: bool = False) -> float:
-    """Largest mean for which the equilibrium is still admissible (I <= 1).
-
-    Solves I(m) = 1 on the closed-form parabola and returns the upper root;
-    negative_branch selects the lower root (the symmetric bound on the other
-    side of the entropy maximum).
-    """
-    i0, i1, i2 = _information_parabola(c)
-    # i2 = sum(b^2) > 0 for non-constant X, so the parabola opens upward.
-    half = i1 / 2.0
-    disc = half * half - i2 * (i0 - 1.0)
-    if disc < 0.0:
-        raise NoSolutionError("equilibrium information never reaches 1")
-    root = math.sqrt(disc)
-    if negative_branch:
-        return (-half - root) / i2
-    return (-half + root) / i2
+    """Largest mean whose equilibrium is admissible (I <= 1), Xbar +
+    sqrt((1 - 1/n) D); negative_branch selects the lower bound, Xbar -
+    sqrt((1 - 1/n) D), on the other side of the entropy maximum."""
+    n, e, mean, lo, _, dd, _ = _centred(c)
+    reach = math.sqrt((1.0 - 1.0 / n) * dd)
+    return _unscaled(mean + (lo - reach if negative_branch else lo + reach), e, "mean bound")
 
 
 def max_mean_nonnegative(c: ObservableConstraint, negative_branch: bool = False) -> float:
-    """Largest mean whose equilibrium has all entries >= 0.
-
-    Each entry is affine in m, p_i(m) = a_i + b_i m; the bound is where the
-    first decreasing entry hits zero (or the first increasing one, on the
-    negative branch).
-    """
-    a, b, _, _ = _affine_coefficients(c)
-    sign = -1.0 if negative_branch else 1.0  # the direction the mean moves in
-    falling = sign * b < -float(np.max(np.abs(b))) * 1e-14
-    if not np.any(falling):
-        side = "negative" if negative_branch else "positive"
-        raise NoSolutionError(f"no entry decreases toward {side} means")
-    return sign * float(np.min(-a[falling] / (sign * b[falling])))
+    """Largest mean whose equilibrium has all entries >= 0, Xbar - D / (n
+    min d), where the entry of the most negative d reaches zero; the
+    negative branch gives the least such mean, Xbar - D / (n max d)."""
+    n, e, mean, lo, d, dd, _ = _centred(c)
+    edge = float(d.max() if negative_branch else d.min())
+    return _unscaled(mean + (lo - dd / (n * edge)), e, "mean bound")

@@ -3,11 +3,13 @@
 Everything here is deliberately coded along a different route than the
 package: the matrix exponential is Taylor scaling-and-squaring (the package
 steps with Cayley transforms), the mean bound is a grid scan over a
-numerically solved multiplier system (the package uses the closed-form
-parabola), densities are integrated with adaptive quadrature (the package
-uses grid sums), the harmonic phase-space flow is the analytic rigid
-rotation (the package split-steps), and an anharmonic one is the Wigner
-transform of a wavefunction propagated by one eigendecomposition of a dense
+numerically solved multiplier system, and the equilibrium and both pairs of
+mean bounds are solved from the raw-moment multiplier system in exact
+rational arithmetic (the package uses the centred closed form in floats),
+densities are integrated with adaptive quadrature (the package uses grid
+sums), the harmonic phase-space flow is the analytic rigid rotation (the
+package split-steps), and an anharmonic one is the Wigner transform of a
+wavefunction propagated by one eigendecomposition of a dense
 Hamiltonian.  The split step's own substeps are here too, unfused and on
 full complex spectra (the package fuses them on real half spectra), and so
 is the dense Cayley power (the package powers a circulant generator's
@@ -16,6 +18,7 @@ Cayley factor as one column).
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
@@ -51,6 +54,39 @@ def solve_equilibrium_numeric(x: np.ndarray, m: float) -> np.ndarray:
     a = np.array([[n, -x.sum()], [x.sum(), -(x @ x)]])
     lam, mu = np.linalg.solve(a, np.array([2.0, 2.0 * m]))
     return (lam - mu * x) / 2.0
+
+
+def equilibrium_exact(x: np.ndarray, m: float) -> dict:
+    """The equilibrium at the mean m for the observable x, both read as the
+    exact rationals of their floats, by Cramer's rule on the raw-moment
+    multiplier system: entry i is a_i + b_i m', affine in the mean m'.
+
+    Returns the entries "p" and the information "information" at m, and
+    the (lower, upper) pairs "max_mean", the roots of I(m') = 1 (their one
+    square root taken on integers, to 2^-256 of its size), and
+    "max_mean_nonnegative", the means where the first entry reaches zero.
+    All values are Fractions; no float is solved.
+    """
+    xs = [Fraction(v) for v in np.asarray(x, dtype=float).tolist()]
+    n, s1, s2 = len(xs), sum(xs), sum(v * v for v in xs)
+    det = s1 * s1 - n * s2
+    a = [(s1 * v - s2) / det for v in xs]
+    b = [(s1 - n * v) / det for v in xs]
+    p = [ai + bi * Fraction(m) for ai, bi in zip(a, b)]
+    c0 = sum(ai * ai for ai in a) - 1  # I(m') - 1 = c0 + c1 m' + c2 m'^2
+    c1 = 2 * sum(ai * bi for ai, bi in zip(a, b))
+    c2 = sum(bi * bi for bi in b)
+    disc = c1 * c1 - 4 * c2 * c0
+    root = Fraction(math.isqrt(disc.numerator * disc.denominator << 512), disc.denominator << 256)
+    return {
+        "p": p,
+        "information": sum(v * v for v in p),
+        "max_mean": ((-c1 - root) / (2 * c2), (-c1 + root) / (2 * c2)),
+        "max_mean_nonnegative": (
+            max(-ai / bi for ai, bi in zip(a, b) if bi > 0),
+            min(-ai / bi for ai, bi in zip(a, b) if bi < 0),
+        ),
+    }
 
 
 def scan_max_mean(x: np.ndarray, lo: float, hi: float, n_coarse: int = 20_001) -> float:

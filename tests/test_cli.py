@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from logent import wigner
 from logent.cli import main
 from logent.densities import read_density_csv
-from logent.dynamics import read_trajectory_csv
+from logent.dynamics import GeneratorMatrix, cyclic_generator3, read_trajectory_csv, trajectory
+from logent.vectors import SignedProbVector
 from logent.wigner import read_wigner_csv
 
 
@@ -750,3 +752,70 @@ def test_query_output_is_pinned(runner, args):
     res = runner.invoke(main, list(args))
     assert res.exit_code == 0, res.output
     assert res.output == QUERY_OUTPUT[args]
+
+
+class TestUncoveredBranches:
+    """Branches of the command layer that no other test runs."""
+
+    def test_maxent_bound_of_a_large_offset_pair(self, runner):
+        res = runner.invoke(main, ["maxent", "--x", "100000000,100000001", "--find-max", "--json"])
+        assert res.exit_code == 0, res.output
+        rep = json.loads(res.output)
+        assert rep["m_max"] == 100000001.0
+        assert rep["information"] == 1.0
+        assert rep["p"] == [0.0, 1.0]
+
+    def test_maxent_with_both_target_and_find_max(self, runner):
+        res = runner.invoke(main, ["maxent", "--x", "-1,0,1", "--m", "0", "--find-max"])
+        assert res.exit_code == 2
+        assert "provide exactly one of --m or --find-max" in res.output
+
+    @pytest.mark.parametrize(
+        "p, message",
+        [("1", "need at least two comma-separated entries"),
+         ("1,-1", "entries sum to 0.0, cannot normalize")],
+    )
+    def test_entropy_of_an_unusable_vector(self, runner, p, message):
+        res = runner.invoke(main, ["entropy", "--p", p])
+        assert res.exit_code == 2
+        assert message in res.output
+
+    def test_config_naming_a_directory(self, runner, tmp_path):
+        res = runner.invoke(main, ["evolve", "fd", "--config", str(tmp_path)])
+        assert res.exit_code == 2
+        assert f"cannot read config file {str(tmp_path)!r}" in res.output
+
+    def test_fd_rate_flag_rescales_cyclic3(self, runner, tmp_path):
+        out = tmp_path / "traj.csv"
+        res = runner.invoke(main, ["evolve", "fd", "--rate", "2", "--t-end", "1", "--output", str(out)])
+        assert res.exit_code == 0, res.output
+        gen = GeneratorMatrix(cyclic_generator3().upper, rate=2.0)
+        rec = trajectory(SignedProbVector(np.array([1.0, 0.0, 0.0])), gen, 1.0, 0.1)
+        written = read_trajectory_csv(out)["states"]
+        np.testing.assert_allclose(written, [s.entries for s in rec.states], rtol=0, atol=1e-15)
+
+    def test_wigner_free_potential(self, runner, tmp_path):
+        snap, diag = tmp_path / "w.csv", tmp_path / "wd.csv"
+        res = runner.invoke(
+            main,
+            ["evolve", "wigner", "--potential", "free", "--h", "2", "--nx", "32", "--npts", "32",
+             "--t-end", "0.1", "--output-snapshot", str(snap), "--output-diag", str(diag)],
+        )
+        assert res.exit_code == 0, res.output
+        w0 = wigner.gaussian_pure_wigner(32, 32, 8.0, 8.0, 2.0 / (2.0 * math.sqrt(math.pi)), h=2.0)
+        _, final = wigner.wigner_run(w0, wigner.PotentialSpec.constant(0.0), 0.1)
+        assert np.array_equal(read_wigner_csv(snap).values, final.values)
+
+    def test_wigner_quartic_default_beta_is_0_1(self, runner, tmp_path):
+        def run(name, *extra):
+            snap = tmp_path / f"{name}.csv"
+            res = runner.invoke(
+                main,
+                ["evolve", "wigner", "--potential", "quartic", "--nx", "32", "--npts", "32",
+                 "--t-end", "0.05", "--output-snapshot", str(snap),
+                 "--output-diag", str(tmp_path / f"{name}_diag.csv"), *extra],
+            )
+            assert res.exit_code == 0, res.output
+            return snap.read_bytes()
+
+        assert run("default") == run("explicit", "--beta", "0.1")

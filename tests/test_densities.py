@@ -558,3 +558,17 @@ class TestNonNumericProfile:
         spec = PotentialSpec("quartic", (Fraction(1, 2),))
         assert spec.params == (0.5,) and type(spec.params[0]) is float
         assert spec.evaluate(np.array([2.0])).tolist() == [8.0]
+
+
+class TestMalformedShapes:
+    @pytest.mark.parametrize("values", [np.full((2, 2), 0.25), np.float64(1.0)])
+    def test_density_grid_of_the_wrong_rank(self, values):
+        with pytest.raises(GridError, match="^values must be one-dimensional"):
+            DensityGrid(values=values, z0=0.0, dz=1.0, h=1.0)
+
+    @pytest.mark.parametrize(
+        "xs, vs", [([0.0, 1.0, 2.0], [0.0, 1.0]), ([0.0], [1.0]), ([[0.0, 1.0]], [[0.0, 1.0]])]
+    )
+    def test_tabulated_profile_with_mismatched_tables(self, xs, vs):
+        with pytest.raises(DomainError, match="^need matching 1-d tables with at least two samples"):
+            PotentialSpec.tabulated(xs, vs)

@@ -412,3 +412,29 @@ class TestBoundaryValues:
     def test_non_integer_size_or_seed_raises(self, n, seed):
         with pytest.raises(DomainError):
             random_generator(n, seed)
+
+
+def test_default_step_refuses_an_overflowing_spectral_norm():
+    # max|G| = 1.7e308 is finite, |G|_2 = sqrt(3) * 1.7e308 is not
+    g = GeneratorMatrix(cyclic_generator3().upper, rate=1.7e308)
+    with pytest.raises(DomainError, match=r"^\|G\|_2 must be finite and real, not inf"):
+        evolve(E1, g, 1.0)
+
+
+class TestMalformedGenerator:
+    @pytest.mark.parametrize("upper", [np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 2))])
+    def test_non_square_storage(self, upper):
+        with pytest.raises(DomainError, match="^generator storage must be square"):
+            GeneratorMatrix(upper)
+
+    def test_one_by_one_storage(self):
+        with pytest.raises(DomainError, match="^generator needs dimension >= 2"):
+            GeneratorMatrix(np.zeros((1, 1)))
+
+    def test_from_dense_of_a_non_square_matrix(self):
+        with pytest.raises(DomainError, match="^generator must be square"):
+            GeneratorMatrix.from_dense(np.zeros((3, 2)))
+
+    def test_trajectory_of_mismatched_sizes(self):
+        with pytest.raises(DimensionMismatchError, match="^state has n = 4, generator n = 3"):
+            trajectory(uniform(4), cyclic_generator3(), 1.0, 0.1)

@@ -25,7 +25,9 @@ from logent import (
     wigner_run,
 )
 from logent import densities
-from logent._grid import DEFAULT_STEP_ANGLE, cayley_power, circulant, int_power, steps
+from logent._grid import (
+    DEFAULT_STEP_ANGLE, MAX_CAYLEY_REACH, cayley_power, circulant, int_power, steps,
+)
 from logent.densities import read_density_csv, write_density_csv
 from logent.dynamics import read_trajectory_csv, write_trajectory_csv
 from logent.wigner import read_wigner_csv, write_wigner_csv
@@ -283,3 +285,54 @@ class TestReadCsv:
             path.write_bytes(header + b"\n" + data + b"\xe9\n")
         with pytest.raises(GridError):
             read(path)
+
+
+class TestNonFiniteRate:
+    @pytest.mark.parametrize("rate", [math.inf, math.nan])
+    def test_default_dt_refuses_a_non_finite_rate_by_its_name(self, rate):
+        with pytest.raises(DomainError, match="^the fastest phase rate must be finite"):
+            steps(1.0, rate=rate)
+        with pytest.raises(DomainError, match=r"^\|G\|_2 must be finite"):
+            steps(1.0, rate=rate, rate_name="|G|_2")
+
+    def test_caller_dt_does_not_read_the_rate(self):
+        assert steps(1.0, 0.5, math.inf) == (2, 0.5)
+
+
+class TestCayleyReach:
+    """A step whose reach (step / 2) max|a| exceeds MAX_CAYLEY_REACH is refused."""
+
+    def test_reach_at_the_bound_runs_and_above_it_is_refused(self):
+        a = cyclic_generator3().matrix  # max|a| = 1
+        step = 2.0 * MAX_CAYLEY_REACH
+        q = cayley_power(a, step, 3)
+        assert abs(q.sum(axis=0) - 1.0).max() < 1e-13
+        for bad in (np.nextafter(step, math.inf), -np.nextafter(step, math.inf), 1e300):
+            with pytest.raises(DomainError, match=r"^Cayley step reach \(step / 2\) max\|a\|"):
+                cayley_power(a, bad, 3)
+
+    def test_circulant_reach_reads_the_first_column(self):
+        gen, _ = TestCayleyPower._timestepped("quartic", 0.5, 64)
+        view = circulant(gen[:, 0])
+        step = 2.0 * MAX_CAYLEY_REACH / float(np.abs(gen[:, 0]).max())
+        with pytest.raises(DomainError, match=repr(float(np.abs(gen[:, 0]).max()))):
+            cayley_power(view, 1.5 * step, 2)
+        cayley_power(view, step, 2)
+
+    def test_both_cayley_engines_refuse_a_coarse_step(self):
+        g = GeneratorMatrix(cyclic_generator3().upper, rate=1e8)
+        with pytest.raises(DomainError, match=r"\(0.1 / 2\) \* 100000000.0 exceeds 100"):
+            evolve(SignedProbVector(np.array([1.0, 0.0, 0.0])), g, 1.0, dt=0.1)
+        f = gaussian_density(64, 8.0, 1.0, 1.0 / (2.0 * math.sqrt(math.pi)))
+        k = build_kernel(PotentialSpec("harmonic", (1.0,)).evaluate, 0.5, f)
+        with pytest.raises(DomainError, match="^Cayley step reach"):
+            evolve_density_timestepped(f, k, 1e4, 1e4)
+
+
+def test_read_grid_refuses_fewer_rows_than_the_sidecar_sizes(tmp_path):
+    path = tmp_path / "f.csv"
+    read = _density_file(path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]))
+    with pytest.raises(GridError, match="row count disagrees with the sidecar sizes"):
+        read(path)

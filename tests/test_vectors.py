@@ -346,3 +346,9 @@ class TestGridCore:
         assert (v.total, v.information, v.entropy) == (f.total, f.information, f.entropy)
         assert v.logical_entropy == f.entropy
         assert v.is_admissible == f.is_admissible
+
+
+@pytest.mark.parametrize("values", [np.full((2, 2), 0.25), np.float64(1.0)])
+def test_signed_vector_of_the_wrong_rank(values):
+    with pytest.raises(DomainError, match="^entries must form a one-dimensional vector"):
+        SignedProbVector(values)

@@ -697,3 +697,16 @@ class TestDeltaLocalizedTime:
         f = gaussian_density(16, 8.0, H, 0.3)
         out = delta_localized_evolve(f, PotentialSpec.harmonic(1.0), 0.5, 0.0)
         np.testing.assert_array_equal(out.values, f.values)
+
+
+class TestMalformedGrid:
+    @pytest.mark.parametrize("values", [np.full(16, 1.0 / 16), np.full((2, 2, 4), 1.0 / 16)])
+    def test_wrong_rank(self, values):
+        with pytest.raises(GridError, match="^values must be a 2-d array"):
+            WignerGrid(values=values, x0=0.0, dx=1.0, p0=0.0, dp=1.0, h=1.0, mass=1.0)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3)])
+    def test_odd_size(self, shape):
+        values = np.full(shape, 1.0 / 12)
+        with pytest.raises(GridError, match="^grid sizes must be even"):
+            WignerGrid(values=values, x0=0.0, dx=1.0, p0=0.0, dp=1.0, h=1.0, mass=1.0)
