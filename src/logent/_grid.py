@@ -5,7 +5,11 @@ state on a lattice: the quadrature sum(values) * cell is one, the
 information is I = h * sum(values^2) * cell and the entropy is S = 1 - I,
 where the cell is the product of the spacings (none for a vector, whose
 h = 1).  write_csv writes every CSV file: a row per lattice point, its
-coordinates, then its values (a run's series: the lattice of its times).
+coordinates, then its values (a run's series: the lattice of its times),
+each cell exactly "%.{digits-1}e" % v.  _cells formats whole arrays at once,
+with a double-double product and a table of digit groups, and hands the
+rare values it cannot settle (near-ties, the far ends of the float range,
+non-finite values) to % itself.
 write_grid and read_grid keep a grid's snapshot with a JSON sidecar of its
 scalars and sizes, the only sidecar, at sidecar(path); the reader checks the
 header and the coordinates against that lattice.
@@ -33,7 +37,7 @@ at most MAX_POINTS) and real_array (a new read-only array of finite reals).
 """
 from __future__ import annotations
 
-import itertools
+import functools
 import json
 import math
 import numbers
@@ -63,7 +67,7 @@ MAX_CAYLEY_REACH = 100.0  # bounds (step / 2) max|a| in cayley_power
 # size; an array of more float64 points (64 PiB) outgrows any address space
 MAX_POINTS = 2**53  # bounds every size argument: a grid axis, a vector's n, n^2 for n x n
 
-_BLOCK_ROWS = 4096  # CSV rows formatted per write: bounds the text held in memory
+_BLOCK_ROWS = 2048  # CSV rows formatted per write: bounds the cells and text held in memory
 
 
 class Grid:
@@ -330,30 +334,152 @@ def int_power(x: np.ndarray, r: int, product=np.multiply, one=None) -> np.ndarra
     return power
 
 
+_SPLITTER = 2.0**27 + 1.0
+_EXP_FROM = -300  # the least exponent in _tables
+_TIE_MARGIN = 2.0**-30  # a fraction this near 1/2 is rounded by %, not decided here
+
+
+def _split(a: np.ndarray) -> tuple:
+    """Dekker's split: (hi, lo) with hi + lo = a exactly, each of at most 26
+    significant bits, so a product of two halves is exact."""
+    t = _SPLITTER * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+@functools.cache
+def _tables() -> tuple:
+    """_cells's read-only tables, built on its first call (about 1 ms), so a
+    process that writes no CSV builds none:
+    - tens, row q <= 300: 10^q as the double-double hi + lo (hi the
+      correctly rounded double, lo the rounded rest; exact up to q = 46 and
+      within 2^-106 of 10^q beyond), then Dekker's split of hi;
+    - words, entry i < 10,000: the four ASCII digits of i, zero-padded, as
+      one uint32;
+    - exponents, row k - _EXP_FROM for |k| <= 300: the bytes e, the sign,
+      the hundreds digit (NUL under 100) and the last two digits of k."""
+    rows, ten = [], 1
+    for _ in range(301):
+        hi = float(ten)
+        rows.append((hi, float(ten - int(hi))))
+        ten *= 10
+    hi, lo = np.array(rows).T
+    tens = np.column_stack([hi, lo, *_split(hi)])
+    quads = (np.indices((10,) * 4, np.uint8).reshape(4, -1) + np.uint8(ord("0"))).T.copy()
+    k = np.arange(_EXP_FROM, -_EXP_FROM + 1)
+    exponents = np.empty((k.size, 5), np.uint8)
+    exponents[:, 0] = ord("e")
+    exponents[:, 1] = np.where(k < 0, ord("-"), ord("+"))
+    exponents[:, 2:] = quads[np.abs(k), 1:]
+    exponents[np.abs(k) < 100, 2] = 0
+    tables = tens, quads.view(np.uint32).ravel(), exponents
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _scaled(a: np.ndarray, q: np.ndarray) -> tuple:
+    """(floor(a 10^q), the rest in [0, 1)) for positive a: a times the
+    double-double 10^q, with a hi made an exact sum p + e by Dekker's
+    product (no fused multiply-add).  Its relative error is under 2^-104,
+    so below 10^17 the rest lies within 1e-14 of its exact value."""
+    hi, lo, hi_hi, hi_lo = _tables()[0].take(q, axis=0).T
+    a_hi, a_lo = _split(a)
+    p = a * hi
+    e = ((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo + a * lo
+    whole = np.floor(p)  # p - whole is exact
+    rest = (p - whole) + e
+    carry = np.floor(rest)
+    return whole.astype(np.int64) + carry.astype(np.int64), rest - carry
+
+
+def _cells(values, digits: int) -> np.ndarray:
+    """The bytes of "%.{digits-1}e" % v for every v of values (15 <= digits
+    <= 17), one row each of a (size, digits + 7) uint8 matrix padded with
+    NUL bytes: a positive cell's sign byte and an exponent's hundreds byte
+    under 100 are NUL, and a fallback cell is padded at its end.
+
+    For |v| in [1e-280, 1e14), k = floor(log10|v|), rechecked against the
+    digit range as log10 may round across a power of ten, and n =
+    floor(|v| 10^(digits-1-k)) from _scaled; n rounds up when the rest
+    exceeds 1/2, to 10^digits at most, the next power of ten.  The rest lies
+    within 1e-14 of its exact value, so a rest within _TIE_MARGIN (about
+    1e-9) of 1/2 goes to _percent, exact ties among them, as do values
+    outside that range and non-finite ones; zeros are formatted here.  The
+    digits of n are gathered four at a time from the words of _tables."""
+    _, words, exponents = _tables()
+    v = np.asarray(values, dtype=float).ravel()
+    a = np.abs(v)
+    fast = (a >= 1e-280) & (a < 1e14)
+    a[~fast] = 1.0
+    k = np.floor(np.log10(a)).astype(np.int64)
+    low, high = 10 ** (digits - 1), 10**digits
+    n, rest = _scaled(a, digits - 1 - k)
+    off = (n >= high).astype(np.int64) - (n < low)
+    if off.any():  # log10 rounded across a power of ten: k is one off
+        i = np.flatnonzero(off)
+        k[i] += off[i]
+        n[i], rest[i] = _scaled(a[i], digits - 1 - k[i])
+    zero = v == 0.0
+    slow = ~(fast | zero) | (n < low) | (n >= high) | (np.abs(rest - 0.5) <= _TIE_MARGIN)
+    n += rest > 0.5
+    up = n == high
+    n[up] = low
+    k += up
+    n[zero | slow] = 0
+    k[zero | slow] = 0
+    count = (digits + 3) // 4
+    quads = np.empty((v.size, count), np.uint32)
+    for j in range(count - 1, -1, -1):  # n in base 10,000, the last word first
+        top = n // 10_000
+        quads[:, j] = words.take(n - 10_000 * top)
+        n = top
+    text = quads.view(np.uint8)[:, 4 * count - digits :]  # the digits of n, zero-padded
+    cells = np.empty((v.size, digits + 7), np.uint8)
+    cells[:, 0] = np.where(np.signbit(v), ord("-"), 0)
+    cells[:, 1] = text[:, 0]
+    cells[:, 2] = ord(".")
+    cells[:, 3 : digits + 2] = text[:, 1:]
+    cells[:, digits + 2 :] = exponents.take(k - _EXP_FROM, axis=0)
+    if slow.any():
+        cells[slow] = _percent(v[slow], digits)
+    return cells
+
+
+def _percent(values: np.ndarray, digits: int) -> np.ndarray:
+    """_cells's rows for a float array by Python's % itself, one value at a
+    time: the fallback, for values _cells does not settle."""
+    texts = [(f"%.{digits - 1}e" % v).encode() for v in values.tolist()]
+    return np.array(texts, f"S{digits + 7}").view(np.uint8).reshape(-1, digits + 7)  # NUL-padded
+
+
 def write_csv(path, header: str, axes, values, digits: int) -> None:
     """Write a header line, then a CSV row per lattice point at `digits`
-    significant digits: its coordinates (the first axis slowest), then its
-    values.  values has the lattice's shape, plus a trailing axis if points
-    have several.  Each coordinate is formatted once per line of the last
-    axis (256 conversions for a 128 x 128 lattice, not 32,768), and at most
-    _BLOCK_ROWS rows are formatted per write."""
-    cell = f"%.{digits - 1}e"
-    *outer, last = [np.asarray(a).tolist() for a in axes]
+    significant digits, each cell exactly "%.{digits-1}e" % v: its
+    coordinates (the first axis slowest), then its values.  values has the
+    lattice's shape, plus a trailing axis if points have several.  Cells
+    are formatted on whole arrays by _cells, each axis's coordinates once;
+    each block of at most _BLOCK_ROWS rows is gathered into one uint8
+    matrix of cells, commas and a newline, stripped of its NUL padding and
+    written as bytes."""
+    axes = [np.asarray(a, dtype=float) for a in axes]
+    shape = tuple(a.size for a in axes)
     width = math.prod(np.shape(values)[len(axes) :])  # values per point
-    lines = np.reshape(values, (math.prod(map(len, outer)), len(last), width))
-    row = ",".join([cell] * width) + "\n"
-    starts = range(0, len(last), _BLOCK_ROWS)
-    # each block's rows after their outer coordinates, with placeholders for the values
-    tails = ([f"{cell % v},{row}" for v in last[s : s + _BLOCK_ROWS]] for s in starts)
-    blocks = list(tails) if outer else tails  # a series: block by block, as written
-    texts = itertools.product(*[[cell % v for v in a] for a in outer])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for line, coords in zip(lines, texts):
-            prefix = "".join(c + "," for c in coords)
-            for start, block in zip(starts, blocks):
-                cells = line[start : start + _BLOCK_ROWS].ravel().tolist()
-                fh.write((prefix + prefix.join(block)) % tuple(cells))
+    values = np.reshape(values, (math.prod(shape), width))
+    coords = [_cells(a, digits) for a in axes]
+    size = digits + 7  # bytes per cell, padding included
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for start in range(0, values.shape[0], _BLOCK_ROWS):
+            block = values[start : start + _BLOCK_ROWS]
+            rows = np.empty((block.shape[0], len(axes) + width, size + 1), np.uint8)
+            index = np.unravel_index(np.arange(start, start + block.shape[0]), shape)
+            for k, (cells, i) in enumerate(zip(coords, index)):
+                rows[:, k, :size] = cells.take(i, axis=0)
+            rows[:, len(axes) :, :size] = _cells(block, digits).reshape(block.shape[0], width, size)
+            rows[:, :, size] = ord(",")
+            rows[:, -1, size] = ord("\n")
+            fh.write(rows.tobytes().translate(None, b"\0"))
 
 
 def read_csv(path, kind: str):

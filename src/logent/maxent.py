@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._grid import finite, real_array
-from .errors import DegenerateConstraintError, DomainError
+from ._grid import QUAD_TOL, finite, real_array
+from .errors import DegenerateConstraintError, DomainError, NormalizationError
 from .vectors import SignedProbVector
 
 
@@ -91,7 +91,9 @@ def equilibrium(c: ObservableConstraint) -> EquilibriumSolution:
 
     The solution may have information above one; it is returned anyway and
     flagged through :attr:`EquilibriumSolution.admissible`, so callers decide
-    how to treat it.  A lambda or mu beyond the float range is a DomainError.
+    how to treat it.  A lambda or mu beyond the float range is a DomainError,
+    as is a target mean so far outside the admissible range that the
+    entries' sum cannot be held to one within QUAD_TOL.
     """
     if c.target_mean is None:
         raise DomainError("equilibrium requires a target mean")
@@ -99,7 +101,15 @@ def equilibrium(c: ObservableConstraint) -> EquilibriumSolution:
     beta = t / dd
     lam = _unscaled(2.0 / n - 2.0 * beta * (mean + lo), 0, "lambda")
     mu = _unscaled(-2.0 * beta, -e, "mu")
-    p = SignedProbVector(1.0 / n + beta * d)
+    entries = 1.0 / n + beta * d
+    try:
+        p = SignedProbVector(entries)
+    except NormalizationError as exc:  # the sum's round-off, about eps sum|p|, passed QUAD_TOL
+        raise DomainError(
+            f"target mean {c.target_mean!r} gives entries up to max|p| = "
+            f"{np.max(np.abs(entries)):.6g}, too large for their sum to stay within "
+            f"{QUAD_TOL:g} of one"
+        ) from exc
     return EquilibriumSolution(p=p, lam=lam, mu=mu, information=p.information)
 
 

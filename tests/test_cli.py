@@ -765,6 +765,11 @@ class TestUncoveredBranches:
         assert rep["information"] == 1.0
         assert rep["p"] == [0.0, 1.0]
 
+    def test_maxent_target_too_far_for_a_unit_sum_names_it(self, runner):
+        res = runner.invoke(main, ["maxent", "--x", "0,0.5,1", "--m", "1e7"])
+        assert res.exit_code == 2
+        assert "Error: target mean 10000000.0 gives entries up to max|p| = 1e+07" in res.output
+
     def test_maxent_with_both_target_and_find_max(self, runner):
         res = runner.invoke(main, ["maxent", "--x", "-1,0,1", "--m", "0", "--find-max"])
         assert res.exit_code == 2

@@ -1,6 +1,7 @@
 """The step rule, the Cayley propagator and the CSV reader shared by the engines."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,13 +21,14 @@ from logent import (
     gaussian_density,
     gaussian_pure_wigner,
     omega_harmonic,
+    random_generator,
     trajectory,
     wigner_evolve,
     wigner_run,
 )
-from logent import densities
+from logent import _grid, densities
 from logent._grid import (
-    DEFAULT_STEP_ANGLE, MAX_CAYLEY_REACH, cayley_power, circulant, int_power, steps,
+    DEFAULT_STEP_ANGLE, MAX_CAYLEY_REACH, _cells, cayley_power, circulant, int_power, steps,
 )
 from logent.densities import read_density_csv, write_density_csv
 from logent.dynamics import read_trajectory_csv, write_trajectory_csv
@@ -336,3 +338,97 @@ def test_read_grid_refuses_fewer_rows_than_the_sidecar_sizes(tmp_path):
     path.write_text("".join(lines[:-1]))
     with pytest.raises(GridError, match="row count disagrees with the sidecar sizes"):
         read(path)
+
+
+def _cell_lines(values, digits: int) -> list:
+    """_cells's text of each value, stripped of its NUL padding."""
+    cells = _cells(values, digits)
+    newlines = np.full((len(cells), 1), ord("\n"), np.uint8)
+    return np.hstack([cells, newlines]).tobytes().translate(None, b"\0").decode().splitlines()
+
+
+def _percent_mismatches(values, digits: int) -> list:
+    """(value, _cells's text, "%.{digits-1}e" % value) wherever the two differ."""
+    values = np.asarray(values, dtype=float).tolist()
+    cell = f"%.{digits - 1}e"
+    return [
+        (v, got, cell % v) for v, got in zip(values, _cell_lines(values, digits)) if got != cell % v
+    ]
+
+
+def _percent_calls(monkeypatch) -> list:
+    """Every value the fallback of _cells formats from now on, in a list."""
+    calls, percent = [], _grid._percent
+
+    def recorded(values, digits):
+        calls.extend(values.tolist())
+        return percent(values, digits)
+
+    monkeypatch.setattr(_grid, "_percent", recorded)
+    return calls
+
+
+class TestCells:
+    """_cells against Python's % itself, value for value."""
+
+    ADVERSARIAL = [
+        0.0, -0.0,
+        1.0 + 2.0**-17,  # 1.00000762939453125: an exact tie at 17 digits
+        float(np.nextafter(1e6, 0.0)),  # 999999.99999999988: rounds up to 1e6 at 15 digits
+        1e-300, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+        math.nan, math.inf, -math.inf,
+    ] + [
+        float(x) for e in range(-280, 17) for p10 in [float(f"1e{e}")]
+        for x in (np.nextafter(p10, 0.0), p10, np.nextafter(p10, math.inf))
+    ]
+
+    @pytest.mark.parametrize("digits", [15, 17])
+    def test_seeded_values_match_percent(self, digits, monkeypatch):
+        rng = np.random.default_rng(digits)
+        bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)  # every binade
+        normal = rng.standard_normal(100_000)
+        scaled = rng.standard_normal(100_000) * 10.0 ** rng.choice([-60.0, 60.0], 100_000)
+        calls = _percent_calls(monkeypatch)
+        assert _percent_mismatches(normal, digits) == []
+        assert calls == []  # standard normals take the fast path throughout
+        assert _percent_mismatches(scaled, digits) == []
+        assert _percent_mismatches(bits, digits) == []
+        assert np.count_nonzero(np.isfinite(bits)) > 190_000  # nan and inf are 1/2048
+
+    @pytest.mark.parametrize("digits", [15, 17])
+    def test_adversarial_values_match_percent(self, digits):
+        values = np.array(self.ADVERSARIAL)
+        assert _percent_mismatches(values, digits) == []
+        assert _percent_mismatches(-values, digits) == []
+
+    def test_ties_and_the_far_range_go_to_the_fallback(self, monkeypatch):
+        calls = _percent_calls(monkeypatch)
+        values = [1.0 + 2.0**-17, 1e-300, 5e-324, 1e14, math.nan, -math.inf]
+        assert _cell_lines(values, 17)[0] == "1.0000076293945312e+00"  # the even neighbour
+        assert np.array_equal(calls, values, equal_nan=True)
+
+    def test_evolved_snapshot_and_fd_trajectory_take_the_fast_path(self, tmp_path, monkeypatch):
+        sigma = 1.0 / (2.0 * math.sqrt(math.pi))
+        w0 = gaussian_pure_wigner(128, 128, 8.0, 8.0, sigma, x_center=0.7)
+        w = wigner_evolve(w0, PotentialSpec.harmonic(1.0), 0.1)
+        p0 = np.random.default_rng(5).uniform(0.0, 1.0, 200)
+        rec = trajectory(SignedProbVector(p0 / p0.sum()), random_generator(200, 5), 1.0, 0.1)
+        calls = _percent_calls(monkeypatch)
+        write_wigner_csv(w, tmp_path / "snap.csv")
+        write_trajectory_csv(rec, tmp_path / "fd.csv")
+        assert calls == []
+        assert read_wigner_csv(tmp_path / "snap.csv").values.tobytes() == w.values.tobytes()
+
+    def test_snapshot_write_streams_in_blocks(self, tmp_path):
+        # measured peak 0.51 MiB for this 512 x 512 snapshot (an 18.4 MB file), 0.56
+        # MiB when it builds the kernel's tables: one block of _BLOCK_ROWS rows as a
+        # cell matrix, its bytes and their stripped copy; the bound is about twice that
+        w = gaussian_pure_wigner(512, 512, 8.0, 8.0, 1.0 / (2.0 * math.sqrt(math.pi)))
+        tracemalloc.start()
+        try:
+            write_wigner_csv(w, tmp_path / "snap.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "snap.csv").stat().st_size > 18 * 10**6
+        assert peak < 2**20

@@ -263,6 +263,14 @@ class TestFloatRange:
         with pytest.raises(DomainError, match="^information is beyond the float range"):
             information_of_mean(c)
 
+    def test_entries_too_large_to_sum_to_one_are_a_domain_error(self):
+        # p = 1/3 -+ (2e7 - 1) / 2: the sum's round-off, about eps sum|p|, passes QUAD_TOL
+        c = ObservableConstraint(np.array([0.0, 0.5, 1.0]), target_mean=1e7)
+        message = r"^target mean 10000000.0 gives entries up to max\|p\| = 1e\+07"
+        with pytest.raises(DomainError, match=message):
+            equilibrium(c)
+        assert equilibrium(ObservableConstraint(c.values, target_mean=1e6)).p.entries[2] > 9e5
+
     def test_target_mean_beyond_the_scaled_range_is_a_domain_error(self):
         c = ObservableConstraint(np.array([5e-324, 0.0]), target_mean=1.0)
         for query in (equilibrium, information_of_mean):
