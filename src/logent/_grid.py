@@ -16,11 +16,11 @@ header and the coordinates against that lattice.
 
 The time-stepped engines (dynamics, the timestepped density oracle and the
 phase-space split step) share one step rule, steps: a span t is cut into
-n = ceil(|t| / dt) equal steps, at most MAX_STEPS, and the default dt
-advances the fastest phase by a fixed angle per step (one step when that
-rate is zero).  The angle is DEFAULT_STEP_ANGLE = 0.1 rad for the Cayley
-steps; the split step asks for pi per substep of its fourth-order
-composition.  The two matrix engines also share the Cayley propagator,
+n = ceil(|t| / dt) equal steps, at most MAX_STEPS, and the default dt, given
+only to a caller that passes the fastest phase rate, advances that phase by
+a fixed angle per step (one step when the rate is zero).  The angle is
+DEFAULT_STEP_ANGLE = 0.1 rad for the Cayley steps; the split step asks for
+pi per substep of its fourth-order composition.  The two matrix engines also share the Cayley propagator,
 cayley_power, the n-th power of one implicit-midpoint step, which powers
 the first column of a circulant generator's Cayley factor by cyclic
 convolutions and takes any other generator densely.  The two real-space
@@ -204,20 +204,21 @@ def spacing(length: float, n: int) -> float:
 
 
 def steps(
-    t: float, dt: float | None = None, rate: float = 0.0, angle: float = DEFAULT_STEP_ANGLE,
-    rate_name: str = "the fastest phase rate",
+    t: float, dt: float | None = None, rate: float | None = None,
+    angle: float = DEFAULT_STEP_ANGLE, rate_name: str = "the fastest phase rate",
 ) -> tuple[int, float]:
     """Cut the time span t into n = ceil(|t| / dt) equal steps (none for
     t = 0); returns (n, t / n).
 
-    The default dt advances the fastest phase, of angular rate `rate`
-    (called `rate_name` in errors), by `angle`; a zero rate takes one step.
-    DomainError unless t and dt are finite real numbers and dt is positive
-    and large enough for n <= MAX_STEPS, and for a default dt unless the
-    rate is finite.
+    Without dt, a caller that passes the angular rate `rate` of the fastest
+    phase (called `rate_name` in errors) gets the default dt, which advances
+    that phase by `angle`; a zero rate takes one step.  DomainError unless t
+    and dt are finite real numbers and dt is positive and large enough for
+    n <= MAX_STEPS, so a missing dt without a rate is refused; for a default
+    dt, also unless the rate is finite.
     """
     t = finite(t, "t")
-    if dt is None:
+    if dt is None and rate is not None:
         dt = angle / rate if finite(rate, rate_name) > 0.0 else abs(t) or 1.0
     dt = positive(dt, "dt")
     if not abs(t) / dt - 1e-12 <= MAX_STEPS:

@@ -57,10 +57,6 @@ from .errors import DomainError, GridError
 _BLOCK_POINTS = 2**16  # samples x N that density_run evaluates per transform pair
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 2 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True, eq=False)
 class DensityGrid(Grid):
     """Uniform periodic sampling of a normalized density, plus the scale h.
@@ -84,7 +80,7 @@ class DensityGrid(Grid):
     def _check_shape(self, arr):
         if arr.ndim != 1:
             raise GridError("values must be one-dimensional")
-        if not _is_power_of_two(arr.size):
+        if arr.size < 2 or arr.size & (arr.size - 1):
             raise GridError(f"N = {arr.size} is not a power of two")
 
     @property
@@ -181,7 +177,8 @@ class PotentialSpec:
         elif len(params) != 1:
             raise DomainError(f"the {self.family} family takes one coefficient")
         else:
-            object.__setattr__(self, "params", (finite(params[0]),))
+            coeff = finite(params[0], f"the {self.family} coefficient")
+            object.__setattr__(self, "params", (coeff,))
 
     @classmethod
     def constant(cls, value: float = 0.0) -> "PotentialSpec":
@@ -195,7 +192,7 @@ class PotentialSpec:
     def harmonic(cls, omega: float, mass: float = 1.0) -> "PotentialSpec":
         """V(x) = mass * omega^2 * x^2 / 2."""
         try:
-            return cls("harmonic", (0.5 * finite(mass) * finite(omega) ** 2,))
+            return cls("harmonic", (0.5 * finite(mass, "mass") * finite(omega, "omega") ** 2,))
         except OverflowError:  # omega ** 2 beyond the float range
             raise DomainError(f"omega = {omega!r} overflows the harmonic coefficient") from None
 
@@ -288,15 +285,18 @@ def build_kernel(
     grid, so the continuous exponential exp(2 pi i z lambda / h) restricted
     to the sampled lambdas is exactly the discrete Fourier basis.  Content
     beyond the Nyquist frequency is unrepresentable on the grid and is
-    truncated.
+    truncated.  Omega must return one finite real value per point it is
+    given (as real_array accepts it), else DomainError, as for a non-finite
+    difference of two values.
     """
     a = finite(a, "a")
-    nu = np.fft.fftfreq(grid.n, d=grid.dz)
-    lambdas = grid.h * nu
-    m_hat = np.asarray(
-        omega(a + lambdas / 2.0), dtype=float
-    ) - np.asarray(omega(a - lambdas / 2.0), dtype=float)
-    if not np.all(np.isfinite(m_hat)):
+    lambdas = grid.h * np.fft.fftfreq(grid.n, d=grid.dz)
+    plus = real_array(omega(a + lambdas / 2.0), "omega values")
+    minus = real_array(omega(a - lambdas / 2.0), "omega values")
+    if plus.shape != lambdas.shape or minus.shape != lambdas.shape:
+        raise DomainError("omega must give one value per point")
+    m_hat = plus - minus
+    if not np.all(np.isfinite(m_hat)):  # a difference of finite values may overflow
         raise DomainError("omega is not finite at a sampled point")
     m_hat[grid.n // 2] = 0.0  # unpaired Nyquist mode
     m_hat.setflags(write=False)
@@ -395,7 +395,7 @@ def evolve_density_timestepped(f0: DensityGrid, k: KernelSpec, t: float, dt: flo
     uses no transform, and serves as an independent discretization.
     """
     _check_compatible(f0, k)
-    n_steps, step = steps(t, finite(dt, "dt"))  # finite: steps reads dt = None as "choose dt"
+    n_steps, step = steps(t, dt)
     a = circulant((f0.dz / f0.h) * k.real_kernel)
     return replace(f0, values=cayley_power(a, step, n_steps) @ f0.values)
 

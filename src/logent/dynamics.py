@@ -142,7 +142,7 @@ def _propagator(g: GeneratorMatrix, t: float, dt: float | None) -> np.ndarray:
         unit = gen / m if m > 0.0 else np.eye(1)  # |G|_2 = m = 0 for the zero generator
         rule = f"default, {DEFAULT_STEP_ANGLE:g} rad per step"
         norm = m * math.sqrt(np.linalg.eigvalsh(unit.T @ unit)[-1])
-    n, step = steps(t, dt, norm or 0.0, rate_name="|G|_2")
+    n, step = steps(t, dt, norm, rate_name="|G|_2")
     _log.debug("fd step rule: %s; %d steps of %.6g, |G|_2 %s", rule, n, step, norm)
     return cayley_power(gen, step, n)
 
@@ -173,7 +173,7 @@ def trajectory(p0: SignedProbVector, g: GeneratorMatrix, t_end: float, dt: float
     """
     if p0.n != g.n:
         raise DimensionMismatchError(f"state has n = {p0.n}, generator n = {g.n}")
-    steps(t_end, finite(dt, "dt"))  # finite: steps reads dt = None as "choose dt"
+    steps(t_end, dt)
     if t_end < 0.0:
         raise DomainError("t_end must be nonnegative")
     info0 = p0.information

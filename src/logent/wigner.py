@@ -307,19 +307,16 @@ def _circulant_expm(b: np.ndarray, norm: float) -> np.ndarray:
     operator norm of C(b).  Scaling and squaring (Moler and Van Loan, SIAM
     Rev. 45 (2003) 3): b is halved s times until its 1-norm is below 1, the
     Taylor series is summed until a term adds less than a unit round-off
-    (the k-th term is at most 1/k!), and the sum is squared s times."""
+    (the k-th term is at most 1/k!), and the sum is raised to the power 2^s
+    by int_power's s squarings with cyclic convolutions."""
     s = max(0, math.frexp(norm)[1])
-    b = np.ldexp(b, -s)
-    e = np.zeros_like(b)
-    e[0] = 1.0
-    term, k = e, 0
+    b, one = np.ldexp(b, -s), np.eye(1, b.size)[0]
+    e, term, k = one, one, 0
     while np.abs(term).sum() > _UNIT_ROUNDOFF:
         k += 1
         term = cyclic(term, b) / k
         e = e + term
-    for _ in range(s):
-        e = cyclic(e, e)
-    return e
+    return int_power(e, 1 << s, cyclic, one)
 
 
 def _quadrature_column(wbar0: DensityGrid, potential: PotentialSpec, a: float) -> np.ndarray:

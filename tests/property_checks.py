@@ -239,6 +239,23 @@ def _not_array(rng: np.random.Generator):
     return choices[int(rng.integers(len(choices)))]
 
 
+def _bad_omega(rng: np.random.Generator):
+    """A random frequency function whose values are not one finite real
+    number per point: complex, strings, the wrong length or rank, a scalar,
+    or finite values whose difference overflows."""
+    choices = (
+        lambda z: z * 1j,
+        lambda z: z.astype(str),
+        lambda z: z[:-1],
+        lambda z: np.ones(3),
+        lambda z: np.outer(z, z),
+        lambda z: 1.0,
+        lambda z: [float(v) for v in z] + [0.0],
+        lambda z: np.where(z > 0.0, 1e308, -1e308),
+    )
+    return choices[int(rng.integers(len(choices)))]
+
+
 def _pair_in_range(p, i, j):
     """pair_outcome_probability, with its documented IndexError for an index
     out of range taken as a refusal."""
@@ -254,9 +271,10 @@ def check_boundary_errors(n_checks: int, seed: int) -> tuple[int, int]:
     (profile parameters, times, steps, tolerances, lengths, widths, centres
     and h), non-integer counts (sizes, seeds, indices, samples, orders),
     non-real arrays and indices beyond MAX_POINTS, each fed to one argument
-    of a public constructor or engine, raise nothing but LogentError, or the
-    IndexError documented for an index out of range (the call may also
-    succeed: a negative t or a zero tol is valid)."""
+    of a public constructor or engine or returned by a frequency function
+    (as are complex, string and misshapen arrays), raise nothing but
+    LogentError, or the IndexError documented for an index out of range (the
+    call may also succeed: a negative t or a zero tol is valid)."""
     rng = np.random.default_rng(seed)
     p = SignedProbVector(np.array([0.5, 0.3, 0.2]))
     gen = cyclic_generator3()
@@ -334,6 +352,11 @@ def check_boundary_errors(n_checks: int, seed: int) -> tuple[int, int]:
         (_not_real, lambda v: random_generator(3, 0, rate=v)),
         (_not_real, lambda v: trajectory(p, gen, 1.0, v)),
         (_not_real, lambda v: build_kernel(pot.evaluate, v, f)),
+        (real, lambda v: build_kernel(lambda z: v, 0.5, f)),
+        (real, lambda v: build_kernel(lambda z: z * v, 0.5, f)),
+        (_not_real, lambda v: build_kernel(lambda z: v, 0.5, f)),
+        (_not_array, lambda v: build_kernel(lambda z: v, 0.5, f)),
+        (_bad_omega, lambda v: build_kernel(v, 0.5, f)),
         (_not_real, lambda v: delta_localized_evolve(f, pot, v, 1.0)),
         (_not_real, lambda v: solve_n3(v, 0.0)),
         (_not_real, lambda v: solve_n3(0.8, v)),

@@ -206,6 +206,29 @@ class TestKernel:
             with pytest.raises(DomainError):
                 build_kernel(lambda x: 1.0 / np.asarray(x), 0.0, f)
 
+    @pytest.mark.parametrize(
+        "omega, message",
+        [
+            (lambda z: 1.0, "omega must give one value per point"),
+            (lambda z: np.ones(3), "omega must give one value per point"),
+            (lambda z: "a", "omega values must be finite and real"),
+            (lambda z: z * 1j, "omega values must be finite and real"),
+        ],
+        ids=["scalar", "wrong-length", "string", "complex"],
+    )
+    def test_omega_values_not_one_real_per_point_are_refused(self, omega, message):
+        f = gaussian_density(64, 8.0, 1.0, 0.28209479177387814)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning, and no raw numpy error
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                build_kernel(omega, 0.0, f)
+
+    def test_omega_values_as_a_list_give_the_bits_of_the_array(self):
+        f = pure_gaussian(64)
+        omega = omega_quartic(0.7)
+        k = build_kernel(lambda z: omega(z).tolist(), 0.5, f)
+        assert k.m_hat.tobytes() == build_kernel(omega, 0.5, f).m_hat.tobytes()
+
 
 class TestSpectralEvolution:
     def test_time_zero_identity(self):
@@ -358,8 +381,8 @@ class TestTimesteppedEvolution:
             evolve_density_timestepped(f, k, 1.0, -0.1)
 
     def test_rejects_none_dt(self):
-        # steps reads dt = None as "choose dt", and the zero rate it is given
-        # would take one Cayley step over all of t
+        # steps chooses a dt only from a rate, so a missing dt cannot become
+        # one Cayley step over all of t
         f = pure_gaussian(64)
         k = build_kernel(omega_harmonic(1.0), 0.5, f)
         with pytest.raises(DomainError):
@@ -521,6 +544,19 @@ class TestNonFiniteProfile:
     )
     def test_rejected_at_construction(self, make):
         with pytest.raises(DomainError):
+            make()
+
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda: PotentialSpec.harmonic(math.nan), "omega"),
+            (lambda: PotentialSpec.harmonic(1.0, mass=math.inf), "mass"),
+            (lambda: PotentialSpec("quartic", (math.nan,)), "the quartic coefficient"),
+        ],
+        ids=["omega", "mass", "coefficient"],
+    )
+    def test_message_names_the_argument(self, make, name):
+        with pytest.raises(DomainError, match=f"^{name} must be finite and real"):
             make()
 
     def test_finite_profiles_still_construct(self):

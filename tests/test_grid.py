@@ -53,6 +53,11 @@ class TestSteps:
     def test_zero_rate_takes_one_step(self, t):
         assert steps(t, rate=0.0) == (1, t)
 
+    @pytest.mark.parametrize("t", [1.0, -2.0, 0.0])
+    def test_missing_dt_without_a_rate_is_refused(self, t):
+        with pytest.raises(DomainError, match="^dt must be finite and real, not None$"):
+            steps(t)
+
     @pytest.mark.parametrize("dt, rate", [(None, 0.0), (None, 3.0), (0.1, 0.0)])
     def test_zero_span_takes_no_step(self, dt, rate):
         assert steps(0.0, dt, rate) == (0, 0.0)
