@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from logent import (
 )
 from logent import _grid, densities
 from logent._grid import (
-    DEFAULT_STEP_ANGLE, MAX_CAYLEY_REACH, _cells, cayley_power, circulant, int_power, steps,
+    _BLOCK_CELLS, DEFAULT_STEP_ANGLE, MAX_CAYLEY_REACH, _cells, cayley_power, circulant,
+    int_power, read_csv, steps, write_csv,
 )
 from logent.densities import read_density_csv, write_density_csv
 from logent.dynamics import read_trajectory_csv, write_trajectory_csv
@@ -437,3 +439,212 @@ class TestCells:
             tracemalloc.stop()
         assert (tmp_path / "snap.csv").stat().st_size > 18 * 10**6
         assert peak < 2**20
+
+
+def _loadtxt_csv(path, kind: str):
+    """The reference reader: read_csv's np.loadtxt path, which reads every
+    file the fast path refuses, on its own."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            fields = fh.readline().strip().split(",")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no data rows
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:  # UnicodeDecodeError is a ValueError
+            raise GridError(f"malformed {kind} CSV: {exc}") from exc
+    if data.size and data.shape[1] != len(fields):
+        raise GridError(f"{kind} CSV rows have {data.shape[1]} cells, header has {len(fields)}")
+    return fields, data.reshape(-1, len(fields))
+
+
+def _outcome(read, path):
+    """(fields, shape, bits) of a read, or (error class, message)."""
+    try:
+        fields, data = read(path, "test")
+    except GridError as exc:
+        return type(exc), str(exc)
+    return fields, data.shape, data.tobytes()
+
+
+def _fast_reads(monkeypatch) -> list:
+    """For every read_csv from now on, whether _values read its body."""
+    reads, stream = [], _grid._stream
+
+    def recorded(fh):
+        read = stream(fh)
+        reads.append(read is not None)
+        return read
+
+    monkeypatch.setattr(_grid, "_stream", recorded)
+    return reads
+
+
+def _float_calls(monkeypatch) -> list:
+    """Every cell the fallback of _values converts from now on, as bytes."""
+    calls, floats = [], _grid._floats
+
+    def recorded(buf, first, sep):
+        calls.extend(buf[i:j].tobytes() for i, j in zip(first.tolist(), sep.tolist()))
+        return floats(buf, first, sep)
+
+    monkeypatch.setattr(_grid, "_floats", recorded)
+    return calls
+
+
+def _same_bits(path) -> bool:
+    _, data = read_csv(path, "test")
+    return data.tobytes() == _loadtxt_csv(path, "test")[1].tobytes()
+
+
+class TestValues:
+    """read_csv's fast path, _values, against np.loadtxt, bit for bit."""
+
+    @pytest.mark.parametrize("digits", [15, 17])
+    def test_seeded_values_read_back_as_loadtxt(self, digits, tmp_path, monkeypatch):
+        rng = np.random.default_rng(digits)  # TestCells' draws
+        bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+        normal = rng.standard_normal(100_000)
+        scaled = rng.standard_normal(100_000) * 10.0 ** rng.choice([-60.0, 60.0], 100_000)
+        values = np.concatenate([bits[np.isfinite(bits)], normal, scaled])
+        path = tmp_path / "v.csv"
+        write_csv(path, "i,v", [np.arange(values.size, dtype=float)], values, digits)
+        reads = _fast_reads(monkeypatch)
+        fields, data = read_csv(path, "test")
+        assert reads == [True]  # in about 200 blocks, each carrying part of a row on
+        assert fields == ["i", "v"]
+        assert data.tobytes() == _loadtxt_csv(path, "test")[1].tobytes()
+        if digits == 17:  # which read back as the doubles themselves
+            assert data[:, 1].tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("digits", [15, 16, 17])
+    def test_adversarial_values_read_back_as_loadtxt(self, digits, tmp_path, monkeypatch):
+        values = np.array([v for v in TestCells.ADVERSARIAL if math.isfinite(v)])
+        values = np.concatenate([values, -values])
+        path = tmp_path / "v.csv"
+        write_csv(path, "i,v", [np.arange(values.size, dtype=float)], values, digits)
+        reads = _fast_reads(monkeypatch)
+        assert _same_bits(path)
+        assert reads == [True]
+
+    def test_hand_written_canonical_cells(self, tmp_path, monkeypatch):
+        path = tmp_path / "v.csv"
+        path.write_text(
+            "a,b\n"
+            "9.0071992547409930e+15,4.9406564584124654e-324\n"  # 2^53 + 1, a tie; the least subnormal
+            "-0.0000000000000000e+00,1.0000076293945312e+00\n"  # 1 + 2^-17 exactly
+            "-1.7976931348623157e+308,2.4703282292062328e-324\n"  # the largest double; a tie
+        )
+        reads = _fast_reads(monkeypatch)
+        _, data = read_csv(path, "test")
+        assert reads == [True]
+        assert data.tobytes() == _loadtxt_csv(path, "test")[1].tobytes()
+        assert data[0].tolist() == [2.0**53, 5e-324]  # the tie rounds to even
+        assert math.copysign(1.0, data[1, 0]) == -1.0
+        assert data[1, 1] == 1.0 + 2.0**-17
+        assert data[2].tolist() == [-1.7976931348623157e308, 5e-324]
+
+    def test_ties_and_the_far_tail_go_to_the_fallback(self, tmp_path, monkeypatch):
+        cells = [
+            b"9.0071992547409930e+15", b"1.0000076293945312e+00",  # a tie; an exact double
+            b"1.0000000000000000e-300", b"4.9406564584124654e-324",  # below 1e-280
+            b"1.7976931348623157e+308", b"1.2345678901234567e-280",  # above 1e307; at 1e-280
+        ]
+        path = tmp_path / "v.csv"
+        path.write_bytes(b"a,b\n" + b"".join(a + b"," + b + b"\n" for a, b in zip(cells[::2], cells[1::2])))
+        calls = _float_calls(monkeypatch)
+        assert _same_bits(path)
+        assert calls == [cells[0], cells[2], cells[3], cells[4]]
+
+    def test_evolved_snapshot_and_fd_trajectory_take_no_fallback(self, tmp_path, monkeypatch):
+        sigma = 1.0 / (2.0 * math.sqrt(math.pi))
+        w0 = gaussian_pure_wigner(128, 128, 8.0, 8.0, sigma, x_center=0.7)
+        w = wigner_evolve(w0, PotentialSpec.harmonic(1.0), 0.1)
+        p0 = np.random.default_rng(5).uniform(0.0, 1.0, 200)
+        rec = trajectory(SignedProbVector(p0 / p0.sum()), random_generator(200, 5), 1.0, 0.1)
+        write_wigner_csv(w, tmp_path / "snap.csv")
+        write_trajectory_csv(rec, tmp_path / "fd.csv")
+        reads, calls = _fast_reads(monkeypatch), _float_calls(monkeypatch)
+        assert read_wigner_csv(tmp_path / "snap.csv").values.tobytes() == w.values.tobytes()
+        states = read_trajectory_csv(tmp_path / "fd.csv")["states"]
+        assert reads == [True, True] and calls == []
+        assert _same_bits(tmp_path / "snap.csv") and _same_bits(tmp_path / "fd.csv")
+        assert states.shape == (11, 200)
+
+    def test_snapshot_read_streams_in_blocks(self, tmp_path):
+        # measured peak 8.33 MiB for this 512 x 512 snapshot (an 18.4 MB file): the
+        # 6 MiB of data, the grid's 2 MiB copy of its values and one block of
+        # _BLOCK_CELLS cells (0.3 MiB); the bound leaves 0.67 MiB, about twice the
+        # block.  The reader before _values peaked at 12.3 MiB: two meshgrid copies
+        w = gaussian_pure_wigner(512, 512, 8.0, 8.0, 1.0 / (2.0 * math.sqrt(math.pi)))
+        write_wigner_csv(w, tmp_path / "snap.csv")
+        tracemalloc.start()
+        try:
+            back = read_wigner_csv(tmp_path / "snap.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.values.tobytes() == w.values.tobytes()
+        assert peak < 9 * 2**20
+
+
+def _canonical(path, rows: int = 3, digits: int = 17) -> bytes:
+    """A small CSV that write_csv writes, as bytes."""
+    values = np.array([[0.5, -1.0 / 3.0], [1e-5, 2.0], [-0.0, 7e100]])[:rows]
+    write_csv(path, "a,b,c", [np.arange(rows) * 0.25], values, digits)
+    return path.read_bytes()
+
+
+class TestReadFallback:
+    """A file not in write_csv's own layout goes whole to np.loadtxt: the same
+    array, or the same GridError and message, as the reference reader."""
+
+    @staticmethod
+    def _variants(text: bytes) -> dict:
+        header, body = text.split(b"\n", 1)
+        first, rest = body.split(b"\n", 1)
+        return {
+            "crlf": text.replace(b"\n", b"\r\n"),
+            "comment": header + b"\n# note\n" + body,
+            "blank line": header + b"\n" + first + b"\n\n" + rest,
+            "no final newline": text[:-1],
+            "header only": header + b"\n",
+            "leading space": header + b"\n " + body,
+            "nan": header + b"\n" + body + b"nan,nan,nan\n",
+            "inf": header + b"\n" + body + b"1.0000000000000000e+00,inf,-inf\n",
+            "non-utf-8": header + b"\n" + first + b"\xe9\n" + rest,
+            "hand-edited digit": header + b"\n" + first[:5] + b"x" + first[6:] + b"\n" + rest,
+            "plus sign": header + b"\n+" + body,
+            "empty cell": header + b"\n" + first.replace(b",", b",,", 1) + b"\n" + rest,
+            "exponent sign": header + b"\n" + first.replace(b"e+", b"e/", 1) + b"\n" + rest,
+            "point": header + b"\n" + first.replace(b".", b":", 1) + b"\n" + rest,
+            "short row": header + b"\n" + body + b"1.0000000000000000e+00\n",
+            "long rows": header.replace(b",c", b"") + b"\n" + body,
+        }
+
+    @pytest.mark.parametrize("case", [
+        "crlf", "comment", "blank line", "no final newline", "header only", "leading space",
+        "nan", "inf", "non-utf-8", "hand-edited digit", "plus sign", "empty cell",
+        "exponent sign", "point", "short row", "long rows",
+    ])
+    def test_non_canonical_file_reads_as_the_reference(self, case, tmp_path, monkeypatch):
+        path = tmp_path / "f.csv"
+        path.write_bytes(self._variants(_canonical(path))[case])
+        reads = _fast_reads(monkeypatch)
+        got = _outcome(read_csv, path)
+        assert reads == [False]
+        assert got == _outcome(_loadtxt_csv, path)
+        if case == "header only":
+            assert got[1] == (0, 3)
+
+    def test_mixed_digit_counts_read_as_the_reference(self, tmp_path, monkeypatch):
+        path = tmp_path / "f.csv"
+        seventeen, fifteen = _canonical(path, 3, 17), _canonical(path, 3, 15)
+        many = tmp_path / "many.csv"  # 15 digits only in the last of several blocks
+        write_csv(many, "i,v", [np.arange(3 * _BLOCK_CELLS, dtype=float)],
+                  np.ones(3 * _BLOCK_CELLS), 17)
+        many.write_bytes(many.read_bytes() + fifteen.split(b"\n", 1)[1].replace(b"0.25", b"1"))
+        path.write_bytes(seventeen + fifteen.split(b"\n", 1)[1])
+        reads = _fast_reads(monkeypatch)
+        for mixed in (path, many):
+            assert _outcome(read_csv, mixed) == _outcome(_loadtxt_csv, mixed)
+        assert reads == [False, False]
