@@ -42,6 +42,7 @@ at most MAX_POINTS) and real_array (a new read-only array of finite reals).
 from __future__ import annotations
 
 import functools
+import io
 import json
 import math
 import numbers
@@ -285,7 +286,10 @@ def cayley_power(a: np.ndarray, step: float, n: int) -> np.ndarray:
         )
     if not circulant_a:
         eye, half = np.eye(a.shape[0]), (step / 2.0) * a
-        return np.linalg.matrix_power(np.linalg.solve(eye - half, eye + half), n)
+        lhs = eye - half
+        eye += half  # I + H, the right-hand sides, in place
+        del half  # n x n, not held while the solve and the power run
+        return np.linalg.matrix_power(np.linalg.solve(lhs, eye), n)
     e0, half = np.eye(1, a.shape[0])[0], (step / 2.0) * a[:, 0]
     rhs = e0 + half
     r = np.linalg.solve(circulant(e0 - half), rhs)
@@ -642,7 +646,9 @@ def _stream(fh):
     other file.  Each block is the whole rows among the next bytes read into
     one buffer, which holds at most _BLOCK_ROWS rows and _BLOCK_CELLS cells
     of the narrowest kind (or one row of the widest, or a smaller file's
-    whole body); the rest of a row is carried to the next block."""
+    whole body); the rest of a row is carried to the next block.  A block
+    refused after others have parsed leaves the file from its first byte
+    on to _rest."""
     header = fh.readline()
     if not header.endswith(b"\n") or b"\r" in header:  # text mode also ends a line at \r
         return None
@@ -658,6 +664,7 @@ def _stream(fh):
     buf[:_PAD] = ord("\n")
     data = np.empty((size // (columns * _CELL_BYTES[0]), columns))  # room for every row
     rows = kept = 0
+    at = len(header)  # the file offset of buf[_PAD]
     digits = None
     while got := fh.readinto(memoryview(buf)[_PAD + kept : _PAD + cap]):
         stop = cut = _PAD + kept + got
@@ -667,18 +674,41 @@ def _stream(fh):
             cut = end + int(newlines[-1]) + 1 if newlines.size else _PAD
         block = _values(buf, _PAD, cut, columns)
         if block is None or digits not in (None, block[1]):
-            return None
+            break
         values, digits = block[0].reshape(-1, columns), block[1]
         if rows + len(values) > len(data):  # more rows than the file's size allowed
-            return None
+            break
         data[rows : rows + len(values)] = values
         rows += len(values)
+        at += cut - _PAD
         kept = stop - cut
         buf[_PAD : _PAD + kept] = buf[cut:stop]
-    if kept or not rows:  # no final newline, or no data
+    else:
+        if not kept and rows:  # a final newline, and data
+            data.resize((rows, columns), refcheck=False)  # in place: no view of data exists
+            return fields, data
+    return _rest(fh, at, fields, data[:rows]) if rows else None
+
+
+def _rest(fh, at: int, fields: list, head: np.ndarray):
+    """_stream's data when it refuses a block after others have parsed: head,
+    the rows before that block, then np.loadtxt of the file from the block's
+    first byte, at, on.  None when np.loadtxt refuses that rest or finds rows
+    of another width: read_csv then reads the whole file, so that the error
+    and its row numbers are the whole file's."""
+    fh.seek(at)
+    text = io.TextIOWrapper(fh, encoding="utf-8")  # decoded as read_csv's text mode does
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no data rows
+            rest = np.loadtxt(text, delimiter=",", ndmin=2)
+    except ValueError:  # UnicodeDecodeError is a ValueError
         return None
-    data.resize((rows, columns), refcheck=False)  # in place: no view of data exists
-    return fields, data
+    finally:
+        text.detach()  # fh stays open for read_csv to close
+    if rest.size and rest.shape[1] != len(fields):
+        return None
+    return fields, np.concatenate([head, rest.reshape(-1, len(fields))])
 
 
 def read_csv(path, kind: str):
@@ -689,8 +719,10 @@ def read_csv(path, kind: str):
     A file in write_csv's own layout, a header line and rows of cells that
     _values reads, streams through _values block by block; any other file
     (hand-written cells, CRLF, # comments, blank lines, nan or inf, no
-    final newline, non-UTF-8 bytes) goes whole to np.loadtxt.  Either way
-    the data are np.loadtxt's bit for bit, and every error is its."""
+    final newline, non-UTF-8 bytes) goes to np.loadtxt: from the first
+    block _values refuses on, or whole when that is the first block or
+    np.loadtxt refuses the rest.  Either way the data are np.loadtxt's bit
+    for bit, and every error is its, read from the whole file."""
     with open(path, "rb") as fh:
         read = _stream(fh)
     if read is not None:

@@ -52,20 +52,40 @@ class GeneratorMatrix:
         arr = real_array(self.upper, "generator entries")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DomainError("generator storage must be square")
-        if arr.shape[0] < 2:
+        self._settle(arr, None)
+
+    def _settle(self, upper: np.ndarray, full: np.ndarray | None) -> None:
+        """Check and store: n >= 2 and a finite rate; then, when full is not
+        given, strictly upper storage reflected as upper - upper.T; then
+        the row sums of full."""
+        if upper.shape[0] < 2:
             raise DomainError("generator needs dimension >= 2")
         object.__setattr__(self, "rate", finite(self.rate, "rate"))
-        if np.any(np.tril(arr) != 0.0):
-            raise DomainError("canonical storage must be strictly upper triangular")
-        full = arr - arr.T
+        if full is None:
+            if np.any(np.tril(upper) != 0.0):
+                raise DomainError("canonical storage must be strictly upper triangular")
+            full = upper - upper.T
         sums = full.sum(axis=1)
         if float(np.max(np.abs(sums))) > MARGINAL_TOL:
             raise DomainError(
                 f"row sums reach {np.max(np.abs(sums)):.3e}, exceed {MARGINAL_TOL:g}"
             )
+        upper.setflags(write=False)
         full.setflags(write=False)
-        object.__setattr__(self, "upper", arr)
+        object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "_full", full)
+
+    @classmethod
+    def _exact(cls, full: np.ndarray, rate: float) -> "GeneratorMatrix":
+        """The generator of a full matrix built in this module exactly
+        antisymmetric, with a +0.0 diagonal and no -0.0 below it, so that it
+        equals upper - upper.T bit for bit for upper = triu(full, 1): stored
+        as it is, with no reflection.  Refuses, as the public constructor
+        does, n < 2, a non-finite rate and row sums beyond MARGINAL_TOL."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "rate", rate)
+        g._settle(np.triu(full, 1), full)
+        return g
 
     @property
     def n(self) -> int:
@@ -73,7 +93,7 @@ class GeneratorMatrix:
 
     @property
     def matrix(self) -> np.ndarray:
-        """Full antisymmetric matrix, reflected from the upper triangle."""
+        """Full antisymmetric matrix, upper - upper.T to the bit."""
         return self._full
 
     @classmethod
@@ -81,11 +101,15 @@ class GeneratorMatrix:
         arr = real_array(m, "generator entries")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DomainError("generator must be square")
-        if float(np.max(np.abs(arr + arr.T))) > MARGINAL_TOL:
+        # a 0 x 0 matrix has nothing to compare: _exact refuses it as n < 2
+        if arr.size and float(np.max(np.abs(arr + arr.T))) > MARGINAL_TOL:
             raise DomainError("matrix is not antisymmetric within 1e-12")
-        # symmetrize before extracting so the reflection is exact
         skew = (arr - arr.T) / 2.0
-        return cls(upper=np.triu(skew, 1), rate=rate)
+        if not np.all(np.isfinite(skew)):  # arr - arr.T overflowed
+            raise DomainError("generator entries must be finite and real")
+        # a -0.0 below the diagonal is +0.0 in upper - upper.T
+        np.add(skew, 0.0, out=skew, where=np.tri(len(skew), k=-1, dtype=bool))
+        return cls._exact(skew, rate)
 
 
 def cyclic_generator3() -> GeneratorMatrix:
@@ -113,9 +137,12 @@ def random_generator(n: int, seed: int, rate: float = 1.0) -> GeneratorMatrix:
     n, seed = count(n, "n", 2, high=math.isqrt(MAX_POINTS)), count(seed, "seed", 0)  # n^2 points
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1.0, 1.0, size=(n, n))
-    skew = (a - a.T) / 2.0
+    skew = a - a.T
+    del a
+    skew /= 2.0
     r = skew.mean(axis=1)
-    return GeneratorMatrix.from_dense(skew + (r - r[:, None]), rate=rate)
+    skew += r - r[:, None]
+    return GeneratorMatrix._exact(skew, rate)
 
 
 def _propagator(g: GeneratorMatrix, t: float, dt: float | None) -> np.ndarray:
@@ -142,6 +169,7 @@ def _propagator(g: GeneratorMatrix, t: float, dt: float | None) -> np.ndarray:
         unit = gen / m if m > 0.0 else np.eye(1)  # |G|_2 = m = 0 for the zero generator
         rule = f"default, {DEFAULT_STEP_ANGLE:g} rad per step"
         norm = m * math.sqrt(np.linalg.eigvalsh(unit.T @ unit)[-1])
+        del unit  # n x n, not held while cayley_power runs
     n, step = steps(t, dt, norm, rate_name="|G|_2")
     _log.debug("fd step rule: %s; %d steps of %.6g, |G|_2 %s", rule, n, step, norm)
     return cayley_power(gen, step, n)

@@ -91,6 +91,76 @@ class TestRandomGenerator:
         assert np.max(np.abs(ratios - ratios[0])) < 1e-13
 
 
+class TestExactConstruction:
+    """random_generator and from_dense store the antisymmetric matrix they
+    build as it is: the bits of triu((M - M^T) / 2, 1) and its reflection,
+    which the public constructor would give."""
+
+    @staticmethod
+    def _reflected(m):
+        upper = np.triu((m - m.T) / 2.0, 1)
+        return upper, upper - upper.T
+
+    def _assert_bits(self, g, m, rate):
+        upper, full = self._reflected(m)
+        assert g.upper.tobytes() == upper.tobytes()
+        assert g.matrix.tobytes() == full.tobytes()
+        assert g.rate == rate
+        assert not g.upper.flags.writeable and not g.matrix.flags.writeable
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 200])
+    @pytest.mark.parametrize("seed", [0, 11, 2**31 - 1])
+    @pytest.mark.parametrize("rate", [1.0, -0.37])
+    def test_random_generator(self, n, seed, rate):
+        a = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, n))
+        skew = (a - a.T) / 2.0
+        r = skew.mean(axis=1)
+        self._assert_bits(random_generator(n, seed, rate), skew + (r - r[:, None]), rate)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 50])
+    def test_from_dense_of_near_antisymmetric_input(self, n):
+        rng = np.random.default_rng(n)
+        m = random_generator(n, n + 1).matrix + rng.uniform(-1e-15, 1e-15, size=(n, n))
+        self._assert_bits(GeneratorMatrix.from_dense(m, rate=2.5), m, 2.5)
+
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_from_dense_of_blocks_among_signed_zeros(self, n):
+        rng = np.random.default_rng(n)
+        m = np.where(rng.random((n, n)) < 0.5, 0.0, -0.0)
+        m[: n // 2, : n // 2] = random_generator(n // 2, 1).matrix
+        m[n // 2 :, n // 2 :] = random_generator(n - n // 2, 2).matrix
+        self._assert_bits(GeneratorMatrix.from_dense(m), m, 1.0)
+
+    @pytest.mark.parametrize("m", [
+        [[0.0, 0.0], [-0.0, 0.0]],  # -0.0 below the diagonal
+        [[0.0, 5e-324], [0.0, 0.0]],  # (0 - 5e-324) / 2 rounds to -0.0
+        [[-0.0, -0.0, 0.0], [0.0, -0.0, -5e-324], [-0.0, 5e-324, 0.0]],
+    ])
+    def test_from_dense_of_signed_zeros(self, m):
+        m = np.array(m)
+        self._assert_bits(GeneratorMatrix.from_dense(m), m, 1.0)
+
+    @pytest.mark.parametrize("m, message", [
+        (np.zeros((1, 1)), "generator needs dimension >= 2"),
+        (np.zeros((0, 0)), "generator needs dimension >= 2"),  # a raw ValueError before
+        (np.array([[0.0, 1.0], [-1.0, 0.0]]), "row sums reach 1.000e+00, exceed 1e-12"),
+        (np.array([[0.0, 1e308], [-1e308, 0.0]]), "generator entries must be finite and real"),
+    ])
+    def test_from_dense_refusals(self, m, message):
+        with np.errstate(over="ignore"), pytest.raises(DomainError) as info:
+            GeneratorMatrix.from_dense(m)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("make", [
+        lambda rate: random_generator(4, 1, rate),
+        lambda rate: GeneratorMatrix.from_dense(cyclic_generator3().matrix, rate),
+    ])
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, "1"])
+    def test_non_finite_rate_refused(self, make, rate):
+        with pytest.raises(DomainError, match="^rate must be finite and real, not "):
+            make(rate)
+
+
 class TestEvolve:
     def test_time_zero(self):
         out = evolve(E1, cyclic_generator3(), 0.0)

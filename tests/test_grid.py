@@ -27,10 +27,10 @@ from logent import (
     wigner_evolve,
     wigner_run,
 )
-from logent import _grid, densities
+from logent import _grid, densities, dynamics
 from logent._grid import (
-    _BLOCK_CELLS, DEFAULT_STEP_ANGLE, MAX_CAYLEY_REACH, _cells, cayley_power, circulant,
-    int_power, read_csv, steps, write_csv,
+    _BLOCK_CELLS, _BLOCK_ROWS, DEFAULT_STEP_ANGLE, MAX_CAYLEY_REACH, _cells, cayley_power,
+    circulant, int_power, read_csv, steps, write_csv,
 )
 from logent.densities import read_density_csv, write_density_csv
 from logent.dynamics import read_trajectory_csv, write_trajectory_csv
@@ -137,6 +137,14 @@ class TestCayleyPower:
         gen[5, 3] = np.nextafter(gen[5, 3], math.inf)
         q = cayley_power(gen, step, n_steps)
         assert np.array_equal(q, cayley_power_dense(gen, step, n_steps))
+
+    def test_dense_branch_gives_the_dense_formula_at_the_fd_job(self):
+        # evolve fd --generator random --n 200 --seed 11 --dt 0.1: one sample
+        # propagator, 12 default steps
+        g = random_generator(200, 11)
+        want = cayley_power_dense(g.rate * g.matrix, 0.1 / 12, 12)
+        assert cayley_power(g.rate * g.matrix, 0.1 / 12, 12).tobytes() == want.tobytes()
+        assert dynamics._propagator(g, 0.1, None).tobytes() == want.tobytes()
 
     def test_circulant_takes_no_dense_matrix_power(self, monkeypatch):
         calls = []
@@ -635,6 +643,29 @@ class TestReadFallback:
         assert got == _outcome(_loadtxt_csv, path)
         if case == "header only":
             assert got[1] == (0, 3)
+
+    @pytest.mark.parametrize("end", ["no final newline", "bad last cell"])
+    def test_late_break_hands_np_loadtxt_one_block(self, end, tmp_path, monkeypatch):
+        # 5,120 rows of about 46 bytes: three blocks of about 1,870 rows
+        path, rows = tmp_path / "f.csv", 5 * _BLOCK_ROWS // 2
+        write_csv(path, "i,v", [np.arange(rows, dtype=float)], np.linspace(-1.0, 1.0, rows), 17)
+        text = path.read_bytes()
+        path.write_bytes(text[:-1] if end == "no final newline" else text[:-3] + b"x\n")
+        want = _outcome(_loadtxt_csv, path)
+        received, loadtxt = [], np.loadtxt
+
+        def counted(*args, **kwargs):  # the rows of each call, None for a refusal
+            received.append(None)
+            data = loadtxt(*args, **kwargs)
+            received[-1] = len(data)
+            return data
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        assert _outcome(read_csv, path) == want
+        if end == "no final newline":
+            assert len(received) == 1 and 0 < received[0] <= _BLOCK_ROWS < rows // 2
+        else:  # the rest, then the whole file, for the whole file's row numbers
+            assert received == [None, None] and f"at row {rows - 1}," in want[1]
 
     def test_mixed_digit_counts_read_as_the_reference(self, tmp_path, monkeypatch):
         path = tmp_path / "f.csv"
