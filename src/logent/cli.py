@@ -27,7 +27,7 @@ import os
 import click
 import numpy as np
 
-from . import _grid, densities, dynamics, maxent, vectors, wigner
+from . import _csv, _grid, densities, dynamics, maxent, vectors, wigner
 from .errors import LogentError
 
 CLI_CLASS_TOL = 1e-5  # hand-typed decimals carry ~1e-6 rounding; override with --tol
@@ -373,7 +373,7 @@ def evolve_continuum(
             raise click.UsageError(f"{exc} (--cross-check oracle)") from exc
     with _all_or_none(output_grid, _grid.sidecar(output_grid), output_diag):
         densities.write_density_csv(final, output_grid)
-        _grid.write_csv(output_diag, "t,sum,I,max_mode_drift", [rec.times], rec.diagnostics, 15)
+        _csv.write_csv(output_diag, "t,sum,I,max_mode_drift", [rec.times], rec.diagnostics, 15)
     _summary(18, [
         ("samples", samples),
         ("max |sum-1|", np.max(np.abs(rec.total_probability - 1.0))),

@@ -24,7 +24,7 @@ V: with Omega = 2 pi V / h this evolution is the momentum evolution of a
 position-localized Wigner state.
 
 The propagator runs on real transforms and half spectra: mhat is odd with a
-zero Nyquist sample (build_kernel makes it so), so the phases
+zero Nyquist sample (KernelSpec requires it), so the phases
 exp(i mhat_k t) of modes k and N - k are complex conjugates, the propagated
 spectrum of a real density stays Hermitian, and its upper half is implied
 by the lower.  One rfft, N/2 + 1 phases and one irfft give the evolved
@@ -254,7 +254,10 @@ class KernelSpec:
     at the conjugate values lambda_k = k h / L in FFT order; it is odd by
     construction and zero at k = 0.  The lone Nyquist mode of an even grid
     has no negative partner, so its sample is forced to zero to keep the
-    kernel odd and the evolution real.
+    kernel odd and the evolution real.  The half-spectrum propagator needs
+    exactly that, so any other m_hat is a DomainError: it must be n finite
+    reals with m_hat[0] = m_hat[n/2] = 0 and m_hat[n - k] = -m_hat[k] bit
+    for bit.  It is stored as a read-only copy.
     """
 
     m_hat: np.ndarray
@@ -263,6 +266,14 @@ class KernelSpec:
     n: int
     dz: float
     h: float
+
+    def __post_init__(self):
+        m = real_array(self.m_hat, "m_hat")
+        if m.shape != (self.n,) or not m.size:
+            raise DomainError(f"m_hat must hold n = {self.n!r} samples, not shape {m.shape}")
+        if m[0] or m[m.size // 2] or not np.array_equal(m[:0:-1], -m[1:]):
+            raise DomainError("m_hat must be odd, m_hat[n - k] = -m_hat[k], and zero at 0 and n/2")
+        object.__setattr__(self, "m_hat", m)
 
     @functools.cached_property
     def real_kernel(self) -> np.ndarray:
@@ -299,7 +310,6 @@ def build_kernel(
     if not np.all(np.isfinite(m_hat)):  # a difference of finite values may overflow
         raise DomainError("omega is not finite at a sampled point")
     m_hat[grid.n // 2] = 0.0  # unpaired Nyquist mode
-    m_hat.setflags(write=False)
     lambdas.setflags(write=False)
     return KernelSpec(m_hat=m_hat, lambdas=lambdas, a=a, n=grid.n, dz=grid.dz, h=grid.h)
 
@@ -314,8 +324,8 @@ def _evolve_values(f0: DensityGrid, k: KernelSpec, times: np.ndarray) -> np.ndar
     real forward transform of f0, one phase multiply exp(i mhat_k t) on the
     half spectrum k = 0..N/2 for all times and one real inverse transform
     along the rows.  The half spectrum is exact because the phases are
-    Hermitian, which assumes an odd m_hat with a zero Nyquist sample, as
-    build_kernel makes it.  GridError, the class of the non-finite grid it
+    Hermitian, which needs an odd m_hat with a zero Nyquist sample, as
+    KernelSpec requires.  GridError, the class of the non-finite grid it
     would build, before anything is multiplied when max|mhat| * max|t| is
     beyond the float range."""
     m_max, t_max = float(np.abs(k.m_hat).max()), float(np.abs(times).max())
@@ -333,7 +343,7 @@ def evolve_density(f0: DensityGrid, k: KernelSpec, t: float) -> DensityGrid:
     increasing times do not accumulate round-off; every mode magnitude, and
     with them the total probability and the information, is exact up to
     round-off of a single real transform pair on the half spectrum (see
-    _evolve_values; it assumes the odd m_hat that build_kernel makes).
+    _evolve_values; it needs the odd m_hat that KernelSpec requires).
     """
     _check_compatible(f0, k)
     t = finite(t, "t")

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import read_csv, write_csv
 from ._grid import (
-    DEFAULT_STEP_ANGLE, MAX_POINTS, RunRecord, cayley_power, count, finite, read_csv, real_array,
-    steps, write_csv,
+    DEFAULT_STEP_ANGLE, MAX_POINTS, RunRecord, cayley_power, count, finite, real_array, steps,
 )
 from .errors import DimensionMismatchError, DomainError, GridError
 from .vectors import SignedProbVector

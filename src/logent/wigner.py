@@ -53,9 +53,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._csv import write_csv
 from ._grid import (
     Grid, RunRecord, check_wrap, count, cyclic, finite, int_power, odd_sine_sum, positive,
-    read_grid, spacing, steps, write_csv, write_grid,
+    read_grid, spacing, steps, write_grid,
 )
 from .densities import DensityGrid, PotentialSpec
 from .errors import DomainError, GridError

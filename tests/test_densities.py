@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -316,6 +317,34 @@ class TestHalfSpectrum:
             for t in (-3.0, 0.7, 3.0):
                 ref = np.fft.ifft(np.fft.fft(f.values) * np.exp(1j * k.m_hat * t)).real
                 assert np.abs(evolve_density(f, k, t).values - ref).max() <= 2e-15
+
+    @pytest.mark.parametrize(
+        "case", ["moved", "origin", "nyquist", "short", "two-d", "string", "complex", "nan"]
+    )
+    def test_kernel_it_cannot_represent_is_refused(self, case):
+        # the half spectrum holds only for an odd m_hat with zero k = 0 and Nyquist
+        # samples: a moved sample evolved without notice, away from the complex pair
+        f = gaussian_density(64, 8.0, H, SIGMA_PURE)
+        k = build_kernel(omega_quartic(0.5), 0.5, f)
+        unit = {"moved": 5, "origin": 0, "nyquist": 32}.get(case, 1)
+        bad = {
+            "short": k.m_hat[:-1], "two-d": k.m_hat[None, :], "string": "m_hat",
+            "complex": k.m_hat + 1e-8j, "nan": k.m_hat + np.eye(1, 64, 3)[0] * math.nan,
+        }.get(case, k.m_hat + 0.7 * np.eye(1, 64, unit)[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning, and no raw numpy error
+            with pytest.raises(DomainError, match="^m_hat must"):
+                replace(k, m_hat=bad)
+
+    def test_kernel_stores_a_read_only_copy(self):
+        f = pure_gaussian(64)
+        k = build_kernel(omega_quartic(0.5), 0.5, f)
+        given = k.m_hat.copy()
+        listed, copied = replace(k, m_hat=given.tolist()), replace(k, m_hat=given)
+        given[5] = 9.0
+        for kern in (listed, copied):
+            assert kern.m_hat.tobytes() == k.m_hat.tobytes()
+            assert not kern.m_hat.flags.writeable
 
 
 class TestTimesteppedEvolution:

@@ -27,10 +27,10 @@ from logent import (
     wigner_evolve,
     wigner_run,
 )
-from logent import _grid, densities, dynamics
+from logent import _csv, densities, dynamics
+from logent._csv import _BLOCK_CELLS, _BLOCK_ROWS, _cells, read_csv, write_csv
 from logent._grid import (
-    _BLOCK_CELLS, _BLOCK_ROWS, DEFAULT_STEP_ANGLE, MAX_CAYLEY_REACH, _cells, cayley_power,
-    circulant, int_power, read_csv, steps, write_csv,
+    DEFAULT_STEP_ANGLE, MAX_CAYLEY_REACH, cayley_power, circulant, int_power, steps,
 )
 from logent.densities import read_density_csv, write_density_csv
 from logent.dynamics import read_trajectory_csv, write_trajectory_csv
@@ -373,13 +373,13 @@ def _percent_mismatches(values, digits: int) -> list:
 
 def _percent_calls(monkeypatch) -> list:
     """Every value the fallback of _cells formats from now on, in a list."""
-    calls, percent = [], _grid._percent
+    calls, percent = [], _csv._percent
 
     def recorded(values, digits):
         calls.extend(values.tolist())
         return percent(values, digits)
 
-    monkeypatch.setattr(_grid, "_percent", recorded)
+    monkeypatch.setattr(_csv, "_percent", recorded)
     return calls
 
 
@@ -476,26 +476,26 @@ def _outcome(read, path):
 
 def _fast_reads(monkeypatch) -> list:
     """For every read_csv from now on, whether _values read its body."""
-    reads, stream = [], _grid._stream
+    reads, stream = [], _csv._stream
 
     def recorded(fh):
         read = stream(fh)
         reads.append(read is not None)
         return read
 
-    monkeypatch.setattr(_grid, "_stream", recorded)
+    monkeypatch.setattr(_csv, "_stream", recorded)
     return reads
 
 
 def _float_calls(monkeypatch) -> list:
     """Every cell the fallback of _values converts from now on, as bytes."""
-    calls, floats = [], _grid._floats
+    calls, floats = [], _csv._floats
 
     def recorded(buf, first, sep):
         calls.extend(buf[i:j].tobytes() for i, j in zip(first.tolist(), sep.tolist()))
         return floats(buf, first, sep)
 
-    monkeypatch.setattr(_grid, "_floats", recorded)
+    monkeypatch.setattr(_csv, "_floats", recorded)
     return calls
 
 
@@ -679,3 +679,24 @@ class TestReadFallback:
         for mixed in (path, many):
             assert _outcome(read_csv, mixed) == _outcome(_loadtxt_csv, mixed)
         assert reads == [False, False]
+
+
+def test_read_csv_opens_each_file_once(tmp_path, monkeypatch):
+    # the fast path and both np.loadtxt fallbacks read from one binary handle
+    path, rows = tmp_path / "f.csv", 5 * _BLOCK_ROWS // 2
+    write_csv(path, "i,v", [np.arange(rows, dtype=float)], np.linspace(-1.0, 1.0, rows), 17)
+    text = path.read_bytes()
+    variants = [text, text.replace(b"\n", b"\r\n"), text[:-1], text[:-3] + b"x\n"]
+    modes = []
+
+    def counted(file, mode="r", *args, **kwargs):
+        modes.append(mode)
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(_csv, "open", counted, raising=False)
+    for variant in variants:
+        path.write_bytes(variant)
+        want = _outcome(_loadtxt_csv, path)
+        del modes[:]
+        assert _outcome(read_csv, path) == want
+        assert modes == ["rb"]

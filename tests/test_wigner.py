@@ -22,7 +22,7 @@ from logent import (
     wigner_evolve,
     wigner_run,
 )
-from logent._grid import _BLOCK_ROWS
+from logent._csv import _BLOCK_ROWS
 from logent.wigner import (
     _quadrature_column, read_wigner_csv, write_diagnostics_csv, write_wigner_csv,
 )
