@@ -223,12 +223,21 @@ class RunRecord:
     """One sampled run: the sample times, a (samples, k) diagnostics array
     whose columns are named in order by `columns` and read as attributes
     (rec.information is rec.diagnostics[:, columns.index("information")]),
-    and, for the finite engine only, the sampled states."""
+    and, for the finite engine only, the sampled states.  DomainError unless
+    the times, the diagnostics rows and any states are one per sample."""
 
     times: np.ndarray
     diagnostics: np.ndarray
     columns: tuple
     states: list | None = None
+
+    def __post_init__(self):
+        shape = np.shape(self.diagnostics)
+        if len(shape) != 2 or shape[1] != len(self.columns):
+            raise DomainError(f"diagnostics of shape {shape} are not rows of columns {self.columns}")
+        states = shape[0] if self.states is None else len(self.states)
+        if np.shape(self.times) != shape[:1] or states != shape[0]:
+            raise DomainError(f"{shape[0]} diagnostics rows need one time and state each")
 
     def __getattr__(self, name):
         columns = self.__dict__.get("columns", ())

@@ -207,6 +207,9 @@ def maxent_cmd(ctx, xstr, target, find_max, nonnegative, negative_branch, as_jso
     x = _parse_vector(xstr)
     if (target is None) == (not find_max):
         raise click.UsageError("provide exactly one of --m or --find-max")
+    if not find_max:
+        _reject_set("--m: it needs --find-max", nonnegative=nonnegative or None,
+                    negative_branch=negative_branch or None)
     constraint = maxent.ObservableConstraint(x, target_mean=target)
     if find_max:
         bound_of = maxent.max_mean_nonnegative if nonnegative else maxent.max_mean

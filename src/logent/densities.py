@@ -257,23 +257,31 @@ class KernelSpec:
     kernel odd and the evolution real.  The half-spectrum propagator needs
     exactly that, so any other m_hat is a DomainError: it must be n finite
     reals with m_hat[0] = m_hat[n/2] = 0 and m_hat[n - k] = -m_hat[k] bit
-    for bit.  It is stored as a read-only copy.
+    for bit.  It is stored as a read-only copy.  n must be an integer >= 1,
+    a finite and dz and h positive, else DomainError; lambdas is worked out
+    from n, dz and h.
     """
 
     m_hat: np.ndarray
-    lambdas: np.ndarray
     a: float
     n: int
     dz: float
     h: float
 
     def __post_init__(self):
+        for name, check in (("n", count), ("a", finite), ("dz", positive), ("h", positive)):
+            object.__setattr__(self, name, check(getattr(self, name), name))
         m = real_array(self.m_hat, "m_hat")
-        if m.shape != (self.n,) or not m.size:
-            raise DomainError(f"m_hat must hold n = {self.n!r} samples, not shape {m.shape}")
+        if m.shape != (self.n,):
+            raise DomainError(f"m_hat must hold n = {self.n} samples, not shape {m.shape}")
         if m[0] or m[m.size // 2] or not np.array_equal(m[:0:-1], -m[1:]):
             raise DomainError("m_hat must be odd, m_hat[n - k] = -m_hat[k], and zero at 0 and n/2")
         object.__setattr__(self, "m_hat", m)
+
+    @property
+    def lambdas(self) -> np.ndarray:
+        """The conjugate values lambda_k = k h / L in FFT order."""
+        return self.h * np.fft.fftfreq(self.n, d=self.dz)
 
     @functools.cached_property
     def real_kernel(self) -> np.ndarray:
@@ -310,8 +318,7 @@ def build_kernel(
     if not np.all(np.isfinite(m_hat)):  # a difference of finite values may overflow
         raise DomainError("omega is not finite at a sampled point")
     m_hat[grid.n // 2] = 0.0  # unpaired Nyquist mode
-    lambdas.setflags(write=False)
-    return KernelSpec(m_hat=m_hat, lambdas=lambdas, a=a, n=grid.n, dz=grid.dz, h=grid.h)
+    return KernelSpec(m_hat=m_hat, a=a, n=grid.n, dz=grid.dz, h=grid.h)
 
 
 def _check_compatible(f: DensityGrid, k: KernelSpec) -> None:

@@ -191,27 +191,26 @@ def evolve(p0: SignedProbVector, g: GeneratorMatrix, t: float, dt: float | None 
 
 
 def trajectory(p0: SignedProbVector, g: GeneratorMatrix, t_end: float, dt: float) -> RunRecord:
-    """Sample the evolution at multiples of dt up to t_end; the record holds
-    the states and the drifts probability_drift = |sum p(t) - 1| and
-    information_drift = |I(t) - I(0)| at every sample.
+    """Sample the evolution up to t_end (backward for a negative t_end) in
+    the n = ceil(|t_end| / dt) equal steps of steps(t_end, dt), so dt is the
+    largest sample spacing; the record holds the states and the drifts
+    probability_drift = |sum p(t) - 1| and information_drift = |I(t) - I(0)|
+    at every sample.
 
-    Every sample applies the same propagator over dt, built once.  Raises
-    DomainError for a non-finite or negative t_end, a non-finite or
-    non-positive dt and more than MAX_STEPS samples.
+    Every sample applies the same propagator over t_end / n, built once with
+    the default step rule.  Raises DomainError for a non-finite t_end, a
+    non-finite or non-positive dt and more than MAX_STEPS samples.
     """
     if p0.n != g.n:
         raise DimensionMismatchError(f"state has n = {p0.n}, generator n = {g.n}")
-    steps(t_end, dt)
-    if t_end < 0.0:
-        raise DomainError("t_end must be nonnegative")
+    n, step = steps(t_end, dt)
     info0 = p0.information
-    n_samples = int(math.floor(t_end / dt + 1e-12))
-    times = np.arange(n_samples + 1) * dt
-    propagator = _propagator(g, dt, None)
+    propagator = _propagator(g, step, None)
     states = [p0]
-    for _ in range(n_samples):
+    for _ in range(n):
         states.append(SignedProbVector(propagator @ states[-1].entries))
     drifts = [(abs(s.total - 1.0), abs(s.information - info0)) for s in states]
+    times = np.arange(n + 1) * step + 0.0  # + 0.0: t = 0, not -0, for negative t
     return RunRecord(times, np.array(drifts), ("probability_drift", "information_drift"), states)
 
 

@@ -84,6 +84,16 @@ class TestMaxent:
         rep = json.loads(res.output)
         assert rep["m_max"] == pytest.approx(2 / 3, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "flags", [["--nonnegative"], ["--negative-branch"], ["--nonnegative", "--negative-branch"]]
+    )
+    def test_find_max_flags_refused_with_m(self, runner, flags):
+        # both act only with --find-max, so with --m they are refused, not dropped
+        res = runner.invoke(main, ["maxent", "--x", "-1,0,1", "--m", "0.5", *flags])
+        assert res.exit_code == 2
+        assert f"'{flags[0][2:].replace('-', '_')}' has no effect with --m" in res.output
+        assert "lambda" not in res.output and "admissible" not in res.output
+
     def test_zero_mean_uniform(self, runner):
         res = runner.invoke(main, ["maxent", "--x", "-1,0,1", "--m", "0", "--json"])
         rep = json.loads(res.output)

@@ -336,6 +336,26 @@ class TestHalfSpectrum:
             with pytest.raises(DomainError, match="^m_hat must"):
                 replace(k, m_hat=bad)
 
+    @pytest.mark.parametrize(
+        "field, bad", [
+            ("a", "junk"), ("a", math.inf), ("h", "x"), ("h", 0.0), ("dz", 0.0), ("dz", -0.1),
+            ("n", 64.0), ("n", True),
+        ]
+    )
+    def test_kernel_scalars_are_checked(self, field, bad):
+        # real_kernel divides by dz and multiplies by h, and lambdas needs an integer n:
+        # all are checked up front
+        k = build_kernel(omega_quartic(0.5), 0.5, pure_gaussian(64))
+        with pytest.raises(DomainError, match=f"^{field} must be"):
+            replace(k, **{field: bad})
+
+    def test_lambdas_follow_the_grid(self):
+        f = pure_gaussian(64)
+        k = build_kernel(omega_quartic(0.5), 0.5, f)
+        assert k.lambdas.tobytes() == (f.h * np.fft.fftfreq(f.n, d=f.dz)).tobytes()
+        with pytest.raises(TypeError):
+            replace(k, lambdas=None)  # not a field: worked out from n, dz and h
+
     def test_kernel_stores_a_read_only_copy(self):
         f = pure_gaussian(64)
         k = build_kernel(omega_quartic(0.5), 0.5, f)

@@ -398,6 +398,35 @@ class TestTrajectory:
             assert np.array_equal(sample.entries, state.entries)
         assert len(rec.states) == 11
 
+    @pytest.mark.parametrize("t_end", [1.0, -1.0])
+    @pytest.mark.parametrize("g", [cyclic_generator3(), random_generator(7, 3)], ids=["cyclic3", "random7"])
+    def test_uneven_span_ends_at_t_end_in_equal_samples(self, g, t_end):
+        # |t_end| / dt = 3.33: the shared step rule cuts t_end into four samples of t_end / 4
+        p0 = SignedProbVector(np.eye(g.n)[0])
+        rec = trajectory(p0, g, t_end, 0.3)
+        assert rec.times.tolist() == [t_end * k / 4 for k in range(5)]
+        assert rec.times[-1] == t_end and math.copysign(1.0, rec.times[0]) == 1.0
+        state = p0
+        for sample in rec.states[1:]:
+            state = evolve(state, g, t_end / 4)
+            assert np.array_equal(sample.entries, state.entries)
+
+    def test_span_below_dt_takes_one_sample(self):
+        rec = trajectory(E1, cyclic_generator3(), 0.05, 0.1)
+        assert rec.times.tolist() == [0.0, 0.05] and len(rec.states) == 2
+        assert np.array_equal(rec.states[1].entries, evolve(E1, cyclic_generator3(), 0.05).entries)
+
+    def test_cli_uneven_and_backward_runs(self, tmp_path):
+        runner = CliRunner()
+        for t_end, name in (("1", "uneven.csv"), ("-1", "back.csv")):
+            path = tmp_path / name
+            res = runner.invoke(main, ["evolve", "fd", "--t-end", t_end, "--dt", "0.3", "--output", str(path)])
+            assert res.exit_code == 0, res.output
+            assert read_trajectory_csv(path)["times"][-1] == float(t_end)
+        res = runner.invoke(main, ["evolve", "fd", "--t-end", "-1", "--output", str(tmp_path / "d.csv")])
+        assert res.exit_code == 0, res.output
+        assert len(read_trajectory_csv(tmp_path / "d.csv")["times"]) == 11
+
     def test_csv_round_trip(self, tmp_path):
         rec = trajectory(E1, cyclic_generator3(), 1.0, 0.1)
         path = tmp_path / "traj.csv"

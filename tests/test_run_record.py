@@ -48,6 +48,22 @@ class TestRunRecord:
         with pytest.raises(AttributeError):
             rec.c
 
+    @pytest.mark.parametrize("case", ["rows", "columns", "flat", "states"])
+    def test_rows_that_do_not_line_up_are_refused(self, case):
+        # refused when built, before a CSV writer reshapes or stacks the rows
+        columns = ("total_probability", "information", "moment3", "min_value")
+        times, diag, states = np.arange(3.0), np.ones((3, 4)), None
+        if case == "rows":
+            times = np.arange(2.0)
+        elif case == "columns":
+            diag = np.ones((3, 3))
+        elif case == "flat":
+            diag = np.ones(12)
+        else:
+            states = [SignedProbVector(np.array([1.0, 0.0, 0.0]))] * 2
+        with pytest.raises(DomainError):
+            RunRecord(times, diag, columns, states)
+
     def test_pickle_round_trip(self):
         rec = RunRecord(np.arange(2.0), np.ones((2, 1)), ("a",))
         back = pickle.loads(pickle.dumps(rec))
