@@ -249,12 +249,14 @@ class RunRecord:
 def cayley_power(a: np.ndarray, step: float, n: int) -> np.ndarray:
     """((I - step a / 2)^-1 (I + step a / 2))^n: n implicit-midpoint steps of
     dx/dt = a x.  For an antisymmetric a the Cayley factor is orthogonal, so
-    the propagator conserves the norm to round-off; n = 0 gives the identity.
-    That round-off grows with the reach (step / 2) max|a|, so a reach above
-    MAX_CAYLEY_REACH is a DomainError.
+    the propagator conserves the norm to round-off; n = 0 gives the identity,
+    with no factorization.  That round-off grows with the reach (step / 2)
+    max|a|, taken as max(a.max(), -a.min()) with no |a| array, so a reach
+    above MAX_CAYLEY_REACH is a DomainError.
 
-    When a is circulant, entry for entry (one compare with the circulant of
-    its first column; a may be such a read-only view), so is the Cayley
+    When a is circulant, entry for entry (a compare with the circulant of its
+    first column, row 0 first, so a generic a costs one row and no N x N
+    bool array; a may be such a read-only view), so is the Cayley
     factor Q, and only its first column r is computed from a's first column
     alone, with no N x N generator built: one LU solve of (I - H) r = e0 +
     H e0 with H = step a / 2, I - H gathered as the circulant of e0 - H e0,
@@ -266,13 +268,17 @@ def cayley_power(a: np.ndarray, step: float, n: int) -> np.ndarray:
     of the total grows coherently with n; the refinement cuts it fivefold.
     Any other a takes the dense solve and matrix power.
     """
-    circulant_a = np.array_equal(a, circulant(a[:, 0]))
-    a_max = float(np.max(np.abs(a[:, 0] if circulant_a else a)))
+    c = circulant(a[:, 0])
+    circulant_a = np.array_equal(a[0], c[0]) and np.array_equal(a, c)  # row 0 first
+    held = a[:, 0] if circulant_a else a  # a circulant holds only its column's values
+    a_max = float(max(held.max(), -held.min()))
     if not abs(step) / 2.0 * a_max <= MAX_CAYLEY_REACH:
         raise DomainError(
             f"Cayley step reach (step / 2) max|a| = ({step!r} / 2) * {a_max!r} exceeds "
             f"{MAX_CAYLEY_REACH:g}: the step would not keep the total to round-off"
         )
+    if not n:
+        return np.eye(a.shape[0])  # matrix_power(., 0), with no factorization
     if not circulant_a:
         eye, half = np.eye(a.shape[0]), (step / 2.0) * a
         lhs = eye - half

@@ -145,32 +145,98 @@ def random_generator(n: int, seed: int, rate: float = 1.0) -> GeneratorMatrix:
     return GeneratorMatrix._exact(skew, rate)
 
 
+def _norm_bracket(g: GeneratorMatrix, t: float, m_max: float) -> float | None:
+    """A lower bound lo of |G|_2 at which the default rule cuts t != 0 into
+    the n steps it cuts at eigvalsh's |G|_2, or None where that is not
+    decided.
+
+    n = steps(t, None, r)[0] never falls as r grows, so every r between lo
+    and an upper bound hi of |G|_2 gives one n once lo and hi do.  |rate|
+    |My| / |y| is a lower bound for any y != 0; y is the top Ritz vector of
+    M^T M in the Krylov space of S = M M = -M^T M with min(16, n) vectors,
+    started from the column of S at M's largest column and orthogonalized
+    by Gram-Schmidt twice.  hi is the top of lo's ceiling interval, and one
+    Cholesky factorization of (hi / |rate|)^2 I + S proves |G|_2 < hi (Rump,
+    BIT Numer. Math. 46 (2006) 433).  Both are pulled inward by tol =
+    max(1e-9, 4 n^2 eps), and hi is checked at hi (1 + tol / 2): room for
+    the round-off of S, of the Cholesky and of eigvalsh, each under n^2 eps
+    of |G|_2.  None for a zero rate, unless 1e-100 <= max|M| <= 1e100 (so
+    that no square over- or underflows), and where steps refuses a bound or
+    the Cholesky fails.
+    """
+    rate = abs(g.rate)
+    if not (1e-100 <= m_max <= 1e100 and rate > 0.0):
+        return None
+    mat, size = g.matrix, g.n
+    s = mat @ mat
+    q = np.empty((min(16, size), size))  # the Krylov basis, a vector per row
+    v = s[:, np.argmin(np.diagonal(s))]  # nonzero: its own entry is -|M e_j|^2
+    q[0] = v / math.sqrt(v @ v)
+    for j in range(1, len(q)):
+        w = s @ q[j - 1]
+        for _ in range(2):
+            w -= (q[:j] @ w) @ q[:j]
+        length = math.sqrt(w @ w)
+        if not length > 0.0:  # the space is invariant under S
+            q = q[:j]
+            break
+        q[j] = w / length
+    y = np.linalg.eigh(q @ s @ q.T)[1][:, 0] @ q  # S's lowest Ritz vector
+    my = mat @ y
+    tol = max(1e-9, 4.0 * size * size * np.finfo(float).eps)
+    lo = rate * math.sqrt((my @ my) / (y @ y)) * (1.0 - tol)
+    try:
+        n = steps(t, None, lo)[0]
+        # the largest r with ceil(|t| r / angle - 1e-12) = n, pulled inward
+        hi = DEFAULT_STEP_ANGLE * (n + 1e-12) / abs(t) * (1.0 - tol)
+        if not lo < hi or steps(t, None, hi * (1.0 + tol / 2.0))[0] != n:
+            return None
+    except DomainError:
+        return None
+    h = hi / rate
+    if not math.isfinite(h * h):
+        return None
+    s.flat[:: size + 1] += h * h  # (hi / |rate|)^2 I - M^T M, in place
+    try:
+        np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        return None
+    return lo
+
+
 def _propagator(g: GeneratorMatrix, t: float, dt: float | None) -> np.ndarray:
     """Cayley propagator over time t in equal steps of at most dt.
 
     The default dt advances the fastest phase, of rate |G|_2, by 0.1 rad
-    per step.  |G|_2 is the square root of the largest eigenvalue of the
-    symmetric G^T G, from one eigvalsh and no SVD.  G is divided by
-    m = max|G| first, so no square overflows or underflows, and |G|_2 =
-    m sqrt(lambda_max).  The step decision is logged at DEBUG level on the
-    "logent" logger, with |G|_2 when the default computes it.  Raises
-    DomainError for a non-finite t or dt, a non-positive dt, a t/dt that
-    overflows, a default step whose |G|_2 overflows, a step beyond the
-    Cayley reach bound and, before G is formed, a rate * max|M| beyond the
-    float range.
+    per step, so |G|_2 acts only through n = steps(t, None, |G|_2)[0].
+    _norm_bracket decides that n, exactly, from a Krylov lower bound and
+    one Cholesky factorization, and step = t / n.  Where it does not, or
+    when the "logent" logger is enabled for DEBUG, |G|_2 is the square
+    root of the largest eigenvalue of the symmetric G^T G, from one
+    eigvalsh and no SVD; G is divided by m = max|G| first, so no square
+    overflows or underflows, and |G|_2 = m sqrt(lambda_max).  t = 0 takes
+    no step and needs no |G|_2.  The step decision is logged at DEBUG
+    level, with its decider and eigvalsh's |G|_2.  Raises DomainError for a
+    non-finite t or dt, a non-positive dt, a t/dt that overflows, a default
+    step whose |G|_2 overflows, a step beyond the Cayley reach bound and,
+    before G is formed, a rate * max|M| beyond the float range.
     """
-    m_max = float(np.max(np.abs(g.matrix)))
+    m_max = float(g.matrix.max())  # max|M|: an antisymmetric M holds -x wherever it holds x
     m = abs(g.rate) * m_max  # max|G| to the bit: rounding a product is monotone
     if not math.isfinite(m):
         raise DomainError(f"rate * max|M| = {g.rate!r} * {m_max!r} is beyond the float range")
-    gen = g.rate * g.matrix
-    rule, norm = "caller's dt", None
+    rule, norm, bound = "caller's dt", None, None
     if dt is None:
+        t = finite(t, "t")
+        bound = _norm_bracket(g, t, m_max) if t else 0.0  # t = 0: no step at any rate
+        decider = "no step" if not t else "eigvalsh" if bound is None else "certified"
+        rule = f"default, {DEFAULT_STEP_ANGLE:g} rad per step ({decider})"
+    gen = g.rate * g.matrix
+    if dt is None and t and (bound is None or _log.isEnabledFor(logging.DEBUG)):
         unit = gen / m if m > 0.0 else np.eye(1)  # |G|_2 = m = 0 for the zero generator
-        rule = f"default, {DEFAULT_STEP_ANGLE:g} rad per step"
         norm = m * math.sqrt(np.linalg.eigvalsh(unit.T @ unit)[-1])
         del unit  # n x n, not held while cayley_power runs
-    n, step = steps(t, dt, norm, rate_name="|G|_2")
+    n, step = steps(t, dt, bound if norm is None else norm, rate_name="|G|_2")
     _log.debug("fd step rule: %s; %d steps of %.6g, |G|_2 %s", rule, n, step, norm)
     return cayley_power(gen, step, n)
 

@@ -1,10 +1,10 @@
 """One BLAS and OpenMP thread for the test run, unless the caller set them.
 
 The dense work left in the package (the LU solve of cayley_power and the
-fd engine's solve, matrix power and symmetric eigenvalue solve) is small;
-on a machine with few cores, more threads only add start-up and
-contention.  The thread counts are read when numpy loads, so this must run
-before anything imports it.
+fd engine's solve, matrix power, step-count bracket and symmetric
+eigenvalue solve) is small; on a machine with few cores, more threads only
+add start-up and contention.  The thread counts are read when numpy loads,
+so this must run before anything imports it.
 """
 import os
 import sys

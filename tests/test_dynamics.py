@@ -18,6 +18,8 @@ from logent import (
     random_generator,
     trajectory,
 )
+from logent import dynamics
+from logent._grid import steps
 from logent.cli import main
 from logent.dynamics import MARGINAL_TOL, read_trajectory_csv, write_trajectory_csv
 from oracles import matrix_exp_taylor
@@ -347,6 +349,98 @@ class TestDefaultStepNorm:
         np.linalg.norm(np.eye(2), 2)
         np.linalg.svd(np.eye(2))
         assert calls == ["norm", "svd"]
+
+
+def _eigvalsh_norm(g):
+    """|G|_2 as the default step rule's eigvalsh computes it."""
+    m = abs(g.rate) * float(np.max(np.abs(g.matrix)))
+    unit = g.rate * g.matrix / m
+    return m * math.sqrt(np.linalg.eigvalsh(unit.T @ unit)[-1])
+
+
+def _spy(monkeypatch, *names):
+    """Count the calls of np.linalg functions by name."""
+    calls = []
+
+    def spy(name, real):
+        return lambda *args, **kw: calls.append(name) or real(*args, **kw)
+
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+    return calls
+
+
+class TestCertifiedStepCount:
+    """The default step count is decided by a Krylov lower bound of |G|_2 and
+    a Cholesky proof of an upper one, with eigvalsh only where they leave the
+    ceiling open, and is then eigvalsh's step count exactly."""
+
+    @pytest.mark.parametrize("size", [8, 20, 50, 200, 333])
+    def test_certified_count_is_the_eigvalsh_count(self, size):
+        decided = cases = 0
+        for seed in range(40):
+            base = random_generator(size, seed)
+            for rate in (1.0, 0.37, 300.0):
+                g = GeneratorMatrix(base.upper, rate=rate)
+                norm = _eigvalsh_norm(g)
+                for t in (0.1, 0.05, 1 / 3, 1.0, -0.7, 2.5, 10.0, 1e-3):
+                    lo = dynamics._norm_bracket(g, t, float(g.matrix.max()))
+                    cases += 1
+                    if lo is not None:
+                        decided += 1
+                        assert lo <= norm
+                        assert steps(t, None, lo)[0] == steps(t, None, norm)[0], (seed, rate, t)
+        assert decided >= 0.9 * cases  # 4,700 of the 4,800 cases over all five sizes
+
+    def test_cli_fd_job_takes_no_eigvalsh(self, monkeypatch, tmp_path, caplog):
+        monkeypatch.chdir(tmp_path)
+        args = ["evolve", "fd", "--generator", "random", "--n", "200", "--seed", "11",
+                "--t-end", "1", "--dt", "0.1", "--p0", ",".join(["1"] + ["0"] * 199)]
+        calls = _spy(monkeypatch, "eigvalsh")
+        quiet = CliRunner().invoke(main, args)
+        assert quiet.exit_code == 0 and calls == []
+        with caplog.at_level(logging.DEBUG, logger="logent"):
+            loud = CliRunner().invoke(main, args)
+        (record,) = [r for r in caplog.records if r.name == "logent"]
+        rule, n, step, norm = record.args
+        assert rule == "default, 0.1 rad per step (certified)" and calls == ["eigvalsh"]
+        assert n == steps(0.1, None, norm)[0] and step == 0.1 / n
+        assert loud.output == quiet.output
+
+    def test_cyclic3_at_a_ceiling_boundary_takes_eigvalsh(self, monkeypatch, caplog):
+        # |G|_2 = 1 and t = 1: 10 steps of 0.1 rad, at the top of the ceiling
+        g = cyclic_generator3()
+        assert dynamics._norm_bracket(g, 1.0, 1.0) is None
+        calls = _spy(monkeypatch, "eigvalsh")
+        quiet = evolve(E1, g, 1.0)
+        assert calls == ["eigvalsh"]
+        with caplog.at_level(logging.DEBUG, logger="logent"):
+            loud = evolve(E1, g, 1.0)
+        (record,) = [r for r in caplog.records if r.name == "logent"]
+        assert record.args[:3] == ("default, 0.1 rad per step (eigvalsh)", 10, 0.1)
+        assert quiet.entries.tobytes() == loud.entries.tobytes()
+
+    @pytest.mark.parametrize("make", [cyclic_generator3, lambda: random_generator(200, 11)])
+    def test_zero_time_builds_no_propagator(self, monkeypatch, caplog, make):
+        g = make()
+        p0 = SignedProbVector(np.eye(g.n)[0])
+        calls = _spy(monkeypatch, "eigvalsh", "solve")
+        with caplog.at_level(logging.DEBUG, logger="logent"):
+            rec = trajectory(p0, g, 0.0, 0.1)
+            out = evolve(p0, g, -0.0)
+        assert calls == []
+        assert list(rec.times) == [0.0] and len(rec.states) == 1
+        assert rec.states[0].entries.tobytes() == out.entries.tobytes() == p0.entries.tobytes()
+        assert [r.args[:3] for r in caplog.records if r.name == "logent"] == [
+            ("default, 0.1 rad per step (no step)", 0, 0.0)
+        ] * 2
+
+    def test_debug_logging_keeps_the_propagator_bits(self, caplog):
+        for g, t in ((random_generator(50, 3, rate=0.37), -0.7), (random_generator(200, 11), 0.1)):
+            quiet = dynamics._propagator(g, t, None)
+            with caplog.at_level(logging.DEBUG, logger="logent"):
+                loud = dynamics._propagator(g, t, None)
+            assert quiet.tobytes() == loud.tobytes()
 
 
 class TestTrajectory:

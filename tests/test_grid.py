@@ -158,6 +158,29 @@ class TestCayleyPower:
         assert calls == [1]
 
 
+    def test_zero_steps_factor_nothing(self, monkeypatch):
+        gen, _ = self._timestepped("harmonic", 0.5, 64)
+        gens = (gen, cyclic_generator3().matrix, random_generator(20, 4).matrix)
+        wants = [np.linalg.matrix_power(cayley_power_dense(a, 0.1, 1), 0) for a in gens]
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(1) or solve(*args))
+        for a, want in zip(gens, wants):
+            assert cayley_power(a, 0.0, 0).tobytes() == want.tobytes()
+        assert calls == []
+
+    def test_circulant_needs_every_row(self, monkeypatch):
+        # row 0 of a matches its circulant's, row 2 does not: the dense path
+        a = circulant(np.array([0.0, 1.0, 0.0, -1.0])).copy()
+        a[2, 1] += 0.5
+        want = cayley_power_dense(a, 0.1, 3)
+        calls = []
+        power = np.linalg.matrix_power
+        monkeypatch.setattr(np.linalg, "matrix_power", lambda *args: calls.append(1) or power(*args))
+        assert cayley_power(a, 0.1, 3).tobytes() == want.tobytes()
+        assert calls == [1]
+
+
 class TestExactIdentities:
     """Zero steps and a zero generator give the initial state exactly."""
 
