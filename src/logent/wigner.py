@@ -32,6 +32,10 @@ variable (V(x + l/2) - V(x - l/2) is odd in l, fftfreq is antisymmetric and
 both Nyquist rates are zero), so every multiplier is Hermitian and the state
 stays real: the loop works on real FFTs and half spectra, four real
 transforms per substep, plus one more for each step whose state is recorded.
+Between substeps the state is its (x, nu_p) half spectrum, C-ordered like
+the (x, p) values; between the two x transforms it is held in (p, nu_x) and
+(p, x) layout, which both x transforms write through transposed views, so
+that every transform writes contiguous lines.
 
 For states concentrated at a single position a, the transport term drops
 and the remaining kick dynamics closes in p alone.  That reduced equation
@@ -228,13 +232,29 @@ def _loop(
     w0: WignerGrid, kick_rate, transport_rate, stages, n_steps: int, step: float, record: bool
 ):
     """n_steps steps of length step, each composed of one Strang substep
-    K(w step / 2) T(w step) K(w step / 2) per stage weight w in stages."""
+    K(w step / 2) T(w step) K(w step / 2) per stage weight w in stages.
+
+    Every array is C-ordered.  Each substep takes the state through four
+    layouts, one real transform apiece: from the (x, nu_p) half spectrum,
+    irfft along p to (x, p); rfft along x, written through a transposed
+    view, to (p, nu_x); the transport multiply and irfft along rows to
+    (p, x); rfft along p, written through a transposed view, to the next
+    (x, nu_p) spectrum.  So both x transforms write contiguous lines, and
+    the transport irfft reads them too, while each transforms the lines it
+    would along axis 0 of an (x, p) array, to the same bits.  The kicks
+    multiply the spectrum in place, the (x, nu_p) and (p, nu_x) spectra
+    share one buffer, and each recorded or final state is written over the
+    loop's copy of the values, so that the layout adds no array to the
+    loop's peak memory."""
     nx, npts = w0.nx, w0.npts
     # multipliers on the half spectra of the real transforms (Hermitian rates),
-    # one pair per distinct weight: Yoshida's outer two are equal
-    kick_rate, transport_rate = kick_rate[:, : npts // 2 + 1], transport_rate[: nx // 2 + 1, :]
+    # one pair per distinct weight: Yoshida's outer two are equal; the
+    # transport one in the (p, nu_x) layout, from one copy of the real rates
+    kick_rate = kick_rate[:, : npts // 2 + 1]
+    transport_rate = np.ascontiguousarray(transport_rate[: nx // 2 + 1].T)
     half_kick = {w: np.exp(1j * kick_rate * (w * step) / 2.0) for w in set(stages)}
     full_transport = {w: np.exp(1j * transport_rate * (w * step)) for w in set(stages)}
+    del transport_rate  # kept, this copy would raise the loop's peak memory
     transports = [full_transport[w] for w in stages]
     # the kick after stage i fuses its closing half kick with the opening one
     # of stage i + 1 (of the next step's first stage, after the last)
@@ -252,16 +272,26 @@ def _loop(
     # The p spectrum carries the state between substeps: each closes with its
     # half kick fused into the next one's opening half kick, and the
     # half-kicked state is formed only when it is needed.
-    spec = np.fft.rfft(values, axis=1) if n_steps else None
+    if n_steps:
+        # a substep is done with the (x, nu_p) spectrum before it writes the
+        # (p, nu_x) one, and with that before it writes the next (x, nu_p)
+        # one, so the two share one buffer
+        shared = np.empty(nx * npts // 2 + max(nx, npts), dtype=complex)
+        spec = shared[: nx * (npts // 2 + 1)].reshape(nx, npts // 2 + 1)
+        xspec = shared[: npts * (nx // 2 + 1)].reshape(npts, nx // 2 + 1)
+        np.fft.rfft(values, axis=1, out=spec)
     kick = half_kick[stages[0]]
     for k in range(n_steps):
         for transport, next_kick in zip(transports, after):
-            buf = np.fft.irfft(spec * kick, n=npts, axis=1)
-            buf = np.fft.irfft(np.fft.rfft(buf, axis=0) * transport, n=nx, axis=0)
-            spec = np.fft.rfft(buf, axis=1)
+            spec *= kick
+            buf = np.fft.irfft(spec, n=npts, axis=1)  # (x, p)
+            np.fft.rfft(buf, axis=0, out=xspec.T)  # (p, nu_x)
+            xspec *= transport
+            buf = np.fft.irfft(xspec, n=nx, axis=1)  # (p, x)
+            np.fft.rfft(buf, axis=0, out=spec.T)  # (x, nu_p)
             kick = next_kick
         if record or k == n_steps - 1:
-            values = np.fft.irfft(spec * half_kick[stages[-1]], n=npts, axis=1)
+            np.fft.irfft(spec * half_kick[stages[-1]], n=npts, axis=1, out=values)
         if record:
             _record(k + 1, values)
 

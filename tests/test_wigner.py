@@ -392,6 +392,70 @@ class TestFusedLoop:
             assert rec.moment3[k] == pytest.approx(m3, abs=1e-11)
             assert rec.min_value[k] == pytest.approx(float(ref.min()), abs=1e-11)
 
+    # Non-square grids: the loop's two transposed work arrays, (npts, nx/2+1)
+    # and (nx, npts/2+1), coincide in shape only when nx == npts.
+    NON_SQUARE = pytest.mark.parametrize("nx, npts, lp", [(64, 32, 8.0), (32, 96, 12.0)])
+
+    @NON_SQUARE
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_non_square_matches_unfused_composition(self, nx, npts, lp, sign):
+        w0 = gaussian_pure_wigner(nx, npts, 8.0, lp, SIGMA, x_center=0.7, p_center=0.3)
+        V = PotentialSpec.quartic(0.05)
+        t = sign * 5 * 2e-3
+        evolved = wigner_evolve(w0, V, t, dt=2e-3)
+        reference = self.unfused(w0, V, t, 5)
+        assert evolved.values.shape == (nx, npts)
+        assert np.max(np.abs(evolved.values - reference)) < 1e-11
+        assert np.max(np.abs(reference - w0.values)) > 1e-3
+
+    @NON_SQUARE
+    def test_non_square_recorded_states_match_unfused_composition(self, nx, npts, lp):
+        w0 = gaussian_pure_wigner(nx, npts, 8.0, lp, SIGMA, x_center=0.7)
+        V = PotentialSpec.quartic(0.05)
+        rec, _ = wigner_run(w0, V, 6e-3, dt=2e-3)
+        for k in range(1, 4):
+            ref = self.unfused(w0, V, 2e-3 * k, k)
+            info = w0.h * float(np.sum(ref * ref)) * w0.dx * w0.dp
+            m3 = w0.h**2 * float(np.sum(ref**3)) * w0.dx * w0.dp
+            assert rec.total_probability[k] == pytest.approx(1.0, abs=1e-12)
+            assert rec.information[k] == pytest.approx(info, abs=1e-12)
+            assert rec.moment3[k] == pytest.approx(m3, abs=1e-11)
+            assert rec.min_value[k] == pytest.approx(float(ref.min()), abs=1e-11)
+
+    @NON_SQUARE
+    def test_non_square_run_is_evolve_bit_for_bit(self, nx, npts, lp):
+        w0 = gaussian_pure_wigner(nx, npts, 8.0, lp, SIGMA, x_center=0.7, p_center=0.3)
+        V = PotentialSpec.harmonic(1.0, mass=MASS)
+        rec, final = wigner_run(w0, V, 0.05)  # the default Yoshida rule
+        assert len(rec.times) > 2
+        assert final.values.tobytes() == wigner_evolve(w0, V, 0.05).values.tobytes()
+
+    @pytest.mark.parametrize(
+        "dt, per_step", [(None, 12), (2e-3, 4)], ids=["yoshida", "strang"]
+    )
+    def test_real_transform_count(self, monkeypatch, dt, per_step):
+        # four real transforms per substep, one into and one out of the p
+        # spectrum per run, and for a record one more per recorded step
+        calls = []
+        for name in ("rfft", "irfft"):
+            def counted(*args, _fft=getattr(np.fft, name), **kwargs):
+                calls.append(None)
+                return _fft(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        w0 = gaussian_pure_wigner(64, 32, 8.0, 8.0, SIGMA, x_center=0.7)
+        V = PotentialSpec.quartic(0.05)
+        rec, _ = wigner_run(w0, V, 0.1, dt=dt)
+        n = len(rec.times) - 1
+        assert n > 1
+        assert len(calls) == (per_step + 1) * n + 1
+        calls.clear()
+        wigner_evolve(w0, V, 0.1, dt=dt)
+        assert len(calls) == per_step * n + 2
+        calls.clear()
+        wigner_run(w0, V, 0.0, dt=dt)
+        wigner_evolve(w0, V, 0.0, dt=dt)
+        assert calls == []
+
     @pytest.mark.parametrize(
         "potential",
         [
