@@ -310,19 +310,19 @@ def cyclic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def odd_sine_sum(m_hat: np.ndarray) -> np.ndarray:
-    """s_j = sum_{l=1}^{N/2-1} m_hat[l] sin(2 pi j l / N) for j = 1..N/2-1,
+def odd_sine_sum(m_half: np.ndarray) -> np.ndarray:
+    """s_j = sum_{l=1}^{N/2-1} m_half[l] sin(2 pi j l / N) for j = 1..N/2-1,
     mirrored as s_{N-j} = -s_j, so s is odd to the last bit and s_0 =
     s_{N/2} = 0: the real-space column of an odd kernel whose transform is
-    m_hat in FFT order, N a power of two.  Each sine is read from a table of
-    the N values sin(2 pi k / N) at k = (j l) mod N, a bit mask, so no large
-    argument is rounded; m_hat[0] and the Nyquist m_hat[N/2] are not read."""
-    n = m_hat.size
-    half = n // 2
+    m_half on k = 0..N/2, N a power of two.  Each sine is read from a table
+    of the N values sin(2 pi k / N) at k = (j l) mod N, a bit mask, so no
+    large argument is rounded; m_half[0] and m_half[N/2] are not read."""
+    half = m_half.size - 1
+    n = 2 * half
     modes = np.arange(1, half)
     table = np.sin(2.0 * math.pi * np.arange(n) / n)
     s = np.zeros(n)
-    s[1:half] = table[np.outer(modes, modes) & (n - 1)] @ m_hat[1:half]
+    s[1:half] = table[np.outer(modes, modes) & (n - 1)] @ m_half[1:half]
     s[half + 1 :] = -s[1:half][::-1]
     return s
 

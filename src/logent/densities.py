@@ -24,14 +24,13 @@ V: with Omega = 2 pi V / h this evolution is the momentum evolution of a
 position-localized Wigner state.
 
 The propagator runs on real transforms and half spectra: mhat is odd with a
-zero Nyquist sample (KernelSpec requires it), so the phases
-exp(i mhat_k t) of modes k and N - k are complex conjugates, the propagated
-spectrum of a real density stays Hermitian, and its upper half is implied
-by the lower.  One rfft, N/2 + 1 phases and one irfft give the evolved
-density exactly real, with nothing to discard.  density_run samples the
-propagator at many times and evaluates its samples in batched real
-transform pairs of at most 2**16 points (samples x N) each, bit for bit as
-evolve_density evaluates one time.
+zero Nyquist sample, so KernelSpec stores it on k = 0..N/2 alone, the phases
+exp(i mhat_k t) of modes k and N - k are complex conjugates, and the
+propagated spectrum of a real density stays Hermitian.  One rfft, the N/2 + 1
+phases of m_half and one irfft give the evolved density exactly real, with
+nothing to discard.  density_run samples the propagator at many times and
+evaluates its samples in batched real transform pairs of at most 2**16
+points (samples x N) each, bit for bit as evolve_density evaluates one time.
 
 Two discretizations of the same dynamics are provided: the spectral
 propagator (exact phases) and a real-space quadrature of the convolution
@@ -250,33 +249,31 @@ def omega_tabulated(xs, ys) -> Callable[[np.ndarray], np.ndarray]:
 class KernelSpec:
     """Odd convolution kernel sampled compatibly with one grid family.
 
-    m_hat holds mhat(lambda_k) = Omega(a + lambda_k/2) - Omega(a - lambda_k/2)
-    at the conjugate values lambda_k = k h / L in FFT order; it is odd by
-    construction and zero at k = 0.  The lone Nyquist mode of an even grid
-    has no negative partner, so its sample is forced to zero to keep the
-    kernel odd and the evolution real.  The half-spectrum propagator needs
-    exactly that, so any other m_hat is a DomainError: it must be n finite
-    reals with m_hat[0] = m_hat[n/2] = 0 and m_hat[n - k] = -m_hat[k] bit
-    for bit.  It is stored as a read-only copy.  n must be an integer >= 1,
-    a finite and dz and h positive, else DomainError; lambdas is worked out
-    from n, dz and h.
+    mhat(lambda) = Omega(a + lambda/2) - Omega(a - lambda/2) is odd, so it is
+    held on its half spectrum, the modes a real transform keeps: m_half[k] =
+    mhat(lambda_k) at lambda_k = k h / L, k = 0..n/2, zero at k = 0 and at
+    the Nyquist mode, which has no negative partner (so the evolution stays
+    real).  Any other m_half is a DomainError: n/2 + 1 finite reals, n a power
+    of two >= 2, zero at both ends; it is stored as a read-only copy.  a must
+    be finite, dz and h positive.  n, lambdas and the odd m_hat are derived.
     """
 
-    m_hat: np.ndarray
+    m_half: np.ndarray
     a: float
-    n: int
     dz: float
     h: float
 
     def __post_init__(self):
-        for name, check in (("n", count), ("a", finite), ("dz", positive), ("h", positive)):
+        for name, check in (("a", finite), ("dz", positive), ("h", positive)):
             object.__setattr__(self, name, check(getattr(self, name), name))
-        m = real_array(self.m_hat, "m_hat")
-        if m.shape != (self.n,):
-            raise DomainError(f"m_hat must hold n = {self.n} samples, not shape {m.shape}")
-        if m[0] or m[m.size // 2] or not np.array_equal(m[:0:-1], -m[1:]):
-            raise DomainError("m_hat must be odd, m_hat[n - k] = -m_hat[k], and zero at 0 and n/2")
-        object.__setattr__(self, "m_hat", m)
+        m = real_array(self.m_half, "m_half")
+        if m.ndim != 1 or m.size < 2 or (m.size - 1) & (m.size - 2) or m[0] or m[-1]:
+            raise DomainError("m_half must hold n/2 + 1 samples, n = 2**k >= 2, zero at both ends")
+        object.__setattr__(self, "m_half", m)
+
+    @property
+    def n(self) -> int:
+        return 2 * (self.m_half.size - 1)
 
     @property
     def lambdas(self) -> np.ndarray:
@@ -284,13 +281,19 @@ class KernelSpec:
         return self.h * np.fft.fftfreq(self.n, d=self.dz)
 
     @functools.cached_property
+    def m_hat(self) -> np.ndarray:
+        """mhat_k in FFT order, read-only: m_half, then m_hat[n - k] = 0.0 - m_half[k]."""
+        m = np.concatenate([self.m_half, 0.0 - self.m_half[-2:0:-1]])
+        m.setflags(write=False)
+        return m
+
+    @functools.cached_property
     def real_kernel(self) -> np.ndarray:
         """Real-space samples m(zeta_j) on grid offsets, exactly odd:
         m_j = -(2h/L) * sum_{l=1}^{N/2-1} mhat_l sin(2 pi j l / N), the
-        odd_sine_sum of m_hat, so m_{N-j} = -m_j to the last bit and
-        m_0 = m_{N/2} = 0.
-        """
-        m = -(2.0 * self.h / (self.n * self.dz)) * odd_sine_sum(self.m_hat)
+        odd_sine_sum of m_half, so m_{N-j} = -m_j to the last bit and
+        m_0 = m_{N/2} = 0."""
+        m = -(2.0 * self.h / (self.n * self.dz)) * odd_sine_sum(self.m_half)
         m.setflags(write=False)
         return m
 
@@ -302,23 +305,23 @@ def build_kernel(
 
     lambda_k = k h / L coincides with h times the FFT frequencies of the
     grid, so the continuous exponential exp(2 pi i z lambda / h) restricted
-    to the sampled lambdas is exactly the discrete Fourier basis.  Content
-    beyond the Nyquist frequency is unrepresentable on the grid and is
-    truncated.  Omega must return one finite real value per point it is
-    given (as real_array accepts it), else DomainError, as for a non-finite
-    difference of two values.
+    to the sampled lambdas is exactly the discrete Fourier basis; Omega is
+    sampled at a +- lambda_k / 2 for k = 0..N/2 alone.  Content beyond the
+    Nyquist frequency is unrepresentable on the grid and is truncated.
+    Omega must return one finite real value per point it is given (as
+    real_array accepts it), else DomainError, as for a non-finite difference.
     """
     a = finite(a, "a")
-    lambdas = grid.h * np.fft.fftfreq(grid.n, d=grid.dz)
+    lambdas = grid.h * np.fft.rfftfreq(grid.n, d=grid.dz)
     plus = real_array(omega(a + lambdas / 2.0), "omega values")
     minus = real_array(omega(a - lambdas / 2.0), "omega values")
     if plus.shape != lambdas.shape or minus.shape != lambdas.shape:
         raise DomainError("omega must give one value per point")
-    m_hat = plus - minus
-    if not np.all(np.isfinite(m_hat)):  # a difference of finite values may overflow
+    m_half = plus - minus
+    if not np.all(np.isfinite(m_half)):  # a difference of finite values may overflow
         raise DomainError("omega is not finite at a sampled point")
-    m_hat[grid.n // 2] = 0.0  # unpaired Nyquist mode
-    return KernelSpec(m_hat=m_hat, a=a, n=grid.n, dz=grid.dz, h=grid.h)
+    m_half[-1] = 0.0  # unpaired Nyquist mode
+    return KernelSpec(m_half=m_half, a=a, dz=grid.dz, h=grid.h)
 
 
 def _check_compatible(f: DensityGrid, k: KernelSpec) -> None:
@@ -329,18 +332,16 @@ def _check_compatible(f: DensityGrid, k: KernelSpec) -> None:
 def _evolve_values(f0: DensityGrid, k: KernelSpec, times: np.ndarray) -> np.ndarray:
     """The values of f0 at each of times, one contiguous row per time: one
     real forward transform of f0, one phase multiply exp(i mhat_k t) on the
-    half spectrum k = 0..N/2 for all times and one real inverse transform
-    along the rows.  The half spectrum is exact because the phases are
-    Hermitian, which needs an odd m_hat with a zero Nyquist sample, as
-    KernelSpec requires.  GridError, the class of the non-finite grid it
-    would build, before anything is multiplied when max|mhat| * max|t| is
-    beyond the float range."""
-    m_max, t_max = float(np.abs(k.m_hat).max()), float(np.abs(times).max())
+    half spectrum m_half for all times and one real inverse transform along
+    the rows, exact because an odd mhat with a zero Nyquist sample makes the
+    phases Hermitian.  GridError, the class of the non-finite grid it would
+    build, before anything is multiplied when max|mhat| * max|t| is beyond
+    the float range."""
+    m_max, t_max = float(np.abs(k.m_half).max()), float(np.abs(times).max())
     if not math.isfinite(m_max * t_max):
         raise GridError(f"max|m_hat| * |t| = {m_max!r} * {t_max!r} is beyond the float range")
-    n = f0.n
-    phases = np.exp(1j * k.m_hat[: n // 2 + 1] * times[:, None])
-    return np.fft.irfft(np.fft.rfft(f0.values) * phases, n=n, axis=1)
+    phases = np.exp(1j * k.m_half * times[:, None])
+    return np.fft.irfft(np.fft.rfft(f0.values) * phases, n=f0.n, axis=1)
 
 
 def evolve_density(f0: DensityGrid, k: KernelSpec, t: float) -> DensityGrid:
@@ -349,8 +350,8 @@ def evolve_density(f0: DensityGrid, k: KernelSpec, t: float) -> DensityGrid:
     The phase is evaluated at the absolute time t, so successive calls at
     increasing times do not accumulate round-off; every mode magnitude, and
     with them the total probability and the information, is exact up to
-    round-off of a single real transform pair on the half spectrum (see
-    _evolve_values; it needs the odd m_hat that KernelSpec requires).
+    round-off of a single real transform pair on the half spectrum m_half
+    (see _evolve_values).
     """
     _check_compatible(f0, k)
     t = finite(t, "t")

@@ -27,11 +27,11 @@ caller's dt one substep (STRANG, second order); by default Yoshida's three
 (YOSHIDA, fourth order), at the largest step for which no substep advances
 any grid phase past pi.  Adjacent half kicks of consecutive substeps are
 fused into one kick (first-same-as-last composition), so n Strang steps run
-as K/2 T K T K ... T K/2.  Both phase rates are exactly odd in their Fourier
-variable (V(x + l/2) - V(x - l/2) is odd in l, fftfreq is antisymmetric and
-both Nyquist rates are zero), so every multiplier is Hermitian and the state
-stays real: the loop works on real FFTs and half spectra, four real
-transforms per substep, plus one more for each step whose state is recorded.
+as K/2 T K T K ... T K/2.  Both phase rates are odd in their Fourier
+variable (V(x + l/2) - V(x - l/2) in l, p nu_x in nu_x) and zero at Nyquist,
+so every multiplier is Hermitian, the rates are sampled on the nonnegative
+frequencies alone, and the state stays real on real FFTs and half spectra:
+four real transforms per substep, plus one per step whose state is recorded.
 Between substeps the state is its (x, nu_p) half spectrum, C-ordered like
 the (x, p) values; between the two x transforms it is held in (p, nu_x) and
 (p, x) layout, which both x transforms write through transposed views, so
@@ -185,17 +185,19 @@ def higher_moment(w: WignerGrid, r: int) -> float:
 
 
 def _phase_rates(w: WignerGrid, potential: PotentialSpec):
-    """Angular rates of the kick (per x, per p-mode) and transport phases."""
-    lam = w.h * np.fft.fftfreq(w.npts, d=w.dp)
+    """Angular rates of the kick and transport phases on the half spectra the
+    loop multiplies, C-ordered: the kick in (x, nu_p), the transport in
+    (p, nu_x) layout, each at its nonnegative frequencies (rfftfreq)."""
+    lam = w.h * np.fft.rfftfreq(w.npts, d=w.dp)
     x = w.x
     dv = potential.evaluate(x[:, None] + lam[None, :] / 2.0) - potential.evaluate(
         x[:, None] - lam[None, :] / 2.0
     )
     kick_rate = (2.0 * math.pi / w.h) * dv
-    kick_rate[:, w.npts // 2] = 0.0  # unpaired Nyquist mode in p
-    nu_x = np.fft.fftfreq(w.nx, d=w.dx)
-    transport_rate = -2.0 * math.pi * nu_x[:, None] * w.p[None, :] / w.mass
-    transport_rate[w.nx // 2, :] = 0.0  # unpaired Nyquist mode in x
+    kick_rate[:, -1] = 0.0  # unpaired Nyquist mode in p
+    nu_x = np.fft.rfftfreq(w.nx, d=w.dx)
+    transport_rate = -2.0 * math.pi * nu_x[None, :] * w.p[:, None] / w.mass
+    transport_rate[:, -1] = 0.0  # unpaired Nyquist mode in x
     return kick_rate, transport_rate
 
 
@@ -248,13 +250,9 @@ def _loop(
     loop's peak memory."""
     nx, npts = w0.nx, w0.npts
     # multipliers on the half spectra of the real transforms (Hermitian rates),
-    # one pair per distinct weight: Yoshida's outer two are equal; the
-    # transport one in the (p, nu_x) layout, from one copy of the real rates
-    kick_rate = kick_rate[:, : npts // 2 + 1]
-    transport_rate = np.ascontiguousarray(transport_rate[: nx // 2 + 1].T)
+    # one pair per distinct weight: Yoshida's outer two are equal
     half_kick = {w: np.exp(1j * kick_rate * (w * step) / 2.0) for w in set(stages)}
     full_transport = {w: np.exp(1j * transport_rate * (w * step)) for w in set(stages)}
-    del transport_rate  # kept, this copy would raise the loop's peak memory
     transports = [full_transport[w] for w in stages]
     # the kick after stage i fuses its closing half kick with the opening one
     # of stage i + 1 (of the next step's first stage, after the last)
@@ -265,7 +263,8 @@ def _loop(
 
     def _record(k, v):  # total, I and moment3 before the cell area, then min w
         v2 = v * v
-        diag[k] = v.sum(), w0.h * np.sum(v2), w0.h**2 * np.sum(v2 * v), v.min()
+        info = w0.h * np.sum(v2)  # then v2 becomes v^3 in place: one n x n temporary
+        diag[k] = v.sum(), info, w0.h**2 * np.sum(np.multiply(v2, v, out=v2)), v.min()
 
     if record:
         _record(0, values)
@@ -354,14 +353,14 @@ def _quadrature_column(wbar0: DensityGrid, potential: PotentialSpec, a: float) -
     """The column c of delta_localized_evolve's generator, exactly odd.  An
     overflow leaves non-finite entries, for the caller to refuse."""
     n, dp, h = wbar0.n, wbar0.dz, wbar0.h
-    lam = h * np.fft.fftfreq(n, d=dp)
+    lam = h * np.fft.rfftfreq(n, d=dp)
     with np.errstate(over="ignore", invalid="ignore"):
-        m_hat = (2.0 * math.pi / h) * (
+        m_half = (2.0 * math.pi / h) * (
             potential.evaluate(a + lam / 2.0) - potential.evaluate(a - lam / 2.0)
         )
         # c_d = (i/h) sum_l mhat_l e^{2 pi i d l / N} dl dp with dl dp = h / N;
-        # mhat is odd (lam is), so the sum is 2i times the sine sum over l < N/2
-        return -(2.0 / n) * odd_sine_sum(m_hat)
+        # mhat is odd in l, so the sum is 2i times the sine sum over 0 < l < N/2
+        return -(2.0 / n) * odd_sine_sum(m_half)
 
 
 def delta_localized_evolve(

@@ -11,9 +11,10 @@ sums), the harmonic phase-space flow is the analytic rigid rotation (the
 package split-steps), and an anharmonic one is the Wigner transform of a
 wavefunction propagated by one eigendecomposition of a dense
 Hamiltonian.  The split step's own substeps are here too, unfused and on
-full complex spectra (the package fuses them on real half spectra), and so
-is the dense Cayley power (the package powers a circulant generator's
-Cayley factor as one column).
+full complex spectra (the package fuses them on real half spectra), with
+their phase rates sampled on every FFT frequency (the package samples the
+nonnegative half), and so is the dense Cayley power (the package powers a
+circulant generator's Cayley factor as one column).
 """
 from __future__ import annotations
 
@@ -180,6 +181,24 @@ def rotated_gaussian_wigner(
         - 0.5 * ((p_back - p_center) / sigma_p) ** 2
     ) / (2.0 * math.pi * sigma_x * sigma_p)
     return vals
+
+
+def phase_rates(w, potential) -> tuple[np.ndarray, np.ndarray]:
+    """Kick and transport phase rates of the split step on full FFT-order
+    tables, both (nx, npts), from the formula: the kick (2 pi / h)
+    (V(x + l/2) - V(x - l/2)) at l = h nu_p for every p frequency, the
+    transport -2 pi nu_x p / m for every x frequency, each Nyquist rate
+    zero.  The negative frequencies are evaluated, not mirrored."""
+    lam = w.h * np.fft.fftfreq(w.npts, d=w.dp)
+    dv = potential.evaluate(w.x[:, None] + lam[None, :] / 2.0) - potential.evaluate(
+        w.x[:, None] - lam[None, :] / 2.0
+    )
+    kick = (2.0 * math.pi / w.h) * dv
+    kick[:, w.npts // 2] = 0.0
+    nu_x = np.fft.fftfreq(w.nx, d=w.dx)
+    transport = -2.0 * math.pi * nu_x[:, None] * w.p[None, :] / w.mass
+    transport[w.nx // 2, :] = 0.0
+    return kick, transport
 
 
 def apply_kick(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from logent import (
     DomainError,
     GeneratorMatrix,
     GridError,
+    KernelSpec,
     NormalizationError,
     PotentialSpec,
     SignedProbVector,
@@ -170,6 +171,24 @@ class TestKernel:
         assert np.max(np.abs(k.m_hat + mirrored)) == 0.0
         assert k.m_hat[0] == 0.0
 
+    @pytest.mark.parametrize("n", [2, 16, 256])
+    @pytest.mark.parametrize("a", [0.0, 0.5])
+    @pytest.mark.parametrize(
+        "family, coeff", [("constant", 1.3), ("linear", 0.7), ("harmonic", 1.0), ("quartic", 0.3)]
+    )
+    def test_m_hat_is_the_full_table(self, family, coeff, a, n):
+        # the kernel samples Omega on k = 0..n/2 alone; its full m_hat equals
+        # Omega sampled on every FFT frequency, the negative half included
+        f = gaussian_density(n, 8.0, H, SIGMA_PURE) if n > 2 else uniform_density(2, 8.0, H)
+        omega = PotentialSpec(family, (coeff,)).evaluate
+        k = build_kernel(omega, a, f)
+        lambdas = f.h * np.fft.fftfreq(n, d=f.dz)
+        full = omega(a + lambdas / 2.0) - omega(a - lambdas / 2.0)
+        full[n // 2] = 0.0
+        assert np.array_equal(k.m_hat, full)
+        assert k.m_half.tobytes() == full[: n // 2 + 1].tobytes()
+        assert k.n == n and not k.m_hat.flags.writeable
+
     def test_real_kernel_odd_antisymmetry(self):
         f = pure_gaussian(256)
         k = build_kernel(omega_harmonic(1.0), 0.5, f)
@@ -319,32 +338,36 @@ class TestHalfSpectrum:
                 assert np.abs(evolve_density(f, k, t).values - ref).max() <= 2e-15
 
     @pytest.mark.parametrize(
-        "case", ["moved", "origin", "nyquist", "short", "two-d", "string", "complex", "nan"]
+        "case", ["origin", "nyquist", "short", "two-d", "string", "complex", "nan"]
     )
     def test_kernel_it_cannot_represent_is_refused(self, case):
-        # the half spectrum holds only for an odd m_hat with zero k = 0 and Nyquist
-        # samples: a moved sample evolved without notice, away from the complex pair
+        # the half spectrum holds only for zero k = 0 and Nyquist samples of a
+        # power-of-two grid: a nonzero end sample evolved without notice
         f = gaussian_density(64, 8.0, H, SIGMA_PURE)
         k = build_kernel(omega_quartic(0.5), 0.5, f)
-        unit = {"moved": 5, "origin": 0, "nyquist": 32}.get(case, 1)
+        unit = {"origin": 0, "nyquist": 32}.get(case, 1)
         bad = {
-            "short": k.m_hat[:-1], "two-d": k.m_hat[None, :], "string": "m_hat",
-            "complex": k.m_hat + 1e-8j, "nan": k.m_hat + np.eye(1, 64, 3)[0] * math.nan,
-        }.get(case, k.m_hat + 0.7 * np.eye(1, 64, unit)[0])
+            "short": k.m_half[:-1], "two-d": k.m_half[None, :], "string": "m_half",
+            "complex": k.m_half + 1e-8j, "nan": k.m_half + np.eye(1, 33, 3)[0] * math.nan,
+        }.get(case, k.m_half + 0.7 * np.eye(1, 33, unit)[0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no ComplexWarning, and no raw numpy error
-            with pytest.raises(DomainError, match="^m_hat must"):
-                replace(k, m_hat=bad)
+            with pytest.raises(DomainError, match="^m_half must"):
+                replace(k, m_half=bad)
+
+    @pytest.mark.parametrize("m_half", [[0, 1, 2, 0], [0, 1, 1, 1, 1, 0], [0], []])
+    def test_kernel_size_must_be_a_power_of_two(self, m_half):
+        # at n = 6 the sine sum's bit mask n - 1 is not (j l) mod n: such a
+        # kernel's real_kernel read -0.289 at j = 1, where the sum gives -0.866
+        with pytest.raises(DomainError, match=r"^m_half must hold n/2 \+ 1 samples"):
+            KernelSpec(m_half=m_half, a=0.0, dz=1.0, h=1.0)
 
     @pytest.mark.parametrize(
-        "field, bad", [
-            ("a", "junk"), ("a", math.inf), ("h", "x"), ("h", 0.0), ("dz", 0.0), ("dz", -0.1),
-            ("n", 64.0), ("n", True),
-        ]
+        "field, bad",
+        [("a", "junk"), ("a", math.inf), ("h", "x"), ("h", 0.0), ("dz", 0.0), ("dz", -0.1)],
     )
     def test_kernel_scalars_are_checked(self, field, bad):
-        # real_kernel divides by dz and multiplies by h, and lambdas needs an integer n:
-        # all are checked up front
+        # real_kernel divides by dz and multiplies by h: all are checked up front
         k = build_kernel(omega_quartic(0.5), 0.5, pure_gaussian(64))
         with pytest.raises(DomainError, match=f"^{field} must be"):
             replace(k, **{field: bad})
@@ -353,18 +376,20 @@ class TestHalfSpectrum:
         f = pure_gaussian(64)
         k = build_kernel(omega_quartic(0.5), 0.5, f)
         assert k.lambdas.tobytes() == (f.h * np.fft.fftfreq(f.n, d=f.dz)).tobytes()
-        with pytest.raises(TypeError):
-            replace(k, lambdas=None)  # not a field: worked out from n, dz and h
+        for derived in ("lambdas", "n", "m_hat"):  # not fields: worked out from m_half, dz, h
+            with pytest.raises(TypeError):
+                replace(k, **{derived: None})
 
     def test_kernel_stores_a_read_only_copy(self):
         f = pure_gaussian(64)
         k = build_kernel(omega_quartic(0.5), 0.5, f)
-        given = k.m_hat.copy()
-        listed, copied = replace(k, m_hat=given.tolist()), replace(k, m_hat=given)
+        given = k.m_half.copy()
+        listed, copied = replace(k, m_half=given.tolist()), replace(k, m_half=given)
         given[5] = 9.0
         for kern in (listed, copied):
+            assert kern.m_half.tobytes() == k.m_half.tobytes()
             assert kern.m_hat.tobytes() == k.m_hat.tobytes()
-            assert not kern.m_hat.flags.writeable
+            assert not kern.m_half.flags.writeable and not kern.m_hat.flags.writeable
 
 
 class TestTimesteppedEvolution:

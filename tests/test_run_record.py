@@ -176,13 +176,13 @@ class TestBatchedDensityRun:
 
     def test_non_unit_phases_cannot_be_built(self):
         _, kern = density_case(n=16)
-        with pytest.raises(DomainError, match="^m_hat must be finite and real$"):
-            replace(kern, m_hat=kern.m_hat + 1e-8j)  # mode 0 would decay as exp(-1e-8 t)
+        with pytest.raises(DomainError, match="^m_half must be finite and real$"):
+            replace(kern, m_half=kern.m_half + 1e-8j)  # mode 0 would decay as exp(-1e-8 t)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the phases overflow to nan
     def test_non_finite_sample_raises_as_evolve_density(self):
         f0, kern = density_case("quartic", 0.7, 0.3, n=16)
-        huge = replace(kern, m_hat=kern.m_hat * 1e300)  # m_hat * t overflows
+        huge = replace(kern, m_half=kern.m_half * 1e300)  # m_half * t overflows
         error, message = per_sample_error(f0, huge, [1e10])
         assert error is GridError
         with pytest.raises(GridError) as info:

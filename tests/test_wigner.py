@@ -26,7 +26,7 @@ from logent._csv import _BLOCK_ROWS
 from logent.wigner import (
     _quadrature_column, read_wigner_csv, write_diagnostics_csv, write_wigner_csv,
 )
-from oracles import rotated_gaussian_wigner, wigner_moment_quad
+from oracles import phase_rates, rotated_gaussian_wigner, wigner_moment_quad
 
 H = 1.0
 MASS = 1.0
@@ -194,11 +194,10 @@ class TestHarmonicOscillator:
 
 class TestConservation:
     def test_each_substep_conserves_individually(self):
-        from logent.wigner import _phase_rates
         from oracles import apply_kick as _apply_kick, apply_transport as _apply_transport
 
         w0 = pure_state(nx=64, npts=64, x_center=0.7)
-        kick_rate, transport_rate = _phase_rates(w0, PotentialSpec.quartic(0.2))
+        kick_rate, transport_rate = phase_rates(w0, PotentialSpec.quartic(0.2))
         area = w0.dx * w0.dp
         for sub, rate in (
             (_apply_kick, kick_rate),
@@ -213,12 +212,11 @@ class TestConservation:
         # line density with kernel offset a = x
         from logent import build_kernel, evolve_density
         from logent.densities import DensityGrid
-        from logent.wigner import _phase_rates
         from oracles import apply_kick as _apply_kick
 
         w0 = pure_state(nx=64, npts=64, x_center=0.5)
         V = PotentialSpec.harmonic(1.0, mass=MASS)
-        kick_rate, _ = _phase_rates(w0, V)
+        kick_rate, _ = phase_rates(w0, V)
         t = 0.4
         kicked = _apply_kick(w0.values.astype(complex), np.exp(1j * kick_rate * t)).real
         j = int(np.argmax(np.abs(w0.values).sum(axis=1)))
@@ -350,10 +348,9 @@ class TestFusedLoop:
 
     @staticmethod
     def unfused(w0, potential, t, n_steps):
-        from logent.wigner import _phase_rates
         from oracles import apply_kick as _apply_kick, apply_transport as _apply_transport
 
-        kick_rate, transport_rate = _phase_rates(w0, potential)
+        kick_rate, transport_rate = phase_rates(w0, potential)
         step = t / n_steps
         kick_half = np.exp(1j * kick_rate * step / 2.0)
         transport = np.exp(1j * transport_rate * step)
@@ -456,7 +453,7 @@ class TestFusedLoop:
         wigner_evolve(w0, V, 0.0, dt=dt)
         assert calls == []
 
-    @pytest.mark.parametrize(
+    FAMILIES = pytest.mark.parametrize(
         "potential",
         [
             PotentialSpec.constant(1.3),
@@ -467,15 +464,50 @@ class TestFusedLoop:
         ],
         ids=["constant", "linear", "harmonic", "quartic", "tabulated"],
     )
-    def test_phase_rates_are_exactly_odd(self, potential):
-        from logent.wigner import _phase_rates
+    SHAPES = pytest.mark.parametrize("nx, npts, lp", [(64, 64, 8.0), (64, 32, 8.0), (32, 96, 12.0)])
 
-        w0 = pure_state(nx=64, npts=32, x_center=0.4)
-        kick_rate, transport_rate = _phase_rates(w0, potential)
-        flip_p = (-np.arange(w0.npts)) % w0.npts
-        flip_x = (-np.arange(w0.nx)) % w0.nx
+    @FAMILIES
+    @SHAPES
+    def test_oracle_phase_rates_are_exactly_odd(self, potential, nx, npts, lp):
+        w0 = gaussian_pure_wigner(nx, npts, 8.0, lp, SIGMA, x_center=0.4)
+        kick_rate, transport_rate = phase_rates(w0, potential)
+        flip_p = (-np.arange(npts)) % npts
+        flip_x = (-np.arange(nx)) % nx
         assert np.array_equal(kick_rate[:, flip_p], -kick_rate)
         assert np.array_equal(transport_rate[flip_x, :], -transport_rate)
+        assert not kick_rate[:, npts // 2].any() and not transport_rate[nx // 2].any()
+
+    @FAMILIES
+    @SHAPES
+    def test_phase_rates_are_the_oracle_halves(self, potential, nx, npts, lp):
+        # the engine samples the nonnegative frequencies alone, kick in
+        # (x, nu_p) and transport in (p, nu_x) layout, to the oracle's bits
+        from logent.wigner import _phase_rates
+
+        w0 = gaussian_pure_wigner(nx, npts, 8.0, lp, SIGMA, x_center=0.4)
+        kick_rate, transport_rate = _phase_rates(w0, potential)
+        kick_full, transport_full = phase_rates(w0, potential)
+        halves = kick_full[:, : npts // 2 + 1], transport_full[: nx // 2 + 1].T
+        for rate, half in zip((kick_rate, transport_rate), halves):
+            assert rate.shape == half.shape and rate.tobytes() == half.tobytes()
+        assert transport_rate.flags.c_contiguous
+
+    def test_run_peak_memory_at_128_squared(self):
+        # the rate tables hold half spectra and the record forms v^3 in place of
+        # v^2: measured peak 1,583 KiB (one warm-up call first: a first run also
+        # allocates the transforms' caches).  The bound leaves 81 KiB, less than
+        # the 128 KiB of one more 128^2 float array; the full rate tables and a
+        # second record temporary peaked at 1,821 KiB
+        w0 = pure_state(x_center=0.7)
+        V = PotentialSpec.quartic(0.1)
+        wigner_run(w0, V, 0.2)
+        tracemalloc.start()
+        try:
+            wigner_run(w0, V, 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1664 * 2**10
 
 
 class TestDeltaLocalized:
