@@ -181,25 +181,30 @@ def write_csv(path, header: str, axes, values, digits: int) -> None:
     significant digits, each cell exactly "%.{digits-1}e" % v: its
     coordinates (the first axis slowest), then its values.  values has the
     lattice's shape, plus a trailing axis if points have several.  Cells
-    are formatted on whole arrays by _cells, each axis's coordinates once;
-    each block of at most _BLOCK_ROWS rows is gathered into one uint8
-    matrix of cells, commas and a newline, stripped of its NUL padding and
-    written as bytes."""
+    are formatted on whole arrays by _cells, each axis's coordinates once:
+    one _cells call formats the coordinates with the first block of at most
+    _BLOCK_ROWS rows, and one more each block after it, so a file of one
+    block pays _cells' fixed cost once.  Each block is gathered into one
+    uint8 matrix of cells, commas and a newline, stripped of its NUL padding
+    and written as bytes."""
     axes = [np.asarray(a, dtype=float) for a in axes]
     shape = tuple(a.size for a in axes)
     width = math.prod(np.shape(values)[len(axes) :])  # values per point
     values = np.reshape(values, (math.prod(shape), width))
-    coords = [_cells(a, digits) for a in axes]
+    head = np.concatenate([*axes, values[:_BLOCK_ROWS]], axis=None)
+    *coords, cells = np.split(_cells(head, digits), np.cumsum(shape))  # each axis, the first block
     size = digits + 7  # bytes per cell, padding included
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         for start in range(0, values.shape[0], _BLOCK_ROWS):
             block = values[start : start + _BLOCK_ROWS]
+            if start:
+                cells = _cells(block, digits)
             rows = np.empty((block.shape[0], len(axes) + width, size + 1), np.uint8)
             index = np.unravel_index(np.arange(start, start + block.shape[0]), shape)
-            for k, (cells, i) in enumerate(zip(coords, index)):
-                rows[:, k, :size] = cells.take(i, axis=0)
-            rows[:, len(axes) :, :size] = _cells(block, digits).reshape(block.shape[0], width, size)
+            for k, (axis_cells, i) in enumerate(zip(coords, index)):
+                rows[:, k, :size] = axis_cells.take(i, axis=0)
+            rows[:, len(axes) :, :size] = cells.reshape(block.shape[0], width, size)
             rows[:, :, size] = ord(",")
             rows[:, -1, size] = ord("\n")
             fh.write(rows.tobytes().translate(None, b"\0"))

@@ -70,7 +70,8 @@ class Grid:
     header and sidecar size keys in _HEADER and _SIZES, the array shape in
     _check_shape and h, a field or a constant.  Values must be finite and
     sum to one within QUAD_TOL in quadrature; they are stored read-only.
-    _ERROR is raised for malformed values and scalars.
+    _ERROR is raised for malformed values and scalars, and for an
+    information beyond the float range.
     """
 
     _SCALARS: dict = {}
@@ -110,7 +111,12 @@ class Grid:
 
     @property
     def information(self) -> float:
-        return self._integrate(self.h * float(np.vdot(self.values, self.values)))
+        """h times the lattice sum of values^2 times the cell; _ERROR when
+        that is beyond the float range (the BLAS dot overflows silently)."""
+        info = self._integrate(self.h * float(np.vdot(self.values, self.values)))
+        if not math.isfinite(info):
+            raise self._ERROR("the information is beyond the float range")
+        return info
 
     @property
     def entropy(self) -> float:

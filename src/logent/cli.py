@@ -66,7 +66,8 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _normalized_vector(entries: np.ndarray) -> vectors.SignedProbVector:
-    total = entries.sum()
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        total = entries.sum()
     if total == 0.0 or not np.isfinite(total):
         raise click.UsageError(f"entries sum to {total}, cannot normalize")
     if abs(total - 1.0) > _grid.QUAD_TOL:

@@ -284,12 +284,12 @@ class TestEvolveContinuum:
         assert res.exit_code == 0, res.output
         f0 = gaussian_density(128, 8.0, 1.0, 1.0 / (2.0 * math.sqrt(math.pi)))
         kern = build_kernel(omega_quartic(0.5), 0.2, f0)
-        spectrum0 = f0.dz * np.abs(np.fft.fft(f0.values))
+        spectrum0 = f0.dz * np.abs(np.fft.rfft(f0.values))
         expected = "t,sum,I,max_mode_drift\n"
         for k in range(1, 5):
             t = 0.3 * k / 4
             state = evolve_density(f0, kern, t)
-            drift = float(np.max(np.abs(state.dz * np.abs(np.fft.fft(state.values)) - spectrum0)))
+            drift = float(np.max(np.abs(state.dz * np.abs(np.fft.rfft(state.values)) - spectrum0)))
             row = (t, state.total, state.information, drift)
             expected += ",".join(f"{v:.14e}" for v in row) + "\n"
         assert diag_out.read_text() == expected
@@ -629,6 +629,34 @@ class TestOverflowingPhase:
         out = self._run(runner, tmp_path, monkeypatch, "1e150", ["--cross-check"])
         assert re.search(r"Error: t \* \|c\|_1 = 1e\+150 \* \S+e\+151 exceeds 2\*\*53", out), out
         assert "(--cross-check oracle)" in out
+
+
+class TestOverflowingInput:
+    """Inputs that overflow a profile, a vector's sum or its information exit
+    2 with the refusal's message and no numpy warning before it."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["evolve", "continuum", "--n", "64", "--omega-family", "quartic", "--a", "1e100"],
+             "profile is not finite at a sampled point"),
+            (["evolve", "continuum", "--n", "64", "--omega-family", "quartic", "--coeff", "1e308"],
+             "profile is not finite at a sampled point"),
+            (["entropy", "--p", "1e308,1e308"], "entries sum to inf, cannot normalize"),
+            (["evolve", "fd", "--p0", "1e308,1e308,0"], "entries sum to inf, cannot normalize"),
+            (["entropy", "--p", "1e200,-1e200,1", "--json"],
+             "the information is beyond the float range"),
+        ],
+    )
+    def test_exits_two_without_warning(self, runner, tmp_path, monkeypatch, args, message):
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert f"Error: {message}\n" in res.output
+        assert "Warning" not in res.output and "Infinity" not in res.output
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_import_leaves_scipy_out():

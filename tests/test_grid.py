@@ -472,6 +472,49 @@ class TestCells:
         assert peak < 2**20
 
 
+def _cells_sizes(monkeypatch) -> list:
+    """The size of every array _cells formats from now on, in a list."""
+    sizes, cells = [], _csv._cells
+
+    def recorded(values, digits):
+        sizes.append(np.size(values))
+        return cells(values, digits)
+
+    monkeypatch.setattr(_csv, "_cells", recorded)
+    return sizes
+
+
+class TestWriteCsvCellsCalls:
+    """write_csv formats the coordinates with the first block of _BLOCK_ROWS
+    rows in one _cells call, then one call per further block."""
+
+    @pytest.mark.parametrize(
+        "rows, calls", [(1, 1), (_BLOCK_ROWS, 1), (_BLOCK_ROWS + 1, 2), (5 * _BLOCK_ROWS // 2, 3)]
+    )
+    def test_one_call_per_block(self, tmp_path, monkeypatch, rows, calls):
+        times = np.linspace(0.0, 1.0, rows)
+        values = np.random.default_rng(rows).standard_normal((rows, 3))
+        sizes = _cells_sizes(monkeypatch)
+        write_csv(tmp_path / "f.csv", "t,a,b,c", [times], values, 15)
+        blocks = [min(_BLOCK_ROWS, rows - start) for start in range(0, rows, _BLOCK_ROWS)]
+        assert len(sizes) == calls
+        assert sizes == [rows + 3 * blocks[0]] + [3 * block for block in blocks[1:]]
+        text = "".join(",".join("%.14e" % v for v in (t, *row)) + "\n"
+                       for t, row in zip(times.tolist(), values.tolist()))
+        assert (tmp_path / "f.csv").read_bytes() == ("t,a,b,c\n" + text).encode()
+
+    def test_one_block_lattice_matches_percent_cell_by_cell(self, tmp_path, monkeypatch):
+        x, p = -4.0 + 0.125 * np.arange(64), -2.0 + 0.1 * np.arange(32)  # 64 x 32 = _BLOCK_ROWS
+        values = np.random.default_rng(6432).standard_normal((64, 32))
+        values[0, :4] = 0.0, -0.0, 1e-300, 1.0 + 2.0**-17  # a zero, the fallback's far range, a tie
+        sizes = _cells_sizes(monkeypatch)
+        write_csv(tmp_path / "w.csv", "x,p,W", [x, p], values, 17)
+        assert sizes == [64 + 32 + 64 * 32]
+        text = "".join(f"{xi:.16e},{pj:.16e},{values[i, j]:.16e}\n"
+                       for i, xi in enumerate(x.tolist()) for j, pj in enumerate(p.tolist()))
+        assert (tmp_path / "w.csv").read_bytes() == ("x,p,W\n" + text).encode()
+
+
 def _loadtxt_csv(path, kind: str):
     """The reference reader: read_csv's np.loadtxt path, which reads every
     file the fast path refuses, on its own."""

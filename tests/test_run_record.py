@@ -121,12 +121,12 @@ class TestDensityRun:
     def test_rows_match_the_per_sample_loop_bit_for_bit(self, family, coeff, a, t_end, samples):
         f0, kern = density_case(family, coeff, a)
         rec, final = density_run(f0, kern, t_end, samples)
-        spectrum0 = f0.dz * np.abs(np.fft.fft(f0.values))
+        spectrum0 = f0.dz * np.abs(np.fft.rfft(f0.values))
         rows = []
         for j in range(1, samples + 1):
             t = t_end * j / samples
             state = evolve_density(f0, kern, t)
-            drift = float(np.max(np.abs(state.dz * np.abs(np.fft.fft(state.values)) - spectrum0)))
+            drift = float(np.max(np.abs(state.dz * np.abs(np.fft.rfft(state.values)) - spectrum0)))
             rows.append((t, state.total, state.information, drift))
         assert same_bits(np.column_stack([rec.times, rec.diagnostics]), np.array(rows))
         assert same_bits(final.values, state.values)
@@ -163,12 +163,12 @@ class TestBatchedDensityRun:
         f0, kern = density_case("quartic", 0.7, 0.3, n=16)
         samples = 3 * self.ROWS + 5
         rec, final = density_run(f0, kern, t_end, samples)
-        spectrum0 = f0.dz * np.abs(np.fft.fft(f0.values))
+        spectrum0 = f0.dz * np.abs(np.fft.rfft(f0.values))
         rows = np.empty((samples, 4))
         for j in range(1, samples + 1):
             t = t_end * j / samples
             state = evolve_density(f0, kern, t)
-            drift = float(np.max(np.abs(state.dz * np.abs(np.fft.fft(state.values)) - spectrum0)))
+            drift = float(np.max(np.abs(state.dz * np.abs(np.fft.rfft(state.values)) - spectrum0)))
             rows[j - 1] = t, state.total, state.information, drift
         assert same_bits(np.column_stack([rec.times, rec.diagnostics]), rows)
         assert same_bits(final.values, state.values)

@@ -332,6 +332,23 @@ class TestBoundaryValues:
             pair_outcome_probability([0.5, 0.5], -1, 0)
 
 
+class TestOverflowingInformation:
+    """I beyond the float range is a DomainError naming the information: the
+    BLAS dot overflows to inf without a numpy warning."""
+
+    def test_information_raises(self):
+        v = SignedProbVector([1e200, -1e200, 1.0])
+        for name in ("information", "entropy", "logical_entropy", "is_admissible"):
+            with pytest.raises(DomainError, match="^the information is beyond the float range$"):
+                getattr(v, name)
+        with pytest.raises(DomainError, match="information"):
+            classify(v)
+
+    def test_largest_finite_information_is_returned(self):
+        big = 2.0**511
+        assert SignedProbVector([big, -big, 1.0]).information == 2.0**1023
+
+
 class TestGridCore:
     """A vector is the finite level of the grid core: unit cell, h = 1."""
 
