@@ -8,7 +8,11 @@ bit for bit as np.loadtxt would: _values, the inverse of _cells, parses a
 body in write_csv's own layout block by block, eight digits per uint64 word
 and the same double-double product, and hands its near-ties and far
 exponents to float(); np.loadtxt reads any other file from the first block
-_values refuses on, or whole when that fails.
+_values refuses on, or whole when that fails.  create opens every output
+file, CSV and sidecar: it replaces a writable regular file that only this
+process's user and group hold by a new one, so a reader that has the old
+file open keeps its bytes and the file system is not asked to flush a
+truncated file's data on close, and it opens any other path in place.
 """
 from __future__ import annotations
 
@@ -16,6 +20,7 @@ import functools
 import io
 import math
 import os
+import stat
 import warnings
 
 import numpy as np
@@ -176,6 +181,39 @@ def _percent(values: np.ndarray, digits: int) -> np.ndarray:
     return np.array(texts, f"S{digits + 7}").view(np.uint8).reshape(-1, digits + 7)  # NUL-padded
 
 
+def create(path):
+    """A file at path opened for writing bytes, empty.  A regular file there
+    with one link and its owner's write bit, owned by the process's
+    effective uid and gid, is unlinked and made again with its permission
+    bits: a reader holding it open still reads its old bytes, and ext4
+    starts no writeback on close, as it does for a file truncated to zero.
+    Any other path (none yet, a symlink, a second hard link, a FIFO or
+    device, another owner, a read-only file, an unlink refused, no
+    os.geteuid) is opened by open(path, "wb"): written through, in place,
+    or refused as that refuses it.  An interrupted write leaves a short
+    file either way."""
+    try:
+        st = os.lstat(path)
+        mine = (
+            stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and st.st_mode & stat.S_IWUSR
+            and hasattr(os, "geteuid") and (st.st_uid, st.st_gid) == (os.geteuid(), os.getegid())
+        )
+        if mine:
+            os.unlink(path)
+    except OSError:  # no file yet, or an unlink refused
+        mine = False
+    if not mine:
+        return open(path, "wb")
+    mode = stat.S_IMODE(st.st_mode)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, mode & 0o777)  # no looser than mode
+    try:
+        os.fchmod(fd, mode)  # the bits the umask took, and set-id and sticky bits
+        return open(fd, "wb")
+    except BaseException:
+        os.close(fd)
+        raise
+
+
 def write_csv(path, header: str, axes, values, digits: int) -> None:
     """Write a header line, then a CSV row per lattice point at `digits`
     significant digits, each cell exactly "%.{digits-1}e" % v: its
@@ -186,7 +224,8 @@ def write_csv(path, header: str, axes, values, digits: int) -> None:
     _BLOCK_ROWS rows, and one more each block after it, so a file of one
     block pays _cells' fixed cost once.  Each block is gathered into one
     uint8 matrix of cells, commas and a newline, stripped of its NUL padding
-    and written as bytes."""
+    and written as bytes.  The file is opened by create: an existing file
+    is replaced, or written through, as it says."""
     axes = [np.asarray(a, dtype=float) for a in axes]
     shape = tuple(a.size for a in axes)
     width = math.prod(np.shape(values)[len(axes) :])  # values per point
@@ -194,7 +233,7 @@ def write_csv(path, header: str, axes, values, digits: int) -> None:
     head = np.concatenate([*axes, values[:_BLOCK_ROWS]], axis=None)
     *coords, cells = np.split(_cells(head, digits), np.cumsum(shape))  # each axis, the first block
     size = digits + 7  # bytes per cell, padding included
-    with open(path, "wb") as fh:
+    with create(path) as fh:
         fh.write(header.encode() + b"\n")
         for start in range(0, values.shape[0], _BLOCK_ROWS):
             block = values[start : start + _BLOCK_ROWS]

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._csv import read_csv, write_csv
+from ._csv import create, read_csv, write_csv
 from .errors import DomainError, GridError, NormalizationError
 
 QUAD_TOL = 1e-9
@@ -358,13 +358,13 @@ def sidecar(path) -> str:
 def write_grid(grid: Grid, path) -> None:
     """A grid's lattice and values at 17 significant digits, with an indented
     JSON sidecar, <path>.meta.json, of its _SCALARS fields in declaration
-    order, then its _SIZES."""
+    order, then its _SIZES.  Both files are opened by _csv's create: an
+    existing file is replaced, or written through, as it says."""
     meta = {name: getattr(grid, name) for name in grid._SCALARS}
     meta.update(zip(grid._SIZES, grid.values.shape))
     write_csv(path, grid._HEADER, [grid.axis(k) for k in range(grid.values.ndim)], grid.values, 17)
-    with open(sidecar(path), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    with create(sidecar(path)) as fh:
+        fh.write(json.dumps(meta, indent=2).encode() + b"\n")
 
 
 def read_grid(cls, path):

@@ -8,8 +8,9 @@ the per-engine CSV/JSON formats.  evolve wigner --rotation-check evaluates the
 initial Gaussian's closed form at back-rotated points: it shares the state
 formula with the library but no evolution code.  Exit codes: 0 success,
 1 inadmissible state, 2 usage or configuration error, which includes every
-LogentError a command raises and an output path it cannot write (OSError);
-a run that fails to write an output removes the files it created.
+LogentError a command raises, an output path it cannot write (OSError) and
+two outputs of one run that are one file; a run that fails to write an
+output removes the files it created.
 
 Engine parameters can come from flags or from a flat key = value config
 file with one section per engine ([fd], [continuum], [wigner]); unknown
@@ -127,6 +128,18 @@ def _all_or_none(*paths):
             with contextlib.suppress(OSError):
                 os.remove(p)
         raise
+
+
+def _distinct(flag: str, snapshot, diag) -> None:
+    """UsageError when two of a run's outputs, the snapshot given by flag,
+    its sidecar and the diagnostics, are one file by os.path.realpath: the
+    later write would replace the earlier one."""
+    seen = {}
+    for label, path in [(flag, snapshot), (f"the {flag} sidecar", _grid.sidecar(snapshot)),
+                        ("--output-diag", diag)]:
+        other = seen.setdefault(os.path.realpath(path), label)
+        if other != label:
+            raise click.UsageError(f"{label} names the file of {other}: {path}")
 
 
 class _Group(click.Group):
@@ -363,6 +376,7 @@ def evolve_continuum(
     output_grid, output_diag, cross_check,
 ):
     """Spectral line-density run; writes final grid and diagnostics."""
+    _distinct("--output-grid", output_grid, output_diag)
     if sigma is None:
         sigma = h / (2.0 * math.sqrt(math.pi))
     f0 = densities.gaussian_density(n, length, h, sigma, center=center)
@@ -421,6 +435,7 @@ def evolve_wigner(
     t_end, dt, output_snapshot, output_diag, rotation_check,
 ):
     """Phase-space split-step run; writes snapshot and diagnostics."""
+    _distinct("--output-snapshot", output_snapshot, output_diag)
     if potential != "harmonic":
         _reject_set(f"potential = {potential}", omega=omega)
     if potential != "quartic":

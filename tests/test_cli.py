@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from logent import wigner
+from logent import densities, wigner
 from logent.cli import main
 from logent.densities import read_density_csv
 from logent.dynamics import GeneratorMatrix, cyclic_generator3, read_trajectory_csv, trajectory
@@ -588,6 +588,44 @@ class TestNoLeftoverOutput:
         res = runner.invoke(main, args)
         assert res.exit_code == 2, res.output
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
+
+
+class TestOutputsNamingOneFile:
+    """Two outputs of one run, among the snapshot, its sidecar and the
+    diagnostics, that are one file exit 2 before the engine runs, and no
+    file is written."""
+
+    SMALL = TestNoLeftoverOutput.SMALL
+    SNAPSHOT = TestNoLeftoverOutput.SNAPSHOT
+
+    @pytest.mark.parametrize("engine", ["continuum", "wigner"])
+    @pytest.mark.parametrize(
+        "snapshot, diag, named",
+        [
+            ("a.csv", "a.csv", "--output-diag names the file of {flag}: a.csv"),
+            ("a.csv", "a.csv.meta.json", "--output-diag names the file of the {flag} sidecar"),
+            ("a.csv", "sub/../a.csv", "--output-diag names the file of {flag}: sub/../a.csv"),
+            ("./a.csv", "a.csv.meta.json", "--output-diag names the file of the {flag} sidecar"),
+            ("link.csv", "a.csv", "--output-diag names the file of {flag}: a.csv"),
+        ],
+        ids=["same", "sidecar", "dot-dot", "dot-slash", "symlink"],
+    )
+    def test_exits_two_before_the_run(self, runner, tmp_path, monkeypatch, engine, snapshot, diag,
+                                      named):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "link.csv").symlink_to("a.csv")  # dangling: realpath still follows it
+
+        def ran(*args, **kwargs):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr(densities, "density_run", ran)
+        monkeypatch.setattr(wigner, "wigner_run", ran)
+        flag = self.SNAPSHOT[engine]
+        res = runner.invoke(main, ["evolve", engine, *self.SMALL[engine], flag, snapshot,
+                                   "--output-diag", diag])
+        assert res.exit_code == 2, res.output
+        assert named.format(flag=flag) in res.output
+        assert [p.name for p in tmp_path.iterdir()] == ["link.csv"]
 
 
 class TestOverflowingSampleTime:

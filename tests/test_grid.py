@@ -1,6 +1,8 @@
 """The step rule, the Cayley propagator and the CSV reader shared by the engines."""
 
 import math
+import os
+import stat
 import tracemalloc
 import warnings
 
@@ -766,3 +768,116 @@ def test_read_csv_opens_each_file_once(tmp_path, monkeypatch):
         del modes[:]
         assert _outcome(read_csv, path) == want
         assert modes == ["rb"]
+
+
+def _series(path, scale: float = 1.0) -> None:
+    write_csv(path, "t,v", [np.arange(4.0)], scale * np.linspace(-1.0, 1.0, 4), 15)
+
+
+def _snapshot(path, scale: float = 1.0) -> None:
+    write_density_csv(gaussian_density(32, 8.0 * scale, scale, 0.3), path)  # another sidecar
+
+
+def _rewritten_in_place(path) -> bool:
+    """Write _series's second values over path while holding the old file
+    open, so its inode number cannot be reused: whether path is still it.
+    The bytes at path are then a fresh write's."""
+    with open(path, "rb") as old:
+        _series(path, 2.0)
+        same = os.path.samestat(os.stat(path), os.fstat(old.fileno()))
+    fresh = path.with_name("fresh.csv")
+    _series(fresh, 2.0)
+    assert path.read_bytes() == fresh.read_bytes()
+    return same
+
+
+class TestCreate:
+    """_csv.create replaces a writable regular file that only this process's
+    user and group hold, and opens every other path in place."""
+
+    @pytest.mark.parametrize("write", [_series, _snapshot])
+    def test_an_open_reader_keeps_the_old_bytes(self, tmp_path, write):
+        path, fresh = tmp_path / "out.csv", tmp_path / "fresh.csv"
+        write(path)
+        names = [path, tmp_path / "out.csv.meta.json"][: 1 + (write is _snapshot)]
+        old = [name.read_bytes() for name in names]
+        readers = [open(name, "rb") for name in names]
+        try:
+            write(path, 2.0)
+            assert [fh.read() for fh in readers] == old
+        finally:
+            for fh in readers:
+                fh.close()
+        write(fresh, 2.0)
+        assert path.read_bytes() == fresh.read_bytes() != old[0]
+        if write is _snapshot:
+            assert names[1].read_bytes() == (tmp_path / "fresh.csv.meta.json").read_bytes()
+
+    def test_a_symlink_is_written_through(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        _series(target)
+        link.symlink_to(target)
+        assert _rewritten_in_place(link)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+
+    def test_a_second_hard_link_is_rewritten_in_place(self, tmp_path):
+        path, other = tmp_path / "out.csv", tmp_path / "other.csv"
+        _series(path)
+        os.link(path, other)
+        assert _rewritten_in_place(path)
+        assert os.path.samefile(path, other)
+
+    @pytest.mark.parametrize("mode", [0o640, 0o666, 0o600])
+    def test_the_permission_bits_are_kept(self, tmp_path, mode):
+        path = tmp_path / "out.csv"
+        _series(path)
+        os.chmod(path, mode)
+        assert not _rewritten_in_place(path)
+        assert stat.S_IMODE(path.stat().st_mode) == mode  # 0o666 too, past a umask of 022
+
+    def test_a_fifo_is_written_through(self, tmp_path):
+        path = tmp_path / "out.fifo"
+        os.mkfifo(path)
+        reader = os.open(path, os.O_RDONLY | os.O_NONBLOCK)  # the write end then opens at once
+        try:
+            _series(path)  # about 100 bytes: under any pipe buffer
+            got = os.read(reader, 65536)
+        finally:
+            os.close(reader)
+        _series(tmp_path / "fresh.csv")
+        assert got == (tmp_path / "fresh.csv").read_bytes()
+        assert stat.S_ISFIFO(os.lstat(path).st_mode)
+
+    @pytest.mark.parametrize("refuse", ["unlink", "geteuid"])
+    def test_a_refused_unlink_or_no_geteuid_writes_in_place(self, tmp_path, monkeypatch, refuse):
+        path = tmp_path / "out.csv"
+        _series(path)
+        if refuse == "unlink":
+            def refused(p):
+                raise PermissionError(13, "refused", str(p))
+
+            monkeypatch.setattr(os, "unlink", refused)
+        else:
+            monkeypatch.delattr(os, "geteuid")
+        assert _rewritten_in_place(path)
+
+    def test_a_read_only_file_is_not_unlinked(self, tmp_path):
+        path = tmp_path / "out.csv"
+        _series(path)
+        os.chmod(path, 0o444)
+        if os.geteuid() == 0:  # root writes it in place, as open(path, "wb") does
+            assert _rewritten_in_place(path)
+        else:
+            old = path.read_bytes()
+            with pytest.raises(PermissionError):
+                _series(path, 2.0)
+            assert path.read_bytes() == old
+        assert stat.S_IMODE(path.stat().st_mode) == 0o444
+
+    @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() != 0, reason="needs root")
+    def test_a_file_of_another_owner_is_not_unlinked(self, tmp_path):
+        path = tmp_path / "out.csv"
+        _series(path)
+        os.chown(path, 4321, 4321)
+        assert _rewritten_in_place(path)
+        assert (path.stat().st_uid, path.stat().st_gid) == (4321, 4321)
