@@ -9,8 +9,9 @@ initial Gaussian's closed form at back-rotated points: it shares the state
 formula with the library but no evolution code.  Exit codes: 0 success,
 1 inadmissible state, 2 usage or configuration error, which includes every
 LogentError a command raises, an output path it cannot write (OSError) and
-two outputs of one run that are one file; a run that fails to write an
-output removes the files it created.
+two outputs of one run that are one file.  A run refuses its outputs
+before it writes any if one cannot be opened, and a run that fails to
+write an output later removes the files it created.
 
 Engine parameters can come from flags or from a flat key = value config
 file with one section per engine ([fd], [continuum], [wigner]); unknown
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import configparser
 import contextlib
+import errno
 import json
 import math
 import os
@@ -116,10 +118,31 @@ class _Command(click.Command):
             raise click.UsageError(str(exc), ctx) from exc
 
 
+def _openable(path) -> None:
+    """The OSError open(path, "wb") would raise for a directory there, an
+    existing file without write access, or a new file whose directory is
+    missing or refuses new files; nothing is opened or made."""
+    folder = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif os.path.exists(path):
+        code = 0 if os.access(path, os.W_OK) else errno.EACCES
+    elif os.path.isdir(folder):
+        code = 0 if os.access(folder, os.W_OK | os.X_OK) else errno.EACCES
+    else:
+        code = errno.ENOENT
+    if code:
+        raise OSError(code, os.strerror(code), path)
+
+
 @contextlib.contextmanager
 def _all_or_none(*paths):
-    """Remove those of paths that did not exist before the block if it
-    raises, so a run that fails to write one output leaves none behind."""
+    """Refuse the paths, before the block writes any, if one cannot be
+    opened (_openable), so that such a run leaves every file as it was; if
+    the block raises later, remove those of paths that did not exist before
+    it, so that a run that fails to write one output leaves no new one."""
+    for p in paths:
+        _openable(p)
     created = [p for p in paths if not os.path.lexists(p)]
     try:
         yield

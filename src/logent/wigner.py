@@ -35,7 +35,12 @@ four real transforms per substep, plus one per step whose state is recorded.
 Between substeps the state is its (x, nu_p) half spectrum, C-ordered like
 the (x, p) values; between the two x transforms it is held in (p, nu_x) and
 (p, x) layout, which both x transforms write through transposed views, so
-that every transform writes contiguous lines.
+that every transform writes contiguous lines.  The inverse transforms are
+unscaled (the FFTW convention): each kick multiplier carries 1/Np and each
+transport multiplier 1/Nx, so no transform makes a scaling pass, and both
+loop inverse transforms write into one real work buffer of the run.  On
+power-of-two sides those scales are powers of two, and every state is the
+bits of scaled inverse transforms.
 
 For states concentrated at a single position a, the transport term drops
 and the remaining kick dynamics closes in p alone.  That reduced equation
@@ -230,6 +235,17 @@ def _run(w0: WignerGrid, potential: PotentialSpec, t: float, dt: float | None, r
     return _loop(w0, kick_rate, transport_rate, stages, n_steps, step, record)
 
 
+def _multiplier(rate, angle: float) -> np.ndarray:
+    """exp(1j * rate * angle) as the cos and sin of the real phase, written
+    into the real and imaginary parts of one complex array: no complex
+    temporaries."""
+    theta = rate * angle
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
 def _loop(
     w0: WignerGrid, kick_rate, transport_rate, stages, n_steps: int, step: float, record: bool
 ):
@@ -243,28 +259,41 @@ def _loop(
     (p, x); rfft along p, written through a transposed view, to the next
     (x, nu_p) spectrum.  So both x transforms write contiguous lines, and
     the transport irfft reads them too, while each transforms the lines it
-    would along axis 0 of an (x, p) array, to the same bits.  The kicks
+    would along axis 0 of an (x, p) array, to the same bits.
+
+    The inverse transforms are unscaled (norm="forward"): every kick
+    multiplier carries 1/npts and every transport multiplier 1/nx, so no
+    transform makes a scaling pass.  On power-of-two sides the scale is a
+    power of two, and the states are the bits of scaled inverse transforms.
+    Both loop irffts write into one real work buffer, viewed as (x, p) and
+    as (p, x); between steps the recorder forms v^2 in it.  The kicks
     multiply the spectrum in place, the (x, nu_p) and (p, nu_x) spectra
     share one buffer, and each recorded or final state is written over the
-    loop's copy of the values, so that the layout adds no array to the
-    loop's peak memory."""
+    loop's copy of the values, so that no substep allocates an array."""
     nx, npts = w0.nx, w0.npts
-    # multipliers on the half spectra of the real transforms (Hermitian rates),
-    # one pair per distinct weight: Yoshida's outer two are equal
-    half_kick = {w: np.exp(1j * kick_rate * (w * step) / 2.0) for w in set(stages)}
-    full_transport = {w: np.exp(1j * transport_rate * (w * step)) for w in set(stages)}
+    # multipliers on the half spectra of the real transforms (Hermitian
+    # rates), one pair per distinct weight: Yoshida's outer two are equal
+    half_kick = {w: _multiplier(kick_rate, w * step / 2.0) for w in set(stages)}
+    full_transport = {w: _multiplier(transport_rate, w * step) for w in set(stages)}
     transports = [full_transport[w] for w in stages]
     # the kick after stage i fuses its closing half kick with the opening one
-    # of stage i + 1 (of the next step's first stage, after the last)
+    # of stage i + 1 (of the next step's first stage, after the last).
+    # Yoshida's a * b and b * a are both formed: numpy's SIMD complex product
+    # can round their imaginary parts apart, and each keeps its own bits
     after = [half_kick[w] * half_kick[v] for w, v in zip(stages, stages[1:] + stages[:1])]
+    for table in [*after, *half_kick.values()]:
+        table *= 1.0 / npts
+    for table in full_transport.values():
+        table *= 1.0 / nx
 
     values = w0.values.copy()
+    work = np.empty(nx * npts)
+    xp, px = work.reshape(nx, npts), work.reshape(npts, nx)
     diag = np.empty((n_steps + 1, 4)) if record else None
 
     def _record(k, v):  # total, I and moment3 before the cell area, then min w
-        v2 = v * v
-        info = w0.h * np.sum(v2)  # then v2 becomes v^3 in place: one n x n temporary
-        diag[k] = v.sum(), info, w0.h**2 * np.sum(np.multiply(v2, v, out=v2)), v.min()
+        v2 = np.multiply(v, v, out=xp)
+        diag[k] = v.sum(), w0.h * np.vdot(v, v), w0.h**2 * np.vdot(v2, v), v.min()
 
     if record:
         _record(0, values)
@@ -283,21 +312,22 @@ def _loop(
     for k in range(n_steps):
         for transport, next_kick in zip(transports, after):
             spec *= kick
-            buf = np.fft.irfft(spec, n=npts, axis=1)  # (x, p)
-            np.fft.rfft(buf, axis=0, out=xspec.T)  # (p, nu_x)
+            np.fft.irfft(spec, n=npts, axis=1, norm="forward", out=xp)
+            np.fft.rfft(xp, axis=0, out=xspec.T)  # (p, nu_x)
             xspec *= transport
-            buf = np.fft.irfft(xspec, n=nx, axis=1)  # (p, x)
-            np.fft.rfft(buf, axis=0, out=spec.T)  # (x, nu_p)
+            np.fft.irfft(xspec, n=nx, axis=1, norm="forward", out=px)
+            np.fft.rfft(px, axis=0, out=spec.T)  # (x, nu_p)
             kick = next_kick
         if record or k == n_steps - 1:
-            np.fft.irfft(spec * half_kick[stages[-1]], n=npts, axis=1, out=values)
+            np.fft.irfft(spec * half_kick[stages[-1]], n=npts, axis=1, norm="forward", out=values)
         if record:
             _record(k + 1, values)
 
     final = replace(w0, values=values)
     if not record:
         return None, final
-    diag[:, :3] *= w0.dx * w0.dp
+    diag[:, :3] *= w0.dx  # the cell area as Grid._integrate applies it
+    diag[:, :3] *= w0.dp
     times = np.arange(n_steps + 1) * step + 0.0  # + 0.0: t = 0, not -0, for negative t
     columns = ("total_probability", "information", "moment3", "min_value")
     return RunRecord(times, diag, columns), final
@@ -314,7 +344,9 @@ def wigner_evolve(
     step is the largest at which no substep advances any grid phase past pi.
     Consecutive half kicks are fused, so each substep costs four real FFTs
     on half spectra; this is exact, not an approximation, because both
-    phase rates are odd and the multipliers Hermitian.  Both invariants are
+    phase rates are odd and the multipliers Hermitian.  The inverse FFTs are
+    unscaled, their 1/n carried by the multipliers, and write into one work
+    buffer, so a substep allocates no array.  Both invariants are
     conserved to round-off for any dt.  The step decision is logged at
     DEBUG level on the "logent" logger.  Raises DomainError unless t and dt
     are finite real numbers and dt is positive.
@@ -328,7 +360,9 @@ def wigner_run(
 ) -> tuple[RunRecord, WignerGrid]:
     """Same as wigner_evolve but records, per step, the diagnostics
     total_probability, information, moment3 (higher_moment of order 3) and
-    min_value (the smallest w)."""
+    min_value (the smallest w).  Total and information are integrated as
+    WignerGrid does, so each row is its state's .total and .information to
+    the last bit."""
     return _run(w0, potential, t, dt, record=True)
 
 

@@ -589,6 +589,28 @@ class TestNoLeftoverOutput:
         assert res.exit_code == 2, res.output
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
 
+    @pytest.mark.parametrize("engine", ["continuum", "wigner"])
+    @pytest.mark.parametrize("old_sidecar", [False, True], ids=["alone", "with-sidecar"])
+    @pytest.mark.parametrize("diag", ["no_such_dir/d.csv", "a_dir"], ids=["missing-dir", "dir"])
+    def test_refused_output_keeps_old_bytes(self, runner, tmp_path, monkeypatch, engine,
+                                            old_sidecar, diag):
+        # every output is checked before the first write, so a run that
+        # cannot write its diagnostics leaves the old snapshot as it was
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a_dir").mkdir()
+        old = {"s.csv": b"old\n"}
+        if old_sidecar:
+            old["s.csv.meta.json"] = b"{}\n"
+        for name, data in old.items():
+            (tmp_path / name).write_bytes(data)
+        args = ["evolve", engine, *self.SMALL[engine], self.SNAPSHOT[engine], "s.csv",
+                "--output-diag", diag]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert diag in res.output
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        assert files == old
+
 
 class TestOutputsNamingOneFile:
     """Two outputs of one run, among the snapshot, its sidecar and the

@@ -427,6 +427,23 @@ class TestFusedLoop:
         assert len(rec.times) > 2
         assert final.values.tobytes() == wigner_evolve(w0, V, 0.05).values.tobytes()
 
+    @pytest.mark.parametrize("nx, npts", [(128, 128), (64, 32), (96, 96)])
+    @pytest.mark.parametrize(
+        "potential, t, dt",
+        [(PotentialSpec.harmonic(1.0, mass=MASS), 1.0, None),
+         (PotentialSpec.quartic(0.05), 0.05, 1e-3)],
+        ids=["yoshida", "strang"],
+    )
+    def test_last_record_is_the_final_grid_bit_for_bit(self, nx, npts, potential, t, dt):
+        # the recorder integrates as Grid does: a lattice sum, or h times a
+        # BLAS dot, times dx, then dp
+        w0 = gaussian_pure_wigner(nx, npts, 8.0, 8.0, SIGMA, x_center=0.7, p_center=0.3)
+        rec, final = wigner_run(w0, potential, t, dt)
+        assert len(rec.times) > 2
+        assert rec.total_probability[0] == w0.total and rec.information[0] == w0.information
+        assert rec.total_probability[-1] == final.total
+        assert rec.information[-1] == final.information
+
     @pytest.mark.parametrize(
         "dt, per_step", [(None, 12), (2e-3, 4)], ids=["yoshida", "strang"]
     )
