@@ -28,9 +28,11 @@ zero Nyquist sample, so KernelSpec stores it on k = 0..N/2 alone, the phases
 exp(i mhat_k t) of modes k and N - k are complex conjugates, and the
 propagated spectrum of a real density stays Hermitian.  One rfft, the N/2 + 1
 phases of m_half and one irfft give the evolved density exactly real, with
-nothing to discard.  density_run samples the propagator at many times and
-evaluates its samples in batched real transform pairs of at most 2**16
-points (samples x N) each, bit for bit as evolve_density evaluates one time.
+nothing to discard.  The phases are _grid.phase_table's, the cos and sin of
+the real phase mhat_k t, as the split step builds its tables.  density_run
+samples the propagator at many times and evaluates its samples in batched
+real transform pairs of at most 2**16 points (samples x N) each, bit for
+bit as evolve_density evaluates one time.
 
 Two discretizations of the same dynamics are provided: the spectral
 propagator (exact phases) and a real-space quadrature of the convolution
@@ -48,7 +50,8 @@ import numpy as np
 
 from ._grid import (
     MAX_STEPS, QUAD_TOL, Grid, RunRecord, cayley_power, check_wrap, circulant, count, finite,
-    int_power, odd_sine_sum, positive, read_grid, real_array, spacing, steps, write_grid,
+    int_power, odd_sine_sum, phase_table, positive, read_grid, real_array, spacing, steps,
+    write_grid,
 )
 from .errors import DomainError, GridError
 
@@ -335,14 +338,16 @@ def _evolve_values(f0: DensityGrid, k: KernelSpec, times: np.ndarray) -> np.ndar
     real forward transform of f0, one phase multiply exp(i mhat_k t) on the
     half spectrum m_half for all times and one real inverse transform along
     the rows, exact because an odd mhat with a zero Nyquist sample makes the
-    phases Hermitian.  GridError, the class of the non-finite grid it would
-    build, before anything is multiplied when max|mhat| * max|t| is beyond
-    the float range."""
+    phases Hermitian.  The phases are phase_table's cos and sin of mhat_k t,
+    and the spectrum multiplies them in place.  GridError, the class of the
+    non-finite grid it would build, before anything is multiplied when
+    max|mhat| * max|t| is beyond the float range."""
     m_max, t_max = float(np.abs(k.m_half).max()), float(np.abs(times).max())
     if not math.isfinite(m_max * t_max):
         raise GridError(f"max|m_hat| * |t| = {m_max!r} * {t_max!r} is beyond the float range")
-    phases = np.exp(1j * k.m_half * times[:, None])
-    return np.fft.irfft(np.fft.rfft(f0.values) * phases, n=f0.n, axis=1)
+    phases = phase_table(k.m_half, times[:, None])
+    spectra = np.multiply(np.fft.rfft(f0.values), phases, out=phases)
+    return np.fft.irfft(spectra, n=f0.n, axis=1)
 
 
 def evolve_density(f0: DensityGrid, k: KernelSpec, t: float) -> DensityGrid:
@@ -394,7 +399,10 @@ def density_run(
         if not ok.all():
             replace(f0, values=values[np.argmin(ok)])  # raises as that sample's grid does
         info = f0.h * (values[:, None, :] @ values[:, :, None]).ravel() * f0.dz
-        drift = np.abs(f0.dz * np.abs(np.fft.rfft(values, axis=1)) - spectrum0).max(axis=1)
+        drift = np.abs(np.fft.rfft(values, axis=1))  # |dz |fhat_k| - spectrum0|, in place
+        drift *= f0.dz
+        drift -= spectrum0
+        drift = np.abs(drift, out=drift).max(axis=1)
         diag[start : start + rows] = np.column_stack([total, info, drift])
     final = replace(f0, values=values[-1])
     return RunRecord(times, diag, ("total_probability", "information", "mode_drift")), final

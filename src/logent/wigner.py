@@ -40,7 +40,9 @@ unscaled (the FFTW convention): each kick multiplier carries 1/Np and each
 transport multiplier 1/Nx, so no transform makes a scaling pass, and both
 loop inverse transforms write into one real work buffer of the run.  On
 power-of-two sides those scales are powers of two, and every state is the
-bits of scaled inverse transforms.
+bits of scaled inverse transforms.  The multipliers are _grid.phase_table's,
+the cos and sin of the real phase, as the line-density propagator builds its
+phases.
 
 For states concentrated at a single position a, the transport term drops
 and the remaining kick dynamics closes in p alone.  That reduced equation
@@ -49,9 +51,11 @@ the double integral, deliberately sharing no evolution code with the
 spectral line-density path so the two can serve as oracles for each other.
 The quadrature gives a circulant generator whose first column is the sine
 sum that also gives the timestepped density oracle its kernel.  Its
-exponential is taken in the algebra of circulants: scaling and squaring of
-a Taylor series in which each product is a direct cyclic convolution, so
-no transform and no dense matrix is involved.
+exponential is taken in the algebra of circulants, where each product is a
+direct cyclic convolution, so no transform and no dense matrix is involved:
+scaling by the generator's spectral radius, read off the sampled kernel
+difference (the generator is normal, with eigenvalues i mhat_l), a Taylor
+polynomial evaluated by Paterson-Stockmeyer, then the squarings.
 """
 from __future__ import annotations
 
@@ -64,8 +68,8 @@ import numpy as np
 
 from ._csv import write_csv
 from ._grid import (
-    Grid, RunRecord, check_wrap, count, cyclic, finite, int_power, odd_sine_sum, positive,
-    read_grid, spacing, steps, write_grid,
+    Grid, RunRecord, check_wrap, count, cyclic, finite, int_power, odd_sine_sum, phase_table,
+    positive, read_grid, spacing, steps, write_grid,
 )
 from .densities import DensityGrid, PotentialSpec
 from .errors import DomainError, GridError
@@ -77,11 +81,32 @@ _CBRT2 = 2.0 ** (1.0 / 3.0)
 # 150 (1990) 262); the middle one runs backward in time
 YOSHIDA = (1.0 / (2.0 - _CBRT2), -_CBRT2 / (2.0 - _CBRT2), 1.0 / (2.0 - _CBRT2))
 
-# delta_localized_evolve's circulant exponential: its Taylor series stops at
-# a term below one unit round-off, and its 2**s squarings multiply the
-# round-off of the scaled series by 2**s, so t |c|_1 beyond 2**53 is refused
+# delta_localized_evolve's circulant exponential: a Taylor polynomial of a
+# degree in _TAYLOR_DEGREES, the highest that Paterson-Stockmeyer evaluation
+# reaches with 0, 1, ..., 6 products, at the generator scaled by 2**-s, then s
+# squarings.  Degree 20 takes no fewer products in all (its reach is 1.8 times
+# degree 16's, short of one squaring) and measured a cross-check Linf of
+# 2.9e-10 against 9.1e-11 at N = 2048 (quartic, a = 0.5).  The 2**s squarings
+# multiply the round-off of the scaled polynomial by 2**s, so t |c|_1 beyond
+# 2**53 is refused
 _UNIT_ROUNDOFF = 2.0**-53
 _SQUARING_LIMIT = 2.0**53
+_TAYLOR_DEGREES = (1, 2, 4, 6, 9, 12, 16)
+
+
+def _taylor_reach(m: int) -> float:
+    """The largest spectral radius theta at which the remainder of the degree-m
+    Taylor series of exp, bounded by theta^(m+1) / (m+1)! / (1 - theta / (m+2)),
+    is at most one unit round-off (by bisection)."""
+    lo, hi = 0.0, m + 1.0
+    for _ in range(64):
+        mid = (lo + hi) / 2.0
+        tail = mid ** (m + 1) / math.factorial(m + 1) / (1.0 - mid / (m + 2))
+        lo, hi = (mid, hi) if tail <= _UNIT_ROUNDOFF else (lo, mid)
+    return lo
+
+
+_TAYLOR_REACH = {m: _taylor_reach(m) for m in _TAYLOR_DEGREES}  # 0.82 at m = 16
 
 _log = logging.getLogger("logent")
 
@@ -235,17 +260,6 @@ def _run(w0: WignerGrid, potential: PotentialSpec, t: float, dt: float | None, r
     return _loop(w0, kick_rate, transport_rate, stages, n_steps, step, record)
 
 
-def _multiplier(rate, angle: float) -> np.ndarray:
-    """exp(1j * rate * angle) as the cos and sin of the real phase, written
-    into the real and imaginary parts of one complex array: no complex
-    temporaries."""
-    theta = rate * angle
-    out = np.empty(theta.shape, dtype=complex)
-    np.cos(theta, out=out.real)
-    np.sin(theta, out=out.imag)
-    return out
-
-
 def _loop(
     w0: WignerGrid, kick_rate, transport_rate, stages, n_steps: int, step: float, record: bool
 ):
@@ -273,8 +287,8 @@ def _loop(
     nx, npts = w0.nx, w0.npts
     # multipliers on the half spectra of the real transforms (Hermitian
     # rates), one pair per distinct weight: Yoshida's outer two are equal
-    half_kick = {w: _multiplier(kick_rate, w * step / 2.0) for w in set(stages)}
-    full_transport = {w: _multiplier(transport_rate, w * step) for w in set(stages)}
+    half_kick = {w: phase_table(kick_rate, w * step / 2.0) for w in set(stages)}
+    full_transport = {w: phase_table(transport_rate, w * step) for w in set(stages)}
     transports = [full_transport[w] for w in stages]
     # the kick after stage i fuses its closing half kick with the opening one
     # of stage i + 1 (of the next step's first stage, after the last).
@@ -359,32 +373,66 @@ def wigner_run(
     w0: WignerGrid, potential: PotentialSpec, t: float, dt: float | None = None
 ) -> tuple[RunRecord, WignerGrid]:
     """Same as wigner_evolve but records, per step, the diagnostics
-    total_probability, information, moment3 (higher_moment of order 3) and
-    min_value (the smallest w).  Total and information are integrated as
-    WignerGrid does, so each row is its state's .total and .information to
-    the last bit."""
+    total_probability, information, moment3 and min_value (the smallest w).
+    Total and information are integrated as WignerGrid does, so each row is
+    its state's .total and .information to the last bit.  moment3 is
+    h^2 vdot(v^2, v) times dx, then dp: the moment higher_moment(state, 3)
+    gives, summed in the BLAS dot's order instead of pairwise, so the two
+    may differ in the last bits (by at most 2 ulp where measured)."""
     return _run(w0, potential, t, dt, record=True)
 
 
-def _circulant_expm(b: np.ndarray, norm: float) -> np.ndarray:
-    """First column of exp(C(b)), given norm = |b|_1, which bounds every
-    operator norm of C(b).  Scaling and squaring (Moler and Van Loan, SIAM
-    Rev. 45 (2003) 3): b is halved s times until its 1-norm is below 1, the
-    Taylor series is summed until a term adds less than a unit round-off
-    (the k-th term is at most 1/k!), and the sum is raised to the power 2^s
-    by int_power's s squarings with cyclic convolutions."""
-    s = max(0, math.frexp(norm)[1])
-    b, one = np.ldexp(b, -s), np.eye(1, b.size)[0]
-    e, term, k = one, one, 0
-    while np.abs(term).sum() > _UNIT_ROUNDOFF:
-        k += 1
-        term = cyclic(term, b) / k
-        e = e + term
-    return int_power(e, 1 << s, cyclic, one)
+def _products(m: int) -> int:
+    """The cyclic products _taylor takes for degree m: (q - 1) + m // q, one
+    fewer when q = ceil(sqrt(m)) divides m."""
+    q = math.ceil(math.sqrt(m))
+    return q - 1 + m // q - (m % q == 0)
 
 
-def _quadrature_column(wbar0: DensityGrid, potential: PotentialSpec, a: float) -> np.ndarray:
-    """The column c of delta_localized_evolve's generator, exactly odd.  An
+def _taylor(b: np.ndarray, m: int) -> np.ndarray:
+    """First column of sum_{k <= m} C(b)^k / k!, by Paterson-Stockmeyer (SIAM
+    J. Comput. 2 (1973) 60): the powers b^1..b^q, q = ceil(sqrt(m)), then
+    Horner's rule in b^q over blocks of q terms, each block a linear
+    combination of the powers with no product; _products(m) products."""
+    q = math.ceil(math.sqrt(m))
+    powers = [np.eye(1, b.size)[0], b]
+    for _ in range(q - 1):
+        powers.append(cyclic(powers[-1], b))
+    r, top = divmod(m, q)
+    coeffs = np.zeros((r + 1) * q)
+    coeffs[: m + 1] = [1.0 / math.factorial(k) for k in range(m + 1)]
+    blocks = coeffs.reshape(r + 1, q) @ np.array(powers[:q])
+    if not top:  # the last block is b^m / m! alone: fold it into the one below
+        blocks[r - 1] += coeffs[m] * powers[q]
+        r -= 1
+    e = blocks[r]
+    for j in range(r - 1, -1, -1):
+        e = cyclic(e, powers[q]) + blocks[j]
+    return e
+
+
+def _circulant_expm(b: np.ndarray, radius: float) -> np.ndarray:
+    """First column of exp(C(b)), given the spectral radius of C(b), normal
+    with imaginary eigenvalues.  Scaling and squaring (Moler and Van Loan,
+    SIAM Rev. 45 (2003) 3): b is scaled by 2^-s and the Taylor polynomial of
+    degree m taken at it, the pair (s, m) with the fewest products s +
+    _products(m) (then the fewest squarings) for which the scaled radius is
+    within _TAYLOR_REACH[m], so the remainder is at most a unit round-off in
+    every eigendirection; the polynomial is raised to the power 2^s by
+    int_power's s squarings with cyclic convolutions."""
+    plans = []
+    for m in _TAYLOR_DEGREES:
+        ratio = radius / _TAYLOR_REACH[m]
+        s = math.ceil(math.log2(ratio)) if ratio > 1.0 else 0
+        plans.append((s + _products(m), s, m))
+    _, s, m = min(plans)
+    return int_power(_taylor(np.ldexp(b, -s), m), 1 << s, cyclic, np.eye(1, b.size)[0])
+
+
+def _generator(wbar0: DensityGrid, potential: PotentialSpec, a: float):
+    """The column c of delta_localized_evolve's generator, exactly odd, and
+    the spectral radius of C(c), max|mhat_l| over the modes 0 < l < N/2 that
+    the sine sum reads: C(c) is normal with eigenvalues i mhat_l.  An
     overflow leaves non-finite entries, for the caller to refuse."""
     n, dp, h = wbar0.n, wbar0.dz, wbar0.h
     lam = h * np.fft.rfftfreq(n, d=dp)
@@ -394,7 +442,13 @@ def _quadrature_column(wbar0: DensityGrid, potential: PotentialSpec, a: float) -
         )
         # c_d = (i/h) sum_l mhat_l e^{2 pi i d l / N} dl dp with dl dp = h / N;
         # mhat is odd in l, so the sum is 2i times the sine sum over 0 < l < N/2
-        return -(2.0 / n) * odd_sine_sum(m_half)
+        c = -(2.0 / n) * odd_sine_sum(m_half)
+    return c, float(np.abs(m_half[1:-1]).max(initial=0.0))
+
+
+def _quadrature_column(wbar0: DensityGrid, potential: PotentialSpec, a: float) -> np.ndarray:
+    """The column c of delta_localized_evolve's generator, _generator's."""
+    return _generator(wbar0, potential, a)[0]
 
 
 def delta_localized_evolve(
@@ -414,8 +468,11 @@ def delta_localized_evolve(
     sampled difference is odd in l, so the generator's column c is a real
     sine sum, odd_sine_sum, exactly odd, and the generator is the
     antisymmetric circulant C(c)[i, j] = c[(i - j) % N].  exp(t C(c)) is
-    taken in the algebra of circulants, by scaling and squaring with direct
-    cyclic convolutions, and applied to the state by one more.  No code is
+    taken in the algebra of circulants, with direct cyclic convolutions for
+    products: scaled by its spectral radius |t| max|mhat_l| (C(c) is normal
+    with eigenvalues i mhat_l, so no transform is needed to find it), a
+    Taylor polynomial evaluated by Paterson-Stockmeyer, then squared; one
+    more convolution applies it to the state.  No code is
     shared with the spectral density path, so the two discretizations can
     be checked against each other.  Raises DomainError for a non-finite t
     or a, and when t |c|_1 exceeds 2**53: each squaring doubles the
@@ -425,7 +482,7 @@ def delta_localized_evolve(
     t, a = finite(t, "t"), finite(a, "a")
     if t == 0.0:
         return replace(wbar0, values=wbar0.values.copy())
-    c = _quadrature_column(wbar0, potential, a)
+    c, radius = _generator(wbar0, potential, a)
     with np.errstate(over="ignore"):  # an infinite norm is refused below
         norm = float(np.abs(c).sum())
     if not abs(t) * norm <= _SQUARING_LIMIT:  # also refuses an infinite or nan product
@@ -433,7 +490,7 @@ def delta_localized_evolve(
             f"t * |c|_1 = {t!r} * {norm!r} exceeds 2**53, beyond which the generator's "
             "exponential keeps no significant digit"
         )
-    return replace(wbar0, values=cyclic(_circulant_expm(t * c, abs(t) * norm), wbar0.values))
+    return replace(wbar0, values=cyclic(_circulant_expm(t * c, abs(t) * radius), wbar0.values))
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,33 @@ def cayley_power_dense(a: np.ndarray, step: float, n: int) -> np.ndarray:
     return np.linalg.matrix_power(np.linalg.solve(eye - half, eye + half), n)
 
 
+def circulant_expm_longdouble(c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """exp(C(c)) v for the circulant C(c)[i, j] = c[(i - j) % N], in
+    np.longdouble (64-bit significand on x86-64): c scaled by a power of two
+    to a 1-norm below 1/4, its Taylor series summed term by term until a term
+    is below 1e-24, squared back, and applied to v, every product a cyclic
+    convolution in extended precision."""
+    n = c.size
+
+    def cyclic(a, b):
+        full = np.convolve(a, b)
+        return full[:n] + np.concatenate([full[n:], np.zeros(1, dtype=full.dtype)])
+
+    c = np.asarray(c, dtype=np.longdouble)
+    n_square = max(0, math.frexp(float(np.abs(c).sum()))[1] + 2)
+    scaled = c / np.longdouble(2) ** n_square
+    out = np.zeros(n, dtype=np.longdouble)
+    out[0] = 1
+    term, k = out.copy(), 0
+    while np.abs(term).sum() > 1e-24:
+        k += 1
+        term = cyclic(term, scaled) / k
+        out = out + term
+    for _ in range(n_square):
+        out = cyclic(out, out)
+    return cyclic(out, np.asarray(v, dtype=np.longdouble))
+
+
 def solve_equilibrium_numeric(x: np.ndarray, m: float) -> np.ndarray:
     """Equilibrium entries via a numerically solved multiplier system."""
     n = x.size

@@ -32,7 +32,7 @@ from logent import (
 from logent import _csv, densities, dynamics
 from logent._csv import _BLOCK_CELLS, _BLOCK_ROWS, _cells, read_csv, write_csv
 from logent._grid import (
-    DEFAULT_STEP_ANGLE, MAX_CAYLEY_REACH, cayley_power, circulant, int_power, steps,
+    DEFAULT_STEP_ANGLE, MAX_CAYLEY_REACH, cayley_power, circulant, int_power, phase_table, steps,
 )
 from logent.densities import read_density_csv, write_density_csv
 from logent.dynamics import read_trajectory_csv, write_trajectory_csv
@@ -308,10 +308,38 @@ class TestIntPower:
         with np.errstate(over="ignore"), pytest.raises(DomainError):
             PotentialSpec.quartic(0.1).evaluate(np.array([0.0, 1e100]))
 
+    @pytest.mark.parametrize("r", [*range(1, 40), 64, 255, 256, 1003])
+    def test_products_start_at_the_lowest_set_bit(self, r):
+        # bit_length(r) - 1 squarings and popcount(r) - 1 further products:
+        # none multiplies by the unit, and the elementwise power keeps its bits
+        x = np.random.default_rng(r).uniform(0.5, 1.5, 8)
+        products = []
+
+        def counted(a, b):
+            products.append(None)
+            return a * b
+
+        power = int_power(x, r, counted)
+        assert len(products) == r.bit_length() + bin(r).count("1") - 2
+        assert np.array_equal(power, int_power(x, r))
+        products.clear()
+        assert int_power(x, 0, counted, "unit") == "unit" and products == []
+
     def test_shape_and_negative_zero_kept(self):
         assert int_power(np.zeros((3, 2)), 0).shape == (3, 2)
         assert np.signbit(int_power(np.array([-0.0]), 1))[0]
         assert PotentialSpec.constant(2.5).evaluate(np.zeros(4)).tolist() == [2.5] * 4
+
+
+class TestPhaseTable:
+    def test_cos_and_sin_of_the_broadcast_phase(self):
+        rate, angle = np.linspace(-40.0, 40.0, 129), np.linspace(-2.0, 2.0, 7)[:, None]
+        table = phase_table(rate, angle)
+        theta = rate * angle
+        assert table.shape == (7, 129) and table.dtype == complex
+        assert np.array_equal(table.real, np.cos(theta))
+        assert np.array_equal(table.imag, np.sin(theta))
+        assert np.max(np.abs(table - np.exp(1j * theta))) <= 4e-16
 
 
 class TestReadCsv:

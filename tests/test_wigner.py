@@ -22,11 +22,14 @@ from logent import (
     wigner_evolve,
     wigner_run,
 )
+from logent import wigner
 from logent._csv import _BLOCK_ROWS
 from logent.wigner import (
-    _quadrature_column, read_wigner_csv, write_diagnostics_csv, write_wigner_csv,
+    _generator, _quadrature_column, read_wigner_csv, write_diagnostics_csv, write_wigner_csv,
 )
-from oracles import phase_rates, rotated_gaussian_wigner, wigner_moment_quad
+from oracles import (
+    circulant_expm_longdouble, phase_rates, rotated_gaussian_wigner, wigner_moment_quad,
+)
 
 H = 1.0
 MASS = 1.0
@@ -444,6 +447,24 @@ class TestFusedLoop:
         assert rec.total_probability[-1] == final.total
         assert rec.information[-1] == final.information
 
+    @pytest.mark.parametrize("nx, npts", [(128, 128), (64, 32)])
+    @pytest.mark.parametrize(
+        "potential", [PotentialSpec.quartic(0.1), PotentialSpec.harmonic(1.0)],
+        ids=["quartic", "harmonic"],
+    )
+    @pytest.mark.parametrize("x_center", [0.0, 0.7])
+    def test_moment3_is_the_recorders_dot(self, nx, npts, potential, x_center):
+        # h^2 vdot(v^2, v), then the cell as Grid._integrate applies it, to the
+        # bit; higher_moment(., 3) sums v^3 pairwise, so it may differ in the last
+        # bits: measured at most 2 ulp over these cases, gated at 4
+        w0 = gaussian_pure_wigner(nx, npts, 8.0, 8.0, SIGMA, x_center=x_center)
+        rec, final = wigner_run(w0, potential, 0.05, dt=1e-3)
+        for row, state in ((0, w0), (-1, final)):
+            v = state.values
+            assert rec.moment3[row] == w0.h**2 * np.vdot(v * v, v) * w0.dx * w0.dp
+            moment = higher_moment(state, 3)
+            assert abs(rec.moment3[row] - moment) <= 4 * np.spacing(moment)
+
     @pytest.mark.parametrize(
         "dt, per_step", [(None, 12), (2e-3, 4)], ids=["yoshida", "strang"]
     )
@@ -610,6 +631,68 @@ class TestCirculantExponential:
         out = delta_localized_evolve(f0, potential, a, t)
         # largest measured: 6.3e-13 (quartic, a = -0.8, t = 1.5, N = 256)
         assert np.max(np.abs(out.values - dense)) < 2e-12
+
+    # the benchmark's three continuum families at N = 256 (V = coeff h x^k / (2 pi),
+    # t = 1), a quartic at N = 1024, a harmonic run backward and a constant V.  Each
+    # count is the polynomial's products, the squarings and the product that applies
+    # the exponential to the state; the term-by-term series scaled by |c|_1 took
+    # 21, 21, 26, 34, 18 and 3
+    @pytest.mark.parametrize(
+        "n, family, coeff, a, t, count",
+        [(256, "linear", 1.0, 0.5, 1.0, 12), (256, "harmonic", 1.25, -0.6, 1.0, 12),
+         (256, "quartic", 0.2, 0.8, 1.0, 17), (1024, "quartic", 1.0, 0.5, 1.0, 25),
+         (64, "harmonic", 1.0, 0.3, -1.5, 10), (256, "constant", 1.0, 0.0, 1.0, 1)],
+    )
+    def test_cyclic_product_count(self, monkeypatch, n, family, coeff, a, t, count):
+        calls = []
+        product = wigner.cyclic
+        monkeypatch.setattr(wigner, "cyclic", lambda x, y: calls.append(None) or product(x, y))
+        f0 = gaussian_density(n, 8.0, H, SIGMA)
+        delta_localized_evolve(f0, PotentialSpec(family, (coeff * H / (2 * math.pi),)), a, t)
+        assert len(calls) == count
+
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024])
+    @pytest.mark.parametrize(
+        "potential",
+        [PotentialSpec.constant(2.2), PotentialSpec.linear(1.3), PotentialSpec.harmonic(1.0),
+         PotentialSpec.quartic(0.2 / (2 * math.pi)), PotentialSpec.quartic(1.0 / (2 * math.pi))],
+        ids=["constant", "linear", "harmonic", "quartic", "quartic1"],
+    )
+    @pytest.mark.parametrize("a", [0.5, -0.8])
+    @pytest.mark.parametrize("t", [1.5, -1.5])
+    def test_matches_a_longdouble_exponential(self, n, potential, a, t):
+        # the error in units of u |t| max|mhat| (the round-off of the squarings
+        # grows with the radius they undo): largest measured 3.6 (N = 1024,
+        # quartic1, a = -0.8, t = 1.5), against 11.4 for the term-by-term series
+        # scaled by |c|_1; the gate of 8 leaves a margin of 2.2x
+        f0 = gaussian_density(n, 8.0, H, SIGMA)
+        c, radius = _generator(f0, potential, a)
+        want = circulant_expm_longdouble(t * c, f0.values)
+        out = delta_localized_evolve(f0, potential, a, t)
+        assert np.max(np.abs(out.values - want)) <= 8 * 2.0**-53 * max(1.0, abs(t) * radius)
+
+    @pytest.mark.parametrize("n", [16, 256, 2048])
+    @pytest.mark.parametrize(
+        "potential",
+        [PotentialSpec.constant(2.2), PotentialSpec.linear(1.3), PotentialSpec.harmonic(1.0),
+         PotentialSpec.quartic(1.0 / (2 * math.pi))],
+        ids=["constant", "linear", "harmonic", "quartic"],
+    )
+    @pytest.mark.parametrize("a", [0.0, 0.5, -0.8])
+    @pytest.mark.parametrize("h", [1.0, 0.7])
+    def test_radius_is_the_largest_eigenvalue_modulus(self, n, potential, a, h):
+        # C(c) is circulant, so its eigenvalues are the DFT of c, here i mhat_l
+        # for 0 < l < N/2 and their conjugates: the oracle's radius bounds them
+        # all with no transform.  Largest measured deviation 1.2e-15 of the radius
+        f0 = gaussian_density(n, 8.0, h, h / (2.0 * math.sqrt(math.pi)))
+        c, radius = _generator(f0, potential, a)
+        lam = h * np.fft.rfftfreq(n, d=f0.dz)
+        dv = potential.evaluate(a + lam / 2.0) - potential.evaluate(a - lam / 2.0)
+        m_half = (2.0 * math.pi / h) * dv
+        eig = np.fft.fft(c)
+        assert radius == np.abs(m_half[1 : n // 2]).max(initial=0.0)
+        assert np.max(np.abs(eig[1 : n // 2] - 1j * m_half[1 : n // 2])) <= 1e-14 * radius
+        assert abs(np.abs(eig).max() - radius) <= 1e-14 * radius
 
 
 class TestOneGenerator:
