@@ -81,17 +81,17 @@ _CBRT2 = 2.0 ** (1.0 / 3.0)
 # 150 (1990) 262); the middle one runs backward in time
 YOSHIDA = (1.0 / (2.0 - _CBRT2), -_CBRT2 / (2.0 - _CBRT2), 1.0 / (2.0 - _CBRT2))
 
-# delta_localized_evolve's circulant exponential: a Taylor polynomial of a
-# degree in _TAYLOR_DEGREES, the highest that Paterson-Stockmeyer evaluation
-# reaches with 0, 1, ..., 6 products, at the generator scaled by 2**-s, then s
-# squarings.  Degree 20 takes no fewer products in all (its reach is 1.8 times
-# degree 16's, short of one squaring) and measured a cross-check Linf of
-# 2.9e-10 against 9.1e-11 at N = 2048 (quartic, a = 0.5).  The 2**s squarings
-# multiply the round-off of the scaled polynomial by 2**s, so t |c|_1 beyond
-# 2**53 is refused
+# delta_localized_evolve's circulant exponential: the degree-16 Taylor
+# polynomial, which Paterson-Stockmeyer evaluation takes in 6 products, at the
+# generator scaled by 2**-s, then s squarings.  Degree 20 takes no fewer
+# products in all (its reach is 1.8 times degree 16's, short of one squaring)
+# and measured a cross-check Linf of 2.9e-10 against 9.1e-11 at N = 2048
+# (quartic, a = 0.5); a lower degree saves products only at a radius below
+# _REACH16, where no squaring is taken.  The 2**s squarings multiply the
+# round-off of the scaled polynomial by 2**s, so t |c|_1 beyond 2**53 is
+# refused
 _UNIT_ROUNDOFF = 2.0**-53
 _SQUARING_LIMIT = 2.0**53
-_TAYLOR_DEGREES = (1, 2, 4, 6, 9, 12, 16)
 
 
 def _taylor_reach(m: int) -> float:
@@ -106,7 +106,7 @@ def _taylor_reach(m: int) -> float:
     return lo
 
 
-_TAYLOR_REACH = {m: _taylor_reach(m) for m in _TAYLOR_DEGREES}  # 0.82 at m = 16
+_REACH16 = _taylor_reach(16)  # 0.82
 
 _log = logging.getLogger("logent")
 
@@ -382,51 +382,35 @@ def wigner_run(
     return _run(w0, potential, t, dt, record=True)
 
 
-def _products(m: int) -> int:
-    """The cyclic products _taylor takes for degree m: (q - 1) + m // q, one
-    fewer when q = ceil(sqrt(m)) divides m."""
-    q = math.ceil(math.sqrt(m))
-    return q - 1 + m // q - (m % q == 0)
-
-
-def _taylor(b: np.ndarray, m: int) -> np.ndarray:
-    """First column of sum_{k <= m} C(b)^k / k!, by Paterson-Stockmeyer (SIAM
-    J. Comput. 2 (1973) 60): the powers b^1..b^q, q = ceil(sqrt(m)), then
-    Horner's rule in b^q over blocks of q terms, each block a linear
-    combination of the powers with no product; _products(m) products."""
-    q = math.ceil(math.sqrt(m))
+def _taylor16(b: np.ndarray) -> np.ndarray:
+    """First column of sum_{k <= 16} C(b)^k / k!, by Paterson-Stockmeyer (SIAM
+    J. Comput. 2 (1973) 60): the powers b^2, b^3, b^4 (3 products), then
+    Horner's rule in b^4 over four blocks of four terms, each block a linear
+    combination of the powers with no product (3 products); b^16 / 16! joins
+    the top block as a multiple of b^4."""
     powers = [np.eye(1, b.size)[0], b]
-    for _ in range(q - 1):
+    for _ in range(3):
         powers.append(cyclic(powers[-1], b))
-    r, top = divmod(m, q)
-    coeffs = np.zeros((r + 1) * q)
-    coeffs[: m + 1] = [1.0 / math.factorial(k) for k in range(m + 1)]
-    blocks = coeffs.reshape(r + 1, q) @ np.array(powers[:q])
-    if not top:  # the last block is b^m / m! alone: fold it into the one below
-        blocks[r - 1] += coeffs[m] * powers[q]
-        r -= 1
-    e = blocks[r]
-    for j in range(r - 1, -1, -1):
-        e = cyclic(e, powers[q]) + blocks[j]
+    coeffs = np.array([1.0 / math.factorial(k) for k in range(17)])
+    blocks = coeffs[:16].reshape(4, 4) @ np.array(powers[:4])
+    blocks[3] += coeffs[16] * powers[4]
+    e = blocks[3]
+    for j in (2, 1, 0):
+        e = cyclic(e, powers[4]) + blocks[j]
     return e
 
 
 def _circulant_expm(b: np.ndarray, radius: float) -> np.ndarray:
     """First column of exp(C(b)), given the spectral radius of C(b), normal
     with imaginary eigenvalues.  Scaling and squaring (Moler and Van Loan,
-    SIAM Rev. 45 (2003) 3): b is scaled by 2^-s and the Taylor polynomial of
-    degree m taken at it, the pair (s, m) with the fewest products s +
-    _products(m) (then the fewest squarings) for which the scaled radius is
-    within _TAYLOR_REACH[m], so the remainder is at most a unit round-off in
-    every eigendirection; the polynomial is raised to the power 2^s by
-    int_power's s squarings with cyclic convolutions."""
-    plans = []
-    for m in _TAYLOR_DEGREES:
-        ratio = radius / _TAYLOR_REACH[m]
-        s = math.ceil(math.log2(ratio)) if ratio > 1.0 else 0
-        plans.append((s + _products(m), s, m))
-    _, s, m = min(plans)
-    return int_power(_taylor(np.ldexp(b, -s), m), 1 << s, cyclic, np.eye(1, b.size)[0])
+    SIAM Rev. 45 (2003) 3): b is scaled by 2^-s, the fewest halvings that
+    bring the radius within _REACH16, so the remainder of the degree-16
+    Taylor polynomial is at most a unit round-off in every eigendirection;
+    the polynomial is raised to the power 2^s by int_power's s squarings
+    with cyclic convolutions."""
+    ratio = radius / _REACH16
+    s = math.ceil(math.log2(ratio)) if ratio > 1.0 else 0
+    return int_power(_taylor16(np.ldexp(b, -s)), 1 << s, cyclic, np.eye(1, b.size)[0])
 
 
 def _generator(wbar0: DensityGrid, potential: PotentialSpec, a: float):

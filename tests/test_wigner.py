@@ -634,14 +634,14 @@ class TestCirculantExponential:
 
     # the benchmark's three continuum families at N = 256 (V = coeff h x^k / (2 pi),
     # t = 1), a quartic at N = 1024, a harmonic run backward and a constant V.  Each
-    # count is the polynomial's products, the squarings and the product that applies
-    # the exponential to the state; the term-by-term series scaled by |c|_1 took
-    # 21, 21, 26, 34, 18 and 3
+    # count is the degree-16 polynomial's 6 products, the squarings and the product
+    # that applies the exponential to the state (a zero generator takes no squaring);
+    # the term-by-term series scaled by |c|_1 took 21, 21, 26, 34, 18 and 3
     @pytest.mark.parametrize(
         "n, family, coeff, a, t, count",
         [(256, "linear", 1.0, 0.5, 1.0, 12), (256, "harmonic", 1.25, -0.6, 1.0, 12),
          (256, "quartic", 0.2, 0.8, 1.0, 17), (1024, "quartic", 1.0, 0.5, 1.0, 25),
-         (64, "harmonic", 1.0, 0.3, -1.5, 10), (256, "constant", 1.0, 0.0, 1.0, 1)],
+         (64, "harmonic", 1.0, 0.3, -1.5, 10), (256, "constant", 1.0, 0.0, 1.0, 7)],
     )
     def test_cyclic_product_count(self, monkeypatch, n, family, coeff, a, t, count):
         calls = []
