@@ -23,15 +23,20 @@ l = h * nu_p.  Both substeps multiply Fourier modes by unit-modulus phases,
 so each conserves both invariants to round-off, and any composition does.
 
 A step is a composition of such Strang substeps with stage weights: with a
-caller's dt one substep (STRANG, second order); by default Yoshida's three
-(YOSHIDA, fourth order), at the largest step for which no substep advances
-any grid phase past pi.  Adjacent half kicks of consecutive substeps are
-fused into one kick (first-same-as-last composition), so n Strang steps run
-as K/2 T K T K ... T K/2.  Both phase rates are odd in their Fourier
-variable (V(x + l/2) - V(x - l/2) in l, p nu_x in nu_x) and zero at Nyquist,
-so every multiplier is Hermitian, the rates are sampled on the nonnegative
-frequencies alone, and the state stays real on real FFTs and half spectra:
-four real transforms per substep, plus one per step whose state is recorded.
+caller's dt one substep (STRANG, second order).  By default a constant,
+linear or harmonic (c >= 0) V, whose kick is linear in l and whose flow is
+thus the classical linear one (Groenewold, Physica 12 (1946) 405), runs one
+substep per piece of at most pi/4 of the rotation, its rates scaled to make
+it the rotation's three shears (Paeth, Graphics Interface '86), which is
+exact; any other V runs Yoshida's three (YOSHIDA, fourth order), at the
+largest step for which no substep advances any grid phase past pi.
+Adjacent half kicks of consecutive substeps are fused into one kick
+(first-same-as-last composition), so n Strang steps run as K/2 T K T K ...
+T K/2.  Both phase rates are odd in their Fourier variable (V(x + l/2) -
+V(x - l/2) in l, p nu_x in nu_x) and zero at Nyquist, so every multiplier
+is Hermitian, the rates are sampled on the nonnegative frequencies alone,
+and the state stays real on real FFTs and half spectra: four real
+transforms per substep, plus one per step or piece whose state is recorded.
 Between substeps the state is its (x, nu_p) half spectrum, C-ordered like
 the (x, p) values; between the two x transforms it is held in (p, nu_x) and
 (p, x) layout, which both x transforms write through transposed views, so
@@ -75,6 +80,7 @@ from .densities import DensityGrid, PotentialSpec
 from .errors import DomainError, GridError
 
 PHASE_WARN = math.pi  # beyond this the fastest grid phase wraps within one step
+PIECE_ANGLE = math.pi / 4.0  # rotation per exact piece: wider shears can wrap an off-centre packet
 STRANG = (1.0,)  # stage weights of one step: K/2 T K/2
 _CBRT2 = 2.0 ** (1.0 / 3.0)
 # Yoshida's fourth-order composition of three Strang substeps (Phys. Lett. A
@@ -234,11 +240,29 @@ def _phase_rates(w: WignerGrid, potential: PotentialSpec):
 def _run(w0: WignerGrid, potential: PotentialSpec, t: float, dt: float | None, record: bool):
     """Resolve the step rule, then run the fused loop.
 
-    A caller's dt runs Strang steps.  The default runs YOSHIDA steps, as long
-    as no substep advances any grid phase past PHASE_WARN: the bound the
-    aliasing warning holds a caller's dt to.
+    A caller's dt runs Strang steps.  By default a constant, linear or
+    harmonic V with c >= 0 runs pieces of at most PIECE_ANGLE of the
+    rotation at Omega = sqrt(2c / mass), each one STRANG substep with kick
+    rates scaled by tan(theta/2) / (theta/2) and transport rates by
+    sin(theta) / theta, theta = Omega tau: the exact rotation K(tan(theta/2)
+    / Omega) T(sin(theta) / Omega) K(tan(theta/2) / Omega).  Any other V runs
+    YOSHIDA steps, as long as no substep advances any grid phase past
+    PHASE_WARN: the bound the aliasing warning holds a caller's dt to.
     """
     kick_rate, transport_rate = _phase_rates(w0, potential)
+    harmonic = potential.family == "harmonic" and potential.params[0] >= 0.0
+    if dt is None and (harmonic or potential.family in ("constant", "linear")):
+        omega = math.sqrt(2.0 * potential.params[0] / w0.mass) if harmonic else 0.0
+        n_pieces, piece = steps(t, None, omega, angle=PIECE_ANGLE)
+        theta = omega * piece
+        if theta:
+            kick_rate *= math.tan(theta / 2.0) / (theta / 2.0)
+            transport_rate *= math.sin(theta) / theta
+        _log.debug(
+            "wigner step rule: %s; %d pieces of %.6g, Omega %.6g rad/time, piece angle %.4g rad",
+            "default, exact three-shear rotation", n_pieces, piece, omega, abs(theta),
+        )
+        return _loop(w0, kick_rate, transport_rate, STRANG, n_pieces, piece, record)
     max_rate = float(max(np.abs(kick_rate).max(), np.abs(transport_rate).max()))
     if dt is None:
         stages, rule = YOSHIDA, "default, 4th-order Yoshida"
@@ -353,9 +377,11 @@ def wigner_evolve(
     """Evolve by symmetric split steps (half kick, transport, half kick).
 
     A supplied dt runs Strang steps of at most dt; a warning is issued when
-    it lets any grid phase exceed pi per step.  Without one, each step is
-    Yoshida's fourth-order composition of three Strang substeps, and the
-    step is the largest at which no substep advances any grid phase past pi.
+    it lets any grid phase exceed pi per step.  Without one, a constant,
+    linear or harmonic V with c >= 0 runs its exact flow, three shears per
+    piece of at most pi/4 of the rotation (one piece at Omega = 0); any
+    other V runs steps of Yoshida's fourth-order composition of three Strang
+    substeps, the largest at which no substep advances any grid phase past pi.
     Consecutive half kicks are fused, so each substep costs four real FFTs
     on half spectra; this is exact, not an approximation, because both
     phase rates are odd and the multipliers Hermitian.  The inverse FFTs are
@@ -372,13 +398,14 @@ def wigner_evolve(
 def wigner_run(
     w0: WignerGrid, potential: PotentialSpec, t: float, dt: float | None = None
 ) -> tuple[RunRecord, WignerGrid]:
-    """Same as wigner_evolve but records, per step, the diagnostics
-    total_probability, information, moment3 and min_value (the smallest w).
-    Total and information are integrated as WignerGrid does, so each row is
-    its state's .total and .information to the last bit.  moment3 is
-    h^2 vdot(v^2, v) times dx, then dp: the moment higher_moment(state, 3)
-    gives, summed in the BLAS dot's order instead of pairwise, so the two
-    may differ in the last bits (by at most 2 ulp where measured)."""
+    """Same as wigner_evolve but records, per step (per piece of the exact
+    flow), the diagnostics total_probability, information, moment3 and
+    min_value (the smallest w).  Total and information are integrated as
+    WignerGrid does, so each row is its state's .total and .information to
+    the last bit.  moment3 is h^2 vdot(v^2, v) times dx, then dp: the moment
+    higher_moment(state, 3) gives, summed in the BLAS dot's order instead of
+    pairwise, so the two may differ in the last bits (by at most 2 ulp where
+    measured)."""
     return _run(w0, potential, t, dt, record=True)
 
 

@@ -269,8 +269,9 @@ class TestMomentumLadder:
     A mass of 1e300 makes every transport phase 1 to the last bit, so the
     fused loop runs kicks only.  Largest measured differences over the three
     potentials (peak 1.92): 6.7e-16 for one Strang step, 1.0e-14 for 50,
-    6.1e-14 for default Yoshida steps to t = +-0.3.  Each gate is about ten
-    times its measurement, rounded up to a power of ten.
+    and for the default rule to t = +-0.3 6.1e-14 (the quartic's Yoshida
+    steps; the harmonic and linear V take one exact piece, 6.7e-16).  Each
+    gate is about ten times its measurement, rounded up to a power of ten.
     """
 
     @staticmethod
@@ -423,12 +424,18 @@ class TestFusedLoop:
             assert rec.min_value[k] == pytest.approx(float(ref.min()), abs=1e-11)
 
     @NON_SQUARE
-    def test_non_square_run_is_evolve_bit_for_bit(self, nx, npts, lp):
+    @pytest.mark.parametrize(
+        "potential, t, rows",
+        # rows per nx: Yoshida steps as measured, or 3 pieces of the exact rule
+        [(PotentialSpec.quartic(0.05), 0.05, {64: 6, 32: 12}),
+         (PotentialSpec.harmonic(1.0, mass=MASS), 2.0, {64: 4, 32: 4})],
+        ids=["yoshida", "exact"],
+    )
+    def test_non_square_run_is_evolve_bit_for_bit(self, nx, npts, lp, potential, t, rows):
         w0 = gaussian_pure_wigner(nx, npts, 8.0, lp, SIGMA, x_center=0.7, p_center=0.3)
-        V = PotentialSpec.harmonic(1.0, mass=MASS)
-        rec, final = wigner_run(w0, V, 0.05)  # the default Yoshida rule
-        assert len(rec.times) > 2
-        assert final.values.tobytes() == wigner_evolve(w0, V, 0.05).values.tobytes()
+        rec, final = wigner_run(w0, potential, t)
+        assert len(rec.times) == rows[nx]
+        assert final.values.tobytes() == wigner_evolve(w0, potential, t).values.tobytes()
 
     @pytest.mark.parametrize("nx, npts", [(128, 128), (64, 32), (96, 96)])
     @pytest.mark.parametrize(

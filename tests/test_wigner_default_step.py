@@ -1,9 +1,11 @@
-"""The split step's default rule: Yoshida's fourth-order composition at the
-largest step whose substeps keep every grid phase within pi.
+"""The split step's default rules: the exact three-shear flow for a constant,
+linear or harmonic (c >= 0) potential, and otherwise Yoshida's fourth-order
+composition at the largest step whose substeps keep every grid phase within
+pi.
 
 Accuracy is measured against two oracles that share no code with the
 solver: the analytic rotation for the harmonic potential and the
-wavefunction reference for the anharmonic one.
+wavefunction reference for the others.
 """
 import logging
 import math
@@ -11,7 +13,9 @@ import math
 import numpy as np
 import pytest
 
-from logent import PotentialSpec, gaussian_pure_wigner, wigner, wigner_evolve, wigner_run
+from logent import (
+    DomainError, PotentialSpec, gaussian_pure_wigner, wigner, wigner_evolve, wigner_run,
+)
 from oracles import rotated_gaussian_wigner, wavefunction_wigner
 
 SIGMA = 1.0 / (2.0 * math.sqrt(math.pi))  # saturating width at h = 1
@@ -47,8 +51,10 @@ class TestFourthOrder:
 
 
 class TestDefaultAccuracy:
-    # (x_center, p_center, t, gate): the gate is 4x the error measured with the
-    # default rule; the former default, Strang at 0.1 rad per step, reached
+    # (x_center, p_center, t, gate): the gate is 4x the error measured with
+    # Yoshida's default steps, which these runs took until the exact flow
+    # became the harmonic default (its gates: TestExactQuadraticFlow); the
+    # default before Yoshida, Strang at 0.1 rad per step, reached
     # 3.6e-9, 7.1e-9, 1.4e-9, 2.8e-9 and 9.7e-8 on these cases.  The first
     # four are the benchmark's harmonic jobs on their |x_center| range.
     @pytest.mark.parametrize(
@@ -96,11 +102,17 @@ class TestWavefunctionOracle:
 
 
 class TestDefaultRule:
-    def test_step_count_is_pinned(self):
+    @pytest.mark.parametrize(
+        "potential, t, rows",
+        [(PotentialSpec.quartic(0.1), 0.1, 137),  # Yoshida: 136 steps, as measured
+         (PotentialSpec.harmonic(1.0), 1.0, 3)],  # exact: 2 pieces of pi/4 or less
+        ids=["yoshida", "exact"],
+    )
+    def test_step_count_is_pinned(self, potential, t, rows):
         w0 = gaussian_pure_wigner(128, 128, 8.0, 8.0, SIGMA)
-        rec, _ = wigner_run(w0, PotentialSpec.harmonic(1.0), 1.0)
-        assert len(rec.times) == 109
-        assert rec.times[-1] == pytest.approx(1.0, abs=1e-15)
+        rec, _ = wigner_run(w0, potential, t)
+        assert len(rec.times) == rows
+        assert rec.times[-1] == pytest.approx(t, abs=1e-15)
 
     @pytest.mark.parametrize("t", [0.37, -0.37])
     def test_run_and_evolve_agree_bit_for_bit(self, t):
@@ -113,16 +125,18 @@ class TestDefaultRule:
 
     def test_step_decision_is_logged(self, caplog):
         w0 = gaussian_pure_wigner(128, 128, 8.0, 8.0, SIGMA)
-        pot = PotentialSpec.harmonic(1.0)
         with caplog.at_level(logging.DEBUG, logger="logent"):
-            wigner_evolve(w0, pot, 1.0)
-            wigner_run(w0, pot, 0.1, dt=0.01)
-        default, caller = [r for r in caplog.records if r.name == "logent"]
-        assert default.levelno == caller.levelno == logging.DEBUG
+            wigner_evolve(w0, PotentialSpec.quartic(0.1), 0.1)
+            wigner_evolve(w0, PotentialSpec.harmonic(1.0), 1.0)
+            wigner_run(w0, PotentialSpec.harmonic(1.0), 0.1, dt=0.01)
+        default, exact, caller = [r for r in caplog.records if r.name == "logent"]
+        assert default.levelno == exact.levelno == caller.levelno == logging.DEBUG
         rule, n, step, rate, phase = default.args
-        assert "4th-order" in rule and (n, step) == (108, 1.0 / 108)
+        assert "4th-order" in rule and (n, step) == (136, 0.1 / 136)
         assert phase == pytest.approx(max(map(abs, wigner.YOSHIDA)) * step * rate)
         assert math.pi * 0.99 < phase <= math.pi
+        rule, n, step, omega, angle = exact.args
+        assert "exact" in rule and (n, step, omega, angle) == (2, 0.5, 1.0, 0.5)
         rule, n, step, rate, phase = caller.args
         assert "Strang" in rule and n == 10 and phase == pytest.approx(0.01 * rate)
 
@@ -131,3 +145,125 @@ class TestDefaultRule:
         with caplog.at_level(logging.INFO, logger="logent"):
             wigner_evolve(w0, PotentialSpec.harmonic(1.0), 0.1)
         assert not [r for r in caplog.records if r.name == "logent"]
+
+
+class TestExactQuadraticFlow:
+    """The default rule of a constant, linear or harmonic V with c >= 0: pieces
+    of at most pi/4 of the rotation at Omega = sqrt(2c / mass), each three
+    exact shears.  Each gate is about 4 times its measured error; Yoshida
+    steps reached 3.0e-11 on the first case.  The shear path takes its rates
+    from _phase_rates, so it is checked against the closed forms alone."""
+
+    @pytest.mark.parametrize(
+        "x_center, p_center, t, pieces, gate",
+        [
+            (0.3, 0.0, 0.1, 1, 2e-15),  # measured 5.1e-16
+            (-1.2, 0.0, 0.1, 1, 2.4e-15),  # measured 5.6e-16
+            (0.3, 0.0, 0.04, 1, 2e-15),  # measured 4.6e-16
+            (1.2, 0.0, 0.04, 1, 2.4e-15),  # measured 5.9e-16
+            (1.0, 0.5, 2.9, 4, 4e-15),  # measured 9.1e-16
+            (1.0, 0.5, 10.0, 13, 8e-15),  # measured 1.8e-15; Yoshida: 1,073 steps
+            (1.0, 0.5, -2.9, 4, 4e-15),  # measured 9.3e-16
+        ],
+    )
+    def test_harmonic_rotation(self, x_center, p_center, t, pieces, gate):
+        w0 = gaussian_pure_wigner(
+            128, 128, 8.0, 8.0, SIGMA, x_center=x_center, p_center=p_center
+        )
+        rec, wt = wigner_run(w0, PotentialSpec.harmonic(1.0), t)
+        assert len(rec.times) == pieces + 1
+        assert harmonic_error(wt, x_center, p_center, t) < gate
+
+    @pytest.mark.parametrize("t", [1.7, -1.7])
+    def test_nonunit_h_and_mass(self, t):
+        # 2 pieces; measured 7.9e-16 and 1.5e-15 (Yoshida: 296 steps, 1.5e-10)
+        h, mass, omega, sigma_x = 0.8, 2.0, 0.9, 0.2
+        w0 = gaussian_pure_wigner(128, 128, 8.0, 8.0, sigma_x, h=h, mass=mass, x_center=0.5)
+        rec, wt = wigner_run(w0, PotentialSpec.harmonic(omega, mass=mass), t)
+        ref = rotated_gaussian_wigner(
+            wt.x, wt.p, sigma_x, h / (4.0 * math.pi * sigma_x), 0.5, 0.0, mass, omega, t
+        )
+        assert len(rec.times) == 3
+        assert rel_l2(wt.values, ref) < 6e-15
+
+    @pytest.mark.parametrize(
+        "potential, profile, gate",
+        [
+            (PotentialSpec.linear(0.7), lambda x: 0.7 * x, 9e-14),  # measured 2.2e-14
+            (PotentialSpec.constant(1.3), lambda x: 0.0 * x + 1.3, 2.2e-13),  # 5.4e-14
+        ],
+        ids=["linear", "constant"],
+    )
+    def test_one_piece_matches_wavefunction_reference(self, potential, profile, gate):
+        # the reference's own floor: Yoshida's 54 steps measured 2.8e-14 and 5.7e-14
+        sigma_x, x_center, p_center, t = 0.4, 0.3, 0.2, 0.5
+        w0 = gaussian_pure_wigner(
+            128, 128, 8.0, 8.0, sigma_x, x_center=x_center, p_center=p_center
+        )
+        rec, wt = wigner_run(w0, potential, t)
+        ref = wavefunction_wigner(wt.x, wt.p, 1.0, 1.0, profile, sigma_x, x_center, p_center, t)
+        assert len(rec.times) == 2
+        assert rel_l2(wt.values, ref) < gate
+        assert np.max(np.abs(wt.values - w0.values)) > 0.1  # the state moved
+
+    def test_invariants_drift_at_round_off(self):
+        # measured over 13 pieces to t = 10: sum 3.3e-16, I 7.8e-16 (Yoshida's
+        # 1,073 steps: 1.9e-15 and 2.1e-13)
+        w0 = gaussian_pure_wigner(128, 128, 8.0, 8.0, SIGMA, x_center=1.0, p_center=0.5)
+        rec, _ = wigner_run(w0, PotentialSpec.harmonic(1.0), 10.0)
+        assert len(rec.times) == 14
+        assert np.max(np.abs(rec.total_probability - rec.total_probability[0])) <= 1e-14
+        assert np.max(np.abs(rec.information - rec.information[0])) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "potential, t, pieces",
+        [(PotentialSpec.harmonic(1.0), 2.0, 3), (PotentialSpec.linear(0.7), 2.0, 1)],
+        ids=["harmonic", "linear"],
+    )
+    def test_real_transform_count(self, monkeypatch, potential, t, pieces):
+        # four real transforms per piece, one into and one out of the p
+        # spectrum per run, and for a record one more per recorded piece
+        calls = []
+        for name in ("rfft", "irfft"):
+            def counted(*args, _fft=getattr(np.fft, name), **kwargs):
+                calls.append(None)
+                return _fft(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        w0 = gaussian_pure_wigner(64, 32, 8.0, 8.0, SIGMA, x_center=0.7)
+        wigner_run(w0, potential, t)
+        assert len(calls) == 5 * pieces + 1
+        calls.clear()
+        wigner_evolve(w0, potential, t)
+        assert len(calls) == 4 * pieces + 2
+        calls.clear()
+        wigner_run(w0, potential, 0.0)
+        wigner_evolve(w0, potential, 0.0)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "potential, rule",
+        [
+            (PotentialSpec.harmonic(1.0), "exact"),
+            (PotentialSpec.harmonic(0.0), "exact"),
+            (PotentialSpec.linear(-0.7), "exact"),
+            (PotentialSpec.constant(1.3), "exact"),
+            (PotentialSpec("harmonic", (-0.5,)), "4th-order"),  # the inverted oscillator
+            (PotentialSpec.quartic(0.1), "4th-order"),
+            (PotentialSpec.tabulated(np.linspace(-9.0, 9.0, 7), np.zeros(7)), "4th-order"),
+        ],
+        ids=["harmonic", "zero-harmonic", "linear", "constant", "inverted", "quartic",
+             "tabulated"],
+    )
+    def test_the_family_selects_the_rule(self, caplog, potential, rule):
+        w0 = gaussian_pure_wigner(32, 32, 8.0, 8.0, SIGMA)
+        with caplog.at_level(logging.DEBUG, logger="logent"):
+            wigner_evolve(w0, potential, 0.1)
+            wigner_evolve(w0, potential, 0.1, dt=1e-3)
+        default, caller = [r for r in caplog.records if r.name == "logent"]
+        assert rule in default.args[0] and "Strang" in caller.args[0]
+
+    def test_huge_omega_is_refused(self):
+        # pi/4 per piece at Omega = 1e10 needs more than MAX_STEPS pieces
+        w0 = gaussian_pure_wigner(32, 32, 8.0, 8.0, SIGMA)
+        with pytest.raises(DomainError, match="needs more than"):
+            wigner_evolve(w0, PotentialSpec.harmonic(1e10), 1.0)
