@@ -14,10 +14,13 @@ n = ceil(|t| / dt) equal steps, at most MAX_STEPS, and the default dt, given
 only to a caller that passes the fastest phase rate, advances that phase by
 a fixed angle per step (one step when the rate is zero).  The angle is
 DEFAULT_STEP_ANGLE = 0.1 rad for the Cayley steps; the split step asks for
-pi per substep of its fourth-order composition.  The two matrix engines also share the Cayley propagator,
-cayley_power, the n-th power of one implicit-midpoint step, which powers
-the first column of a circulant generator's Cayley factor by cyclic
-convolutions and takes any other generator densely.  The two real-space
+pi per substep of its fourth-order composition.  The two matrix engines
+also share the Cayley propagator, cayley_power, the n-th power of one
+implicit-midpoint step of a generator and its rate, which powers the first
+column of a circulant generator's Cayley factor by cyclic convolutions and
+takes any other generator densely, holding two n x n arrays, I - H and
+I + H, through the solve and only the solve's result and its powers
+through the matrix power.  The two real-space
 oracles of the spectral line-density path (the timestepped density oracle
 and wigner's momentum-only quadrature) share odd_sine_sum, the sine sum
 that gives an odd kernel's transform in real space, and the algebra of
@@ -255,46 +258,66 @@ class RunRecord:
         return self.diagnostics[:, columns.index(name)]
 
 
-def cayley_power(a: np.ndarray, step: float, n: int) -> np.ndarray:
-    """((I - step a / 2)^-1 (I + step a / 2))^n: n implicit-midpoint steps of
-    dx/dt = a x.  For an antisymmetric a the Cayley factor is orthogonal, so
-    the propagator conserves the norm to round-off; n = 0 gives the identity,
-    with no factorization.  That round-off grows with the reach (step / 2)
-    max|a|, taken as max(a.max(), -a.min()) with no |a| array, so a reach
-    above MAX_CAYLEY_REACH is a DomainError.
+def cayley_power(a: np.ndarray, step: float, n: int, rate: float = 1.0) -> np.ndarray:
+    """((I - H)^-1 (I + H))^n with H = (step / 2) rate a: n implicit-midpoint
+    steps of dx/dt = rate a x, the bits of the same call on rate * a at rate
+    1.  rate * a is formed in full only when rate != 1 and its row 0 passes
+    the circulant test below, and is then reused as H.  For an antisymmetric
+    a the Cayley factor is orthogonal, so the propagator conserves the norm
+    to round-off; n = 0 gives the identity, with no factorization.  That
+    round-off grows with the reach (step / 2) max|rate a|, taken as |rate|
+    max(a.max(), -a.min()) with no |a| array (max|rate a| to the bit: rounding
+    is monotone), so a reach above MAX_CAYLEY_REACH is a DomainError.
 
-    When a is circulant, entry for entry (a compare with the circulant of its
-    first column, row 0 first, so a generic a costs one row and no N x N
-    bool array; a may be such a read-only view), so is the Cayley
-    factor Q, and only its first column r is computed from a's first column
-    alone, with no N x N generator built: one LU solve of (I - H) r = e0 +
-    H e0 with H = step a / 2, I - H gathered as the circulant of e0 - H e0,
+    When rate a is circulant, entry for entry (a compare with the circulant
+    of its first column, row 0 first, so a generic a costs one row and no
+    N x N bool array or scaled copy; a may be such a read-only view), so is
+    the Cayley factor Q, and only its first column r is computed from a's
+    first column alone, with no N x N generator built: one LU solve of
+    (I - H) r = e0 + H e0, I - H gathered as the circulant of e0 - H e0,
     refined once by its residual through (I - H)^-1 = (I + Q) / 2, raised to
     the n-th power by repeated squaring with cyclic convolutions and
     gathered as a circulant.  That costs one LU, O(N^3 / 3), and O(N^2) per
     product, not a solve with N right-hand sides and log2(n) dense products;
     no transform is used.  Every product repeats r's round-off, so the drift
     of the total grows coherently with n; the refinement cuts it fivefold.
-    Any other a takes the dense solve and matrix power.
+    Any other a takes the dense solve and matrix power.  That branch forms H
+    in one n x n array, then I - H in a second and I + H in place in H, with
+    the bits of eye -/+ H, signed zeros included, and frees both once
+    np.linalg.solve has returned Q, so only Q and its powers are held while
+    np.linalg.matrix_power runs.
     """
-    c = circulant(a[:, 0])
-    circulant_a = np.array_equal(a[0], c[0]) and np.array_equal(a, c)  # row 0 first
+    def scaled(x):  # rate * x, or x itself at rate 1: 1.0 * x has the bits of x
+        return x if rate == 1.0 else rate * x
+
+    col = scaled(a[:, 0])
+    c = circulant(col)
+    full = scaled(a) if np.array_equal(scaled(a[0]), c[0]) else None  # row 0 first
+    circulant_a = full is not None and np.array_equal(full, c)
     held = a[:, 0] if circulant_a else a  # a circulant holds only its column's values
-    a_max = float(max(held.max(), -held.min()))
+    a_max = abs(rate) * float(max(held.max(), -held.min()))
     if not abs(step) / 2.0 * a_max <= MAX_CAYLEY_REACH:
         raise DomainError(
             f"Cayley step reach (step / 2) max|a| = ({step!r} / 2) * {a_max!r} exceeds "
             f"{MAX_CAYLEY_REACH:g}: the step would not keep the total to round-off"
         )
+    size = a.shape[0]
     if not n:
-        return np.eye(a.shape[0])  # matrix_power(., 0), with no factorization
+        return np.eye(size)  # matrix_power(., 0), with no factorization
     if not circulant_a:
-        eye, half = np.eye(a.shape[0]), (step / 2.0) * a
-        lhs = eye - half
-        eye += half  # I + H, the right-hand sides, in place
-        del half  # n x n, not held while the solve and the power run
-        return np.linalg.matrix_power(np.linalg.solve(lhs, eye), n)
-    e0, half = np.eye(1, a.shape[0])[0], (step / 2.0) * a[:, 0]
+        if rate == 1.0:
+            half = (step / 2.0) * a
+        else:  # (step / 2) (rate a), in the scaled copy when the row-0 test made one
+            half = rate * a if full is None else full
+            half *= step / 2.0
+        lhs = np.subtract(0.0, half)  # I - H: 0 - H off the diagonal, 1 - H on it
+        lhs.flat[:: size + 1] += 1.0
+        half += 0.0  # I + H in place: 0 + H off the diagonal (-0.0 becomes +0.0), 1 + H on it
+        half.flat[:: size + 1] += 1.0
+        q = np.linalg.solve(lhs, half)
+        del lhs, half  # n x n each, not held while the power runs
+        return np.linalg.matrix_power(q, n)
+    e0, half = np.eye(1, size)[0], (step / 2.0) * col
     rhs = e0 + half
     r = np.linalg.solve(circulant(e0 - half), rhs)
     res = rhs - (r - cyclic(half, r))

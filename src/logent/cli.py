@@ -358,7 +358,7 @@ def evolve_fd(generator, n, seed, rate, p0, t_end, dt, output):
         _reject_set("generator = cyclic3", n=n, seed=seed)
         gen = dynamics.cyclic_generator3()
         if rate is not None:
-            gen = dynamics.GeneratorMatrix(gen.upper, rate=rate)
+            gen = dynamics.GeneratorMatrix.from_dense(gen.matrix, rate=rate)  # checks the rate
     else:
         n = 3 if n is None else n
         gen = dynamics.random_generator(n, seed or 0, rate=1.0 if rate is None else rate)

@@ -40,9 +40,12 @@ _log = logging.getLogger("logent")
 class GeneratorMatrix:
     """Antisymmetric zero-marginal generator with a separate rate scale.
 
-    The strictly upper triangle is the canonical storage; the full matrix is
-    reconstructed as upper - upper.T, which is antisymmetric by construction.
-    Row and column sums must vanish within 1e-12.
+    The public constructor takes the strictly upper triangle and stores it
+    with the full matrix upper - upper.T, antisymmetric by construction.
+    random_generator and from_dense store the full matrix alone, exactly
+    antisymmetric, and form upper = triu(matrix, 1) on its first read, so a
+    generator they build holds one n x n array until then.  Row and column
+    sums must vanish within 1e-12.
     """
 
     upper: np.ndarray
@@ -52,27 +55,27 @@ class GeneratorMatrix:
         arr = real_array(self.upper, "generator entries")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DomainError("generator storage must be square")
-        self._settle(arr, None)
+        self._settle(arr, upper=arr)
 
-    def _settle(self, upper: np.ndarray, full: np.ndarray | None) -> None:
-        """Check and store: n >= 2 and a finite rate; then, when full is not
-        given, strictly upper storage reflected as upper - upper.T; then
-        the row sums of full."""
-        if upper.shape[0] < 2:
+    def _settle(self, full: np.ndarray, upper: np.ndarray | None = None) -> None:
+        """Check and store: n >= 2 and a finite rate; then, when upper is
+        given (the public constructor passes it as full too), strictly upper
+        storage, stored and reflected into full = upper - upper.T; then the
+        row sums of full."""
+        if full.shape[0] < 2:
             raise DomainError("generator needs dimension >= 2")
         object.__setattr__(self, "rate", finite(self.rate, "rate"))
-        if full is None:
+        if upper is not None:
             if np.any(np.tril(upper) != 0.0):
                 raise DomainError("canonical storage must be strictly upper triangular")
             full = upper - upper.T
+            object.__setattr__(self, "upper", upper)
         sums = full.sum(axis=1)
         if float(np.max(np.abs(sums))) > MARGINAL_TOL:
             raise DomainError(
                 f"row sums reach {np.max(np.abs(sums)):.3e}, exceed {MARGINAL_TOL:g}"
             )
-        upper.setflags(write=False)
         full.setflags(write=False)
-        object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "_full", full)
 
     @classmethod
@@ -80,16 +83,27 @@ class GeneratorMatrix:
         """The generator of a full matrix built in this module exactly
         antisymmetric, with a +0.0 diagonal and no -0.0 below it, so that it
         equals upper - upper.T bit for bit for upper = triu(full, 1): stored
-        as it is, with no reflection.  Refuses, as the public constructor
-        does, n < 2, a non-finite rate and row sums beyond MARGINAL_TOL."""
+        as it is, with no reflection and no upper triangle.  Refuses, as the
+        public constructor does, n < 2, a non-finite rate and row sums beyond
+        MARGINAL_TOL."""
         g = object.__new__(cls)
         object.__setattr__(g, "rate", rate)
-        g._settle(np.triu(full, 1), full)
+        g._settle(full)
         return g
+
+    def __getattr__(self, name):
+        # only the upper triangle of an _exact generator is missing: formed on first read
+        full = self.__dict__.get("_full")
+        if name != "upper" or full is None:
+            raise AttributeError(name)
+        upper = np.triu(full, 1)
+        upper.setflags(write=False)
+        object.__setattr__(self, "upper", upper)
+        return upper
 
     @property
     def n(self) -> int:
-        return self.upper.shape[0]
+        return self._full.shape[0]
 
     @property
     def matrix(self) -> np.ndarray:
@@ -215,11 +229,14 @@ def _propagator(g: GeneratorMatrix, t: float, dt: float | None) -> np.ndarray:
     root of the largest eigenvalue of the symmetric G^T G, from one
     eigvalsh and no SVD; G is divided by m = max|G| first, so no square
     overflows or underflows, and |G|_2 = m sqrt(lambda_max).  t = 0 takes
-    no step and needs no |G|_2.  The step decision is logged at DEBUG
-    level, with its decider and eigvalsh's |G|_2.  Raises DomainError for a
+    no step and needs no |G|_2.  G = rate * M is never built: cayley_power
+    takes M and the rate, so its dense branch holds two n x n arrays, I - H
+    and I + H (formed in H's own array), H = (step / 2) G, and frees both
+    before the matrix power.  The step decision is logged at DEBUG level,
+    with its decider and eigvalsh's |G|_2.  Raises DomainError for a
     non-finite t or dt, a non-positive dt, a t/dt that overflows, a default
     step whose |G|_2 overflows, a step beyond the Cayley reach bound and,
-    before G is formed, a rate * max|M| beyond the float range.
+    before any n x n array is formed, a rate * max|M| beyond the float range.
     """
     m_max = float(g.matrix.max())  # max|M|: an antisymmetric M holds -x wherever it holds x
     m = abs(g.rate) * m_max  # max|G| to the bit: rounding a product is monotone
@@ -231,14 +248,16 @@ def _propagator(g: GeneratorMatrix, t: float, dt: float | None) -> np.ndarray:
         bound = _norm_bracket(g, t, m_max) if t else 0.0  # t = 0: no step at any rate
         decider = "no step" if not t else "eigvalsh" if bound is None else "certified"
         rule = f"default, {DEFAULT_STEP_ANGLE:g} rad per step ({decider})"
-    gen = g.rate * g.matrix
     if dt is None and t and (bound is None or _log.isEnabledFor(logging.DEBUG)):
-        unit = gen / m if m > 0.0 else np.eye(1)  # |G|_2 = m = 0 for the zero generator
+        unit = np.eye(1)  # |G|_2 = m = 0 for the zero generator
+        if m > 0.0:
+            unit = g.rate * g.matrix
+            unit /= m  # G / m, the bits of (rate * M) / m, in one array
         norm = m * math.sqrt(np.linalg.eigvalsh(unit.T @ unit)[-1])
         del unit  # n x n, not held while cayley_power runs
     n, step = steps(t, dt, bound if norm is None else norm, rate_name="|G|_2")
     _log.debug("fd step rule: %s; %d steps of %.6g, |G|_2 %s", rule, n, step, norm)
-    return cayley_power(gen, step, n)
+    return cayley_power(g.matrix, step, n, g.rate)
 
 
 def evolve(p0: SignedProbVector, g: GeneratorMatrix, t: float, dt: float | None = None) -> SignedProbVector:

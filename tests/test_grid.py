@@ -148,6 +148,60 @@ class TestCayleyPower:
         assert cayley_power(g.rate * g.matrix, 0.1 / 12, 12).tobytes() == want.tobytes()
         assert dynamics._propagator(g, 0.1, None).tobytes() == want.tobytes()
 
+    @staticmethod
+    def _signed_zeros():
+        """A from_dense generator whose input holds -0.0 above and below the
+        diagonal: two antisymmetric blocks among signed zeros."""
+        m = np.where(np.random.default_rng(6).random((6, 6)) < 0.5, 0.0, -0.0)
+        m[:3, :3] = random_generator(3, 1).matrix
+        m[3:, 3:] = -random_generator(3, 2).matrix
+        return GeneratorMatrix.from_dense(m, rate=-1.3)
+
+    RATED = [
+        *[pytest.param(lambda r=r: GeneratorMatrix(cyclic_generator3().upper, rate=r), True, 1.0,
+                       id=f"cyclic3-{r:g}") for r in (math.sqrt(3.0) / 3.0, 2.0, -0.7, 1e-200)],
+        pytest.param(lambda: random_generator(3, 8, 0.37), True, 1.0,
+                     id="random3-circulant-once-scaled"),
+        *[pytest.param(lambda n=n, r=r: random_generator(n, 5, r), False, 0.1 if n == 200 else 1.0,
+                       id=f"random{n}-{r:g}") for n in (4, 20, 200) for r in (1.0, 0.37, -1.3)],
+        pytest.param(_signed_zeros, False, 1.0, id="from-dense-signed-zeros"),
+    ]
+
+    @pytest.mark.parametrize("make, circulant_branch, t", RATED)
+    def test_rate_folded_into_the_step_keeps_the_bits(self, make, circulant_branch, t, monkeypatch):
+        # _propagator hands cayley_power M and the rate; the result is the bits
+        # of the call on rate * M, and in the dense branch those of the dense
+        # formula, whose solve is handed eye -/+ half with every signed zero
+        g = make()
+        calls, powers, solved = [], [], []
+        monkeypatch.setattr(
+            dynamics, "cayley_power", lambda *args: calls.append(args) or cayley_power(*args))
+        q = dynamics._propagator(g, t, None)
+        ((_, step, n, rate),) = calls
+        assert rate == g.rate and n >= 1
+        power, solve = np.linalg.matrix_power, np.linalg.solve
+        monkeypatch.setattr(
+            np.linalg, "matrix_power", lambda *args: powers.append(1) or power(*args))
+        monkeypatch.setattr(
+            np.linalg, "solve", lambda *args: solved.append([x.tobytes() for x in args]) or solve(*args))
+        assert cayley_power(g.matrix, step, n, g.rate).tobytes() == q.tobytes()
+        assert powers == ([] if circulant_branch else [1])
+        assert cayley_power(g.rate * g.matrix, step, n).tobytes() == q.tobytes()
+        want = cayley_power_dense(g.rate * g.matrix, step, n)
+        if circulant_branch:  # cyclic convolutions: the dense formula's bits only within round-off
+            assert np.abs(q - want).max() < 5e-14
+            assert np.array_equal(g.rate * g.matrix, circulant(g.rate * g.matrix[:, 0]))
+        else:
+            assert q.tobytes() == want.tobytes()
+            eye, half = np.eye(g.n), (step / 2.0) * (g.rate * g.matrix)
+            assert solved[0] == [(eye - half).tobytes(), (eye + half).tobytes()]
+
+    def test_scaling_can_make_a_generator_circulant(self):
+        # the branch is decided on rate * M, not on M
+        g = random_generator(3, 8, 0.37)
+        assert not np.array_equal(g.matrix, circulant(g.matrix[:, 0]))
+        assert np.array_equal(g.rate * g.matrix, circulant(g.rate * g.matrix[:, 0]))
+
     def test_circulant_takes_no_dense_matrix_power(self, monkeypatch):
         calls = []
         power = np.linalg.matrix_power
@@ -380,6 +434,27 @@ class TestCayleyReach:
         for bad in (np.nextafter(step, math.inf), -np.nextafter(step, math.inf), 1e300):
             with pytest.raises(DomainError, match=r"^Cayley step reach \(step / 2\) max\|a\|"):
                 cayley_power(a, bad, 3)
+
+    @pytest.mark.parametrize("rate", [-0.7, 3.0, 1e-200])
+    @pytest.mark.parametrize("make", [cyclic_generator3, lambda: random_generator(5, 2)])
+    def test_reach_reads_the_rate(self, make, rate):
+        # |rate| max|a| is max|rate a| to the bit, so the rate folded into the
+        # step refuses exactly the steps the scaled generator's call refuses
+        a = make().matrix
+        a_max = float(np.abs(rate * a).max())
+        ok = 2.0 * MAX_CAYLEY_REACH / a_max
+        while abs(ok) / 2.0 * a_max > MAX_CAYLEY_REACH:
+            ok = np.nextafter(ok, 0.0)
+        bad = np.nextafter(ok, math.inf)  # the first step refused
+        while abs(bad) / 2.0 * a_max <= MAX_CAYLEY_REACH:
+            bad = np.nextafter(bad, math.inf)
+        assert cayley_power(a, ok, 2, rate).tobytes() == cayley_power(rate * a, ok, 2).tobytes()
+        messages = []
+        for args in ((a, bad, 2, rate), (rate * a, bad, 2)):
+            with pytest.raises(DomainError, match=r"^Cayley step reach") as info:
+                cayley_power(*args)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
     def test_circulant_reach_reads_the_first_column(self):
         gen, _ = TestCayleyPower._timestepped("quartic", 0.5, 64)
