@@ -148,14 +148,15 @@ def _cells(values, digits: int) -> np.ndarray:
         i = np.flatnonzero(off)
         k[i] += off[i]
         n[i], rest[i] = _scaled(a[i], digits - 1 - k[i])
+        off[i] = (n[i] < low) | (n[i] >= high)  # still outside the digit range
     zero = v == 0.0
-    slow = ~(fast | zero) | (n < low) | (n >= high) | (np.abs(rest - 0.5) <= _TIE_MARGIN)
+    blank = ~fast | off.astype(bool) | (np.abs(rest - 0.5) <= _TIE_MARGIN)  # zeros, and cells for %
     n += rest > 0.5
     up = n == high
     n[up] = low
     k += up
-    n[zero | slow] = 0
-    k[zero | slow] = 0
+    n[blank] = 0
+    k[blank] = 0
     count = (digits + 3) // 4
     quads = np.empty((v.size, count), np.uint32)
     for j in range(count - 1, -1, -1):  # n in base 10,000, the last word first
@@ -164,14 +165,22 @@ def _cells(values, digits: int) -> np.ndarray:
         n = top
     text = quads.view(np.uint8)[:, 4 * count - digits :]  # the digits of n, zero-padded
     cells = np.empty((v.size, digits + 7), np.uint8)
-    cells[:, 0] = np.where(np.signbit(v), ord("-"), 0)
+    np.multiply(np.signbit(v), np.uint8(ord("-")), out=cells[:, 0])
     cells[:, 1] = text[:, 0]
     cells[:, 2] = ord(".")
-    cells[:, 3 : digits + 2] = text[:, 1:]
-    cells[:, digits + 2 :] = exponents.take(k - _EXP_FROM, axis=0)
+    _bytes(cells[:, 3 : digits + 2])[:] = _bytes(text[:, 1:])
+    _bytes(cells[:, digits + 2 :])[:] = _bytes(exponents).take(k - _EXP_FROM)
+    slow = blank ^ zero
     if slow.any():
         cells[slow] = _percent(v[slow], digits)
     return cells
+
+
+def _bytes(rows: np.ndarray) -> np.ndarray:
+    """Each row of a uint8 array whose last axis is contiguous as one item
+    of a void dtype: copied and gathered as one memcpy a row, not byte by
+    byte."""
+    return rows.view(f"V{rows.shape[-1]}")[..., 0]
 
 
 def _percent(values: np.ndarray, digits: int) -> np.ndarray:
@@ -230,8 +239,11 @@ def write_csv(path, header: str, axes, values, digits: int) -> None:
     shape = tuple(a.size for a in axes)
     width = math.prod(np.shape(values)[len(axes) :])  # values per point
     values = np.reshape(values, (math.prod(shape), width))
-    head = np.concatenate([*axes, values[:_BLOCK_ROWS]], axis=None)
-    *coords, cells = np.split(_cells(head, digits), np.cumsum(shape))  # each axis, the first block
+    cells = _cells(np.concatenate([*axes, values[:_BLOCK_ROWS]], axis=None), digits)
+    coords = []  # each axis's cells, split off the first block's
+    for n in shape:
+        coords.append(cells[:n])
+        cells = cells[n:]
     size = digits + 7  # bytes per cell, padding included
     with create(path) as fh:
         fh.write(header.encode() + b"\n")
@@ -242,11 +254,11 @@ def write_csv(path, header: str, axes, values, digits: int) -> None:
             rows = np.empty((block.shape[0], len(axes) + width, size + 1), np.uint8)
             index = np.unravel_index(np.arange(start, start + block.shape[0]), shape)
             for k, (axis_cells, i) in enumerate(zip(coords, index)):
-                rows[:, k, :size] = axis_cells.take(i, axis=0)
-            rows[:, len(axes) :, :size] = cells.reshape(block.shape[0], width, size)
+                _bytes(rows[:, k, :size])[:] = _bytes(axis_cells).take(i)
+            _bytes(rows[:, len(axes) :, :size])[:] = _bytes(cells).reshape(block.shape[0], width)
             rows[:, :, size] = ord(",")
             rows[:, -1, size] = ord("\n")
-            fh.write(rows.tobytes().translate(None, b"\0"))
+            fh.write(rows.tobytes().replace(b"\0", b""))
 
 
 _ZEROS = int.from_bytes(b"0" * 8, "little")  # eight ASCII zeros as one uint64
@@ -292,7 +304,7 @@ def _values(buf: np.ndarray, start: int, stop: int, columns: int):
     nudge = p * _NUDGE
     r = p + (err + nudge)
     slow = (r != p + (err - nudge)) | ((exp + 280).view(np.uint64) > 587)  # exponents off [-280, 307]
-    r = (r.view(np.int64) | neg.astype(np.int64) << 63).view(float)
+    np.negative(r, out=r, where=neg)  # r >= +0.0: its sign bit set
     i = np.flatnonzero(slow)
     if i.size:
         r[i] = _floats(buf, first[i], sep[i])

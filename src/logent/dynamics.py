@@ -18,6 +18,7 @@ phase accuracy against exp(tG).
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -166,36 +167,49 @@ def _norm_bracket(g: GeneratorMatrix, t: float, m_max: float) -> float | None:
 
     n = steps(t, None, r)[0] never falls as r grows, so every r between lo
     and an upper bound hi of |G|_2 gives one n once lo and hi do.  |rate|
-    |My| / |y| is a lower bound for any y != 0; y is the top Ritz vector of
-    M^T M in the Krylov space of S = M M = -M^T M with min(16, n) vectors,
-    started from the column of S at M's largest column and orthogonalized
-    by Gram-Schmidt twice.  hi is the top of lo's ceiling interval, and one
-    Cholesky factorization of (hi / |rate|)^2 I + S proves |G|_2 < hi (Rump,
-    BIT Numer. Math. 46 (2006) 433).  Both are pulled inward by tol =
-    max(1e-9, 4 n^2 eps), and hi is checked at hi (1 + tol / 2): room for
-    the round-off of S, of the Cholesky and of eigvalsh, each under n^2 eps
-    of |G|_2.  None for a zero rate, unless 1e-100 <= max|M| <= 1e100 (so
-    that no square over- or underflows), and where steps refuses a bound or
-    the Cholesky fails.
+    |My| / |y| is a lower bound for any y != 0, even where round-off has
+    bent y away from the vector meant; y = z^T V is the top Ritz vector of
+    S = M^T M from min(16, n) steps of the Lanczos recurrence (Paige,
+    J. Inst. Math. Appl. 10 (1972) 373), V its vectors and z the top
+    eigenvector of its tridiagonal matrix.  The recurrence starts from the
+    column of S at M's largest column and stops early where the Krylov
+    space closes: where the new vector's length falls to 2^-26 of the
+    largest Rayleigh quotient so far, the space is invariant under S to
+    round-off.  hi is the top of lo's ceiling interval, and one Cholesky
+    factorization of (hi / |rate|)^2 I - S, formed in S's own array, proves
+    |G|_2 < hi (Rump, BIT Numer. Math. 46 (2006) 433).  Both are pulled
+    inward by tol = max(1e-9, 4 n^2 eps), and hi is checked at
+    hi (1 + tol / 2): room for the round-off of S, of the Cholesky and of
+    eigvalsh, each under n^2 eps of |G|_2.  None for a zero rate, unless
+    1e-100 <= max|M| <= 1e100 (so that no square over- or underflows), and
+    where steps refuses a bound or the Cholesky fails.
     """
     rate = abs(g.rate)
     if not (1e-100 <= m_max <= 1e100 and rate > 0.0):
         return None
     mat, size = g.matrix, g.n
-    s = mat @ mat
-    q = np.empty((min(16, size), size))  # the Krylov basis, a vector per row
-    v = s[:, np.argmin(np.diagonal(s))]  # nonzero: its own entry is -|M e_j|^2
-    q[0] = v / math.sqrt(v @ v)
-    for j in range(1, len(q)):
-        w = s @ q[j - 1]
-        for _ in range(2):
-            w -= (q[:j] @ w) @ q[:j]
-        length = math.sqrt(w @ w)
-        if not length > 0.0:  # the space is invariant under S
-            q = q[:j]
+    s = mat.T @ mat  # numpy's symmetric rank-k product: exactly symmetric
+    v = np.empty((min(16, size), size))  # the Lanczos vectors, a vector per row
+    tri = np.zeros((len(v), len(v)))  # their tridiagonal matrix, lower triangle
+    col = s[:, np.argmax(np.diagonal(s))]  # nonzero: its own entry is |M e_j|^2
+    v[0] = col / math.sqrt(col @ col)
+    top = 0.0  # the largest Rayleigh quotient so far: the scale of S
+    for j in range(len(v)):
+        w = s @ v[j]
+        if j:
+            w -= tri[j, j - 1] * v[j - 1]
+        tri[j, j] = alpha = v[j] @ w
+        top = max(top, alpha)
+        if j + 1 == len(v):
             break
-        q[j] = w / length
-    y = np.linalg.eigh(q @ s @ q.T)[1][:, 0] @ q  # S's lowest Ritz vector
+        w -= alpha * v[j]
+        beta = math.sqrt(w @ w)
+        if not beta > 2.0**-26 * top:  # the space is closed, to round-off
+            break
+        tri[j + 1, j] = beta
+        np.divide(w, beta, out=v[j + 1])
+    k = j + 1
+    y = np.linalg.eigh(tri[:k, :k])[1][:, -1] @ v[:k]  # S's top Ritz vector
     my = mat @ y
     tol = max(1e-9, 4.0 * size * size * np.finfo(float).eps)
     lo = rate * math.sqrt((my @ my) / (y @ y)) * (1.0 - tol)
@@ -210,6 +224,7 @@ def _norm_bracket(g: GeneratorMatrix, t: float, m_max: float) -> float | None:
     h = hi / rate
     if not math.isfinite(h * h):
         return None
+    np.negative(s, out=s)
     s.flat[:: size + 1] += h * h  # (hi / |rate|)^2 I - M^T M, in place
     try:
         np.linalg.cholesky(s)
@@ -223,11 +238,12 @@ def _propagator(g: GeneratorMatrix, t: float, dt: float | None) -> np.ndarray:
 
     The default dt advances the fastest phase, of rate |G|_2, by 0.1 rad
     per step, so |G|_2 acts only through n = steps(t, None, |G|_2)[0].
-    _norm_bracket decides that n, exactly, from a Krylov lower bound and
-    one Cholesky factorization, and step = t / n.  Where it does not, or
-    when the "logent" logger is enabled for DEBUG, |G|_2 is the square
-    root of the largest eigenvalue of the symmetric G^T G, from one
-    eigvalsh and no SVD; G is divided by m = max|G| first, so no square
+    _norm_bracket decides that n, exactly, from one symmetric product
+    M^T M: a lower bound from at most 16 Lanczos steps on it and one
+    Cholesky factorization of its shifted negative; step = t / n.  Where it
+    does not, or when the "logent" logger is enabled for DEBUG, |G|_2 is
+    the square root of the largest eigenvalue of the symmetric G^T G, from
+    one eigvalsh and no SVD; G is divided by m = max|G| first, so no square
     overflows or underflows, and |G|_2 = m sqrt(lambda_max).  t = 0 takes
     no step and needs no |G|_2.  G = rate * M is never built: cayley_power
     takes M and the rate, so its dense branch holds two n x n arrays, I - H
@@ -299,8 +315,10 @@ def trajectory(p0: SignedProbVector, g: GeneratorMatrix, t_end: float, dt: float
     return RunRecord(times, np.array(drifts), ("probability_drift", "information_drift"), states)
 
 
-def _header(n: int) -> list:  # the trajectory CSV's fields for n outcomes
-    return ["t", *(f"p_{i}" for i in range(n)), "sum_drift", "info_drift"]
+@functools.lru_cache(maxsize=4)
+def _header(n: int) -> tuple:  # the trajectory CSV's header line and fields for n outcomes
+    fields = ("t", *(f"p_{i}" for i in range(n)), "sum_drift", "info_drift")
+    return ",".join(fields), fields
 
 
 def write_trajectory_csv(rec: RunRecord, path) -> None:
@@ -310,7 +328,7 @@ def write_trajectory_csv(rec: RunRecord, path) -> None:
     if rec.columns != ("probability_drift", "information_drift") or rec.states is None:
         raise DomainError(f"not a trajectory run record: columns {rec.columns}")
     values = np.column_stack([[s.entries for s in rec.states], rec.diagnostics])
-    write_csv(path, ",".join(_header(rec.states[0].n)), [rec.times], values, 15)
+    write_csv(path, _header(rec.states[0].n)[0], [rec.times], values, 15)
 
 
 def read_trajectory_csv(path) -> dict:
@@ -318,7 +336,7 @@ def read_trajectory_csv(path) -> dict:
     GridError for malformed content or a header other than t, p_0..p_{n-1},
     sum_drift, info_drift with n >= 2."""
     header, data = read_csv(path, "trajectory")
-    if len(header) < 5 or header != _header(len(header) - 3):
+    if len(header) < 5 or tuple(header) != _header(len(header) - 3)[1]:
         raise GridError("not a trajectory CSV")
     return {
         "times": data[:, 0],

@@ -436,6 +436,29 @@ class TestCertifiedStepCount:
                         assert steps(t, None, lo)[0] == steps(t, None, norm)[0], (seed, rate, t)
         assert decided >= 0.9 * cases  # 4,700 of the 4,800 cases over all five sizes
 
+    def test_recurrence_stops_where_the_krylov_space_closes(self, monkeypatch):
+        # a zero-marginal antisymmetric M has rank at most n - 1, and even, and M^T M holds
+        # each nonzero eigenvalue twice, so a start column in its range spans a Krylov space
+        # of (n - 1) // 2 vectors: one for cyclic3 and n = 3 and 4 (its column is then an
+        # eigenvector) and three for n = 8, where the tridiagonal matrix stops
+        cases = [(GeneratorMatrix(cyclic_generator3().upper, rate=rate), 1) for rate in (1.0, 0.37)]
+        cases += [(random_generator(n, seed, rate=rate), (n - 1) // 2)
+                  for n in (3, 4, 8) for seed in range(5) for rate in (1.0, 0.37)]
+        sizes, eigh = [], np.linalg.eigh  # the tridiagonal matrix's size, at each call
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
+        decided = total = 0
+        for g, closed in cases:
+            norm = _eigvalsh_norm(g)
+            for t in (0.1, 0.05, 1 / 3, 1.0, -0.7, 2.5, 10.0, 1e-3):
+                lo = dynamics._norm_bracket(g, t, float(g.matrix.max()))
+                assert sizes.pop() == closed
+                total += 1
+                if lo is not None:
+                    decided += 1
+                    assert lo <= norm
+                    assert steps(t, None, lo)[0] == steps(t, None, norm)[0], (g.n, g.rate, t)
+        assert decided >= 0.9 * total  # all 256 cases here
+
     def test_cli_fd_job_takes_no_eigvalsh(self, monkeypatch, tmp_path, caplog):
         monkeypatch.chdir(tmp_path)
         args = ["evolve", "fd", "--generator", "random", "--n", "200", "--seed", "11",
