@@ -7,12 +7,11 @@ range, non-finite values) to % itself.  read_csv reads every CSV file back,
 bit for bit as np.loadtxt would: _values, the inverse of _cells, parses a
 body in write_csv's own layout block by block, eight digits per uint64 word
 and the same double-double product, and hands its near-ties and far
-exponents to float(); np.loadtxt reads any other file from the first block
-_values refuses on, or whole when that fails.  create opens every output
-file, CSV and sidecar: it replaces a writable regular file that only this
-process's user and group hold by a new one, so a reader that has the old
-file open keeps its bytes and the file system is not asked to flush a
-truncated file's data on close, and it opens any other path in place.
+exponents to float(); np.loadtxt reads any other file whole.  create opens
+every output file, CSV and sidecar: it replaces a writable regular file that
+only this process's user and group hold by a new one, so a reader that has
+the old file open keeps its bytes and the file system is not asked to flush
+a truncated file's data on close, and it opens any other path in place.
 """
 from __future__ import annotations
 
@@ -381,9 +380,10 @@ def _stream(fh):
     other file.  Each block is the whole rows among the next bytes read into
     one buffer, which holds at most _BLOCK_ROWS rows and _BLOCK_CELLS cells
     of the narrowest kind (or one row of the widest, or a smaller file's
-    whole body); the rest of a row is carried to the next block.  A block
-    refused after others have parsed leaves the file from its first byte
-    on to _rest."""
+    whole body); the rest of a row is carried to the next block.  The first
+    block _values refuses, or whose digit count differs from the first
+    block's, ends the read with None, whatever blocks parsed before it, as
+    does a body with no rows or no final newline."""
     header = fh.readline()
     if not header.endswith(b"\n") or b"\r" in header:  # text mode also ends a line at \r
         return None
@@ -399,7 +399,6 @@ def _stream(fh):
     buf[:_PAD] = ord("\n")
     data = np.empty((size // (columns * _CELL_BYTES[0]), columns))  # room for every row
     rows = kept = 0
-    at = len(header)  # the file offset of buf[_PAD]
     digits = None
     while got := fh.readinto(memoryview(buf)[_PAD + kept : _PAD + cap]):
         stop = cut = _PAD + kept + got
@@ -409,39 +408,28 @@ def _stream(fh):
             cut = end + int(newlines[-1]) + 1 if newlines.size else _PAD
         block = _values(buf, _PAD, cut, columns)
         if block is None or digits not in (None, block[1]):
-            break
+            return None
         values, digits = block[0].reshape(-1, columns), block[1]
         if rows + len(values) > len(data):  # more rows than the file's size allowed
-            break
+            return None
         data[rows : rows + len(values)] = values
         rows += len(values)
-        at += cut - _PAD
         kept = stop - cut
         buf[_PAD : _PAD + kept] = buf[cut:stop]
-    else:
-        if not kept and rows:  # a final newline, and data
-            data.resize((rows, columns), refcheck=False)  # in place: no view of data exists
-            return fields, data
-    return _rest(fh, at, fields, data[:rows]) if rows else None
-
-
-def _rest(fh, at: int, fields: list, head: np.ndarray):
-    """_stream's data after it refuses a block at byte at: head, its rows so
-    far, then _loadtxt from at on; None when that fails (see read_csv)."""
-    try:
-        return fields, np.concatenate([head, _loadtxt(fh, at, "", fields)[1]])
-    except GridError:
+    if kept or not rows:  # no final newline, or no data
         return None
+    data.resize((rows, columns), refcheck=False)  # in place: no view of data exists
+    return fields, data
 
 
-def _loadtxt(fh, at: int, kind: str, fields: list | None = None) -> tuple:
-    """np.loadtxt of fh, a binary file, from byte at on, decoded as in UTF-8
-    text mode: (fields, data), fields unless given the first line there.
-    GridError, naming kind, for text it refuses or rows not len(fields) wide."""
-    fh.seek(at)
+def _loadtxt(fh, kind: str) -> tuple:
+    """np.loadtxt of the whole of fh, a binary file, decoded as in UTF-8
+    text mode: (fields, data), fields the header line's.  GridError, naming
+    kind, for text it refuses or rows not len(fields) wide."""
+    fh.seek(0)
     text = io.TextIOWrapper(fh, encoding="utf-8")
     try:
-        fields = fields or text.readline().strip().split(",")
+        fields = text.readline().strip().split(",")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no data rows
             data = np.loadtxt(text, delimiter=",", ndmin=2)
@@ -459,9 +447,9 @@ def read_csv(path, kind: str):
     columns) data, np.loadtxt's bit for bit.  A non-numeric cell, a row of
     the wrong length and non-UTF-8 text raise GridError, np.loadtxt's error
     read from the whole file; a missing file raises OSError.  _stream reads
-    write_csv's own layout, and _loadtxt any other file (hand-written cells,
-    CRLF, # comments, blank lines, nan or inf, no final newline, non-UTF-8
-    bytes) from the first block _values refuses on, or whole when that is
-    the first block or np.loadtxt refuses the rest."""
+    write_csv's own layout, and _loadtxt reads any other file whole
+    (hand-written cells, CRLF, # comments, blank lines, nan or inf, no
+    final newline, mixed digit counts, non-UTF-8 bytes), from the one open
+    handle."""
     with open(path, "rb") as fh:
-        return _stream(fh) or _loadtxt(fh, 0, kind)
+        return _stream(fh) or _loadtxt(fh, kind)

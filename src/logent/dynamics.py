@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 
@@ -37,79 +37,73 @@ MARGINAL_TOL = 1e-12
 _log = logging.getLogger("logent")
 
 
-@dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
     """Antisymmetric zero-marginal generator with a separate rate scale.
 
-    The public constructor takes the strictly upper triangle and stores it
-    with the full matrix upper - upper.T, antisymmetric by construction.
-    random_generator and from_dense store the full matrix alone, exactly
-    antisymmetric, and form upper = triu(matrix, 1) on its first read, so a
-    generator they build holds one n x n array until then.  Row and column
-    sums must vanish within 1e-12.
+    Every constructor stores one n x n array, the full matrix, read-only,
+    with the rate, through one checked path, _settle: the public constructor
+    takes the strictly upper triangle and stores upper - upper.T,
+    antisymmetric by construction, and random_generator and from_dense
+    store the exactly antisymmetric matrix they build.  upper is
+    triu(matrix, 1), formed read-only on its first read and kept; it is the
+    given triangle and upper - upper.T is matrix, bit for bit, unless a
+    -0.0 was given at or below the diagonal.  Row and column sums must
+    vanish within 1e-12.  Instances are read-only.
     """
 
-    upper: np.ndarray
-    rate: float = 1.0
-
-    def __post_init__(self):
-        arr = real_array(self.upper, "generator entries")
+    def __init__(self, upper, rate: float = 1.0):
+        arr = real_array(upper, "generator entries")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DomainError("generator storage must be square")
-        self._settle(arr, upper=arr)
+        self._settle(arr, rate, triangle=True)
 
-    def _settle(self, full: np.ndarray, upper: np.ndarray | None = None) -> None:
-        """Check and store: n >= 2 and a finite rate; then, when upper is
-        given (the public constructor passes it as full too), strictly upper
-        storage, stored and reflected into full = upper - upper.T; then the
-        row sums of full."""
-        if full.shape[0] < 2:
+    def _settle(self, arr: np.ndarray, rate, triangle: bool = False) -> None:
+        """Check and store: n >= 2 and a finite rate; then, for the public
+        constructor's triangle, strictly upper storage, reflected into
+        arr - arr.T; then the row sums of the full matrix, stored read-only."""
+        if arr.shape[0] < 2:
             raise DomainError("generator needs dimension >= 2")
-        object.__setattr__(self, "rate", finite(self.rate, "rate"))
-        if upper is not None:
-            if np.any(np.tril(upper) != 0.0):
+        object.__setattr__(self, "rate", finite(rate, "rate"))
+        if triangle:
+            if np.any(np.tril(arr) != 0.0):
                 raise DomainError("canonical storage must be strictly upper triangular")
-            full = upper - upper.T
-            object.__setattr__(self, "upper", upper)
-        sums = full.sum(axis=1)
+            arr = arr - arr.T
+        sums = arr.sum(axis=1)
         if float(np.max(np.abs(sums))) > MARGINAL_TOL:
             raise DomainError(
                 f"row sums reach {np.max(np.abs(sums)):.3e}, exceed {MARGINAL_TOL:g}"
             )
-        full.setflags(write=False)
-        object.__setattr__(self, "_full", full)
+        arr.setflags(write=False)
+        object.__setattr__(self, "matrix", arr)
 
     @classmethod
     def _exact(cls, full: np.ndarray, rate: float) -> "GeneratorMatrix":
         """The generator of a full matrix built in this module exactly
         antisymmetric, with a +0.0 diagonal and no -0.0 below it, so that it
-        equals upper - upper.T bit for bit for upper = triu(full, 1): stored
-        as it is, with no reflection and no upper triangle.  Refuses, as the
-        public constructor does, n < 2, a non-finite rate and row sums beyond
-        MARGINAL_TOL."""
+        equals upper - upper.T bit for bit: stored as it is.  Refuses, as the
+        public constructor does, n < 2, a non-finite rate and row sums
+        beyond MARGINAL_TOL."""
         g = object.__new__(cls)
-        object.__setattr__(g, "rate", rate)
-        g._settle(full)
+        g._settle(full, rate)
         return g
 
-    def __getattr__(self, name):
-        # only the upper triangle of an _exact generator is missing: formed on first read
-        full = self.__dict__.get("_full")
-        if name != "upper" or full is None:
-            raise AttributeError(name)
-        upper = np.triu(full, 1)
+    def __setattr__(self, name, *value):  # and __delattr__: no field changes after _settle
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"GeneratorMatrix(upper={self.upper!r}, rate={self.rate!r})"
+
+    @functools.cached_property
+    def upper(self) -> np.ndarray:  # read-only, formed on the first read
+        upper = np.triu(self.matrix, 1)
         upper.setflags(write=False)
-        object.__setattr__(self, "upper", upper)
         return upper
 
     @property
     def n(self) -> int:
-        return self._full.shape[0]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Full antisymmetric matrix, upper - upper.T to the bit."""
-        return self._full
+        return self.matrix.shape[0]
 
     @classmethod
     def from_dense(cls, m, rate: float = 1.0) -> "GeneratorMatrix":
@@ -245,11 +239,12 @@ def _propagator(g: GeneratorMatrix, t: float, dt: float | None) -> np.ndarray:
     the square root of the largest eigenvalue of the symmetric G^T G, from
     one eigvalsh and no SVD; G is divided by m = max|G| first, so no square
     overflows or underflows, and |G|_2 = m sqrt(lambda_max).  t = 0 takes
-    no step and needs no |G|_2.  G = rate * M is never built: cayley_power
-    takes M and the rate, so its dense branch holds two n x n arrays, I - H
-    and I + H (formed in H's own array), H = (step / 2) G, and frees both
-    before the matrix power.  The step decision is logged at DEBUG level,
-    with its decider and eigvalsh's |G|_2.  Raises DomainError for a
+    no step and needs no |G|_2.  It reads the generator's matrix and rate
+    alone, so its upper triangle is never formed here, and cayley_power
+    takes M and the rate, never G = rate * M: its dense branch holds two
+    n x n arrays, I - H and I + H (formed in H's own array), H = (step / 2)
+    G, and frees both before the matrix power.  The step decision is
+    logged at DEBUG level, with its decider and eigvalsh's |G|_2.  Raises DomainError for a
     non-finite t or dt, a non-positive dt, a t/dt that overflows, a default
     step whose |G|_2 overflows, a step beyond the Cayley reach bound and,
     before any n x n array is formed, a rate * max|M| beyond the float range.

@@ -165,8 +165,9 @@ class TestExactConstruction:
 
 
 class TestHeldArrays:
-    """What the fd path holds at n = 200: a built generator stores its full
-    matrix alone, and the propagator frees I - H and I + H before the power."""
+    """What the fd path holds at n = 200: a generator from any constructor
+    stores its full matrix alone, and the propagator frees I - H and I + H
+    before the power."""
 
     N = 200
 
@@ -195,6 +196,31 @@ class TestHeldArrays:
         assert not upper.flags.writeable
         assert upper.tobytes() == np.triu(g.matrix, 1).tobytes()
         assert g.upper is upper  # formed once
+
+    def test_public_generator_holds_one_array_until_upper_is_read(self):
+        # measured 1.00 n^2 doubles held; keeping the given triangle beside the
+        # full matrix held 2.00
+        half = self.N // 2
+        m = np.zeros((self.N, self.N))  # two blocks, zeros between them
+        m[:half, :half] = random_generator(half, 1).matrix
+        m[half:, half:] = random_generator(half, 2).matrix
+        given = np.triu(m, 1)
+        off = given[:half, half:]
+        off[np.random.default_rng(7).random(off.shape) < 0.5] = -0.0  # above the diagonal
+        GeneratorMatrix(given, rate=0.37)  # warm-up
+        g, held, _ = self._traced(lambda: GeneratorMatrix(given, rate=0.37))
+        assert held < 1.5 * self.N**2 * 8
+        assert "upper" not in vars(g) and g.n == self.N
+        upper = g.upper
+        assert not upper.flags.writeable
+        assert upper.tobytes() == given.tobytes()  # each -0.0 above the diagonal too
+        assert g.upper is upper  # formed once
+        # the one triangle whose bits do not come back: a -0.0 mirrored by a
+        # -0.0 below the diagonal.  The triangle check passes it (-0.0 == 0.0),
+        # the stored matrix holds -0.0 - -0.0 = +0.0 there, and upper is read
+        # from the matrix, so it reads +0.0
+        mirrored = GeneratorMatrix(np.array([[0.0, -0.0], [-0.0, 0.0]]))
+        assert mirrored.upper.tobytes() == np.zeros((2, 2)).tobytes()
 
     def test_propagator_peak_at_n_200(self):
         # the n = 200 fd job's sample propagator, 12 default steps: measured

@@ -816,8 +816,9 @@ class TestReadFallback:
             assert got[1] == (0, 3)
 
     @pytest.mark.parametrize("end", ["no final newline", "bad last cell"])
-    def test_late_break_hands_np_loadtxt_one_block(self, end, tmp_path, monkeypatch):
-        # 5,120 rows of about 46 bytes: three blocks of about 1,870 rows
+    def test_late_break_hands_np_loadtxt_the_whole_file(self, end, tmp_path, monkeypatch):
+        # 5,120 rows of about 46 bytes: three blocks of about 1,870 rows, the
+        # first two parsed before the last is refused
         path, rows = tmp_path / "f.csv", 5 * _BLOCK_ROWS // 2
         write_csv(path, "i,v", [np.arange(rows, dtype=float)], np.linspace(-1.0, 1.0, rows), 17)
         text = path.read_bytes()
@@ -832,11 +833,13 @@ class TestReadFallback:
             return data
 
         monkeypatch.setattr(np, "loadtxt", counted)
+        reads = _fast_reads(monkeypatch)
         assert _outcome(read_csv, path) == want
-        if end == "no final newline":
-            assert len(received) == 1 and 0 < received[0] <= _BLOCK_ROWS < rows // 2
-        else:  # the rest, then the whole file, for the whole file's row numbers
-            assert received == [None, None] and f"at row {rows - 1}," in want[1]
+        assert reads == [False]
+        if end == "no final newline":  # every row, in one call
+            assert received == [rows] and want[1] == (rows, 2)
+        else:  # one refusal, naming the whole file's row
+            assert received == [None] and f"at row {rows - 1}," in want[1]
 
     def test_mixed_digit_counts_read_as_the_reference(self, tmp_path, monkeypatch):
         path = tmp_path / "f.csv"
@@ -853,7 +856,7 @@ class TestReadFallback:
 
 
 def test_read_csv_opens_each_file_once(tmp_path, monkeypatch):
-    # the fast path and both np.loadtxt fallbacks read from one binary handle
+    # the fast path and the np.loadtxt fallback read from one binary handle
     path, rows = tmp_path / "f.csv", 5 * _BLOCK_ROWS // 2
     write_csv(path, "i,v", [np.arange(rows, dtype=float)], np.linspace(-1.0, 1.0, rows), 17)
     text = path.read_bytes()

@@ -51,29 +51,6 @@ class TestFourthOrder:
 
 
 class TestDefaultAccuracy:
-    # (x_center, p_center, t, gate): the gate is 4x the error measured with
-    # Yoshida's default steps, which these runs took until the exact flow
-    # became the harmonic default (its gates: TestExactQuadraticFlow); the
-    # default before Yoshida, Strang at 0.1 rad per step, reached
-    # 3.6e-9, 7.1e-9, 1.4e-9, 2.8e-9 and 9.7e-8 on these cases.  The first
-    # four are the benchmark's harmonic jobs on their |x_center| range.
-    @pytest.mark.parametrize(
-        "x_center, p_center, t, gate",
-        [
-            (0.3, 0.0, 0.1, 1.2e-10),  # measured 3.0e-11
-            (-1.2, 0.0, 0.1, 2.6e-10),  # measured 6.4e-11
-            (0.3, 0.0, 0.04, 3e-11),  # measured 7.1e-12
-            (1.2, 0.0, 0.04, 6e-11),  # measured 1.5e-11
-            (1.0, 0.5, 2.9, 1.6e-8),  # measured 4.1e-9
-        ],
-    )
-    def test_harmonic_rotation(self, x_center, p_center, t, gate):
-        w0 = gaussian_pure_wigner(
-            128, 128, 8.0, 8.0, SIGMA, x_center=x_center, p_center=p_center
-        )
-        wt = wigner_evolve(w0, PotentialSpec.harmonic(1.0), t)
-        assert harmonic_error(wt, x_center, p_center, t) < gate
-
     def test_quartic_matches_wavefunction_reference(self):
         # measured 9.46e-6: the floor of this grid, set by the momentum window
         # (the same run with a caller's dt = 1e-3 gives 9.47e-6)
@@ -151,8 +128,11 @@ class TestExactQuadraticFlow:
     """The default rule of a constant, linear or harmonic V with c >= 0: pieces
     of at most pi/4 of the rotation at Omega = sqrt(2c / mass), each three
     exact shears.  Each gate is about 4 times its measured error; Yoshida
-    steps reached 3.0e-11 on the first case.  The shear path takes its rates
-    from _phase_rates, so it is checked against the closed forms alone."""
+    steps reached 3.0e-11 on the first case.  The first four cases are the
+    benchmark's harmonic jobs on their |x_center| range.  On every case
+    wigner_evolve must give wigner_run's final state bit for bit.  The shear
+    path takes its rates from _phase_rates, so it is checked against the
+    closed forms alone."""
 
     @pytest.mark.parametrize(
         "x_center, p_center, t, pieces, gate",
@@ -173,6 +153,8 @@ class TestExactQuadraticFlow:
         rec, wt = wigner_run(w0, PotentialSpec.harmonic(1.0), t)
         assert len(rec.times) == pieces + 1
         assert harmonic_error(wt, x_center, p_center, t) < gate
+        evolved = wigner_evolve(w0, PotentialSpec.harmonic(1.0), t)
+        assert evolved.values.tobytes() == wt.values.tobytes()
 
     @pytest.mark.parametrize("t", [1.7, -1.7])
     def test_nonunit_h_and_mass(self, t):
