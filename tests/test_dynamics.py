@@ -154,9 +154,27 @@ class TestExactConstruction:
             GeneratorMatrix.from_dense(m)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("m, rate, message", [
+        (np.zeros((1, 2)), 1.0, "generator storage must be square"),
+        (np.zeros((2, 2, 2)), 1.0, "generator storage must be square"),
+        (np.ones((1, 1)), 1.0, "generator needs dimension >= 2"),  # before the triangle
+        (np.zeros((0, 0)), 1.0, "generator needs dimension >= 2"),
+        (np.array([[0.0, 0.0], [1.0, 0.0]]), math.nan, "rate must be finite and real, not nan"),
+        (np.array([[1.0, 0.0], [0.0, 0.0]]), 1.0, "canonical storage must be strictly upper triangular"),
+        (np.array([[0.0, 1.0], [-1.0, 0.0]]), 1.0, "canonical storage must be strictly upper triangular"),
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0, "row sums reach 1.000e+00, exceed 1e-12"),
+        (np.array([[0.0, math.inf], [0.0, 0.0]]), 1.0, "generator entries must be finite and real"),
+    ])
+    def test_public_constructor_refusals(self, m, rate, message):
+        # where a triangle breaks two checks, the earlier check names it
+        with pytest.raises(DomainError) as info:
+            GeneratorMatrix(m, rate)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("make", [
         lambda rate: random_generator(4, 1, rate),
         lambda rate: GeneratorMatrix.from_dense(cyclic_generator3().matrix, rate),
+        lambda rate: GeneratorMatrix(cyclic_generator3().upper, rate),
     ])
     @pytest.mark.parametrize("rate", [math.nan, math.inf, "1"])
     def test_non_finite_rate_refused(self, make, rate):
