@@ -15,12 +15,11 @@ only to a caller that passes the fastest phase rate, advances that phase by
 a fixed angle per step (one step when the rate is zero).  The angle is
 DEFAULT_STEP_ANGLE = 0.1 rad for the Cayley steps; the split step asks for
 pi per substep of its fourth-order composition.  The two matrix engines
-also share the Cayley propagator, cayley_power, the n-th power of one
-implicit-midpoint step of a generator and its rate, which powers the first
-column of a circulant generator's Cayley factor by cyclic convolutions and
-takes any other generator densely, holding two n x n arrays, I - H and
-I + H, through the solve and only the solve's result and its powers
-through the matrix power.  The two real-space
+also share the Cayley propagator, the n-th power of one implicit-midpoint
+step, in two forms that the caller, who knows its generator, chooses:
+cayley_power takes a generator and its rate densely, and
+cayley_power_circulant the first column of a circulant generator, as the
+timestepped density oracle's always is.  The two real-space
 oracles of the spectral line-density path (the timestepped density oracle
 and wigner's momentum-only quadrature) share odd_sine_sum, the sine sum
 that gives an odd kernel's transform in real space, and the algebra of
@@ -54,14 +53,15 @@ ADMISSIBLE_TOL = 1e-9
 WRAP_TOL = 1e-10
 DEFAULT_STEP_ANGLE = 0.1  # max phase advance per step with the default dt
 _WRAP_SIGMAS = math.sqrt(-2.0 * math.log(WRAP_TOL))  # sigmas out, a Gaussian is WRAP_TOL high
-# cayley_power costs log2(n) products (dense, or cyclic convolutions of one column for a
-# circulant generator), but its round-off grows as n eps: |I - I0| of cyclic3 at 0.1 rad per
-# step is 8e-11 at 10^7 steps and 8e-9 at 10^9, against the fd gate of 1e-10
-MAX_STEPS = 10**7  # bounds every run's loop, every run's samples and cayley_power's round-off
+# a Cayley power costs log2(n) products, but its round-off grows as n eps: at 0.1 rad per
+# step cyclic3 takes the column path, whose |I - I0| and |sum - 1| are 7.9e-10 and 4.4e-10 at
+# 10^7 steps (10^6 steps: 7.9e-11 and 4.4e-11), against the fd gate of 1e-10; the dense
+# formula gives 8.1e-11 and 2.7e-11 at 10^7 steps
+MAX_STEPS = 10**7  # bounds every run's loop, every run's samples and a Cayley power's round-off
 # one Cayley step's round-off grows with its reach (step / 2) max|a|: over cyclic3, random n = 6
 # and 200 and the timestepped oracle at N = 256 and 1024, one step moved the sum or I by at most
 # 7.0e-12 at reach 100 and 1.1e-10 at 1,000 (random n = 200); the tests reach at most 44
-MAX_CAYLEY_REACH = 100.0  # bounds (step / 2) max|a| in cayley_power
+MAX_CAYLEY_REACH = 100.0  # bounds (step / 2) max|a| in both Cayley powers
 # a size up to 2**53 converts to float exactly, so n - 1, 1 / n and length / n see the true
 # size; an array of more float64 points (64 PiB) outgrows any address space
 MAX_POINTS = 2**53  # bounds every size argument: a grid axis, a vector's n, n^2 for n x n
@@ -258,66 +258,58 @@ class RunRecord:
         return self.diagnostics[:, columns.index(name)]
 
 
-def cayley_power(a: np.ndarray, step: float, n: int, rate: float = 1.0) -> np.ndarray:
-    """((I - H)^-1 (I + H))^n with H = (step / 2) rate a: n implicit-midpoint
-    steps of dx/dt = rate a x, the bits of the same call on rate * a at rate
-    1.  rate * a is formed in full only when rate != 1 and its row 0 passes
-    the circulant test below, and is then reused as H.  For an antisymmetric
-    a the Cayley factor is orthogonal, so the propagator conserves the norm
-    to round-off; n = 0 gives the identity, with no factorization.  That
-    round-off grows with the reach (step / 2) max|rate a|, taken as |rate|
-    max(a.max(), -a.min()) with no |a| array (max|rate a| to the bit: rounding
-    is monotone), so a reach above MAX_CAYLEY_REACH is a DomainError.
-
-    When rate a is circulant, entry for entry (a compare with the circulant
-    of its first column, row 0 first, so a generic a costs one row and no
-    N x N bool array or scaled copy; a may be such a read-only view), so is
-    the Cayley factor Q, and only its first column r is computed from a's
-    first column alone, with no N x N generator built: one LU solve of
-    (I - H) r = e0 + H e0, I - H gathered as the circulant of e0 - H e0,
-    refined once by its residual through (I - H)^-1 = (I + Q) / 2, raised to
-    the n-th power by repeated squaring with cyclic convolutions and
-    gathered as a circulant.  That costs one LU, O(N^3 / 3), and O(N^2) per
-    product, not a solve with N right-hand sides and log2(n) dense products;
-    no transform is used.  Every product repeats r's round-off, so the drift
-    of the total grows coherently with n; the refinement cuts it fivefold.
-    Any other a takes the dense solve and matrix power.  That branch forms H
-    in one n x n array, then I - H in a second and I + H in place in H, with
-    the bits of eye -/+ H, signed zeros included, and frees both once
-    np.linalg.solve has returned Q, so only Q and its powers are held while
-    np.linalg.matrix_power runs.
-    """
-    def scaled(x):  # rate * x, or x itself at rate 1: 1.0 * x has the bits of x
-        return x if rate == 1.0 else rate * x
-
-    col = scaled(a[:, 0])
-    c = circulant(col)
-    full = scaled(a) if np.array_equal(scaled(a[0]), c[0]) else None  # row 0 first
-    circulant_a = full is not None and np.array_equal(full, c)
-    held = a[:, 0] if circulant_a else a  # a circulant holds only its column's values
-    a_max = abs(rate) * float(max(held.max(), -held.min()))
+def _check_reach(step: float, a_max: float) -> None:
+    """DomainError when a Cayley step's reach (step / 2) a_max exceeds MAX_CAYLEY_REACH."""
     if not abs(step) / 2.0 * a_max <= MAX_CAYLEY_REACH:
         raise DomainError(
             f"Cayley step reach (step / 2) max|a| = ({step!r} / 2) * {a_max!r} exceeds "
             f"{MAX_CAYLEY_REACH:g}: the step would not keep the total to round-off"
         )
+
+
+def cayley_power(a: np.ndarray, step: float, n: int, rate: float = 1.0) -> np.ndarray:
+    """((I - H)^-1 (I + H))^n with H = (step / 2) rate a: n implicit-midpoint
+    steps of dx/dt = rate a x, by one dense solve and matrix power.  For an
+    antisymmetric a the Cayley factor Q is orthogonal, so the propagator
+    conserves the norm to round-off; n = 0 gives the identity, with no
+    factorization.  That round-off grows with the reach (step / 2) max|rate
+    a|, taken as |rate| max(a.max(), -a.min()) with no |a| array (max|rate a|
+    to the bit: rounding is monotone): a reach above MAX_CAYLEY_REACH is a
+    DomainError.  H is rate * a, times step / 2 in place (at rate 1, the bits
+    of a call on rate * a), I - H is formed in a second n x n array and I + H
+    in H, with the bits of eye -/+ H, signed zeros included, and both are
+    freed once np.linalg.solve has returned Q, before the matrix power.
+    """
+    _check_reach(step, abs(rate) * float(max(a.max(), -a.min())))
     size = a.shape[0]
     if not n:
         return np.eye(size)  # matrix_power(., 0), with no factorization
-    if not circulant_a:
-        if rate == 1.0:
-            half = (step / 2.0) * a
-        else:  # (step / 2) (rate a), in the scaled copy when the row-0 test made one
-            half = rate * a if full is None else full
-            half *= step / 2.0
-        lhs = np.subtract(0.0, half)  # I - H: 0 - H off the diagonal, 1 - H on it
-        lhs.flat[:: size + 1] += 1.0
-        half += 0.0  # I + H in place: 0 + H off the diagonal (-0.0 becomes +0.0), 1 + H on it
-        half.flat[:: size + 1] += 1.0
-        q = np.linalg.solve(lhs, half)
-        del lhs, half  # n x n each, not held while the power runs
-        return np.linalg.matrix_power(q, n)
-    e0, half = np.eye(1, size)[0], (step / 2.0) * col
+    half = rate * a
+    half *= step / 2.0
+    lhs = np.subtract(0.0, half)  # I - H: 0 - H off the diagonal, 1 - H on it
+    lhs.flat[:: size + 1] += 1.0
+    half += 0.0  # I + H in place: 0 + H off the diagonal (-0.0 becomes +0.0), 1 + H on it
+    half.flat[:: size + 1] += 1.0
+    q = np.linalg.solve(lhs, half)
+    del lhs, half  # n x n each, freed before the power runs
+    return np.linalg.matrix_power(q, n)
+
+
+def cayley_power_circulant(col: np.ndarray, step: float, n: int) -> np.ndarray:
+    """cayley_power(circulant(col), step, n), the same reach check on max|col|,
+    from the first column alone.  Q is circulant, and only its first column
+    r is computed: one LU solve of (I - H) r = e0 + H e0, I - H gathered as
+    the circulant of e0 - H e0, refined once by its residual through
+    (I - H)^-1 = (I + Q) / 2, raised to the n-th power by repeated squaring
+    with cyclic convolutions, O(N^2) each, and gathered as a new array.
+    Every product repeats r's round-off, so the drift of the total grows
+    coherently with n, faster than the dense formula's; the refinement cuts
+    it fivefold.
+    """
+    _check_reach(step, float(max(col.max(), -col.min())))
+    if not n:
+        return np.eye(col.size)
+    e0, half = np.eye(1, col.size)[0], (step / 2.0) * col
     rhs = e0 + half
     r = np.linalg.solve(circulant(e0 - half), rhs)
     res = rhs - (r - cyclic(half, r))
@@ -336,9 +328,9 @@ def cyclic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """First column of the circulant product C(a) C(b): the cyclic
     convolution of a and b, as the direct linear convolution with its tail
     wrapped around."""
-    full = np.convolve(a, b)
-    out = full[: a.size]
-    out[:-1] += full[a.size :]
+    conv = np.convolve(a, b)
+    out = conv[: a.size]
+    out[:-1] += conv[a.size :]
     return out
 
 

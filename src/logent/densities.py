@@ -49,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from ._grid import (
-    MAX_STEPS, QUAD_TOL, Grid, RunRecord, cayley_power, check_wrap, circulant, count, finite,
+    MAX_STEPS, QUAD_TOL, Grid, RunRecord, cayley_power_circulant, check_wrap, count, finite,
     int_power, odd_sine_sum, phase_table, positive, read_grid, real_array, spacing, steps,
     write_grid,
 )
@@ -417,16 +417,17 @@ def evolve_density_timestepped(f0: DensityGrid, k: KernelSpec, t: float, dt: flo
     sum and the information to round-off for any dt whose reach
     (dt/2) max|A| is at most _grid.MAX_CAYLEY_REACH (DomainError above it).
     A, the generator the finite engine would be given for the quadrature
-    weights, is the read-only circulant view of its first column (no N x N
-    array), and cayley_power, which finds it circulant, powers the first
-    column of its Cayley factor by cyclic convolutions after one LU solve
-    (O(N^3 / 3) once, then O(N^2) per product).  This path shares no evolution code with evolve_density,
-    uses no transform, and serves as an independent discretization.
+    weights, is never built: its first column goes to
+    cayley_power_circulant, which powers the first column of the Cayley
+    factor by cyclic convolutions after one LU solve (O(N^3 / 3) once, then
+    O(N^2) per product).  This path shares no evolution code with
+    evolve_density, uses no transform, and serves as an independent
+    discretization.
     """
     _check_compatible(f0, k)
     n_steps, step = steps(t, dt)
-    a = circulant((f0.dz / f0.h) * k.real_kernel)
-    return replace(f0, values=cayley_power(a, step, n_steps) @ f0.values)
+    q = cayley_power_circulant((f0.dz / f0.h) * k.real_kernel, step, n_steps)
+    return replace(f0, values=q @ f0.values)
 
 
 def pure_state_residual(f: DensityGrid) -> float:

@@ -27,7 +27,8 @@ import numpy as np
 
 from ._csv import read_csv, write_csv
 from ._grid import (
-    DEFAULT_STEP_ANGLE, MAX_POINTS, RunRecord, cayley_power, count, finite, real_array, steps,
+    DEFAULT_STEP_ANGLE, MAX_POINTS, RunRecord, cayley_power, cayley_power_circulant, circulant,
+    count, finite, real_array, steps,
 )
 from .errors import DimensionMismatchError, DomainError, GridError
 from .vectors import SignedProbVector
@@ -240,14 +241,16 @@ def _propagator(g: GeneratorMatrix, t: float, dt: float | None) -> np.ndarray:
     one eigvalsh and no SVD; G is divided by m = max|G| first, so no square
     overflows or underflows, and |G|_2 = m sqrt(lambda_max).  t = 0 takes
     no step and needs no |G|_2.  It reads the generator's matrix and rate
-    alone, so its upper triangle is never formed here, and cayley_power
-    takes M and the rate, never G = rate * M: its dense branch holds two
-    n x n arrays, I - H and I + H (formed in H's own array), H = (step / 2)
-    G, and frees both before the matrix power.  The step decision is
-    logged at DEBUG level, with its decider and eigvalsh's |G|_2.  Raises DomainError for a
-    non-finite t or dt, a non-positive dt, a t/dt that overflows, a default
-    step whose |G|_2 overflows, a step beyond the Cayley reach bound and,
-    before any n x n array is formed, a rate * max|M| beyond the float range.
+    alone, so its upper triangle is never formed here.  A circulant M, as
+    cyclic3's, equal to circulant(M[:, 0]) entry for entry (row 0 first, so
+    a generic M costs one row), goes to cayley_power_circulant as the column
+    rate * M[:, 0]; any other M goes to cayley_power with the rate, never
+    as G = rate * M, so only H, I - H and I + H are formed there.  The step
+    decision is logged at DEBUG level, with its decider and eigvalsh's
+    |G|_2.  Raises DomainError for a non-finite t or dt, a non-positive dt,
+    a t/dt that overflows, a default step whose |G|_2 overflows, a step
+    beyond the Cayley reach bound and, before any n x n array is formed, a
+    rate * max|M| beyond the float range.
     """
     m_max = float(g.matrix.max())  # max|M|: an antisymmetric M holds -x wherever it holds x
     m = abs(g.rate) * m_max  # max|G| to the bit: rounding a product is monotone
@@ -268,6 +271,9 @@ def _propagator(g: GeneratorMatrix, t: float, dt: float | None) -> np.ndarray:
         del unit  # n x n, not held while cayley_power runs
     n, step = steps(t, dt, bound if norm is None else norm, rate_name="|G|_2")
     _log.debug("fd step rule: %s; %d steps of %.6g, |G|_2 %s", rule, n, step, norm)
+    c = circulant(g.matrix[:, 0])
+    if np.array_equal(g.matrix[0], c[0]) and np.array_equal(g.matrix, c):  # row 0 first
+        return cayley_power_circulant(g.rate * c[:, 0], step, n)
     return cayley_power(g.matrix, step, n, g.rate)
 
 

@@ -457,11 +457,6 @@ def _generator(wbar0: DensityGrid, potential: PotentialSpec, a: float):
     return c, float(np.abs(m_half[1:-1]).max(initial=0.0))
 
 
-def _quadrature_column(wbar0: DensityGrid, potential: PotentialSpec, a: float) -> np.ndarray:
-    """The column c of delta_localized_evolve's generator, _generator's."""
-    return _generator(wbar0, potential, a)[0]
-
-
 def delta_localized_evolve(
     wbar0: DensityGrid, potential: PotentialSpec, a: float, t: float
 ) -> DensityGrid:

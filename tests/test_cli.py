@@ -144,6 +144,22 @@ class TestEvolveFd:
         assert data["probability_drift"].max() < 1e-10
         assert data["information_drift"].max() < 1e-10
 
+    def test_cyclic_run_at_a_million_steps_per_sample(self, runner, tmp_path):
+        # cyclic3's circulant M takes the column path: each sample span of 99900
+        # is 999000 default steps, whose round-off repeats coherently.  Measured
+        # max |sum - 1| 4.35e-10 and max |I - I(0)| 7.90e-10 at t = 9.99e5,
+        # above the 1e-10 of the short runs (the dense formula gives 2.7e-11
+        # and 8.1e-11); the gates leave a margin of about 2x
+        out = tmp_path / "traj.csv"
+        res = runner.invoke(
+            main, ["evolve", "fd", "--t-end", "999000", "--dt", "99900", "--output", str(out)]
+        )
+        assert res.exit_code == 0, res.output
+        data = read_trajectory_csv(out)
+        assert data["times"][-1] == 9.99e5
+        assert data["probability_drift"].max() < 9e-10
+        assert data["information_drift"].max() < 1.6e-9
+
     def test_config_file(self, runner, tmp_path):
         out = tmp_path / "traj.csv"
         cfg = tmp_path / "run.ini"

@@ -32,7 +32,8 @@ from logent import (
 from logent import _csv, densities, dynamics
 from logent._csv import _BLOCK_CELLS, _BLOCK_ROWS, _cells, read_csv, write_csv
 from logent._grid import (
-    DEFAULT_STEP_ANGLE, MAX_CAYLEY_REACH, cayley_power, circulant, int_power, phase_table, steps,
+    DEFAULT_STEP_ANGLE, MAX_CAYLEY_REACH, cayley_power, cayley_power_circulant, circulant,
+    int_power, phase_table, steps,
 )
 from logent.densities import read_density_csv, write_density_csv
 from logent.dynamics import read_trajectory_csv, write_trajectory_csv
@@ -99,12 +100,12 @@ class TestCayleyPower:
 
     @staticmethod
     def _timestepped(family, a, n):
-        """The generator evolve_density_timestepped builds, at the step of
-        t = 0.7 in steps of dt = 0.05."""
+        """The first column of the generator evolve_density_timestepped
+        builds, at the step of t = 0.7 in steps of dt = 0.05."""
         f = gaussian_density(n, 8.0, 1.0, 1.0 / (2.0 * math.sqrt(math.pi)))
         coeff = {"constant": 1.0, "linear": 2.0, "harmonic": 1.0, "quartic": 0.3}[family]
         k = build_kernel(PotentialSpec(family, (coeff,)).evaluate, a, f)
-        return (f.dz / f.h) * circulant(k.real_kernel), steps(0.7, 0.05)
+        return (f.dz / f.h) * k.real_kernel, steps(0.7, 0.05)
 
     @pytest.mark.parametrize("n", [16, 64, 256])
     @pytest.mark.parametrize("a", [0.0, 0.5, -0.8])
@@ -112,32 +113,33 @@ class TestCayleyPower:
     def test_circulant_matches_the_dense_formula(self, family, a, n):
         # measured worst case 1.1e-14 (quartic, a = -0.8, N = 256, 14 steps);
         # the gate leaves a margin of 4.4x
-        gen, (n_steps, step) = self._timestepped(family, a, n)
-        q = cayley_power(gen, step, n_steps)
-        assert np.abs(q - cayley_power_dense(gen, step, n_steps)).max() < 5e-14
-
-    @pytest.mark.parametrize("n", [16, 64, 256])
-    @pytest.mark.parametrize("a", [0.0, 0.5, -0.8])
-    @pytest.mark.parametrize("family", ["constant", "linear", "harmonic", "quartic"])
-    def test_read_only_circulant_view_gives_the_bits_of_its_copy(self, family, a, n):
-        # evolve_density_timestepped hands over such a view, not an N x N array
-        gen, (n_steps, step) = self._timestepped(family, a, n)
-        view = circulant(gen[:, 0])
-        assert not view.flags.writeable
-        q = cayley_power(view, step, n_steps)
-        assert np.array_equal(q, cayley_power(view.copy(), step, n_steps))
+        col, (n_steps, step) = self._timestepped(family, a, n)
+        q = cayley_power_circulant(col, step, n_steps)
+        assert np.abs(q - cayley_power_dense(circulant(col), step, n_steps)).max() < 5e-14
 
     def test_circulant_matches_the_dense_formula_for_cyclic3(self):
         # measured 6.9e-15 at 100 steps, under the gate above
         gen = cyclic_generator3().matrix
-        diff = cayley_power(gen, 0.1, 100) - cayley_power_dense(gen, 0.1, 100)
+        diff = cayley_power_circulant(gen[:, 0], 0.1, 100) - cayley_power_dense(gen, 0.1, 100)
         assert np.abs(diff).max() < 5e-14
 
-    def test_one_entry_off_circulant_takes_the_dense_formula(self):
-        # row 0 is circulant, so only the whole-matrix comparison refuses it
-        gen, (n_steps, step) = self._timestepped("quartic", 0.5, 16)
+    @staticmethod
+    def _spy(monkeypatch, name):
+        """The calls of np.linalg.<name>, one entry each, as it goes on working."""
+        calls, real = [], getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *args: calls.append(1) or real(*args))
+        return calls
+
+    def test_one_entry_off_circulant_takes_the_dense_formula(self, monkeypatch):
+        # row 0 is circulant, so only _propagator's whole-matrix comparison refuses it
+        col, _ = self._timestepped("quartic", 0.5, 16)
+        gen = circulant(col).copy()
         gen[5, 3] = np.nextafter(gen[5, 3], math.inf)
-        q = cayley_power(gen, step, n_steps)
+        gen[3, 5] = -gen[5, 3]
+        n_steps, step = steps(0.7, 0.05)
+        powers = self._spy(monkeypatch, "matrix_power")
+        q = dynamics._propagator(GeneratorMatrix.from_dense(gen), 0.7, 0.05)
+        assert powers == [1]
         assert np.array_equal(q, cayley_power_dense(gen, step, n_steps))
 
     def test_dense_branch_gives_the_dense_formula_at_the_fd_job(self):
@@ -160,81 +162,92 @@ class TestCayleyPower:
     RATED = [
         *[pytest.param(lambda r=r: GeneratorMatrix(cyclic_generator3().upper, rate=r), True, 1.0,
                        id=f"cyclic3-{r:g}") for r in (math.sqrt(3.0) / 3.0, 2.0, -0.7, 1e-200)],
-        pytest.param(lambda: random_generator(3, 8, 0.37), True, 1.0,
+        pytest.param(lambda: random_generator(3, 8, 0.37), False, 1.0,
                      id="random3-circulant-once-scaled"),
         *[pytest.param(lambda n=n, r=r: random_generator(n, 5, r), False, 0.1 if n == 200 else 1.0,
                        id=f"random{n}-{r:g}") for n in (4, 20, 200) for r in (1.0, 0.37, -1.3)],
         pytest.param(_signed_zeros, False, 1.0, id="from-dense-signed-zeros"),
     ]
 
-    @pytest.mark.parametrize("make, circulant_branch, t", RATED)
-    def test_rate_folded_into_the_step_keeps_the_bits(self, make, circulant_branch, t, monkeypatch):
-        # _propagator hands cayley_power M and the rate; the result is the bits
-        # of the call on rate * M, and in the dense branch those of the dense
-        # formula, whose solve is handed eye -/+ half with every signed zero
+    @pytest.mark.parametrize("make, circulant_m, t", RATED)
+    def test_rate_folded_into_the_step_keeps_the_bits(self, make, circulant_m, t, monkeypatch):
+        # _propagator hands a circulant M's column rate * M[:, 0] to
+        # cayley_power_circulant and any other M, with the rate, to
+        # cayley_power.  The dense call on M and the rate has the bits of the
+        # call on rate * M at rate 1 and of the dense formula, whose solve is
+        # handed eye -/+ half with every signed zero
         g = make()
-        calls, powers, solved = [], [], []
-        monkeypatch.setattr(
-            dynamics, "cayley_power", lambda *args: calls.append(args) or cayley_power(*args))
+        calls = []
+        for name in ("cayley_power", "cayley_power_circulant"):
+            real = getattr(dynamics, name)
+            monkeypatch.setattr(dynamics, name, lambda *args, name=name, real=real:
+                                calls.append((name, args)) or real(*args))
         q = dynamics._propagator(g, t, None)
-        ((_, step, n, rate),) = calls
-        assert rate == g.rate and n >= 1
-        power, solve = np.linalg.matrix_power, np.linalg.solve
-        monkeypatch.setattr(
-            np.linalg, "matrix_power", lambda *args: powers.append(1) or power(*args))
+        ((name, (_, step, n, *rate)),) = calls
+        assert n >= 1
+        powers, solved = self._spy(monkeypatch, "matrix_power"), []
+        solve = np.linalg.solve
         monkeypatch.setattr(
             np.linalg, "solve", lambda *args: solved.append([x.tobytes() for x in args]) or solve(*args))
-        assert cayley_power(g.matrix, step, n, g.rate).tobytes() == q.tobytes()
-        assert powers == ([] if circulant_branch else [1])
-        assert cayley_power(g.rate * g.matrix, step, n).tobytes() == q.tobytes()
+        dense = cayley_power(g.matrix, step, n, g.rate)
+        assert powers == [1]
+        eye, half = np.eye(g.n), (step / 2.0) * (g.rate * g.matrix)
+        assert solved[0] == [(eye - half).tobytes(), (eye + half).tobytes()]
         want = cayley_power_dense(g.rate * g.matrix, step, n)
-        if circulant_branch:  # cyclic convolutions: the dense formula's bits only within round-off
+        assert dense.tobytes() == cayley_power(g.rate * g.matrix, step, n).tobytes() == want.tobytes()
+        if circulant_m:  # cyclic convolutions: the dense formula's bits only within round-off
+            assert name == "cayley_power_circulant" and rate == []
+            assert q.tobytes() == cayley_power_circulant(g.rate * g.matrix[:, 0], step, n).tobytes()
             assert np.abs(q - want).max() < 5e-14
-            assert np.array_equal(g.rate * g.matrix, circulant(g.rate * g.matrix[:, 0]))
         else:
+            assert name == "cayley_power" and rate == [g.rate]
             assert q.tobytes() == want.tobytes()
-            eye, half = np.eye(g.n), (step / 2.0) * (g.rate * g.matrix)
-            assert solved[0] == [(eye - half).tobytes(), (eye + half).tobytes()]
 
-    def test_scaling_can_make_a_generator_circulant(self):
-        # the branch is decided on rate * M, not on M
+    def test_a_generator_circulant_only_once_scaled_takes_the_dense_formula(self, monkeypatch):
+        # 0.37 M rounds to a circulant though M is not one: _propagator checks
+        # M, so the rate cannot choose the path
         g = random_generator(3, 8, 0.37)
         assert not np.array_equal(g.matrix, circulant(g.matrix[:, 0]))
         assert np.array_equal(g.rate * g.matrix, circulant(g.rate * g.matrix[:, 0]))
+        powers = self._spy(monkeypatch, "matrix_power")
+        q = dynamics._propagator(g, 1.0, 0.1)
+        assert powers == [1]
+        assert q.tobytes() == cayley_power_dense(g.rate * g.matrix, *steps(1.0, 0.1)[::-1]).tobytes()
 
     def test_circulant_takes_no_dense_matrix_power(self, monkeypatch):
-        calls = []
-        power = np.linalg.matrix_power
-        monkeypatch.setattr(np.linalg, "matrix_power", lambda *args: calls.append(1) or power(*args))
-        gen, (n_steps, step) = self._timestepped("harmonic", 0.5, 64)
-        cayley_power(gen, step, n_steps)
-        cayley_power(cyclic_generator3().matrix, 0.1, 7)
+        calls = self._spy(monkeypatch, "matrix_power")
+        col, (n_steps, step) = self._timestepped("harmonic", 0.5, 64)
+        cayley_power_circulant(col, step, n_steps)
+        cayley_power_circulant(cyclic_generator3().matrix[:, 0], 0.1, 7)
         assert calls == []
-        cayley_power(gen[::-1], step, n_steps)  # not circulant: the dense path
+        cayley_power(circulant(col), step, n_steps)  # the dense formula, circulant or not
         assert calls == [1]
 
-
     def test_zero_steps_factor_nothing(self, monkeypatch):
-        gen, _ = self._timestepped("harmonic", 0.5, 64)
-        gens = (gen, cyclic_generator3().matrix, random_generator(20, 4).matrix)
-        wants = [np.linalg.matrix_power(cayley_power_dense(a, 0.1, 1), 0) for a in gens]
-        calls = []
-        solve = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(1) or solve(*args))
+        col, _ = self._timestepped("harmonic", 0.5, 64)
+        gens = (circulant(col), cyclic_generator3().matrix, random_generator(20, 4).matrix)
+        wants = [np.linalg.matrix_power(cayley_power_dense(a, 0.1, 1), 0).tobytes() for a in gens]
+        calls = self._spy(monkeypatch, "solve")
         for a, want in zip(gens, wants):
-            assert cayley_power(a, 0.0, 0).tobytes() == want.tobytes()
+            assert cayley_power(a, 0.0, 0).tobytes() == want
+        for a, want in zip(gens[:2], wants):
+            assert cayley_power_circulant(a[:, 0], 0.0, 0).tobytes() == want
         assert calls == []
 
     def test_circulant_needs_every_row(self, monkeypatch):
-        # row 0 of a matches its circulant's, row 2 does not: the dense path
+        # a cyclic circulant plus a 3-cycle on outcomes 1..3: antisymmetric
+        # with zero marginals, row 0 is its circulant's and row 2 is not, so
+        # _propagator takes the dense formula
         a = circulant(np.array([0.0, 1.0, 0.0, -1.0])).copy()
-        a[2, 1] += 0.5
-        want = cayley_power_dense(a, 0.1, 3)
-        calls = []
-        power = np.linalg.matrix_power
-        monkeypatch.setattr(np.linalg, "matrix_power", lambda *args: calls.append(1) or power(*args))
-        assert cayley_power(a, 0.1, 3).tobytes() == want.tobytes()
-        assert calls == [1]
+        for i, j in ((1, 2), (2, 3), (3, 1)):
+            a[i, j] += 0.5
+            a[j, i] -= 0.5
+        assert np.array_equal(a[0], circulant(a[:, 0])[0])
+        n_steps, step = steps(0.3, 0.1)
+        powers = self._spy(monkeypatch, "matrix_power")
+        q = dynamics._propagator(GeneratorMatrix.from_dense(a), 0.3, 0.1)
+        assert powers == [1]
+        assert q.tobytes() == cayley_power_dense(a, step, n_steps).tobytes()
 
 
 class TestExactIdentities:
@@ -457,12 +470,16 @@ class TestCayleyReach:
         assert messages[0] == messages[1]
 
     def test_circulant_reach_reads_the_first_column(self):
-        gen, _ = TestCayleyPower._timestepped("quartic", 0.5, 64)
-        view = circulant(gen[:, 0])
-        step = 2.0 * MAX_CAYLEY_REACH / float(np.abs(gen[:, 0]).max())
-        with pytest.raises(DomainError, match=repr(float(np.abs(gen[:, 0]).max()))):
-            cayley_power(view, 1.5 * step, 2)
-        cayley_power(view, step, 2)
+        # the circulant's reach is max|col|, and it refuses what the dense call refuses
+        col, _ = TestCayleyPower._timestepped("quartic", 0.5, 64)
+        step = 2.0 * MAX_CAYLEY_REACH / float(np.abs(col).max())
+        messages = []
+        for power, a in ((cayley_power_circulant, col), (cayley_power, circulant(col))):
+            with pytest.raises(DomainError, match=repr(float(np.abs(col).max()))) as info:
+                power(a, 1.5 * step, 2)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        cayley_power_circulant(col, step, 2)
 
     def test_both_cayley_engines_refuse_a_coarse_step(self):
         g = GeneratorMatrix(cyclic_generator3().upper, rate=1e8)

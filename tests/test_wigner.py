@@ -24,9 +24,7 @@ from logent import (
 )
 from logent import wigner
 from logent._csv import _BLOCK_ROWS
-from logent.wigner import (
-    _generator, _quadrature_column, read_wigner_csv, write_diagnostics_csv, write_wigner_csv,
-)
+from logent.wigner import _generator, read_wigner_csv, write_diagnostics_csv, write_wigner_csv
 from oracles import (
     circulant_expm_longdouble, phase_rates, rotated_gaussian_wigner, wigner_moment_quad,
 )
@@ -629,10 +627,8 @@ class TestCirculantExponential:
     @pytest.mark.parametrize("a", [0.0, 0.5, -0.8])
     @pytest.mark.parametrize("t", [1.5, -1.5])
     def test_matches_dense_expm(self, n, potential, a, t):
-        from logent.wigner import _quadrature_column
-
         f0 = gaussian_density(n, 8.0, H, SIGMA)
-        c = _quadrature_column(f0, potential, a)
+        c = _generator(f0, potential, a)[0]
         offsets = np.arange(n)
         dense = scipy.linalg.expm(t * c[(offsets[:, None] - offsets[None, :]) % n]) @ f0.values
         out = delta_localized_evolve(f0, potential, a, t)
@@ -718,7 +714,7 @@ class TestOneGenerator:
     @pytest.mark.parametrize("h", [1.0, 0.7])
     def test_column_is_the_scaled_real_kernel(self, n, potential, a, h):
         f0 = gaussian_density(n, 8.0, h, h / (2.0 * math.sqrt(math.pi)))
-        c = _quadrature_column(f0, potential, a)
+        c = _generator(f0, potential, a)[0]
         kern = build_kernel(lambda x: 2 * math.pi * potential.evaluate(x) / h, a, f0)
         kernel = (f0.dz / f0.h) * kern.real_kernel
         assert np.all(c + c[(-np.arange(n)) % n] == 0.0)
@@ -735,7 +731,7 @@ class TestOneGenerator:
         f0 = gaussian_density(2048, 8.0, H, SIGMA)
         tracemalloc.start()
         try:
-            _quadrature_column(f0, PotentialSpec.quartic(1.0), 0.5)
+            _generator(f0, PotentialSpec.quartic(1.0), 0.5)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
