@@ -117,6 +117,21 @@ class TestCayleyPower:
         q = cayley_power_circulant(col, step, n_steps)
         assert np.abs(q - cayley_power_dense(circulant(col), step, n_steps)).max() < 5e-14
 
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("a", [0.0, 0.5, -0.8])
+    @pytest.mark.parametrize("family", ["constant", "linear", "harmonic", "quartic"])
+    def test_read_only_circulant_view_gives_the_bits_of_its_copy(self, family, a, n):
+        # neither form writes its input (_propagator hands over a generator's
+        # read-only matrix): a read-only circulant view and its read-only first
+        # column give the bits of the same calls on writable copies
+        col, (n_steps, step) = self._timestepped(family, a, n)
+        view = circulant(col)
+        assert not view.flags.writeable and not view[:, 0].flags.writeable
+        dense = cayley_power(view, step, n_steps)
+        assert dense.tobytes() == cayley_power(view.copy(), step, n_steps).tobytes()
+        q = cayley_power_circulant(view[:, 0], step, n_steps)
+        assert q.tobytes() == cayley_power_circulant(col.copy(), step, n_steps).tobytes()
+
     def test_circulant_matches_the_dense_formula_for_cyclic3(self):
         # measured 6.9e-15 at 100 steps, under the gate above
         gen = cyclic_generator3().matrix
