@@ -16,19 +16,19 @@ a fixed angle per step (one step when the rate is zero).  The angle is
 DEFAULT_STEP_ANGLE = 0.1 rad for the Cayley steps; the split step asks for
 pi per substep of its fourth-order composition.  The two matrix engines
 also share the Cayley propagator, the n-th power of one implicit-midpoint
-step, in two forms that the caller, who knows its generator, chooses:
-cayley_power takes a generator and its rate densely, and
-cayley_power_circulant the first column of a circulant generator, as the
-timestepped density oracle's always is.  The two real-space
-oracles of the spectral line-density path (the timestepped density oracle
-and wigner's momentum-only quadrature) share odd_sine_sum, the sine sum
-that gives an odd kernel's transform in real space, and the algebra of
-circulants: circulant gathers one from its first column, and cyclic, the
-product of two, raises the timestepped oracle's Cayley factor to its power
-and wigner's generator to its exponential.  The two spectral engines (the
-line-density propagator and the phase-space split step) build every table
-of unit phases exp(i rate angle) with phase_table, as the cos and sin of
-the real phase.  Every engine reports a sampled run as one RunRecord.
+step, in two forms, one per engine: dynamics passes every generator, with
+its rate, to cayley_power, the dense formula, circulant or not, and the
+timestepped density oracle passes the first column of its circulant
+generator to cayley_power_circulant; neither inspects its input.  The two
+real-space oracles of the spectral line-density path (the timestepped
+density oracle and wigner's momentum-only quadrature) share odd_sine_sum,
+the sine sum that gives an odd kernel's transform in real space, and the
+algebra of circulants: circulant gathers one from its first column, and
+cyclic, the product of two, raises the timestepped oracle's Cayley factor
+to its power and wigner's generator to its exponential.  The two spectral
+engines (the line-density propagator and the phase-space split step) build
+every table of unit phases exp(i rate angle) with phase_table, as the cos
+and sin of the real phase.  Every engine reports a sampled run as one RunRecord.
 Arguments are checked by four functions that raise the error class their
 caller names: finite (a real scalar), positive (one above zero), count (an
 integer, not a bool, within given bounds; a size is at most MAX_POINTS) and
@@ -54,9 +54,9 @@ WRAP_TOL = 1e-10
 DEFAULT_STEP_ANGLE = 0.1  # max phase advance per step with the default dt
 _WRAP_SIGMAS = math.sqrt(-2.0 * math.log(WRAP_TOL))  # sigmas out, a Gaussian is WRAP_TOL high
 # a Cayley power costs log2(n) products, but its round-off grows as n eps: at 0.1 rad per
-# step cyclic3 takes the column path, whose |I - I0| and |sum - 1| are 7.9e-10 and 4.4e-10 at
-# 10^7 steps (10^6 steps: 7.9e-11 and 4.4e-11), against the fd gate of 1e-10; the dense
-# formula gives 8.1e-11 and 2.7e-11 at 10^7 steps
+# step cyclic3's |I - I0| and |sum - 1| from the dense formula are 8.1e-11 and 2.7e-11 at
+# 10^7 steps, against the fd gate of 1e-10 (OpenBLAS's Haswell and SkylakeX kernels; its
+# Sandybridge kernel's solve rounds Q otherwise and gives 1.6e-9 and 7.7e-10)
 MAX_STEPS = 10**7  # bounds every run's loop, every run's samples and a Cayley power's round-off
 # one Cayley step's round-off grows with its reach (step / 2) max|a|: over cyclic3, random n = 6
 # and 200 and the timestepped oracle at N = 256 and 1024, one step moved the sum or I by at most

@@ -27,8 +27,7 @@ import numpy as np
 
 from ._csv import read_csv, write_csv
 from ._grid import (
-    DEFAULT_STEP_ANGLE, MAX_POINTS, RunRecord, cayley_power, cayley_power_circulant, circulant,
-    count, finite, real_array, steps,
+    DEFAULT_STEP_ANGLE, MAX_POINTS, RunRecord, cayley_power, count, finite, real_array, steps,
 )
 from .errors import DimensionMismatchError, DomainError, GridError
 from .vectors import SignedProbVector
@@ -241,11 +240,9 @@ def _propagator(g: GeneratorMatrix, t: float, dt: float | None) -> np.ndarray:
     one eigvalsh and no SVD; G is divided by m = max|G| first, so no square
     overflows or underflows, and |G|_2 = m sqrt(lambda_max).  t = 0 takes
     no step and needs no |G|_2.  It reads the generator's matrix and rate
-    alone, so its upper triangle is never formed here.  A circulant M, as
-    cyclic3's, equal to circulant(M[:, 0]) entry for entry (row 0 first, so
-    a generic M costs one row), goes to cayley_power_circulant as the column
-    rate * M[:, 0]; any other M goes to cayley_power with the rate, never
-    as G = rate * M, so only H, I - H and I + H are formed there.  The step
+    alone, so its upper triangle is never formed here.  Every M, circulant
+    or not, goes to the dense cayley_power with the rate, never as
+    G = rate * M, so only H, I - H and I + H are formed there.  The step
     decision is logged at DEBUG level, with its decider and eigvalsh's
     |G|_2.  Raises DomainError for a non-finite t or dt, a non-positive dt,
     a t/dt that overflows, a default step whose |G|_2 overflows, a step
@@ -271,9 +268,6 @@ def _propagator(g: GeneratorMatrix, t: float, dt: float | None) -> np.ndarray:
         del unit  # n x n, not held while cayley_power runs
     n, step = steps(t, dt, bound if norm is None else norm, rate_name="|G|_2")
     _log.debug("fd step rule: %s; %d steps of %.6g, |G|_2 %s", rule, n, step, norm)
-    c = circulant(g.matrix[:, 0])
-    if np.array_equal(g.matrix[0], c[0]) and np.array_equal(g.matrix, c):  # row 0 first
-        return cayley_power_circulant(g.rate * c[:, 0], step, n)
     return cayley_power(g.matrix, step, n, g.rate)
 
 

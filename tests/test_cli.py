@@ -145,11 +145,14 @@ class TestEvolveFd:
         assert data["information_drift"].max() < 1e-10
 
     def test_cyclic_run_at_a_million_steps_per_sample(self, runner, tmp_path):
-        # cyclic3's circulant M takes the column path: each sample span of 99900
-        # is 999000 default steps, whose round-off repeats coherently.  Measured
-        # max |sum - 1| 4.35e-10 and max |I - I(0)| 7.90e-10 at t = 9.99e5,
-        # above the 1e-10 of the short runs (the dense formula gives 2.7e-11
-        # and 8.1e-11); the gates leave a margin of about 2x
+        # each sample span of 99900 is 999000 default steps of the dense formula,
+        # whose drift grows with the round-off of its one solve.  Measured max
+        # |sum - 1| and max |I - I(0)| at t = 9.99e5 over the OpenBLAS kernels
+        # (OPENBLAS_CORETYPE), one and two threads: 2.66e-11 and 8.13e-11 on
+        # SkylakeX, Haswell and Zen, 7.40e-11 and 6.94e-11 on Nehalem, Prescott
+        # and Core2, 7.70e-10 and 1.55e-9 on Sandybridge, whose solve rounds the
+        # Cayley factor otherwise.  The gates hold on every kernel: a margin of
+        # 1.17x and 1.03x over Sandybridge, 12x and 20x over the others
         out = tmp_path / "traj.csv"
         res = runner.invoke(
             main, ["evolve", "fd", "--t-end", "999000", "--dt", "99900", "--output", str(out)]

@@ -146,7 +146,7 @@ class TestCayleyPower:
         return calls
 
     def test_one_entry_off_circulant_takes_the_dense_formula(self, monkeypatch):
-        # row 0 is circulant, so only _propagator's whole-matrix comparison refuses it
+        # row 0 is circulant and one entry below it is not: the dense formula, as for any M
         col, _ = self._timestepped("quartic", 0.5, 16)
         gen = circulant(col).copy()
         gen[5, 3] = np.nextafter(gen[5, 3], math.inf)
@@ -175,31 +175,26 @@ class TestCayleyPower:
         return GeneratorMatrix.from_dense(m, rate=-1.3)
 
     RATED = [
-        *[pytest.param(lambda r=r: GeneratorMatrix(cyclic_generator3().upper, rate=r), True, 1.0,
+        *[pytest.param(lambda r=r: GeneratorMatrix(cyclic_generator3().upper, rate=r), 1.0,
                        id=f"cyclic3-{r:g}") for r in (math.sqrt(3.0) / 3.0, 2.0, -0.7, 1e-200)],
-        pytest.param(lambda: random_generator(3, 8, 0.37), False, 1.0,
-                     id="random3-circulant-once-scaled"),
-        *[pytest.param(lambda n=n, r=r: random_generator(n, 5, r), False, 0.1 if n == 200 else 1.0,
+        pytest.param(lambda: random_generator(3, 8, 0.37), 1.0, id="random3-circulant-once-scaled"),
+        *[pytest.param(lambda n=n, r=r: random_generator(n, 5, r), 0.1 if n == 200 else 1.0,
                        id=f"random{n}-{r:g}") for n in (4, 20, 200) for r in (1.0, 0.37, -1.3)],
-        pytest.param(_signed_zeros, False, 1.0, id="from-dense-signed-zeros"),
+        pytest.param(_signed_zeros, 1.0, id="from-dense-signed-zeros"),
     ]
 
-    @pytest.mark.parametrize("make, circulant_m, t", RATED)
-    def test_rate_folded_into_the_step_keeps_the_bits(self, make, circulant_m, t, monkeypatch):
-        # _propagator hands a circulant M's column rate * M[:, 0] to
-        # cayley_power_circulant and any other M, with the rate, to
+    @pytest.mark.parametrize("make, t", RATED)
+    def test_rate_folded_into_the_step_keeps_the_bits(self, make, t, monkeypatch):
+        # _propagator hands every M, circulant or not, with the rate to
         # cayley_power.  The dense call on M and the rate has the bits of the
         # call on rate * M at rate 1 and of the dense formula, whose solve is
         # handed eye -/+ half with every signed zero
         g = make()
-        calls = []
-        for name in ("cayley_power", "cayley_power_circulant"):
-            real = getattr(dynamics, name)
-            monkeypatch.setattr(dynamics, name, lambda *args, name=name, real=real:
-                                calls.append((name, args)) or real(*args))
+        calls, real = [], dynamics.cayley_power
+        monkeypatch.setattr(dynamics, "cayley_power", lambda *args: calls.append(args) or real(*args))
         q = dynamics._propagator(g, t, None)
-        ((name, (_, step, n, *rate)),) = calls
-        assert n >= 1
+        ((_, step, n, *rate),) = calls
+        assert n >= 1 and rate == [g.rate]
         powers, solved = self._spy(monkeypatch, "matrix_power"), []
         solve = np.linalg.solve
         monkeypatch.setattr(
@@ -210,17 +205,11 @@ class TestCayleyPower:
         assert solved[0] == [(eye - half).tobytes(), (eye + half).tobytes()]
         want = cayley_power_dense(g.rate * g.matrix, step, n)
         assert dense.tobytes() == cayley_power(g.rate * g.matrix, step, n).tobytes() == want.tobytes()
-        if circulant_m:  # cyclic convolutions: the dense formula's bits only within round-off
-            assert name == "cayley_power_circulant" and rate == []
-            assert q.tobytes() == cayley_power_circulant(g.rate * g.matrix[:, 0], step, n).tobytes()
-            assert np.abs(q - want).max() < 5e-14
-        else:
-            assert name == "cayley_power" and rate == [g.rate]
-            assert q.tobytes() == want.tobytes()
+        assert q.tobytes() == want.tobytes()
 
     def test_a_generator_circulant_only_once_scaled_takes_the_dense_formula(self, monkeypatch):
-        # 0.37 M rounds to a circulant though M is not one: _propagator checks
-        # M, so the rate cannot choose the path
+        # 0.37 M rounds to a circulant though M is not one: _propagator hands
+        # M and the rate to the dense formula, as for any M
         g = random_generator(3, 8, 0.37)
         assert not np.array_equal(g.matrix, circulant(g.matrix[:, 0]))
         assert np.array_equal(g.rate * g.matrix, circulant(g.rate * g.matrix[:, 0]))
@@ -251,8 +240,8 @@ class TestCayleyPower:
 
     def test_circulant_needs_every_row(self, monkeypatch):
         # a cyclic circulant plus a 3-cycle on outcomes 1..3: antisymmetric
-        # with zero marginals, row 0 is its circulant's and row 2 is not, so
-        # _propagator takes the dense formula
+        # with zero marginals, row 0 is its circulant's and row 2 is not;
+        # _propagator takes the dense formula, as for any M
         a = circulant(np.array([0.0, 1.0, 0.0, -1.0])).copy()
         for i, j in ((1, 2), (2, 3), (3, 1)):
             a[i, j] += 0.5
