@@ -19,13 +19,14 @@ also share the Cayley propagator, the n-th power of one implicit-midpoint
 step, in two forms, one per engine: dynamics passes every generator, with
 its rate, to cayley_power, the dense formula, circulant or not, and the
 timestepped density oracle passes the first column of its circulant
-generator to cayley_power_circulant; neither inspects its input.  The two
-real-space oracles of the spectral line-density path (the timestepped
-density oracle and wigner's momentum-only quadrature) share odd_sine_sum,
-the sine sum that gives an odd kernel's transform in real space, and the
-algebra of circulants: circulant gathers one from its first column, and
-cyclic, the product of two, raises the timestepped oracle's Cayley factor
-to its power and wigner's generator to its exponential.  The two spectral
+generator to cayley_power_circulant; neither inspects its input.  The line
+kernel, wigner's kick and its momentum-only quadrature sample the odd kernel
+with odd_difference, and the two real-space oracles (the timestepped density
+oracle and that quadrature) take its column with odd_sine_sum; each refuses
+a result beyond the float range, with no numpy warning.  The oracles share
+the algebra of circulants: circulant gathers one from its first column, and
+cyclic, the product of two, raises the timestepped oracle's Cayley factor to
+its power and wigner's generator to its exponential.  The two spectral
 engines (the line-density propagator and the phase-space split step) build
 every table of unit phases exp(i rate angle) with phase_table, as the cos
 and sin of the real phase.  Every engine reports a sampled run as one RunRecord.
@@ -334,20 +335,42 @@ def cyclic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def odd_sine_sum(m_half: np.ndarray) -> np.ndarray:
-    """s_j = sum_{l=1}^{N/2-1} m_half[l] sin(2 pi j l / N) for j = 1..N/2-1,
-    mirrored as s_{N-j} = -s_j, so s is odd to the last bit and s_0 =
-    s_{N/2} = 0: the real-space column of an odd kernel whose transform is
-    m_half on k = 0..N/2, N a power of two.  Each sine is read from a table
-    of the N values sin(2 pi k / N) at k = (j l) mod N, a bit mask, so no
-    large argument is rounded; m_half[0] and m_half[N/2] are not read."""
+def odd_difference(profile, centres, h: float, n: int, d: float, scale: float = 1.0):
+    """scale * (profile(c + l/2) - profile(c - l/2)) at the lags l = h *
+    rfftfreq(n, d) on the trailing axis, c broadcast, the Nyquist lag zeroed;
+    DomainError unless profile gives one value per point that real_array
+    accepts, or for a kept difference beyond the float range."""
+    lags = h * np.fft.rfftfreq(n, d=d)
+    plus = real_array(profile(centres + lags / 2.0), "omega values")
+    minus = real_array(profile(centres - lags / 2.0), "omega values")
+    if not plus.shape == minus.shape == np.broadcast_shapes(np.shape(centres), lags.shape):
+        raise DomainError("omega must give one value per point")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        diff = scale * (plus - minus)
+    diff[..., -1] = 0.0  # the unpaired Nyquist lag
+    if not np.all(np.isfinite(diff)):
+        raise DomainError("the kernel difference is beyond the float range at a sampled lag")
+    return diff
+
+
+def odd_sine_sum(m_half: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """scale * s, s_j = sum_{l=1}^{N/2-1} m_half[l] sin(2 pi j l / N) for
+    0 < j < N/2 and s_{N-j} = -s_j, odd to the last bit, s_0 = s_{N/2} = 0:
+    the real-space column of an odd kernel whose transform is m_half on
+    k = 0..N/2 (N a power of two; m_half[0] and m_half[N/2] are not read),
+    DomainError beyond the float range.  Each sine is read from a table of
+    sin(2 pi k / N) at k = (j l) mod N, a bit mask: no large argument."""
     half = m_half.size - 1
     n = 2 * half
     modes = np.arange(1, half)
     table = np.sin(2.0 * math.pi * np.arange(n) / n)
     s = np.zeros(n)
-    s[1:half] = table[np.outer(modes, modes) & (n - 1)] @ m_half[1:half]
-    s[half + 1 :] = -s[1:half][::-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        s[1:half] = table[np.outer(modes, modes) & (n - 1)] @ m_half[1:half]
+        s[half + 1 :] = -s[1:half][::-1]
+        s *= scale
+    if not np.all(np.isfinite(s)):
+        raise DomainError("the odd kernel's real-space column is beyond the float range")
     return s
 
 

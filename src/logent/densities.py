@@ -50,8 +50,8 @@ import numpy as np
 
 from ._grid import (
     MAX_STEPS, QUAD_TOL, Grid, RunRecord, cayley_power_circulant, check_wrap, count, finite,
-    int_power, odd_sine_sum, phase_table, positive, read_grid, real_array, spacing, steps,
-    write_grid,
+    int_power, odd_difference, odd_sine_sum, phase_table, positive, read_grid, real_array,
+    spacing, steps, write_grid,
 )
 from .errors import DomainError, GridError
 
@@ -296,8 +296,8 @@ class KernelSpec:
         """Real-space samples m(zeta_j) on grid offsets, exactly odd:
         m_j = -(2h/L) * sum_{l=1}^{N/2-1} mhat_l sin(2 pi j l / N), the
         odd_sine_sum of m_half, so m_{N-j} = -m_j to the last bit and
-        m_0 = m_{N/2} = 0."""
-        m = -(2.0 * self.h / (self.n * self.dz)) * odd_sine_sum(self.m_half)
+        m_0 = m_{N/2} = 0; DomainError for an m beyond the float range."""
+        m = odd_sine_sum(self.m_half, -(2.0 * self.h / (self.n * self.dz)))
         m.setflags(write=False)
         return m
 
@@ -310,21 +310,13 @@ def build_kernel(
     lambda_k = k h / L coincides with h times the FFT frequencies of the
     grid, so the continuous exponential exp(2 pi i z lambda / h) restricted
     to the sampled lambdas is exactly the discrete Fourier basis; Omega is
-    sampled at a +- lambda_k / 2 for k = 0..N/2 alone.  Content beyond the
-    Nyquist frequency is unrepresentable on the grid and is truncated.
-    Omega must return one finite real value per point it is given (as
-    real_array accepts it), else DomainError, as for a non-finite difference.
+    sampled at a +- lambda_k / 2 for k = 0..N/2 alone, by odd_difference, as
+    wigner's kick is; content beyond the Nyquist frequency is truncated.
+    DomainError unless Omega gives one finite real value per point (as
+    real_array accepts it), and for a difference beyond the float range.
     """
     a = finite(a, "a")
-    lambdas = grid.h * np.fft.rfftfreq(grid.n, d=grid.dz)
-    plus = real_array(omega(a + lambdas / 2.0), "omega values")
-    minus = real_array(omega(a - lambdas / 2.0), "omega values")
-    if plus.shape != lambdas.shape or minus.shape != lambdas.shape:
-        raise DomainError("omega must give one value per point")
-    m_half = plus - minus
-    if not np.all(np.isfinite(m_half)):  # a difference of finite values may overflow
-        raise DomainError("omega is not finite at a sampled point")
-    m_half[-1] = 0.0  # unpaired Nyquist mode
+    m_half = odd_difference(omega, a, grid.h, grid.n, grid.dz)
     return KernelSpec(m_half=m_half, a=a, dz=grid.dz, h=grid.h)
 
 
@@ -416,13 +408,12 @@ def evolve_density_timestepped(f0: DensityGrid, k: KernelSpec, t: float, dt: flo
     each step applies its Cayley transform, which conserves the quadrature
     sum and the information to round-off for any dt whose reach
     (dt/2) max|A| is at most _grid.MAX_CAYLEY_REACH (DomainError above it).
-    A, the generator the finite engine would be given for the quadrature
-    weights, is never built: its first column goes to
-    cayley_power_circulant, which powers the first column of the Cayley
-    factor by cyclic convolutions after one LU solve (O(N^3 / 3) once, then
-    O(N^2) per product).  This path shares no evolution code with
-    evolve_density, uses no transform, and serves as an independent
-    discretization.
+    A is never built: its first column, (dz/h) times the kernel's
+    real_kernel (a DomainError beyond the float range), goes to
+    cayley_power_circulant, which powers the Cayley factor's first column by
+    cyclic convolutions after one LU solve.  This path shares no evolution
+    code with evolve_density, uses no transform, and serves as an
+    independent discretization.
     """
     _check_compatible(f0, k)
     n_steps, step = steps(t, dt)

@@ -54,13 +54,13 @@ and the remaining kick dynamics closes in p alone.  That reduced equation
 is implemented separately in delta_localized_evolve by direct quadrature of
 the double integral, deliberately sharing no evolution code with the
 spectral line-density path so the two can serve as oracles for each other.
-The quadrature gives a circulant generator whose first column is the sine
-sum that also gives the timestepped density oracle its kernel.  Its
-exponential is taken in the algebra of circulants, where each product is a
-direct cyclic convolution, so no transform and no dense matrix is involved:
-scaling by the generator's spectral radius, read off the sampled kernel
-difference (the generator is normal, with eigenvalues i mhat_l), a Taylor
-polynomial evaluated by Paterson-Stockmeyer, then the squarings.
+It samples the kernel with _grid.odd_difference, as the kick and the line
+kernel do; its circulant generator's first column is the sine sum that gives
+the timestepped density oracle its kernel, and its exponential is taken in
+the algebra of circulants, each product a direct cyclic convolution (no
+transform, no dense matrix): scaling by the generator's spectral radius, read
+off the sampled kernel difference (it is normal, with eigenvalues i mhat_l),
+a Taylor polynomial evaluated by Paterson-Stockmeyer, then the squarings.
 """
 from __future__ import annotations
 
@@ -73,8 +73,8 @@ import numpy as np
 
 from ._csv import write_csv
 from ._grid import (
-    Grid, RunRecord, check_wrap, count, cyclic, finite, int_power, odd_sine_sum, phase_table,
-    positive, read_grid, spacing, steps, write_grid,
+    Grid, RunRecord, check_wrap, count, cyclic, finite, int_power, odd_difference, odd_sine_sum,
+    phase_table, positive, read_grid, spacing, steps, write_grid,
 )
 from .densities import DensityGrid, PotentialSpec
 from .errors import DomainError, GridError
@@ -224,13 +224,8 @@ def _phase_rates(w: WignerGrid, potential: PotentialSpec):
     """Angular rates of the kick and transport phases on the half spectra the
     loop multiplies, C-ordered: the kick in (x, nu_p), the transport in
     (p, nu_x) layout, each at its nonnegative frequencies (rfftfreq)."""
-    lam = w.h * np.fft.rfftfreq(w.npts, d=w.dp)
-    x = w.x
-    dv = potential.evaluate(x[:, None] + lam[None, :] / 2.0) - potential.evaluate(
-        x[:, None] - lam[None, :] / 2.0
-    )
-    kick_rate = (2.0 * math.pi / w.h) * dv
-    kick_rate[:, -1] = 0.0  # unpaired Nyquist mode in p
+    scale = 2.0 * math.pi / w.h
+    kick_rate = odd_difference(potential.evaluate, w.x[:, None], w.h, w.npts, w.dp, scale)
     nu_x = np.fft.rfftfreq(w.nx, d=w.dx)
     transport_rate = -2.0 * math.pi * nu_x[None, :] * w.p[:, None] / w.mass
     transport_rate[:, -1] = 0.0  # unpaired Nyquist mode in x
@@ -443,17 +438,13 @@ def _circulant_expm(b: np.ndarray, radius: float) -> np.ndarray:
 def _generator(wbar0: DensityGrid, potential: PotentialSpec, a: float):
     """The column c of delta_localized_evolve's generator, exactly odd, and
     the spectral radius of C(c), max|mhat_l| over the modes 0 < l < N/2 that
-    the sine sum reads: C(c) is normal with eigenvalues i mhat_l.  An
-    overflow leaves non-finite entries, for the caller to refuse."""
-    n, dp, h = wbar0.n, wbar0.dz, wbar0.h
-    lam = h * np.fft.rfftfreq(n, d=dp)
-    with np.errstate(over="ignore", invalid="ignore"):
-        m_half = (2.0 * math.pi / h) * (
-            potential.evaluate(a + lam / 2.0) - potential.evaluate(a - lam / 2.0)
-        )
-        # c_d = (i/h) sum_l mhat_l e^{2 pi i d l / N} dl dp with dl dp = h / N;
-        # mhat is odd in l, so the sum is 2i times the sine sum over 0 < l < N/2
-        c = -(2.0 / n) * odd_sine_sum(m_half)
+    the sine sum reads: C(c) is normal with eigenvalues i mhat_l.
+    DomainError for a kernel difference or column beyond the float range."""
+    n, h = wbar0.n, wbar0.h
+    m_half = odd_difference(potential.evaluate, a, h, n, wbar0.dz, 2.0 * math.pi / h)
+    # c_d = (i/h) sum_l mhat_l e^{2 pi i d l / N} dl dp with dl dp = h / N;
+    # mhat is odd in l, so the sum is 2i times the sine sum over 0 < l < N/2
+    c = odd_sine_sum(m_half, -(2.0 / n))
     return c, float(np.abs(m_half[1:-1]).max(initial=0.0))
 
 
@@ -474,16 +465,14 @@ def delta_localized_evolve(
     sampled difference is odd in l, so the generator's column c is a real
     sine sum, odd_sine_sum, exactly odd, and the generator is the
     antisymmetric circulant C(c)[i, j] = c[(i - j) % N].  exp(t C(c)) is
-    taken in the algebra of circulants, with direct cyclic convolutions for
-    products: scaled by its spectral radius |t| max|mhat_l| (C(c) is normal
-    with eigenvalues i mhat_l, so no transform is needed to find it), a
-    Taylor polynomial evaluated by Paterson-Stockmeyer, then squared; one
-    more convolution applies it to the state.  No code is
-    shared with the spectral density path, so the two discretizations can
-    be checked against each other.  Raises DomainError for a non-finite t
-    or a, and when t |c|_1 exceeds 2**53: each squaring doubles the
-    round-off of the scaled series, so beyond that no significant digit
-    would be left.
+    _circulant_expm's at the spectral radius |t| max|mhat_l| (C(c) is normal
+    with eigenvalues i mhat_l), and one more cyclic convolution applies it
+    to the state.  No evolution code is shared with the spectral density
+    path, so the two discretizations can be checked against each other.
+    Raises DomainError for a non-finite t or a, for a kernel difference or
+    column beyond the float range, and when t |c|_1 exceeds 2**53: each
+    squaring doubles the round-off of the scaled series, so beyond that no
+    significant digit would be left.
     """
     t, a = finite(t, "t"), finite(a, "a")
     if t == 0.0:

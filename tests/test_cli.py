@@ -711,8 +711,9 @@ class TestOverflowingPhase:
 
 
 class TestOverflowingInput:
-    """Inputs that overflow a profile, a vector's sum or its information exit
-    2 with the refusal's message and no numpy warning before it."""
+    """Inputs that overflow a profile, a kernel difference or column, a
+    vector's sum or its information exit 2 with the refusal's message and no
+    numpy warning before it."""
 
     @pytest.mark.parametrize(
         "args, message",
@@ -725,6 +726,17 @@ class TestOverflowingInput:
             (["evolve", "fd", "--p0", "1e308,1e308,0"], "entries sum to inf, cannot normalize"),
             (["entropy", "--p", "1e200,-1e200,1", "--json"],
              "the information is beyond the float range"),
+            (["evolve", "wigner", "--potential", "quartic", "--beta", "1e305", "--nx", "32",
+              "--npts", "32", "--t-end", "0.1"],
+             "the kernel difference is beyond the float range at a sampled lag"),
+            (["evolve", "wigner", "--potential", "quartic", "--beta", "1e305", "--nx", "32",
+              "--npts", "32", "--t-end", "0.1", "--dt", "0.01"],
+             "the kernel difference is beyond the float range at a sampled lag"),
+            (["evolve", "continuum", "--omega-family", "linear", "--coeff", "3e306"],
+             "the kernel difference is beyond the float range at a sampled lag"),
+            (["evolve", "continuum", "--omega-family", "linear", "--coeff", "1e306", "--t-end",
+              "1e-300", "--cross-check"],
+             "the odd kernel's real-space column is beyond the float range (--cross-check oracle)"),
         ],
     )
     def test_exits_two_without_warning(self, runner, tmp_path, monkeypatch, args, message):

@@ -650,6 +650,35 @@ class TestNonFiniteProfile:
         PotentialSpec.tabulated([0.0, 1.0], [0.0, -1e300])
 
 
+class TestKernelBeyondTheFloatRange:
+    """A kernel whose difference or real-space column overflows, though every
+    Omega value is finite, is refused by name with no numpy warning before it."""
+
+    def test_build_kernel_refuses_the_difference(self):
+        # on the continuum engine's default grid Omega = 3e306 z peaks at 9.6e307, but its
+        # difference reaches 1.9e308 at the top lags
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^the kernel difference is beyond the float range"):
+                build_kernel(omega_linear(3e306), 0.0, pure_gaussian())
+
+    def test_real_kernel_refuses_its_column(self):
+        k = KernelSpec(m_half=np.array([0.0, 1e308, 0.0]), a=0.0, dz=0.25, h=1.0)  # -(2h/L) 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^the odd kernel's real-space column is beyond"):
+                k.real_kernel
+
+    def test_timestepped_oracle_refuses_the_column_before_the_reach(self):
+        # m_half peaks at 6.4e307; the sine sum of its 511 modes does not fit a float
+        f = pure_gaussian()
+        k = build_kernel(omega_linear(1e306), 0.0, f)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^the odd kernel's real-space column is beyond"):
+                evolve_density_timestepped(f, k, 1e-300, 1e-300)
+
+
 class TestNonNumericProfile:
     """Malformed profile parameters raise DomainError, not a raw TypeError,
     ValueError or OverflowError."""

@@ -29,11 +29,11 @@ from logent import (
     wigner_evolve,
     wigner_run,
 )
-from logent import _csv, densities, dynamics
+from logent import _csv, densities, dynamics, wigner
 from logent._csv import _BLOCK_CELLS, _BLOCK_ROWS, _cells, read_csv, write_csv
 from logent._grid import (
     DEFAULT_STEP_ANGLE, MAX_CAYLEY_REACH, cayley_power, cayley_power_circulant, circulant,
-    int_power, phase_table, steps,
+    int_power, odd_difference, odd_sine_sum, phase_table, steps,
 )
 from logent.densities import read_density_csv, write_density_csv
 from logent.dynamics import read_trajectory_csv, write_trajectory_csv
@@ -411,6 +411,136 @@ class TestPhaseTable:
         assert np.array_equal(table.real, np.cos(theta))
         assert np.array_equal(table.imag, np.sin(theta))
         assert np.max(np.abs(table - np.exp(1j * theta))) <= 4e-16
+
+
+_TABLE_XS = np.linspace(-40.0, 40.0, 801)
+_PROFILES = [
+    PotentialSpec.constant(2.2), PotentialSpec.linear(-1.3), PotentialSpec.harmonic(1.0),
+    PotentialSpec("harmonic", (-0.7,)), PotentialSpec.quartic(0.2),
+    PotentialSpec.tabulated(_TABLE_XS, 0.3 * _TABLE_XS**2 + np.sin(_TABLE_XS)),
+]
+_PROFILE_IDS = ["constant", "linear", "harmonic", "harmonic-negative", "quartic", "tabulated"]
+
+
+class TestOddDifference:
+    """odd_difference, the one sampler of the odd kernel, and its three
+    callers give the bits of each caller's direct formula, written out here:
+    the line kernel's, the momentum-only quadrature's and the kick's."""
+
+    @pytest.mark.parametrize("potential", _PROFILES, ids=_PROFILE_IDS)
+    @pytest.mark.parametrize("n, length, h", [(2, 8.0, 1.0), (16, 8.0, 1.0), (64, 6.0, 0.7),
+                                              (256, 8.0, 1.3)])
+    @pytest.mark.parametrize("a", [0.0, 0.5, -0.8])
+    def test_scalar_centre_gives_the_line_kernel_and_quadrature_bits(self, potential, n, length,
+                                                                      h, a):
+        f = densities.uniform_density(n, length, h)
+        lam = h * np.fft.rfftfreq(n, d=f.dz)
+        kernel = potential.evaluate(a + lam / 2.0) - potential.evaluate(a - lam / 2.0)
+        kernel[-1] = 0.0  # the unpaired Nyquist mode
+        got = odd_difference(potential.evaluate, a, h, n, f.dz)
+        assert got.tobytes() == kernel.tobytes()
+        assert build_kernel(potential.evaluate, a, f).m_half.tobytes() == kernel.tobytes()
+        # the quadrature scales the difference and never reads its Nyquist sample
+        quadrature = (2.0 * math.pi / h) * (
+            potential.evaluate(a + lam / 2.0) - potential.evaluate(a - lam / 2.0)
+        )
+        got = odd_difference(potential.evaluate, a, h, n, f.dz, 2.0 * math.pi / h)
+        assert got[:-1].tobytes() == quadrature[:-1].tobytes() and got[-1] == 0.0
+        c, radius = wigner._generator(f, potential, a)
+        assert c.tobytes() == (-(2.0 / n) * odd_sine_sum(quadrature)).tobytes()
+        assert radius == float(np.abs(quadrature[1:-1]).max(initial=0.0))
+
+    @pytest.mark.parametrize("potential", _PROFILES, ids=_PROFILE_IDS)
+    @pytest.mark.parametrize("nx, npts, h", [(16, 16, 1.0), (32, 64, 0.7), (128, 128, 1.3)])
+    def test_centre_column_gives_the_kick_bits(self, potential, nx, npts, h):
+        w = gaussian_pure_wigner(nx, npts, 8.0, 8.0, h / (2.0 * math.sqrt(math.pi)), h=h)
+        lam = w.h * np.fft.rfftfreq(w.npts, d=w.dp)
+        x = w.x
+        dv = potential.evaluate(x[:, None] + lam[None, :] / 2.0) - potential.evaluate(
+            x[:, None] - lam[None, :] / 2.0
+        )
+        kick = (2.0 * math.pi / w.h) * dv
+        kick[:, -1] = 0.0
+        got = odd_difference(potential.evaluate, x[:, None], w.h, w.npts, w.dp, 2.0 * math.pi / h)
+        assert got.shape == (nx, npts // 2 + 1)
+        assert got.tobytes() == kick.tobytes()
+        assert wigner._phase_rates(w, potential)[0].tobytes() == kick.tobytes()
+
+    @pytest.mark.parametrize(
+        "profile, message",
+        [
+            (lambda z: 1.0, "omega must give one value per point"),
+            (lambda z: np.ones(3), "omega must give one value per point"),
+            (lambda z: np.asarray(z)[..., None] * np.ones(2), "omega must give one value per point"),
+            (lambda z: "a", "omega values must be finite and real"),
+            (lambda z: np.asarray(z) * 1j, "omega values must be finite and real"),
+            (lambda z: np.full(np.shape(z), np.inf), "omega values must be finite and real"),
+        ],
+        ids=["scalar", "wrong-length", "extra-axis", "string", "complex", "inf"],
+    )
+    @pytest.mark.parametrize("centres", [0.5, np.linspace(-1.0, 1.0, 4)[:, None]],
+                             ids=["scalar", "column"])
+    def test_profile_values_not_one_finite_real_per_point_are_refused(self, profile, message,
+                                                                      centres):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                odd_difference(profile, centres, 1.0, 16, 0.5)
+
+    def test_values_of_the_lags_alone_are_refused_for_a_column_of_centres(self):
+        def lags_only(z):
+            return np.ones(np.shape(z)[-1])
+
+        assert odd_difference(lags_only, 0.5, 1.0, 16, 0.5).shape == (9,)
+        with pytest.raises(DomainError, match="^omega must give one value per point$"):
+            odd_difference(lags_only, np.zeros((4, 1)), 1.0, 16, 0.5)
+
+    # lags l = 4 * rfftfreq(16, 0.5) = k / 2 up to the Nyquist lag 4: a slope s keeps every
+    # profile value s (c +- l/2), |c| <= 0.1, finite for s <= 8.5e307, but s l overflows from
+    # l = 3.5 when s > 5.1e307, and the scale 2 pi takes s l past the float range when
+    # s > 8.2e306
+    @pytest.mark.parametrize("slope, scale", [(8e307, 1.0), (1e307, 2.0 * math.pi)],
+                             ids=["difference", "scale"])
+    @pytest.mark.parametrize("centres", [0.0, np.array([-0.1, 0.0, 0.1])[:, None]],
+                             ids=["scalar", "column"])
+    def test_a_difference_beyond_the_float_range_is_refused_without_warning(self, slope, scale,
+                                                                            centres):
+        profile = PotentialSpec.linear(slope).evaluate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^the kernel difference is beyond the float"):
+                odd_difference(profile, centres, 4.0, 16, 0.5, scale)
+
+    def test_a_difference_beyond_the_float_range_at_the_nyquist_lag_alone_is_zeroed(self):
+        # lags 0, 1, 2: the slope 1e308 gives 1e308 at lag 1 and 2e308 at the unpaired Nyquist
+        # lag, which no caller reads
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = odd_difference(PotentialSpec.linear(1e308).evaluate, 0.0, 1.0, 4, 0.25)
+        assert got.tolist() == [0.0, 1e308, 0.0]
+
+
+class TestOddSineSum:
+    @pytest.mark.parametrize("n", [2, 4, 16, 256])
+    @pytest.mark.parametrize("scale", [1.0, -0.25, -(2.0 * 0.7 / 6.0), 3.0])
+    def test_scale_gives_the_bits_of_the_scaled_sum(self, n, scale):
+        m_half = np.random.default_rng(n).standard_normal(n // 2 + 1)
+        s = odd_sine_sum(m_half)
+        assert odd_sine_sum(m_half, scale).tobytes() == (scale * s).tobytes()
+        assert np.array_equal(s[1:], -s[:0:-1]) and s[0] == 0.0 and s[n // 2] == 0.0
+
+    @pytest.mark.parametrize(
+        "m_half, scale",
+        [(np.array([0.0, 1e308, 1e308, 1e308, 0.0]), 1.0),  # s_1 = (1 + sqrt 2) 1e308
+         (np.array([0.0, -1e308, 1e308, -1e308, 0.0]), 1.0),  # s_3 = -(1 + sqrt 2) 1e308
+         (np.array([0.0, 1e308, 0.0]), -2.0)],  # the scale takes s_1 = 1e308 past the range
+        ids=["sum", "signed-sum", "scale"],
+    )
+    def test_a_column_beyond_the_float_range_is_refused_without_warning(self, m_half, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^the odd kernel's real-space column is beyond"):
+                odd_sine_sum(m_half, scale)
 
 
 class TestReadCsv:

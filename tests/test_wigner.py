@@ -898,6 +898,33 @@ class TestDeltaLocalizedTime:
         np.testing.assert_array_equal(out.values, f.values)
 
 
+class TestKernelBeyondTheFloatRange:
+    """A kick or generator whose kernel difference or real-space column
+    overflows is refused by name, with no numpy warning, before any step."""
+
+    @pytest.mark.parametrize("dt", [None, 0.01], ids=["default-dt", "caller-dt"])
+    @pytest.mark.parametrize("run", [wigner_evolve, wigner_run])
+    def test_split_step_refuses_the_kick(self, run, dt):
+        # 1e305 x^4 is finite on the grid, but (2 pi / h) times its difference is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^the kernel difference is beyond the float range"):
+                run(pure_state(32, 32), PotentialSpec.quartic(1e305), 0.1, dt)
+
+    @pytest.mark.parametrize(
+        "coeff, message",
+        [(1e306, "^the kernel difference is beyond the float range"),
+         (1e306 * H / (2.0 * math.pi), "^the odd kernel's real-space column is beyond")],
+        ids=["difference", "column"],
+    )
+    def test_momentum_only_quadrature_refuses_the_generator(self, coeff, message):
+        f = gaussian_density(1024, 8.0, H, SIGMA)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                delta_localized_evolve(f, PotentialSpec.linear(coeff), 0.5, 1e-300)
+
+
 class TestMalformedGrid:
     @pytest.mark.parametrize("values", [np.full(16, 1.0 / 16), np.full((2, 2, 4), 1.0 / 16)])
     def test_wrong_rank(self, values):
