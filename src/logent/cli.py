@@ -9,9 +9,9 @@ initial Gaussian's closed form at back-rotated points: it shares the state
 formula with the library but no evolution code.  Exit codes: 0 success,
 1 inadmissible state, 2 usage or configuration error, which includes every
 LogentError a command raises, an output path it cannot write (OSError) and
-two outputs of one run that are one file.  A run refuses its outputs
-before it writes any if one cannot be opened, and a run that fails to
-write an output later removes the files it created.
+two outputs of one run that are one file.  Each evolve command checks
+its outputs once, before its engine starts, and refuses them all if one
+cannot be opened; a run that fails later removes the files it created.
 
 Engine parameters can come from flags or from a flat key = value config
 file with one section per engine ([fd], [continuum], [wigner]); unknown
@@ -136,14 +136,25 @@ def _openable(path) -> None:
 
 
 @contextlib.contextmanager
-def _all_or_none(*paths):
-    """Refuse the paths, before the block writes any, if one cannot be
-    opened (_openable), so that such a run leaves every file as it was; if
-    the block raises later, remove those of paths that did not exist before
-    it, so that a run that fails to write one output leaves no new one."""
-    for p in paths:
+def _outputs(flag: str, path, diag=None):
+    """Hold a command's engine run and writes.  Its outputs are path, given by
+    flag, and with diag also path's sidecar and diag.  Before the block, refuse
+    two outputs that are one file by os.path.realpath (UsageError: the later
+    write would replace the earlier one), then any that cannot be opened
+    (_openable), so a refused run starts no engine and leaves every file as it
+    was.  If the block raises, remove the outputs that did not exist before
+    it, so a run that fails to write one output leaves no new one."""
+    paths = {flag: path}
+    if diag is not None:
+        paths.update({f"the {flag} sidecar": _grid.sidecar(path), "--output-diag": diag})
+    seen = {}
+    for label, p in paths.items():
+        other = seen.setdefault(os.path.realpath(p), label)
+        if other != label:
+            raise click.UsageError(f"{label} names the file of {other}: {p}")
+    for p in paths.values():
         _openable(p)
-    created = [p for p in paths if not os.path.lexists(p)]
+    created = [p for p in paths.values() if not os.path.lexists(p)]
     try:
         yield
     except BaseException:
@@ -151,18 +162,6 @@ def _all_or_none(*paths):
             with contextlib.suppress(OSError):
                 os.remove(p)
         raise
-
-
-def _distinct(flag: str, snapshot, diag) -> None:
-    """UsageError when two of a run's outputs, the snapshot given by flag,
-    its sidecar and the diagnostics, are one file by os.path.realpath: the
-    later write would replace the earlier one."""
-    seen = {}
-    for label, path in [(flag, snapshot), (f"the {flag} sidecar", _grid.sidecar(snapshot)),
-                        ("--output-diag", diag)]:
-        other = seen.setdefault(os.path.realpath(path), label)
-        if other != label:
-            raise click.UsageError(f"{label} names the file of {other}: {path}")
 
 
 class _Group(click.Group):
@@ -354,16 +353,16 @@ _FD = {
 @_engine("fd", _FD)
 def evolve_fd(generator, n, seed, rate, p0, t_end, dt, output):
     """Finite-dimensional rotation run; writes the trajectory CSV."""
-    if generator == "cyclic3":
-        _reject_set("generator = cyclic3", n=n, seed=seed)
-        gen = dynamics.cyclic_generator3()
-        if rate is not None:
-            gen = dynamics.GeneratorMatrix.from_dense(gen.matrix, rate=rate)  # checks the rate
-    else:
-        n = 3 if n is None else n
-        gen = dynamics.random_generator(n, seed or 0, rate=1.0 if rate is None else rate)
-    rec = dynamics.trajectory(_normalized_vector(_parse_vector(p0)), gen, t_end, dt)
-    with _all_or_none(output):
+    with _outputs("--output", output):
+        if generator == "cyclic3":
+            _reject_set("generator = cyclic3", n=n, seed=seed)
+            gen = dynamics.cyclic_generator3()
+            if rate is not None:
+                gen = dynamics.GeneratorMatrix.from_dense(gen.matrix, rate=rate)  # checks the rate
+        else:
+            n = 3 if n is None else n
+            gen = dynamics.random_generator(n, seed or 0, rate=1.0 if rate is None else rate)
+        rec = dynamics.trajectory(_normalized_vector(_parse_vector(p0)), gen, t_end, dt)
         dynamics.write_trajectory_csv(rec, output)
     _summary(14, [
         ("samples", len(rec.times)),
@@ -399,20 +398,19 @@ def evolve_continuum(
     output_grid, output_diag, cross_check,
 ):
     """Spectral line-density run; writes final grid and diagnostics."""
-    _distinct("--output-grid", output_grid, output_diag)
-    if sigma is None:
-        sigma = h / (2.0 * math.sqrt(math.pi))
-    f0 = densities.gaussian_density(n, length, h, sigma, center=center)
-    kern = densities.build_kernel(densities.PotentialSpec(omega_family, (coeff,)).evaluate, a, f0)
-    rec, final = densities.density_run(f0, kern, t_end, samples)
-    if cross_check:
-        try:
-            # Omega = 2 pi V / h, so V carries a factor h / (2 pi) relative to Omega
-            potential = densities.PotentialSpec(omega_family, (coeff * (h / (2.0 * math.pi)),))
-            other = wigner.delta_localized_evolve(f0, potential, a, t_end)
-        except LogentError as exc:
-            raise click.UsageError(f"{exc} (--cross-check oracle)") from exc
-    with _all_or_none(output_grid, _grid.sidecar(output_grid), output_diag):
+    with _outputs("--output-grid", output_grid, output_diag):
+        if sigma is None:
+            sigma = h / (2.0 * math.sqrt(math.pi))
+        f0 = densities.gaussian_density(n, length, h, sigma, center=center)
+        kern = densities.build_kernel(densities.PotentialSpec(omega_family, (coeff,)).evaluate, a, f0)
+        rec, final = densities.density_run(f0, kern, t_end, samples)
+        if cross_check:
+            try:
+                # Omega = 2 pi V / h, so V carries a factor h / (2 pi) relative to Omega
+                potential = densities.PotentialSpec(omega_family, (coeff * (h / (2.0 * math.pi)),))
+                other = wigner.delta_localized_evolve(f0, potential, a, t_end)
+            except LogentError as exc:
+                raise click.UsageError(f"{exc} (--cross-check oracle)") from exc
         densities.write_density_csv(final, output_grid)
         _csv.write_csv(output_diag, "t,sum,I,max_mode_drift", [rec.times], rec.diagnostics, 15)
     _summary(18, [
@@ -458,29 +456,28 @@ def evolve_wigner(
     t_end, dt, output_snapshot, output_diag, rotation_check,
 ):
     """Phase-space split-step run; writes snapshot and diagnostics."""
-    _distinct("--output-snapshot", output_snapshot, output_diag)
-    if potential != "harmonic":
-        _reject_set(f"potential = {potential}", omega=omega)
-    if potential != "quartic":
-        _reject_set(f"potential = {potential}", beta=beta)
-    if rotation_check and potential != "harmonic":
-        raise click.UsageError("--rotation-check requires the harmonic potential")
-    if rotation_check and omega == 0.0:
-        raise click.UsageError("--rotation-check needs a nonzero omega")
-    if sigma_x is None:
-        sigma_x = h / (2.0 * math.sqrt(math.pi))
-    if potential == "free":
-        pot = wigner.PotentialSpec.constant(0.0)
-    elif potential == "harmonic":
-        omega = 1.0 if omega is None else omega
-        pot = wigner.PotentialSpec.harmonic(omega, mass=mass)
-    else:
-        pot = wigner.PotentialSpec.quartic(0.1 if beta is None else beta)
-    w0 = wigner.gaussian_pure_wigner(
-        nx, npts, lx, lp, sigma_x, h=h, mass=mass, x_center=x_center, p_center=p_center
-    )
-    rec, final = wigner.wigner_run(w0, pot, t_end, dt)
-    with _all_or_none(output_snapshot, _grid.sidecar(output_snapshot), output_diag):
+    with _outputs("--output-snapshot", output_snapshot, output_diag):
+        if potential != "harmonic":
+            _reject_set(f"potential = {potential}", omega=omega)
+        if potential != "quartic":
+            _reject_set(f"potential = {potential}", beta=beta)
+        if rotation_check and potential != "harmonic":
+            raise click.UsageError("--rotation-check requires the harmonic potential")
+        if rotation_check and omega == 0.0:
+            raise click.UsageError("--rotation-check needs a nonzero omega")
+        if sigma_x is None:
+            sigma_x = h / (2.0 * math.sqrt(math.pi))
+        if potential == "free":
+            pot = wigner.PotentialSpec.constant(0.0)
+        elif potential == "harmonic":
+            omega = 1.0 if omega is None else omega
+            pot = wigner.PotentialSpec.harmonic(omega, mass=mass)
+        else:
+            pot = wigner.PotentialSpec.quartic(0.1 if beta is None else beta)
+        w0 = wigner.gaussian_pure_wigner(
+            nx, npts, lx, lp, sigma_x, h=h, mass=mass, x_center=x_center, p_center=p_center
+        )
+        rec, final = wigner.wigner_run(w0, pot, t_end, dt)
         wigner.write_wigner_csv(final, output_snapshot)
         wigner.write_diagnostics_csv(rec, output_diag)
     m3 = rec.moment3

@@ -68,8 +68,9 @@ class GeneratorMatrix:
             if np.any(np.tril(arr) != 0.0):
                 raise DomainError("canonical storage must be strictly upper triangular")
             arr = arr - arr.T
-        sums = arr.sum(axis=1)
-        if float(np.max(np.abs(sums))) > MARGINAL_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: refused just below
+            sums = arr.sum(axis=1)
+        if not float(np.max(np.abs(sums))) <= MARGINAL_TOL:
             raise DomainError(
                 f"row sums reach {np.max(np.abs(sums)):.3e}, exceed {MARGINAL_TOL:g}"
             )
@@ -110,10 +111,11 @@ class GeneratorMatrix:
         arr = real_array(m, "generator entries")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DomainError("generator must be square")
-        # a 0 x 0 matrix has nothing to compare: _exact refuses it as n < 2
-        if arr.size and float(np.max(np.abs(arr + arr.T))) > MARGINAL_TOL:
-            raise DomainError("matrix is not antisymmetric within 1e-12")
-        skew = (arr - arr.T) / 2.0
+        with np.errstate(over="ignore"):  # an inf sum or difference is refused below
+            # a 0 x 0 matrix has nothing to compare: _exact refuses it as n < 2
+            if arr.size and float(np.max(np.abs(arr + arr.T))) > MARGINAL_TOL:
+                raise DomainError("matrix is not antisymmetric within 1e-12")
+            skew = (arr - arr.T) / 2.0
         if not np.all(np.isfinite(skew)):  # arr - arr.T overflowed
             raise DomainError("generator entries must be finite and real")
         # a -0.0 below the diagonal is +0.0 in upper - upper.T

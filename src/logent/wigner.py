@@ -172,9 +172,10 @@ def _gaussian(x, p, sigma_x: float, h: float, x_center: float, p_center: float):
     """The minimum-uncertainty Gaussian w(x, p) in closed form, at any points:
     peak (x_center, p_center), widths sigma_x and h / (4 pi sigma_x)."""
     sigma_p = h / (4.0 * math.pi * sigma_x)
-    return np.exp(
-        -0.5 * ((x - x_center) / sigma_x) ** 2 - 0.5 * ((p - p_center) / sigma_p) ** 2
-    ) / (2.0 * math.pi * sigma_x * sigma_p)
+    with np.errstate(over="ignore"):  # a square beyond the float range: exp(-inf) = 0
+        return np.exp(
+            -0.5 * ((x - x_center) / sigma_x) ** 2 - 0.5 * ((p - p_center) / sigma_p) ** 2
+        ) / (2.0 * math.pi * sigma_x * sigma_p)
 
 
 def gaussian_pure_wigner(

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from logent import densities, wigner
+from logent import densities, dynamics, wigner
 from logent.cli import main
 from logent.densities import read_density_csv
 from logent.dynamics import GeneratorMatrix, cyclic_generator3, read_trajectory_csv, trajectory
@@ -667,6 +667,52 @@ class TestOutputsNamingOneFile:
         assert res.exit_code == 2, res.output
         assert named.format(flag=flag) in res.output
         assert [p.name for p in tmp_path.iterdir()] == ["link.csv"]
+
+
+class TestUnwritableOutputBeforeRun:
+    """An output that cannot be opened exits 2 with the OS message before the
+    engine runs, in every engine, and no file is written."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["fd", "--output", "no_such_dir/x.csv"],
+            ["continuum", "--output-grid", "no_such_dir/g.csv"],
+            ["continuum", "--output-diag", "no_such_dir/d.csv"],
+            ["wigner", "--output-snapshot", "no_such_dir/s.csv"],
+            ["wigner", "--output-diag", "no_such_dir/d.csv"],
+        ],
+        ids=["fd", "continuum-grid", "continuum-diag", "wigner-snapshot", "wigner-diag"],
+    )
+    def test_exits_two_before_the_engine(self, runner, tmp_path, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+
+        def ran(*args, **kwargs):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr(dynamics, "trajectory", ran)
+        monkeypatch.setattr(densities, "density_run", ran)
+        monkeypatch.setattr(wigner, "wigner_run", ran)
+        res = runner.invoke(main, ["evolve", *args])
+        assert res.exit_code == 2, res.output
+        assert "No such file or directory" in res.output and args[-1] in res.output
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestRotationCheckFarOut:
+    """--rotation-check at back-rotated points far beyond the float range of
+    the Gaussian's exponent evaluates exp(-inf) = 0 with no numpy warning.
+    Only the warning is checked: at this mass the run itself leaves its grid."""
+
+    def test_no_overflow_warning(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        args = ["evolve", "wigner", "--nx", "32", "--npts", "32", "--t-end", "0.1",
+                "--mass", "1e-306", "--rotation-check"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+        assert re.search(r"^rotation-check L2\s+= \S+$", res.output, re.M), res.output
 
 
 class TestOverflowingSampleTime:

@@ -154,6 +154,31 @@ class TestExactConstruction:
             GeneratorMatrix.from_dense(m)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: GeneratorMatrix([[0.0, 1e308, 1e308], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+         "row sums reach inf, exceed 1e-12"),
+        (lambda: GeneratorMatrix.from_dense([[0.0, 1e308], [1e308, 0.0]]),
+         "matrix is not antisymmetric within 1e-12"),
+        (lambda: GeneratorMatrix.from_dense(1e308 * cyclic_generator3().matrix),
+         "generator entries must be finite and real"),
+    ], ids=["row-sum", "dense-sum", "dense-difference"])
+    def test_overflowing_refusals_print_no_warning(self, make, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as info:
+                make()
+        assert str(info.value) == message
+
+    def test_row_sum_of_opposite_infinities_is_refused(self):
+        # numpy's pairwise sum of row 0 adds +inf and -inf partial sums to
+        # nan; row 1 sums to -1e308, and the nan hid it from np.max
+        upper = np.zeros((17, 17))
+        upper[0, [1, 9]], upper[0, [2, 10]] = 1e308, -1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^row sums reach nan, exceed 1e-12$"):
+                GeneratorMatrix(upper)
+
     @pytest.mark.parametrize("m, rate, message", [
         (np.zeros((1, 2)), 1.0, "generator storage must be square"),
         (np.zeros((2, 2, 2)), 1.0, "generator storage must be square"),
